@@ -16,12 +16,14 @@ from .bounds import EntropyAudit, entropy_audit, gamma
 from .construct import (
     ConstructionCert,
     SpanningFamily,
+    beta,
+    beta_table,
     validate_family,
     check_spanning_identities,
     combine,
     orbit_projection_check,
 )
-from .errors import ParseError, Rep2LdcError
+from .errors import DimensionMismatch, ParseError, Rep2LdcError
 from .ldc import VerificationReport, verify
 from .linalg import Subspace, rank
 from .serialize import (
@@ -105,17 +107,51 @@ def cert_from_json(obj) -> ConstructionCert:
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError,
+            DimensionMismatch) as exc:
         raise ParseError(f"bad certificate document: {exc}") from exc
     if cert.kind not in ("special2", "general", "lambda"):
         raise ParseError(f"unknown certificate kind {cert.kind!r}")
+    _check_indices_and_shapes(cert)
     return cert
+
+
+def _check_indices_and_shapes(cert: ConstructionCert) -> None:
+    """Reject element indices outside [0, |G|) and vectors or matrices whose
+    shape contradicts n, R or t, which verify_cert would index with."""
+    m = len(cert.group)
+    n = cert.group.dim
+    r = cert.R
+    t = len(cert.family.g_refs)
+    for name, values in (
+        ("hs", cert.hs), ("family.g_refs", cert.family.g_refs), ("kept_s", cert.kept_s)
+    ):
+        bad = [v for v in values if not 0 <= v < m]
+        if bad:
+            raise ParseError(f"{name} entry {bad[0]} outside [0, {m})")
+    if not cert.hs or len(cert.alphas) != len(cert.hs):
+        raise ParseError("hs and alphas must be nonempty and of equal length")
+    if cert.kind == "lambda" and cert.lam is None:
+        raise ParseError("lambda certificate without a lambda")
+    if len(cert.family.hat_w) != t:
+        raise ParseError(f"family has {len(cert.family.hat_w)} hat_w rows for {t} g_refs")
+    lengths = [("z", cert.z, n)] + [
+        (f"hat_w[{j}]", h, r) for j, h in enumerate(cert.family.hat_w)
+    ]
+    for name, v, want in lengths:
+        if v.shape != (want,):
+            raise ParseError(f"{name} has length {len(v)}, expected {want}")
+    shapes = (("D", cert.D, (n, n)), ("Y", cert.Y, (n, r)), ("X", cert.X, (n, r)),
+              ("W", cert.family.W, (n, t)))
+    for name, mat, want in shapes:
+        if mat.a.shape != want:
+            raise ParseError(f"{name} has shape {mat.a.shape}, expected {want}")
 
 
 def _beta_mask(cert: ConstructionCert) -> list[list[bool]]:
     """mask[j][si]: does beta_{j,s}(z) survive for kept_s[si]?"""
-    from .construct import beta
-
+    if cert.group.field.char:
+        return (beta_table(cert, cert.kept_s) != 0).T.tolist()
     return [
         [beta(cert, j, s) != 0 for s in cert.kept_s]
         for j in range(cert.family.t)

@@ -48,6 +48,7 @@ __all__ = [
     "dual_vectors",
     "validate_family",
     "beta",
+    "beta_table",
     "choose_z",
     "spanning_tuple_identity",
     "check_spanning_identities",
@@ -326,6 +327,24 @@ def beta(cert: ConstructionCert, j: int, s: int, z=None):
     return c.dot(u)
 
 
+def beta_table(cert: ConstructionCert, positions=None) -> np.ndarray:
+    """beta_{j,s}(z) for s in `positions` (rows; default every element)
+    and every j (columns), over a prime field.
+
+    Two batched products: rho(s) z for every s, then against the columns
+    X hat_w_j.  _kernels.matmul_mod stays exact for any machine-word prime.
+    """
+    group = cert.group
+    p = group.field.char
+    n = group.dim
+    stack = group.stacked()
+    if positions is not None:
+        stack = stack[np.asarray(positions, dtype=np.int64)]
+    rho_z = _kernels.matmul_mod(stack.reshape(-1, n), cert.z.reshape(-1, 1), p)
+    cs = np.stack([cert.X.matvec(h) for h in cert.family.hat_w], axis=1)
+    return _kernels.matmul_mod(rho_z.reshape(-1, n), cs, p)
+
+
 def _cycle_kept_s(group: MatrixGroup, h: int) -> list[int]:
     """Alternating edges of the h-multiplication cycles, as s-values.
 
@@ -588,7 +607,40 @@ def spanning_tuple_identity(cert: ConstructionCert, j: int, s: int) -> np.ndarra
 
 def check_spanning_identities(cert: ConstructionCert) -> int:
     """Verify the tuple identity entrywise for every (j, s); returns the
-    number of identities checked."""
+    number of identities checked.
+
+    Over a prime field each j is one array comparison over all s; a
+    failure names the first failing (j, s) in j-major, then s order.
+    """
+    group = cert.group
+    p = group.field.char
+    t = cert.family.t
+    m = len(group)
+    vectors = cert.code.vectors.a
+    if vectors.shape[0] < m or vectors.shape[1] != t:
+        raise InternalInconsistency(
+            f"code vectors have shape {vectors.shape}, need at least {m} rows of length {t}"
+        )
+    if not p:
+        return _check_spanning_identities_scalar(cert)
+    betas = beta_table(cert)
+    h_perms = [group.left_perm(h) for h in cert.hs]
+    for j, g in enumerate(cert.family.g_refs):
+        gj_perm = group.left_perm(g)
+        lhs = None
+        for h_perm, alpha in zip(h_perms, cert.alphas):
+            term = vectors[gj_perm[h_perm]] * alpha % p
+            lhs = term if lhs is None else (lhs + term) % p
+        expected = np.zeros((m, t), dtype=np.int64)
+        expected[:, j] = betas[:, j]
+        bad = np.flatnonzero(np.any(lhs != expected, axis=1))
+        if bad.size:
+            raise InternalInconsistency(f"tuple identity fails at (j={j}, s={int(bad[0])})")
+    return t * m
+
+
+def _check_spanning_identities_scalar(cert: ConstructionCert) -> int:
+    """Rational path of check_spanning_identities, one (j, s) at a time."""
     group = cert.group
     field = group.field
     t = cert.family.t
@@ -597,14 +649,9 @@ def check_spanning_identities(cert: ConstructionCert) -> int:
     for j in range(t):
         for s in range(m):
             lhs = spanning_tuple_identity(cert, j, s)
-            b = beta(cert, j, s)
             expected = Matrix.zeros(field, 1, t).a.copy().ravel()
-            expected[j] = b
-            if field.char:
-                same = np.array_equal(lhs % field.char, expected % field.char)
-            else:
-                same = all(a == e for a, e in zip(lhs, expected))
-            if not same:
+            expected[j] = beta(cert, j, s)
+            if not all(a == e for a, e in zip(lhs, expected)):
                 raise InternalInconsistency(f"tuple identity fails at (j={j}, s={s})")
             checked += 1
     return checked

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
 from .fields import Field
-from .linalg import Matrix, Subspace, invert, rank, rref, subspace_sum
+from .linalg import Matrix, Subspace, invert, rank, residue_key, rref, subspace_sum
 
 __all__ = [
     "MatrixGroup",
@@ -29,7 +30,23 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 200_000
-EXHAUSTIVE_CLOSURE_LIMIT = 1000
+# Elements per batched product in the closure check; bounds its temporaries.
+CLOSURE_CHUNK = 1024
+
+
+def _matmul_mod_batched(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for n x n residue matrices, broadcast over a leading
+    batch axis of either side.
+
+    numpy's int64 product is exact while n (p-1)^2 < 2^63 - 1; beyond
+    that each pair goes through _kernels.matmul_mod.
+    """
+    n = a.shape[-1]
+    if n * (p - 1) * (p - 1) < 2**63 - 1:
+        return np.matmul(a, b) % p
+    return np.stack(
+        [_kernels.matmul_mod(x, y, p) for x, y in zip(*np.broadcast_arrays(a, b))]
+    )
 
 
 def default_cap() -> int:
@@ -120,14 +137,21 @@ class MatrixGroup:
         return order
 
     def left_perm(self, i: int) -> np.ndarray:
-        """Permutation s -> position of elements[i] @ elements[s]."""
+        """Permutation s -> position of elements[i] @ elements[s].
+
+        Prime fields take one batched product over the stacked elements.
+        """
         perm = self._left_perms.get(i)
         if perm is None:
             g = self.elements[i]
+            p = self.field.char
+            if p:
+                prods = _matmul_mod_batched(g.a, self.stacked(), p)
+                keys = (residue_key(p, a) for a in prods)
+            else:
+                keys = ((g @ s).key() for s in self.elements)
             perm = np.fromiter(
-                (self.index[(g @ s).key()] for s in self.elements),
-                dtype=np.int64,
-                count=len(self.elements),
+                (self.index[k] for k in keys), dtype=np.int64, count=len(self.elements)
             )
             self._left_perms[i] = perm
         return perm
@@ -168,8 +192,10 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
     """Breadth-first closure of a generator list into a full group.
 
     The identity sits at position 0; products explore cur @ gen in
-    generator order, so positions are reproducible.  Raises CapExceeded
-    if the closure grows past `cap`, NotInvertible for singular input.
+    generator order, so positions are reproducible.  Every element is
+    reached from the identity by its generator word, and the result is
+    proved closed by _verify_closure.  Raises CapExceeded if the closure
+    grows past `cap`, NotInvertible for singular input.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -219,26 +245,36 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
 
 
 def _verify_closure(group: MatrixGroup) -> None:
-    """Check closure under product and inverse.
+    """Prove the enumerated set is the group generated by the generators.
 
-    Exhaustive when |G| <= EXHAUSTIVE_CLOSURE_LIMIT, otherwise a fixed
-    seeded sample.  Any miss is a bug in the BFS, not a user error.
+    Checks that every element times every generator is already indexed.
+    That suffices: the set S holds I and each element is a generator word
+    (``words``), so S lies in the generated group; closure under right
+    multiplication by the generators puts every word in S, so S is that
+    group, and a finite monoid generated this way is closed under products
+    and inverses.  O(|G| * #generators) products, batched in chunks of
+    CLOSURE_CHUNK over prime fields.  Any miss is a bug in the BFS, not a
+    user error.
     """
-    m = len(group)
-    if m <= EXHAUSTIVE_CLOSURE_LIMIT:
-        pairs = ((i, j) for i in range(m) for j in range(m))
-        inverses = range(m)
-    else:
-        rng = np.random.default_rng(0)
-        pairs = [tuple(x) for x in rng.integers(0, m, size=(256, 2))]
-        inverses = [int(x) for x in rng.integers(0, m, size=64)]
-    try:
-        for i, j in pairs:
-            group.mul(i, j)
-        for i in inverses:
-            group.inv(i)
-    except KeyError as exc:
-        raise InternalInconsistency("BFS closure is not closed") from exc
+    gens = [group.elements[g] for g in sorted(set(group.generators))]
+    if not all(k in group.index for k in _right_product_keys(group, gens)):
+        raise InternalInconsistency("BFS closure is not closed")
+
+
+def _right_product_keys(group: MatrixGroup, gens: list[Matrix]):
+    """Keys of every element times every generator in `gens`."""
+    p = group.field.char
+    if not p:
+        for e in group.elements:
+            for g in gens:
+                yield (e @ g).key()
+        return
+    elements = group.elements
+    for start in range(0, len(elements), CLOSURE_CHUNK):
+        block = np.stack([e.a for e in elements[start:start + CLOSURE_CHUNK]])
+        for g in gens:
+            for a in _matmul_mod_batched(block, g.a, p):
+                yield residue_key(p, a)
 
 
 def mult_cycles(group: MatrixGroup, h: int) -> CycleDecomposition:

@@ -29,6 +29,7 @@ __all__ = [
     "subspace_contains",
     "apply_to_subspace",
     "invert",
+    "residue_key",
 ]
 
 
@@ -57,6 +58,16 @@ def _rref_fraction(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
         pivots.append(c)
         r += 1
     return a, r, np.asarray(pivots, dtype=np.int64)
+
+
+def residue_key(p: int, a: np.ndarray):
+    """Lookup key of a canonical int64 residue array over GF(p).
+
+    Matrix.key() and the batched group lookups in groups.py both build
+    keys here, so a row of a stacked product finds the same dict entry as
+    the Matrix it equals.
+    """
+    return (p, a.shape, a.tobytes())
 
 
 class Matrix:
@@ -142,7 +153,7 @@ class Matrix:
         """Hashable canonical key (shared with group element lookup)."""
         if self._key is None:
             if self.field.char:
-                k = (self.field.char, self.a.shape, self.a.tobytes())
+                k = residue_key(self.field.char, self.a)
             else:
                 k = (
                     0,

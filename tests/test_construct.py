@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from rep2ldc.bounds import entropy_audit, gamma
+from rep2ldc.certcheck import _beta_mask, verify_cert
 from rep2ldc.construct import (
     beta,
+    beta_table,
     build_q_ldc,
     build_special_2ldc,
     check_spanning_identities,
@@ -21,6 +23,7 @@ from rep2ldc.construct import (
 )
 from rep2ldc.errors import (
     IdentityElement,
+    InternalInconsistency,
     OrbitDoesNotSpan,
     ScalarMultipleOfIdentity,
     ZeroMatrix,
@@ -295,6 +298,115 @@ class TestTupleIdentities:
                 expected = np.zeros(cert.t, dtype=np.int64)
                 expected[j] = beta(cert, j, s)
                 assert np.array_equal(lhs, expected)
+
+
+def _reference_identity_failure(cert):
+    """First (j, s) whose tuple identity fails, by the scalar per-element
+    reference in j-major order, or None."""
+    for j in range(cert.t):
+        for s in range(len(cert.group)):
+            expected = Matrix.zeros(cert.group.field, 1, cert.t).a.copy().ravel()
+            expected[j] = beta(cert, j, s)
+            lhs = spanning_tuple_identity(cert, j, s)
+            if not all(a == e for a, e in zip(lhs, expected)):
+                return j, s
+    return None
+
+
+def _every_kind(group):
+    """special2, general (q = 3) and lambda certificates on one group."""
+    h, h2 = group.generators[0], group.generators[1]
+    return [
+        build_special_2ldc(group, h, seed=0),
+        build_q_ldc(group, [h, h2, 0], [1, 1, 1], seed=0),
+        lambda_variant(group, h, 3, seed=0),
+    ]
+
+
+class TestArrayChecksAgainstScalarReference:
+    """The batched identity check and beta mask agree with beta() and
+    spanning_tuple_identity() element by element."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, signed_shift_4_3, dihedral_5_11, signed_shift_4_q):
+        g = signed_shift_4_q
+        return (
+            [build_special_2ldc(signed_shift_4_3, signed_shift_4_3.generators[0], seed=0)]
+            + _every_kind(dihedral_5_11)
+            + [build_special_2ldc(g, g.generators[0], seed=0)]
+        )
+
+    def test_beta_table_matches_beta(self, certs):
+        for cert in certs:
+            if not cert.group.field.char:
+                continue
+            table = beta_table(cert)
+            assert table.shape == (len(cert.group), cert.t)
+            for j in range(cert.t):
+                for s in range(len(cert.group)):
+                    assert table[s, j] == beta(cert, j, s)
+
+    def test_beta_mask_matches_beta(self, certs):
+        for cert in certs:
+            expected = [[beta(cert, j, s) != 0 for s in cert.kept_s] for j in range(cert.t)]
+            assert _beta_mask(cert) == expected
+
+    def test_identities_hold_elementwise(self, certs):
+        for cert in certs:
+            assert _reference_identity_failure(cert) is None
+            assert check_spanning_identities(cert) == cert.t * len(cert.group)
+
+    def test_large_prime_matches_reference(self):
+        from rep2ldc.fixtures import signed_shift_group
+
+        g = signed_shift_group(4, 2147483647)
+        cert = build_special_2ldc(g, g.generators[0], seed=0)
+        table = beta_table(cert)
+        for j in range(cert.t):
+            for s in range(0, len(g), 5):
+                assert table[s, j] == beta(cert, j, s)
+        assert _reference_identity_failure(cert) is None
+        assert check_spanning_identities(cert) == cert.t * len(g)
+
+
+class TestIdentityFailureLocation:
+    def _tampered(self, cert, row, col):
+        a = cert.code.vectors.a.copy()
+        p = cert.group.field.char
+        a[row, col] = (a[row, col] + 1) % p if p else a[row, col] + 1
+        code = dataclasses.replace(cert.code, vectors=Matrix.from_array(cert.group.field, a))
+        return dataclasses.replace(cert, code=code)
+
+    def test_first_failing_pair_named(self, signed_shift_4_3):
+        g = signed_shift_4_3
+        bad = self._tampered(build_special_2ldc(g, g.generators[0], seed=0), 7, 1)
+        with pytest.raises(InternalInconsistency) as exc:
+            check_spanning_identities(bad)
+        assert str(exc.value) == "tuple identity fails at (j=0, s=5)"
+        assert _reference_identity_failure(bad) == (0, 5)
+        assert "tuple identity failed: tuple identity fails at (j=0, s=5)" in (
+            verify_cert(bad).failures
+        )
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (9, 1), (3, 0)])
+    def test_location_agrees_with_reference(self, dihedral_5_11, row, col):
+        for cert in _every_kind(dihedral_5_11):
+            bad = self._tampered(cert, row, col % cert.t)
+            j, s = _reference_identity_failure(bad)
+            with pytest.raises(InternalInconsistency,
+                               match=rf"^tuple identity fails at \(j={j}, s={s}\)$"):
+                check_spanning_identities(bad)
+
+    def test_short_code_reported_not_raised(self, signed_shift_4_3):
+        g = signed_shift_4_3
+        cert = build_special_2ldc(g, g.generators[0], seed=0)
+        a = cert.code.vectors.a[:32]
+        code = dataclasses.replace(
+            cert.code, m=32, vectors=Matrix.from_array(g.field, a),
+            matchings=tuple(dataclasses.replace(mi, sets=()) for mi in cert.code.matchings),
+        )
+        with pytest.raises(InternalInconsistency, match="code vectors have shape"):
+            check_spanning_identities(dataclasses.replace(cert, code=code))
 
 
 class TestGeneralPipeline:

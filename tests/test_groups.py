@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from rep2ldc.errors import CapExceeded, NotInvertible, ZeroVector
+from rep2ldc import groups
+from rep2ldc.errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
 from rep2ldc.fields import GF, QQ
 from rep2ldc.groups import (
+    MatrixGroup,
+    _verify_closure,
     burnside_irreducible,
     close_group,
     fixed_space,
@@ -91,7 +94,8 @@ class TestCloseGroup:
             assert g.mul(i, g.inv(i)) == g.identity_pos
 
     def test_closure_sampled_above_threshold(self):
-        # 2048 elements: construction runs the sampled closure check
+        # 2048 elements: the closure proof covers every element times every
+        # generator; spot-check the product table it implies
         from rep2ldc.fixtures import signed_shift_group
 
         g = signed_shift_group(8, 3)
@@ -100,6 +104,24 @@ class TestCloseGroup:
         for i, j in rng.integers(0, 2048, size=(32, 2)):
             k = g.mul(int(i), int(j))
             assert g.matrix(int(i)) @ g.matrix(int(j)) == g.matrix(k)
+
+    @pytest.mark.parametrize("fixture, chunk", [
+        ("signed_shift_4_3", groups.CLOSURE_CHUNK),
+        ("signed_shift_4_3", 7),  # 64 elements in several chunks, the last one partial
+        ("signed_shift_4_q", groups.CLOSURE_CHUNK),
+    ])
+    @pytest.mark.parametrize("drop", [0, 1, 37, 63])
+    def test_closure_check_detects_missing_element(
+        self, request, monkeypatch, fixture, drop, chunk
+    ):
+        monkeypatch.setattr(groups, "CLOSURE_CHUNK", chunk)
+        g = request.getfixturevalue(fixture)
+        index = dict(g.index)
+        del index[g.matrix(drop).key()]
+        damaged = MatrixGroup(g.field, g.dim, list(g.elements), index, g.generators, g.words)
+        with pytest.raises(InternalInconsistency, match="not closed"):
+            _verify_closure(damaged)
+        _verify_closure(g)
 
     def test_cap_env_override(self, monkeypatch):
         from rep2ldc.groups import default_cap
@@ -125,6 +147,26 @@ class TestElementOrder:
     def test_shift_order(self, signed_shift_4_3):
         g = signed_shift_4_3
         assert g.element_order(g.generators[1]) == 4
+
+
+class TestLeftPerm:
+    @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q", "dihedral_5_11"])
+    def test_matches_single_products(self, request, fixture):
+        g = request.getfixturevalue(fixture)
+        for i in (0, *g.generators, len(g) - 1):
+            perm = g.left_perm(i)
+            assert perm.dtype == np.int64
+            assert [int(x) for x in perm] == [g.mul(i, s) for s in range(len(g))]
+
+    def test_large_prime_falls_back_exactly(self):
+        # n (p-1)^2 overflows int64: left_perm and the closure proof run
+        # through _kernels.matmul_mod pair by pair
+        from rep2ldc.fixtures import signed_shift_group
+
+        g = signed_shift_group(4, 2147483647)
+        assert len(g) == 64
+        for i in g.generators:
+            assert [int(x) for x in g.left_perm(i)] == [g.mul(i, s) for s in range(len(g))]
 
 
 class TestMultCycles:

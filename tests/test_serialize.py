@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rep2ldc.certcheck import cert_from_json, verify_cert_json
-from rep2ldc.construct import build_special_2ldc
+from rep2ldc.construct import build_special_2ldc, lambda_variant
 from rep2ldc.errors import ParseError
 from rep2ldc.fields import GF, QQ
 from rep2ldc.fixtures import dihedral_rep
@@ -144,3 +144,75 @@ class TestCertFormat:
         cert = build_special_2ldc(g, g.generators[0], seed=0)
         doc = json.loads(canonical_json(cert_to_json(cert)))
         assert verify_cert_json(doc).passed
+
+
+class TestHostileCertIndices:
+    """Indices and lengths verify_cert would index with are rejected at parse."""
+
+    @pytest.fixture(scope="class")
+    def doc(self, signed_shift_4_3):
+        g = signed_shift_4_3
+        return json.loads(canonical_json(cert_to_json(build_special_2ldc(g, g.generators[0]))))
+
+    def _rejects(self, doc, edit, match):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        with pytest.raises(ParseError, match=match):
+            cert_from_json(bad)
+        with pytest.raises(ParseError):
+            verify_cert_json(bad)
+
+    def test_hs_out_of_range(self, doc):
+        self._rejects(doc, lambda d: d["hs"].__setitem__(0, 64), r"hs entry 64 outside \[0, 64\)")
+
+    def test_g_refs_out_of_range(self, doc):
+        self._rejects(doc, lambda d: d["family"]["g_refs"].__setitem__(1, 500),
+                      r"family.g_refs entry 500 outside")
+
+    def test_kept_s_out_of_range(self, doc):
+        self._rejects(doc, lambda d: d["kept_s"].__setitem__(3, 64), r"kept_s entry 64 outside")
+
+    def test_negative_kept_s(self, doc):
+        self._rejects(doc, lambda d: d["kept_s"].__setitem__(0, -1), r"kept_s entry -1 outside")
+
+    def test_short_z(self, doc):
+        self._rejects(doc, lambda d: d["z"].pop(), r"z has length 3, expected 4")
+
+    def test_short_hat_w(self, doc):
+        self._rejects(doc, lambda d: d["family"]["hat_w"][2].clear(),
+                      r"hat_w\[2\] has length 0, expected 1")
+
+    def test_hat_w_count_differs_from_g_refs(self, doc):
+        self._rejects(doc, lambda d: d["family"]["hat_w"].pop(), r"3 hat_w rows for 4 g_refs")
+
+    def test_alphas_length_differs_from_hs(self, doc):
+        self._rejects(doc, lambda d: d["alphas"].pop(), r"equal length")
+
+    @pytest.mark.parametrize("path", [("D",), ("Y",), ("X",), ("family", "W")])
+    def test_matrix_shape(self, doc, path):
+        def edit(d):
+            obj = d
+            for key in path:
+                obj = obj[key]
+            obj["rows"] -= 1
+            obj["entries"].pop()
+
+        self._rejects(doc, edit, r"has shape")
+
+    def test_lambda_kind_needs_lambda(self, dihedral_5_11):
+        cert = lambda_variant(dihedral_5_11, dihedral_5_11.generators[0], 3)
+        doc = json.loads(canonical_json(cert_to_json(cert)))
+        assert verify_cert_json(doc).passed
+        self._rejects(doc, lambda d: d.__setitem__("lambda", None), r"without a lambda")
+
+
+def test_large_prime_cert_round_trip():
+    from rep2ldc.fixtures import signed_shift_group
+
+    g = signed_shift_group(4, 2147483647)
+    cert = build_special_2ldc(g, g.generators[0], seed=0)
+    doc = json.loads(canonical_json(cert_to_json(cert)))
+    back = cert_from_json(doc)
+    assert back.code.vectors == cert.code.vectors
+    report = verify_cert_json(doc)
+    assert report.passed and not report.failures
