@@ -5,7 +5,8 @@ path is used when numba imports cleanly and the environment variable
 REP2LDC_NUMBA is not set to 0/false/off; otherwise the numpy
 implementations are bound to the public names.  Both variants stay
 importable (``*_np`` / ``*_jit``) so benchmarks/bench_kernels.py can
-compare them head to head.
+compare them head to head.  numba is the optional ``jit`` extra.
+rank_mod_batched, the whole-group rank pass, is numpy only.
 
 Only prime fields come through here.  Rational arithmetic lives on the
 Fraction code paths in linalg.py and never touches these kernels.
@@ -21,6 +22,7 @@ __all__ = [
     "USING_NUMBA",
     "NUMBA_IMPORTABLE",
     "rref_mod",
+    "rank_mod_batched",
     "matmul_mod",
     "count_nonzero_dots",
     "best_z_exhaustive",
@@ -68,6 +70,49 @@ def rref_mod_np(a: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
         pivots.append(c)
         r += 1
     return a, r, np.asarray(pivots, dtype=np.int64)
+
+
+def _inv_mod_batched(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise: the inverses of nonzero residues.
+
+    Square-and-multiply on int64; every product of two residues is below
+    (p-1)^2 < 2^62 while p <= MAX_PRIME, so nothing overflows.
+    """
+    result = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e > 0:
+        if e & 1:
+            result = result * base % p
+        base = base * base % p
+        e >>= 1
+    return result
+
+
+def rank_mod_batched(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over GF(p) of a (b, m, n) stack of matrices, as int64 (b,).
+
+    numpy only, no jit twin: one elimination step per column, vectorized
+    over the batch.  In column c each matrix takes its first row with a
+    nonzero entry as pivot, scales it to 1 and clears column c in every
+    row.  That zeroes the pivot row itself, so used rows drop out, every
+    column before c is already zero, and the rank is the number of
+    columns that found a pivot.  A matrix whose column c is zero
+    subtracts zero multiples, so no batch member needs to be skipped.
+    Entries stay in [0, p); products stay below (p-1)^2 < 2^62.
+    """
+    a = np.mod(a, p, dtype=np.int64)
+    b, _, n = a.shape
+    ranks = np.zeros(b, dtype=np.int64)
+    batch = np.arange(b)
+    for c in range(n):
+        nz = a[:, :, c] != 0
+        ranks += nz.any(axis=1)
+        pivot = a[batch, nz.argmax(axis=1), c:]
+        pivot = pivot * _inv_mod_batched(pivot[:, 0], p)[:, None] % p
+        a[:, :, c:] -= a[:, :, c, None] * pivot[:, None, :]
+        a[:, :, c:] %= p
+    return ranks
 
 
 def matmul_mod_np(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -18,9 +18,8 @@ from .errors import (
     PairNotSeparated,
 )
 from .fields import Field
-from .groups import MatrixGroup, burnside_irreducible, fixed_space
+from .groups import MatrixGroup, burnside_irreducible
 from .ldc import LdcInstance, QMatching
-from .linalg import Matrix, rank
 
 __all__ = [
     "theta",
@@ -76,6 +75,27 @@ def log2_ratio_cmp(num: int, den: int, q: Fraction) -> int:
     return 0
 
 
+def _pow_ge_pow2(base: int, e: int, a: int) -> bool:
+    """Exact test of base**e >= 2**a for base >= 2, e >= 0.
+
+    base**e can be far too large to form (e carries the denominator of a
+    bound, about p over GF(p)), so log2(base) is first bracketed by the
+    bit length of base**s, s = 1, 2, 4, ...:  s*log2(base) lies in
+    [bits - 1, bits).  The power itself is formed only if no bracket
+    with s < e decides, and 2**a never is: x >= 2**a iff x has more
+    than a bits.
+    """
+    s, power = 1, base
+    while s < e:
+        bits = power.bit_length()
+        if e * (bits - 1) >= a * s:
+            return True
+        if e * bits <= a * s:
+            return False
+        s, power = 2 * s, power * power
+    return (base**e).bit_length() > a
+
+
 @dataclass(frozen=True)
 class LogBound:
     """The exact value numerator / (coeff * log2(log_arg))."""
@@ -97,7 +117,7 @@ class LogBound:
         if self.log_arg < 2:
             return False
         a, b = self.numerator.numerator, self.numerator.denominator
-        return self.log_arg ** (k * self.coeff * b) >= 2**a
+        return _pow_ge_pow2(self.log_arg, k * self.coeff * b, a)
 
     def to_json(self) -> dict:
         return {
@@ -154,21 +174,30 @@ class BoundReport:
 
 def check_rank_separation(group: MatrixGroup) -> list[BoundReport]:
     """One report per non-identity element h: does rank(h - I) clear
-    theta*gamma*n / log2|G| and the weaker n / (3 log2|G|)?"""
+    theta*gamma*n / log2|G| and the weaker n / (3 log2|G|)?
+
+    Orders and ranks come from the group's one-pass table; the identity
+    is the one element with rank 0.  Gamma, both bounds and both verdicts
+    depend only on (order, rank), so each distinct pair is decided once.
+    """
     n = group.dim
     m = len(group)
     th = group.field.theta
-    ident = Matrix.identity(group.field, n)
+    uniform = LogBound(numerator=Fraction(n), log_arg=m, coeff=3)
+    orders, ranks = group.orders_and_ranks()
+    verdicts: dict = {}
     reports = []
-    for pos in range(m):
-        g = group.matrix(pos)
-        if g == ident:
+    for pos, (order, actual) in enumerate(zip(orders.tolist(), ranks.tolist())):
+        if actual == 0:
             continue
-        order = group.element_order(pos)
-        gm = gamma(order)
-        actual = rank(g - ident)
-        bound = LogBound(numerator=th * gm * n, log_arg=m)
-        uniform = LogBound(numerator=Fraction(n), log_arg=m, coeff=3)
+        key = (order, actual)
+        if key not in verdicts:
+            gm = gamma(order)
+            bound = LogBound(numerator=th * gm * n, log_arg=m)
+            verdicts[key] = (
+                gm, bound, bound.satisfied_by(actual), uniform.satisfied_by(actual)
+            )
+        gm, bound, satisfied, uniform_satisfied = verdicts[key]
         reports.append(
             BoundReport(
                 h=pos,
@@ -180,8 +209,8 @@ def check_rank_separation(group: MatrixGroup) -> list[BoundReport]:
                 bound=bound,
                 uniform_bound=uniform,
                 actual_rank=actual,
-                satisfied=bound.satisfied_by(actual),
-                uniform_satisfied=uniform.satisfied_by(actual),
+                satisfied=satisfied,
+                uniform_satisfied=uniform_satisfied,
             )
         )
     return reports
@@ -430,15 +459,15 @@ class AvgFixedSpaceReport:
 def avg_fixed_space(group: MatrixGroup) -> AvgFixedSpaceReport:
     """Exact average of dim C(h) over the whole group, compared to n/2.
 
+    dim C(h) = n - rank(h - I), read from the group's one-pass table.
     The bound is only meaningful for irreducible actions; burnside
     evidence is recorded so reducible inputs can be flagged as
     not-applicable rather than as violations.
     """
     n = group.dim
-    total = 0
-    for pos in range(len(group)):
-        total += fixed_space(group, pos).dim
-    avg = Fraction(total, len(group))
+    m = len(group)
+    _, ranks = group.orders_and_ranks()
+    avg = Fraction(n * m - int(ranks.sum()), m)
     bound = Fraction(n, 2)
     return AvgFixedSpaceReport(
         average=avg,

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: rank-scan, construct, verify, demo, fixtures.  Exit codes
-are a stable contract: 0 ok, 1 parse error, 2 cap exceeded, 3
-verification or bound failure, 4 degenerate input (zero combination /
-identity element / scalar multiple of identity), 5 spanning failure.
+are a stable contract: 0 ok, 1 parse error (also a fixture whose field
+does not suit it: even p, no root of unity, p dividing k), 2 cap
+exceeded, 3 verification or bound failure, 4 degenerate input (zero
+combination / identity element / scalar multiple of identity), 5
+spanning failure.
 All randomness flows from --seed through one named generator, so reruns
 with identical arguments produce byte-identical certificates.
 """
@@ -22,8 +24,11 @@ from .bounds import avg_fixed_space, check_rank_separation, entropy_audit
 from .certcheck import verify_cert_json
 from .construct import build_q_ldc, build_special_2ldc, lambda_variant
 from .errors import (
+    BadCharacteristic,
     CapExceeded,
+    CharTwo,
     IdentityElement,
+    NoRootOfUnity,
     OrbitDoesNotSpan,
     ParseError,
     Rep2LdcError,
@@ -340,10 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (ParseError, ValueError, CharTwo, NoRootOfUnity, BadCharacteristic) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceeded as exc:

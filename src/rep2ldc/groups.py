@@ -49,6 +49,28 @@ def _matmul_mod_batched(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     )
 
 
+def _orders_batched(block: np.ndarray, p: int) -> np.ndarray:
+    """Orders of a (k, n, n) stack of invertible residue matrices.
+
+    Step k multiplies the still-active powers g^k by g; an element leaves
+    the active set once its power is I, so the loop runs max-order times
+    on a shrinking batch.
+    """
+    eye = np.eye(block.shape[-1], dtype=np.int64)
+    orders = np.zeros(len(block), dtype=np.int64)
+    active = np.arange(len(block))
+    acc = block
+    k = 1
+    while True:
+        done = (acc == eye).all(axis=(1, 2))
+        orders[active[done]] = k
+        active, acc = active[~done], acc[~done]
+        if not active.size:
+            return orders
+        acc = _matmul_mod_batched(acc, block[active], p)
+        k += 1
+
+
 def default_cap() -> int:
     """Element cap, overridable through REP2LDC_CAP."""
     raw = os.environ.get("REP2LDC_CAP")
@@ -83,6 +105,8 @@ class MatrixGroup:
         "_inverses",
         "_left_perms",
         "_stacked",
+        "_orders_ranks",
+        "_burnside",
     )
 
     def __init__(self, field: Field, dim: int, elements: list[Matrix],
@@ -98,6 +122,8 @@ class MatrixGroup:
         self._inverses = {}
         self._left_perms = {}
         self._stacked = None
+        self._orders_ranks = None
+        self._burnside = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -135,6 +161,38 @@ class MatrixGroup:
                 order += 1
             self._orders[i] = order
         return order
+
+    def orders_and_ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(orders, ranks): int64 arrays over positions, with orders[i] the
+        order of elements[i] and ranks[i] = rank(elements[i] - I).
+
+        One pass over the group, cached read-only.  Prime fields take
+        chunks of CLOSURE_CHUNK elements: batched powers for the orders
+        and one batched elimination for the ranks.  The rationals keep
+        the exact per-element loop.
+        """
+        if self._orders_ranks is None:
+            m = len(self.elements)
+            orders = np.empty(m, dtype=np.int64)
+            ranks = np.empty(m, dtype=np.int64)
+            p = self.field.char
+            if p:
+                eye = np.eye(self.dim, dtype=np.int64)
+                for start in range(0, m, CLOSURE_CHUNK):
+                    block = np.stack(
+                        [g.a for g in self.elements[start:start + CLOSURE_CHUNK]]
+                    )
+                    stop = start + len(block)
+                    orders[start:stop] = _orders_batched(block, p)
+                    ranks[start:stop] = _kernels.rank_mod_batched(block - eye, p)
+            else:
+                ident = Matrix.identity(self.field, self.dim)
+                for pos, g in enumerate(self.elements):
+                    orders[pos] = self.element_order(pos)
+                    ranks[pos] = rank(g - ident)
+            orders.flags.writeable = ranks.flags.writeable = False
+            self._orders_ranks = (orders, ranks)
+        return self._orders_ranks
 
     def left_perm(self, i: int) -> np.ndarray:
         """Permutation s -> position of elements[i] @ elements[s].
@@ -303,8 +361,15 @@ def burnside_irreducible(group: MatrixGroup) -> bool:
     """True iff the elements span the full n x n matrix algebra.
 
     True certifies (absolute) irreducibility of the action on F^n; False
-    is inconclusive for irreducibility over F itself.
+    is inconclusive for irreducibility over F itself.  The verdict is
+    cached on the group.
     """
+    if group._burnside is None:
+        group._burnside = _spans_matrix_algebra(group)
+    return group._burnside
+
+
+def _spans_matrix_algebra(group: MatrixGroup) -> bool:
     n = group.dim
     target = n * n
     field = group.field

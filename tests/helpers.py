@@ -1,4 +1,5 @@
-"""Brute-force oracles, kept independent of the code paths they check."""
+"""Brute-force oracles, kept independent of the code paths they check,
+and a cache-free copy of a closed group."""
 
 from __future__ import annotations
 
@@ -86,3 +87,11 @@ def brute_entropy(counts) -> float:
 
 def all_gf2_vectors(n: int):
     return list(itertools.product((0, 1), repeat=n))
+
+
+def fresh_group(group):
+    """Same elements and numbering as `group`, with empty per-group caches."""
+    from rep2ldc.groups import MatrixGroup
+
+    return MatrixGroup(group.field, group.dim, list(group.elements), group.index,
+                       group.generators, group.words)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import brute_entropy
+from helpers import brute_entropy, fresh_group
 
+from rep2ldc import groups
 from rep2ldc.bounds import (
+    BoundReport,
     LogBound,
     avg_fixed_space,
     check_rank_separation,
@@ -24,9 +26,10 @@ from rep2ldc.errors import (
     PairNotSeparated,
 )
 from rep2ldc.fields import GF, QQ
-from rep2ldc.groups import close_group
+from rep2ldc.fixtures import parse_fixture
+from rep2ldc.groups import close_group, fixed_space
 from rep2ldc.ldc import LdcInstance, QMatching, hadamard
-from rep2ldc.linalg import Matrix
+from rep2ldc.linalg import Matrix, rank
 
 F2, F3, F11 = GF(2), GF(3), GF(11)
 
@@ -62,6 +65,25 @@ class TestLogBound:
         b = LogBound(numerator=Fraction(4), log_arg=16)
         assert b.satisfied_by(1)
         assert not b.satisfied_by(0)
+
+    def test_matches_direct_power(self):
+        for num in (Fraction(8, 3), Fraction(4), Fraction(7, 5), Fraction(12), Fraction(1, 9)):
+            a, b = num.numerator, num.denominator
+            for log_arg in (2, 3, 16, 64, 100):
+                for coeff in (1, 2, 3):
+                    bound = LogBound(numerator=num, log_arg=log_arg, coeff=coeff)
+                    for k in range(6):
+                        want = log_arg ** (k * coeff * b) >= 2**a
+                        assert bound.satisfied_by(k) == want
+
+    def test_large_prime_denominator(self):
+        # theta = 1 - 1/p puts p in the denominator: 64 ** (k * b) would have
+        # billions of bits, the bracketing decides at once
+        p = 2**31 - 1
+        b = LogBound(numerator=(1 - Fraction(1, p)) * 4, log_arg=64)
+        assert b.satisfied_by(1) and not b.satisfied_by(0)
+        b = LogBound(numerator=(1 - Fraction(1, p)) * 12, log_arg=4)
+        assert b.satisfied_by(6) and not b.satisfied_by(5)
 
     def test_log2_ratio_cmp(self):
         assert log2_ratio_cmp(8, 1, Fraction(3)) == 0
@@ -115,6 +137,63 @@ class TestRankSeparation:
         for g in groups:
             for rep in check_rank_separation(g):
                 assert rep.satisfied and rep.uniform_satisfied
+
+
+def _reference_rank_scan(group):
+    """The per-element rank scan: element_order and rank(g - I) per h."""
+    n, m, th = group.dim, len(group), group.field.theta
+    ident = Matrix.identity(group.field, n)
+    reports = []
+    for pos in range(m):
+        g = group.matrix(pos)
+        if g == ident:
+            continue
+        order = group.element_order(pos)
+        gm = gamma(order)
+        actual = rank(g - ident)
+        bound = LogBound(numerator=th * gm * n, log_arg=m)
+        uniform = LogBound(numerator=Fraction(n), log_arg=m, coeff=3)
+        reports.append(BoundReport(
+            h=pos, order=order, gamma=gm, theta=th, n=n, group_size=m,
+            bound=bound, uniform_bound=uniform, actual_rank=actual,
+            satisfied=bound.satisfied_by(actual),
+            uniform_satisfied=uniform.satisfied_by(actual),
+        ))
+    return reports
+
+
+class TestOnePassTable:
+    """check_rank_separation and avg_fixed_space read the group's order and
+    rank table; both must equal the per-element computation."""
+
+    @pytest.mark.parametrize("spec", [
+        "signed_shift(4,3)",
+        "dihedral(5,11)",
+        "symmetric(5,7)",
+        "signed_shift(4,2147483647)",
+        "signed_shift(4,0)",
+    ])
+    @pytest.mark.parametrize("chunk", [groups.CLOSURE_CHUNK, 7])
+    def test_reports_equal_per_element_reference(self, monkeypatch, spec, chunk):
+        monkeypatch.setattr(groups, "CLOSURE_CHUNK", chunk)
+        closed = parse_fixture(spec)
+        reports = check_rank_separation(fresh_group(closed))
+        want = _reference_rank_scan(fresh_group(closed))
+        assert reports == want
+        assert [r.to_json() for r in reports] == [r.to_json() for r in want]
+        assert [r.csv_row() for r in reports] == [r.csv_row() for r in want]
+
+        g = fresh_group(closed)
+        total = sum(fixed_space(g, pos).dim for pos in range(len(g)))
+        report = avg_fixed_space(fresh_group(closed))
+        assert report.average == Fraction(total, len(g))
+        assert report.to_json() == {
+            "average": str(Fraction(total, len(g))),
+            "bound": str(Fraction(g.dim, 2)),
+            "passed": Fraction(total, len(g)) <= Fraction(g.dim, 2),
+            "irreducible": groups.burnside_irreducible(g),
+            "applicable": groups.burnside_irreducible(g),
+        }
 
 
 class TestLambdaBound:

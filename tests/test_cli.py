@@ -1,3 +1,5 @@
+import pytest
+
 from rep2ldc.cli import main
 from rep2ldc.fields import GF
 from rep2ldc.groups import close_group
@@ -38,6 +40,20 @@ class TestExitCodes:
 
     def test_missing_group_source(self):
         assert main(["rank-scan"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fixtures", "export", "--fixture", "signed_shift(4,2)"],
+        ["fixtures", "export", "--fixture", "dihedral(4,7)"],
+        ["rank-scan", "--fixture", "signed_shift(4,2)"],
+        ["rank-scan", "--fixture", "dihedral(4,7)"],
+        ["rank-scan", "--fixture", "symmetric(5,5)"],
+        ["demo", "--field", "2"],
+    ])
+    def test_unsuitable_fixture_field_is_a_parse_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestRankScan:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import fresh_group
 
 from rep2ldc import groups
 from rep2ldc.errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
@@ -169,6 +170,40 @@ class TestLeftPerm:
             assert [int(x) for x in g.left_perm(i)] == [g.mul(i, s) for s in range(len(g))]
 
 
+class TestOrdersAndRanks:
+    @pytest.mark.parametrize("spec", [
+        "signed_shift(4,3)",
+        "dihedral(5,11)",
+        "symmetric(5,7)",
+        "signed_shift(4,2147483647)",  # n (p-1)^2 overflows: per-pair products
+        "signed_shift(4,0)",           # QQ: the per-element loop
+    ])
+    @pytest.mark.parametrize("chunk", [groups.CLOSURE_CHUNK, 7])
+    def test_matches_per_element_reference(self, monkeypatch, spec, chunk):
+        from rep2ldc.fixtures import parse_fixture
+
+        monkeypatch.setattr(groups, "CLOSURE_CHUNK", chunk)
+        closed = parse_fixture(spec)
+        g, ref = fresh_group(closed), fresh_group(closed)
+        orders, ranks = g.orders_and_ranks()
+        m, n = len(g), g.dim
+        assert orders.dtype == ranks.dtype == np.int64
+        assert orders.shape == ranks.shape == (m,)
+        ident = Matrix.identity(g.field, n)
+        for i in range(m):
+            assert orders[i] == ref.element_order(i)
+            assert ranks[i] == rank(g.matrix(i) - ident)
+            assert ranks[i] == n - fixed_space(ref, i).dim
+        assert [i for i in range(m) if ranks[i] == 0] == [g.identity_pos]
+        assert g.orders_and_ranks() is g.orders_and_ranks()
+        assert not orders.flags.writeable and not ranks.flags.writeable
+
+    def test_element_order_stays_per_element(self, signed_shift_4_3):
+        g = fresh_group(signed_shift_4_3)
+        assert g.element_order(g.generators[1]) == 4
+        assert g._orders_ranks is None
+
+
 class TestMultCycles:
     def test_identity_gives_singletons(self, signed_shift_4_3):
         dec = mult_cycles(signed_shift_4_3, 0)
@@ -213,6 +248,12 @@ class TestBurnside:
 
     def test_pure_shift_reducible(self):
         assert not burnside_irreducible(close_group([shift_matrix(F3, 4)]))
+
+    def test_verdict_cached_on_group(self, monkeypatch, dihedral_5_11):
+        g = fresh_group(dihedral_5_11)
+        assert burnside_irreducible(g)
+        monkeypatch.setattr(groups, "_spans_matrix_algebra", None)
+        assert burnside_irreducible(g)
 
 
 class TestSpin:

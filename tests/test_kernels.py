@@ -89,3 +89,29 @@ def test_env_flag_disables_numba():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007, 2**31 - 1])
+def test_rank_mod_batched_matches_rref(p):
+    # low-rank products as well as full random matrices, square and not
+    rng = np.random.default_rng(12)
+    for m, n in [(4, 4), (6, 3), (3, 7), (1, 5), (8, 8)]:
+        full = rng.integers(0, p, size=(20, m, n), dtype=np.int64)
+        k = int(rng.integers(0, min(m, n) + 1))
+        low = np.stack([
+            K.matmul_mod_np(rng.integers(0, p, size=(m, k), dtype=np.int64),
+                            rng.integers(0, p, size=(k, n), dtype=np.int64), p)
+            for _ in range(20)
+        ])
+        batch = np.concatenate([full, low, np.zeros((1, m, n), dtype=np.int64)])
+        want = [K.rref_mod_np(a, p)[1] for a in batch]
+        got = K.rank_mod_batched(batch, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+
+def test_rank_mod_batched_leaves_input_alone():
+    a = np.array([[[1, 2], [3, 4]], [[2, 4], [1, 2]]], dtype=np.int64)
+    before = a.copy()
+    assert K.rank_mod_batched(a, 5).tolist() == [2, 1]
+    assert np.array_equal(a, before)
