@@ -1,9 +1,9 @@
 """rep2ldc: from irreducible matrix-group representations to locally
 decodable codes, with exact rank and entropy bound verification.
 
-Everything is exact: GF(p) residues on int64 arrays (numba-accelerated,
-set REP2LDC_NUMBA=0 for the pure-numpy fallback) and Fractions over the
-rationals.
+Everything is exact: GF(p) residues on int64 arrays, reduced by numpy
+kernels that fall back to Python integers where int64 could overflow,
+and Fractions over the rationals.
 """
 
 __version__ = "0.1.0"

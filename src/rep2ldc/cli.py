@@ -2,10 +2,11 @@
 
 Subcommands: rank-scan, construct, verify, demo, fixtures.  Exit codes
 are a stable contract: 0 ok, 1 parse error (also a fixture whose field
-does not suit it: even p, no root of unity, p dividing k), 2 cap
-exceeded, 3 verification or bound failure, 4 degenerate input (zero
-combination / identity element / scalar multiple of identity), 5
-spanning failure.
+does not suit it: even p, no root of unity, p dividing k; a singular
+generator; an element position outside [0, |G|); a scalar flag that is
+not a field element), 2 cap exceeded, 3 verification or bound
+failure, 4 degenerate input (zero combination / identity element /
+scalar multiple of identity), 5 spanning failure.
 All randomness flows from --seed through one named generator, so reruns
 with identical arguments produce byte-identical certificates.
 """
@@ -75,6 +76,14 @@ def _parse_scalar_list(text: str) -> list:
     return out
 
 
+def _canon_flag(field: Field, values: list, flag: str) -> list:
+    """Scalars of a command-line flag as canonical elements of `field`."""
+    try:
+        return [field.canon(x) for x in values]
+    except ZeroDivisionError as exc:
+        raise ParseError(f"{flag}: {exc}") from exc
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -138,12 +147,13 @@ def cmd_construct(args) -> int:
     elif args.lam is not None:
         if args.h is None:
             raise ParseError("--lambda needs --h INDEX")
-        cert = lambda_variant(group, args.h, args.lam, seed=args.seed)
+        (lam,) = _canon_flag(group.field, [args.lam], "--lambda")
+        cert = lambda_variant(group, args.h, lam, seed=args.seed)
     else:
         if not args.hs or not args.alphas:
             raise ParseError("--q needs --hs and --alphas lists")
         hs = [int(x) for x in _parse_scalar_list(args.hs)]
-        alphas = _parse_scalar_list(args.alphas)
+        alphas = _canon_flag(group.field, _parse_scalar_list(args.alphas), "--alphas")
         if args.q != len(hs):
             raise ParseError("--q must equal the number of --hs entries")
         cert = build_q_ldc(group, hs, alphas, seed=args.seed)

@@ -234,23 +234,12 @@ def _hyperplane_normals(group: MatrixGroup, x: Matrix, hat_w, kept_s) -> np.ndar
     field = group.field
     n = group.dim
     cs = [x.matvec(h) for h in hat_w]
-    rows = []
     if field.char:
-        p = field.char
-        stack = group.stacked()[list(kept_s)]
-        for c in cs:
-            if n * (p - 1) * (p - 1) < 2**63 - 1:
-                block = np.einsum("n,snm->sm", c, stack) % p
-            else:
-                block = np.stack(
-                    [_kernels.matmul_mod(c.reshape(1, -1), m, p).ravel() for m in stack]
-                )
-            rows.append(block)
-        normals = np.ascontiguousarray(np.concatenate(rows, axis=0))
+        # (kept, j, n) stack of c_j^T rho(s), reordered j-major
+        block = _kernels.matmul_mod(np.stack(cs), group.stacked()[list(kept_s)], field.char)
+        normals = np.ascontiguousarray(block.transpose(1, 0, 2).reshape(-1, n))
     else:
-        for c in cs:
-            for s in kept_s:
-                rows.append(c.dot(group.matrix(s).a))
+        rows = [c.dot(group.matrix(s).a) for c in cs for s in kept_s]
         normals = np.stack(rows)
     if not all(np.any(row != 0) for row in normals):
         raise InternalInconsistency("zero hyperplane normal")
@@ -402,20 +391,22 @@ def _prepare(group: MatrixGroup, hs, alphas):
 
 def _code_vectors(group: MatrixGroup, w: Matrix, z: np.ndarray) -> np.ndarray:
     """Rows a_s = W^T rho(s) z for every element s in canonical order."""
-    field = group.field
-    p = field.char
-    n = group.dim
+    p = group.field.char
     if p:
-        stack = group.stacked()
-        if n * (p - 1) * (p - 1) < 2**63 - 1:
-            rho_z = np.einsum("snm,m->sn", stack, z) % p
-        else:
-            rho_z = np.stack(
-                [_kernels.matmul_mod(m, z.reshape(-1, 1), p).ravel() for m in stack]
-            )
-        return _kernels.matmul_mod(np.ascontiguousarray(rho_z), w.a, p)
+        rho_z = _kernels.matmul_mod(group.stacked(), z, p)
+        return _kernels.matmul_mod(rho_z, w.a, p)
     rows = [group.matrix(s).a.dot(z).dot(w.a) for s in range(len(group))]
     return np.stack(rows)
+
+
+def _positions(group: MatrixGroup, hs) -> list[int]:
+    """hs as ints, each an element position in [0, |G|)."""
+    hs = [int(h) for h in hs]
+    m = len(group)
+    for h in hs:
+        if not 0 <= h < m:
+            raise ValueError(f"element position {h} outside [0, {m})")
+    return hs
 
 
 def _finish(
@@ -518,7 +509,7 @@ def _finish(
 def build_q_ldc(group: MatrixGroup, hs, alphas, seed: int = 0, trials: int = 64) -> ConstructionCert:
     """General (q, >= theta/q^2)-LDC from q elements spanning a low-rank
     combination.  m = |G|, t >= ceil(n/R)."""
-    hs = [int(h) for h in hs]
+    hs = _positions(group, hs)
     if len(set(hs)) != len(hs):
         raise ValueError("hs must be distinct group elements")
     d, r, y, x, family = _prepare(group, hs, alphas)
@@ -538,7 +529,7 @@ def build_special_2ldc(group: MatrixGroup, h: int, seed: int = 0, trials: int = 
     density is exactly gamma_h/2 and the certified density is at least
     theta * gamma_h / 2.
     """
-    h = int(h)
+    (h,) = _positions(group, [h])
     ident = Matrix.identity(group.field, group.dim)
     if group.matrix(h) == ident:
         raise IdentityElement("h acts as the identity")
@@ -563,7 +554,7 @@ def lambda_variant(group: MatrixGroup, h: int, lam, seed: int = 0, trials: int =
     matching sizes stay those of the h-cycles, halving the density to at
     least theta * gamma_h / 4.
     """
-    h = int(h)
+    (h,) = _positions(group, [h])
     field = group.field
     lam_c = field.canon(lam)
     if lam_c == 0:

@@ -34,21 +34,6 @@ DEFAULT_CAP = 200_000
 CLOSURE_CHUNK = 1024
 
 
-def _matmul_mod_batched(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for n x n residue matrices, broadcast over a leading
-    batch axis of either side.
-
-    numpy's int64 product is exact while n (p-1)^2 < 2^63 - 1; beyond
-    that each pair goes through _kernels.matmul_mod.
-    """
-    n = a.shape[-1]
-    if n * (p - 1) * (p - 1) < 2**63 - 1:
-        return np.matmul(a, b) % p
-    return np.stack(
-        [_kernels.matmul_mod(x, y, p) for x, y in zip(*np.broadcast_arrays(a, b))]
-    )
-
-
 def _orders_batched(block: np.ndarray, p: int) -> np.ndarray:
     """Orders of a (k, n, n) stack of invertible residue matrices.
 
@@ -67,7 +52,7 @@ def _orders_batched(block: np.ndarray, p: int) -> np.ndarray:
         active, acc = active[~done], acc[~done]
         if not active.size:
             return orders
-        acc = _matmul_mod_batched(acc, block[active], p)
+        acc = _kernels.matmul_mod(acc, block[active], p)
         k += 1
 
 
@@ -204,7 +189,7 @@ class MatrixGroup:
             g = self.elements[i]
             p = self.field.char
             if p:
-                prods = _matmul_mod_batched(g.a, self.stacked(), p)
+                prods = _kernels.matmul_mod(g.a, self.stacked(), p)
                 keys = (residue_key(p, a) for a in prods)
             else:
                 keys = ((g @ s).key() for s in self.elements)
@@ -331,7 +316,7 @@ def _right_product_keys(group: MatrixGroup, gens: list[Matrix]):
     for start in range(0, len(elements), CLOSURE_CHUNK):
         block = np.stack([e.a for e in elements[start:start + CLOSURE_CHUNK]])
         for g in gens:
-            for a in _matmul_mod_batched(block, g.a, p):
+            for a in _kernels.matmul_mod(block, g.a, p):
                 yield residue_key(p, a)
 
 

@@ -20,7 +20,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import NotInvertible, ParseError
 from .fields import Field
 from .groups import MatrixGroup, close_group
 from .ldc import LdcInstance, QMatching
@@ -113,7 +113,10 @@ def group_from_spec_json(obj, cap: int | None = None) -> MatrixGroup:
     for g in gens:
         if g.field != field or g.rows != dim or g.cols != dim:
             raise ParseError("generator does not match group field/dim")
-    return close_group(gens, cap=cap if cap is not None else spec_cap)
+    try:
+        return close_group(gens, cap=cap if cap is not None else spec_cap)
+    except NotInvertible as exc:
+        raise ParseError(f"bad group spec: {exc}") from exc
 
 
 def group_export_json(group: MatrixGroup) -> dict:

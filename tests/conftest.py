@@ -1,13 +1,6 @@
 import pytest
 
-from rep2ldc import _kernels
 from rep2ldc.fixtures import dihedral_rep, signed_shift_group
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jit kernels once, outside any timed section."""
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

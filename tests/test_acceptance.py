@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Timings are measured with the jit kernels already warm (see conftest);
+Timings are measured on the numpy kernels, which need no warm-up;
 exact comparisons use Fractions and big-integer power tests throughout.
 """
 

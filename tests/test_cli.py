@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import rep2ldc
 from rep2ldc.cli import main
 from rep2ldc.fields import GF
 from rep2ldc.groups import close_group
@@ -54,6 +59,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def singular_inputs(tmp_path_factory):
+    """A group spec and a certificate, each with a singular generator."""
+    tmp = tmp_path_factory.mktemp("singular")
+    field = {"char": 3}
+    zero = {"field": field, "rows": 2, "cols": 2, "entries": [[0, 0], [0, 0]]}
+    spec = tmp / "singular_group.json"
+    dump_json({"field": field, "dim": 2, "generators": [zero]}, str(spec))
+    cert = tmp / "singular_cert.json"
+    assert main(["construct", "--fixture", "signed_shift(4,3)", "--special2",
+                 "--h", "1", "--output", str(cert)]) == 0
+    doc = load_json(str(cert))
+    gen = doc["group"]["generators"][0]
+    gen["entries"] = [[0] * gen["cols"] for _ in range(gen["rows"])]
+    dump_json(doc, str(cert))
+    return {"group": str(spec), "cert": str(cert)}
+
+
+SS43 = ["--fixture", "signed_shift(4,3)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank-scan", "--input", "{group}"],
+    ["construct", "--input", "{group}", "--special2", "--h", "1"],
+    ["verify", "--input", "{cert}"],
+    ["construct", *SS43, "--special2", "--h", "999"],
+    ["construct", *SS43, "--special2", "--h", "-1"],
+    ["construct", *SS43, "--q", "2", "--hs", "1,1000", "--alphas", "1,2"],
+    ["construct", *SS43, "--q", "2", "--hs", "1,0", "--alphas", "1/3,2"],
+    ["construct", *SS43, "--lambda", "1/3", "--h", "1"],
+], ids=["rank-scan-singular", "construct-singular", "verify-singular", "h-999", "h-negative",
+        "hs-1000", "alphas-non-unit", "lambda-non-unit"])
+def test_bad_input_exits_1_without_traceback(argv, singular_inputs, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rep2ldc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    argv = [a.format(**singular_inputs) for a in argv]
+    out = subprocess.run(
+        [sys.executable, "-m", "rep2ldc.cli", *argv, "--output", str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 1
+    assert any(line.startswith("error: ") for line in out.stderr.splitlines())
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestRankScan:

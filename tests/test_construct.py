@@ -447,6 +447,17 @@ class TestGeneralPipeline:
             build_q_ldc(signed_shift_4_3, [1, 1], [1, -1])
 
 
+@pytest.mark.parametrize("bad", [64, 999, -1, -64])
+@pytest.mark.parametrize("build", [
+    lambda g, h: build_special_2ldc(g, h),
+    lambda g, h: lambda_variant(g, h, 2),
+    lambda g, h: build_q_ldc(g, [1, h], [1, 2]),
+], ids=["special2", "lambda", "general"])
+def test_position_outside_group_rejected(signed_shift_4_3, build, bad):
+    with pytest.raises(ValueError, match="outside"):
+        build(signed_shift_4_3, bad)
+
+
 class TestLambdaVariant:
     def test_lambda_one_doubles_code(self, dihedral_5_11):
         g = dihedral_5_11

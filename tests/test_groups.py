@@ -160,8 +160,8 @@ class TestLeftPerm:
             assert [int(x) for x in perm] == [g.mul(i, s) for s in range(len(g))]
 
     def test_large_prime_falls_back_exactly(self):
-        # n (p-1)^2 overflows int64: left_perm and the closure proof run
-        # through _kernels.matmul_mod pair by pair
+        # n (p-1)^2 overflows int64: left_perm and the closure proof take
+        # _kernels.matmul_mod's one object-dtype product over the stack
         from rep2ldc.fixtures import signed_shift_group
 
         g = signed_shift_group(4, 2147483647)
@@ -175,7 +175,7 @@ class TestOrdersAndRanks:
         "signed_shift(4,3)",
         "dihedral(5,11)",
         "symmetric(5,7)",
-        "signed_shift(4,2147483647)",  # n (p-1)^2 overflows: per-pair products
+        "signed_shift(4,2147483647)",  # n (p-1)^2 overflows: object-dtype products
         "signed_shift(4,0)",           # QQ: the per-element loop
     ])
     @pytest.mark.parametrize("chunk", [groups.CLOSURE_CHUNK, 7])

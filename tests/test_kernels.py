@@ -1,50 +1,26 @@
-"""Jit and numpy kernel implementations must agree bit for bit."""
+"""The numpy mod-p kernels against exact Python-int arithmetic."""
 
-import os
-import subprocess
-import sys
+import itertools
 
 import numpy as np
 import pytest
 
 from rep2ldc import _kernels as K
 
-NEEDS_JIT = pytest.mark.skipif(not K.NUMBA_IMPORTABLE, reason="numba unavailable")
 
-
-@NEEDS_JIT
-@pytest.mark.parametrize("p", [2, 3, 5, 10007])
-def test_rref_agreement(p):
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        shape = tuple(rng.integers(1, 9, size=2))
-        a = rng.integers(0, p, size=shape, dtype=np.int64)
-        r1, k1, piv1 = K.rref_mod_np(a, p)
-        r2, k2, piv2 = K.rref_mod_jit(a, p)
-        assert k1 == k2
-        assert np.array_equal(r1, r2)
-        assert np.array_equal(piv1, piv2)
-
-
-@NEEDS_JIT
-@pytest.mark.parametrize("p", [2, 3, 10007, 2**31 - 1])
-def test_matmul_agreement(p):
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        m, k, n = rng.integers(1, 8, size=3)
-        a = rng.integers(0, p, size=(m, k), dtype=np.int64)
-        b = rng.integers(0, p, size=(k, n), dtype=np.int64)
-        assert np.array_equal(K.matmul_mod_np(a, b, p), K.matmul_mod_jit(a, b, p))
+def _exact_matmul(a, b, p):
+    """(a @ b) mod p in Python ints, with np.matmul's broadcasting."""
+    return np.matmul(a.astype(object), b.astype(object)) % p
 
 
 def test_matmul_overflow_path_is_exact():
-    # k*(p-1)^2 overflows int64, forcing the object fallback in the
-    # numpy implementation; results must match big-int arithmetic
+    # k*(p-1)^2 overflows int64, forcing the object fallback; results
+    # must match big-int arithmetic
     p = 2**31 - 1
     rng = np.random.default_rng(9)
     a = rng.integers(0, p, size=(3, 10), dtype=np.int64)
     b = rng.integers(0, p, size=(10, 3), dtype=np.int64)
-    got = K.matmul_mod_np(a, b, p)
+    got = K.matmul_mod(a, b, p)
     want = [
         [sum(int(a[i, l]) * int(b[l, j]) for l in range(10)) % p for j in range(3)]
         for i in range(3)
@@ -52,20 +28,23 @@ def test_matmul_overflow_path_is_exact():
     assert got.tolist() == want
 
 
-@NEEDS_JIT
-def test_zscan_agreement():
-    rng = np.random.default_rng(10)
-    for p, n in [(2, 5), (3, 4), (5, 3)]:
-        normals = rng.integers(0, p, size=(13, n), dtype=np.int64)
-        normals[np.all(normals == 0, axis=1), 0] = 1
-        z1, c1 = K.best_z_exhaustive_np(normals, p, n)
-        z2, c2 = K.best_z_exhaustive_jit(normals, p, n)
-        assert c1 == c2
-        assert np.array_equal(z1, z2)
-        for z in (z1, np.zeros(n, dtype=np.int64)):
-            assert K.count_nonzero_dots_np(normals, z, p) == K.count_nonzero_dots_jit(
-                normals, z, p
-            )
+@pytest.mark.parametrize("p", [10007, 2**31 - 1])  # int64 path, object fallback
+@pytest.mark.parametrize("shapes", [
+    ((5,), (4, 5, 3)),      # 1-D @ 3-D
+    ((4, 3, 5), (5,)),      # 3-D @ 1-D
+    ((4, 3, 5), (5, 2)),    # 3-D @ 2-D
+    ((3, 5), (4, 5, 2)),    # 2-D @ 3-D
+])
+def test_matmul_stacks_match_python_ints(p, shapes):
+    rng = np.random.default_rng(13)
+    a = rng.integers(0, p, size=shapes[0], dtype=np.int64)
+    b = rng.integers(0, p, size=shapes[1], dtype=np.int64)
+    a.flat[0] = b.flat[0] = p - 1
+    want = _exact_matmul(a, b, p)
+    got = K.matmul_mod(a, b, p)
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()
 
 
 def test_rref_postconditions():
@@ -81,16 +60,6 @@ def test_rref_postconditions():
             assert np.count_nonzero(r[:, col]) == 1
 
 
-def test_env_flag_disables_numba():
-    env = dict(os.environ, REP2LDC_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from rep2ldc import _kernels as K; print(K.USING_NUMBA, K.rref_mod is K.rref_mod_np)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.split() == ["False", "True"]
-
-
 @pytest.mark.parametrize("p", [2, 3, 10007, 2**31 - 1])
 def test_rank_mod_batched_matches_rref(p):
     # low-rank products as well as full random matrices, square and not
@@ -99,12 +68,12 @@ def test_rank_mod_batched_matches_rref(p):
         full = rng.integers(0, p, size=(20, m, n), dtype=np.int64)
         k = int(rng.integers(0, min(m, n) + 1))
         low = np.stack([
-            K.matmul_mod_np(rng.integers(0, p, size=(m, k), dtype=np.int64),
-                            rng.integers(0, p, size=(k, n), dtype=np.int64), p)
+            K.matmul_mod(rng.integers(0, p, size=(m, k), dtype=np.int64),
+                         rng.integers(0, p, size=(k, n), dtype=np.int64), p)
             for _ in range(20)
         ])
         batch = np.concatenate([full, low, np.zeros((1, m, n), dtype=np.int64)])
-        want = [K.rref_mod_np(a, p)[1] for a in batch]
+        want = [K.rref_mod(a, p)[1] for a in batch]
         got = K.rank_mod_batched(batch, p)
         assert got.dtype == np.int64
         assert got.tolist() == want
@@ -115,3 +84,21 @@ def test_rank_mod_batched_leaves_input_alone():
     before = a.copy()
     assert K.rank_mod_batched(a, 5).tolist() == [2, 1]
     assert np.array_equal(a, before)
+
+
+def test_zscan_finds_lex_first_maximizer():
+    # brute force over itertools.product order (last coordinate fastest)
+    rng = np.random.default_rng(10)
+    for p, n in [(2, 5), (3, 4), (5, 3)]:
+        normals = rng.integers(0, p, size=(13, n), dtype=np.int64)
+        normals[np.all(normals == 0, axis=1), 0] = 1
+        counts = {
+            z: sum(sum(int(a) * b for a, b in zip(row, z)) % p != 0 for row in normals)
+            for z in itertools.product(range(p), repeat=n)
+        }
+        best = max(counts.values())
+        first = next(z for z, c in counts.items() if c == best)
+        z, count = K.best_z_exhaustive(normals, p, n)
+        assert count == best
+        assert tuple(int(x) for x in z) == first
+        assert K.count_nonzero_dots(normals, z, p) == best

@@ -71,6 +71,12 @@ class TestGroupFormat:
         with pytest.raises(ParseError):
             group_from_spec_json({"field": {"char": 3}, "dim": 2})
 
+    def test_singular_generator_is_a_parse_error(self, dihedral_5_11):
+        spec = dihedral_5_11.spec_json()
+        spec["generators"][-1]["entries"] = [[1, 1], [1, 1]]
+        with pytest.raises(ParseError, match="singular"):
+            group_from_spec_json(spec)
+
     def test_hash_is_canonical(self, dihedral_5_11):
         spec = dihedral_5_11.spec_json()
         h1 = group_spec_hash(spec)
