@@ -116,25 +116,46 @@ def count_nonzero_dots(normals: np.ndarray, z: np.ndarray, p: int) -> int:
     return int(np.count_nonzero(dots))
 
 
+def _digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
+    """(n, len(idx)) base-p digits of idx, most significant first."""
+    out = np.empty((n, idx.size), dtype=np.int64)
+    rem = idx
+    for c in range(n - 1, -1, -1):
+        out[c] = rem % p
+        rem = rem // p
+    return out
+
+
 def best_z_exhaustive(normals: np.ndarray, p: int, n: int) -> tuple[np.ndarray, int]:
     """Scan all p**n vectors z, return the first one maximizing the number
     of rows of `normals` with nonzero dot product mod p.
 
     Enumeration order is lexicographic in the coordinates (last coordinate
     fastest), so the first maximizer is the lex-first one.
+
+    The scan runs over weighted projective classes, not raw rows: <v, z>
+    and <c v, z> vanish together for every c != 0, so each row is scaled
+    by the inverse of its first nonzero entry, equal lines are merged and
+    each class counts once per row on it.  A zero row stays zero and adds
+    nothing.  Every candidate's count is therefore its count over the raw
+    rows, and with the same order and strict '>' the same lex-first z and
+    count come out.
     """
+    rows = np.mod(normals, p, dtype=np.int64)
+    lead = rows[np.arange(rows.shape[0]), np.argmax(rows != 0, axis=1)]
+    rows = rows * _inv_mod_batched(lead, p)[:, None] % p
+    # base-p key of each scaled row; below p**n, which the scan enumerates
+    keys = rows @ (p ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    keys, weights = np.unique(keys, return_counts=True)
+    classes = _digits(keys, p, n).T
+
     total = p**n
     best_count = -1
     best_z = np.zeros(n, dtype=np.int64)
     chunk = 4096
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cols = np.empty((n, idx.size), dtype=np.int64)
-        rem = idx
-        for c in range(n - 1, -1, -1):
-            cols[c] = rem % p
-            rem = rem // p
-        counts = np.count_nonzero(matmul_mod(normals, cols, p), axis=0)
+        cols = _digits(np.arange(start, min(start + chunk, total), dtype=np.int64), p, n)
+        counts = weights @ (matmul_mod(classes, cols, p) != 0)
         j = int(np.argmax(counts))
         if int(counts[j]) > best_count:
             best_count = int(counts[j])

@@ -29,6 +29,7 @@ from .linalg import Subspace, rank
 from .serialize import (
     group_from_spec_json,
     group_spec_hash,
+    json_int,
     ldc_from_json,
     matrix_from_json,
 )
@@ -68,7 +69,7 @@ def cert_from_json(obj) -> ConstructionCert:
             raise ParseError("group hash does not match embedded spec")
         field = group.field
         kind = str(obj["kind"])
-        hs = tuple(int(h) for h in obj["hs"])
+        hs = tuple(json_int(h, "hs") for h in obj["hs"])
         alphas = tuple(field.scalar_from_json(a) for a in obj["alphas"])
         lam = None if obj.get("lambda") is None else field.scalar_from_json(obj["lambda"])
         d = matrix_from_json(obj["D"])
@@ -76,7 +77,7 @@ def cert_from_json(obj) -> ConstructionCert:
         x = matrix_from_json(obj["X"])
         fam = obj["family"]
         family = SpanningFamily(
-            g_refs=tuple(int(g) for g in fam["g_refs"]),
+            g_refs=tuple(json_int(g, "family.g_refs") for g in fam["g_refs"]),
             U=Subspace(field, group.dim, matrix_from_json(fam["U"])),
             W=matrix_from_json(fam["W"]),
             hat_w=tuple(
@@ -93,17 +94,19 @@ def cert_from_json(obj) -> ConstructionCert:
             alphas=alphas,
             lam=lam,
             D=d,
-            R=int(obj["R"]),
+            R=json_int(obj["R"], "R"),
             Y=y,
             X=x,
             family=family,
             z=z,
-            kept_s=tuple(int(s) for s in obj["kept_s"]),
-            prefilter_size=int(obj["prefilter_size"]),
-            beta_nonzero_count=tuple(int(c) for c in obj["beta_nonzero_count"]),
+            kept_s=tuple(json_int(s, "kept_s") for s in obj["kept_s"]),
+            prefilter_size=json_int(obj["prefilter_size"], "prefilter_size"),
+            beta_nonzero_count=tuple(
+                json_int(c, "beta_nonzero_count") for c in obj["beta_nonzero_count"]
+            ),
             code=code,
             achieved_delta=Fraction(obj["achieved_delta"]),
-            seed=int(obj["seed"]),
+            seed=json_int(obj["seed"], "seed"),
         )
     except ParseError:
         raise

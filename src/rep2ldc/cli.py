@@ -76,6 +76,21 @@ def _parse_scalar_list(text: str) -> list:
     return out
 
 
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers of a command-line flag; anything else,
+    a fraction included, is a ParseError naming the flag."""
+    out = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            out.append(int(chunk))
+        except ValueError:
+            raise ParseError(f"{flag} takes integers, got {chunk!r}") from None
+    return out
+
+
 def _canon_flag(field: Field, values: list, flag: str) -> list:
     """Scalars of a command-line flag as canonical elements of `field`."""
     try:
@@ -152,7 +167,7 @@ def cmd_construct(args) -> int:
     else:
         if not args.hs or not args.alphas:
             raise ParseError("--q needs --hs and --alphas lists")
-        hs = [int(x) for x in _parse_scalar_list(args.hs)]
+        hs = _parse_int_list(args.hs, "--hs")
         alphas = _canon_flag(group.field, _parse_scalar_list(args.alphas), "--alphas")
         if args.q != len(hs):
             raise ParseError("--q must equal the number of --hs entries")

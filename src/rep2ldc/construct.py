@@ -252,9 +252,12 @@ def choose_z(field: Field, normals: np.ndarray, seed: int = 0, trials: int = 64)
     Finite field: exhaustive scan of all |F|^n vectors when that count is
     at most 10**5, else best of `trials` seeded draws retried up to 100x
     until the surviving fraction reaches 1 - 1/|F| (existence is
-    guaranteed by the expectation argument).  Rationals: first lattice
-    point in expanding boxes [0..B]^n avoiding every hyperplane, so the
-    fraction is exactly 1.
+    guaranteed by the expectation argument).  The exhaustive scan counts
+    weighted projective classes of the normals: a normal and its nonzero
+    multiples vanish on the same z, so every candidate's count, and hence
+    the lex-first maximizer, equals that over the raw rows; the mask is
+    taken over the raw rows.  Rationals: first lattice point in expanding
+    boxes [0..B]^n avoiding every hyperplane, so the fraction is exactly 1.
 
     Returns (z, mask) with mask[r] true iff row r survives.
     """

@@ -130,7 +130,7 @@ class Field:
 
     def scalar_from_json(self, obj):
         if self.char:
-            if not isinstance(obj, int):
+            if type(obj) is not int:
                 raise ParseError(f"expected residue int, got {obj!r}")
             return self.canon(obj)
         try:
@@ -154,8 +154,10 @@ class Field:
 
     @classmethod
     def from_json(cls, obj) -> "Field":
+        from .serialize import json_int
+
         try:
-            return cls(int(obj["char"]))
+            return cls(json_int(obj["char"], "field.char"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad field spec {obj!r}") from exc
 

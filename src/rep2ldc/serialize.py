@@ -40,6 +40,7 @@ __all__ = [
     "ldc_from_json",
     "cert_to_json",
     "detect_kind",
+    "json_int",
 ]
 
 
@@ -59,6 +60,17 @@ def load_json(path: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def json_int(value, name: str) -> int:
+    """An integer field of a JSON document, taken as it is.
+
+    Only a JSON integer passes: a float, a string or a bool raises
+    ParseError naming the field, where int() would truncate or convert.
+    """
+    if type(value) is not int:
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _scalar_out(field: Field, x):
@@ -81,7 +93,7 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(obj) -> Matrix:
     try:
         field = Field.from_json(obj["field"])
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = json_int(obj["rows"], "rows"), json_int(obj["cols"], "cols")
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix object: {exc}") from exc
@@ -105,9 +117,9 @@ def group_spec_hash(spec: dict) -> str:
 def group_from_spec_json(obj, cap: int | None = None) -> MatrixGroup:
     try:
         field = Field.from_json(obj["field"])
-        dim = int(obj["dim"])
+        dim = json_int(obj["dim"], "dim")
         gens = [matrix_from_json(g) for g in obj["generators"]]
-        spec_cap = int(obj.get("cap", 0)) or None
+        spec_cap = json_int(obj.get("cap", 0), "cap") or None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad group spec: {exc}") from exc
     for g in gens:
@@ -145,13 +157,13 @@ def ldc_to_json(instance: LdcInstance) -> dict:
 def ldc_from_json(obj) -> LdcInstance:
     try:
         field = Field.from_json(obj["field"])
-        t, m = int(obj["t"]), int(obj["m"])
+        t, m = json_int(obj["t"], "t"), json_int(obj["m"], "m")
         vectors = Matrix(
             field, [[field.scalar_from_json(x) for x in row] for row in obj["vectors"]]
         )
-        q = int(obj["q"])
+        q = json_int(obj["q"], "q")
         matchings = tuple(
-            QMatching(q=q, sets=tuple(tuple(int(j) for j in s) for s in mi))
+            QMatching(q=q, sets=tuple(tuple(json_int(j, "matchings") for j in s) for s in mi))
             for mi in obj["matchings"]
         )
         form = str(obj["form"])

@@ -91,8 +91,9 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
     ["construct", *SS43, "--q", "2", "--hs", "1,1000", "--alphas", "1,2"],
     ["construct", *SS43, "--q", "2", "--hs", "1,0", "--alphas", "1/3,2"],
     ["construct", *SS43, "--lambda", "1/3", "--h", "1"],
+    ["construct", *SS43, "--q", "2", "--hs", "3/2,0", "--alphas", "1,2"],
 ], ids=["rank-scan-singular", "construct-singular", "verify-singular", "h-999", "h-negative",
-        "hs-1000", "alphas-non-unit", "lambda-non-unit"])
+        "hs-1000", "alphas-non-unit", "lambda-non-unit", "hs-fraction"])
 def test_bad_input_exits_1_without_traceback(argv, singular_inputs, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(rep2ldc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
+import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +32,7 @@ from rep2ldc.errors import (
     ZeroMatrix,
 )
 from rep2ldc.fields import GF, QQ
+from rep2ldc.fixtures import signed_shift_group
 from rep2ldc.groups import close_group
 from rep2ldc.ldc import verify
 from rep2ldc.linalg import (
@@ -576,3 +580,27 @@ class TestOrbitProjection:
         for s in range(m):
             scaled = cert.code.vectors.row(s) * lam % 11
             assert np.array_equal(scaled, cert.code.vectors.row(m + s))
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "golden.json")
+
+
+@pytest.mark.parametrize("kind", ["special2", "lambda", "general"])
+def test_exhaustive_scan_certificates_match_golden(kind):
+    """The three signed_shift(8,3) certificates whose z comes from the
+    exhaustive scan (3^8 candidates), built as the benchmark builds them
+    at its default seed, hash to the values it pins."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)["construct"][f"signed_shift(8,3) {kind}"]
+    g = signed_shift_group(8, 3)
+    g0, g1 = g.generators[0], g.generators[1]
+    h2 = g.mul(g.mul(g1, g0), g.inv(g1))
+    if kind == "special2":
+        cert = build_special_2ldc(g, g0)
+    elif kind == "lambda":
+        cert = lambda_variant(g, g0, 1)
+    else:
+        cert = build_q_ldc(g, [g0, h2, g.identity_pos], [1, 1, -2])
+    text = canonical_json(cert_to_json(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -86,12 +86,29 @@ def test_rank_mod_batched_leaves_input_alone():
     assert np.array_equal(a, before)
 
 
-def test_zscan_finds_lex_first_maximizer():
-    # brute force over itertools.product order (last coordinate fastest)
+def _zscan_cases():
+    """(p, n, normals): random rows, then rows that collapse to few
+    projective classes (scalar multiples, exact duplicates, a zero row),
+    then every row on one line, where most z tie."""
     rng = np.random.default_rng(10)
     for p, n in [(2, 5), (3, 4), (5, 3)]:
         normals = rng.integers(0, p, size=(13, n), dtype=np.int64)
         normals[np.all(normals == 0, axis=1), 0] = 1
+        yield p, n, normals
+    for p, n in [(2, 5), (3, 4), (5, 3), (7, 3)]:
+        lines = rng.integers(0, p, size=(3, n), dtype=np.int64)
+        lines[np.all(lines == 0, axis=1), 0] = 1
+        scalars = rng.integers(1, p, size=(30, 1), dtype=np.int64)
+        rows = lines[rng.integers(0, 3, size=30)] * scalars % p
+        rows = np.concatenate([rows, rows[:6], np.zeros((1, n), dtype=np.int64)])
+        yield p, n, rows[rng.permutation(len(rows))]
+        yield p, n, lines[:1] * rng.integers(1, p, size=(12, 1), dtype=np.int64) % p
+
+
+def test_zscan_finds_lex_first_maximizer():
+    # brute force over the raw rows in itertools.product order (last
+    # coordinate fastest)
+    for p, n, normals in _zscan_cases():
         counts = {
             z: sum(sum(int(a) * b for a, b in zip(row, z)) % p != 0 for row in normals)
             for z in itertools.product(range(p), repeat=n)

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from rep2ldc.certcheck import cert_from_json, verify_cert_json
+from rep2ldc.cli import main
 from rep2ldc.construct import build_special_2ldc, lambda_variant
 from rep2ldc.errors import ParseError
 from rep2ldc.fields import GF, QQ
@@ -14,6 +16,7 @@ from rep2ldc.serialize import (
     canonical_json,
     cert_to_json,
     detect_kind,
+    dump_json,
     group_export_json,
     group_from_spec_json,
     group_spec_hash,
@@ -47,10 +50,11 @@ class TestMatrixFormat:
             matrix_from_json(doc)
 
     def test_residue_type_enforced(self):
-        doc = matrix_to_json(Matrix.identity(F3, 2))
-        doc["entries"][0][0] = "1/2"
-        with pytest.raises(ParseError):
-            matrix_from_json(doc)
+        for entry in ["1/2", 1.0, True]:
+            doc = matrix_to_json(Matrix.identity(F3, 2))
+            doc["entries"][0][0] = entry
+            with pytest.raises(ParseError):
+                matrix_from_json(doc)
 
 
 class TestGroupFormat:
@@ -222,3 +226,51 @@ def test_large_prime_cert_round_trip():
     assert back.code.vectors == cert.code.vectors
     report = verify_cert_json(doc)
     assert report.passed and not report.failures
+
+
+@pytest.fixture(scope="module")
+def cert_doc(signed_shift_4_3):
+    g = signed_shift_4_3
+    return json.loads(canonical_json(cert_to_json(build_special_2ldc(g, g.generators[0]))))
+
+
+# (document, path to an integer field, name the error gives).  Parsing these
+# fields with int() truncated 1.5 and converted "1" or True, so a tampered
+# file could still verify.
+INTEGER_FIELDS = [
+    ("ldc", ("t",), "t"),
+    ("ldc", ("m",), "m"),
+    ("ldc", ("q",), "q"),
+    ("ldc", ("matchings", 0, 0, 1), "matchings"),
+    ("cert", ("hs", 0), "hs"),
+    ("cert", ("kept_s", 0), "kept_s"),
+    ("cert", ("family", "g_refs", 0), "family.g_refs"),
+    ("cert", ("R",), "R"),
+    ("cert", ("prefilter_size",), "prefilter_size"),
+    ("cert", ("beta_nonzero_count", 0), "beta_nonzero_count"),
+    ("cert", ("seed",), "seed"),
+    ("cert", ("code", "matchings", 0, 0, 0), "matchings"),
+    ("cert", ("group", "dim"), "dim"),
+    ("cert", ("group", "cap"), "cap"),
+    ("cert", ("group", "field", "char"), "field.char"),
+    ("cert", ("group", "generators", 0, "rows"), "rows"),
+    ("cert", ("D", "cols"), "cols"),
+]
+
+
+@pytest.mark.parametrize("change", [lambda v: v + 0.5, lambda v: float(v), str, bool],
+                         ids=["plus-half", "float", "string", "bool"])
+@pytest.mark.parametrize("kind, path, name", INTEGER_FIELDS,
+                         ids=[f"{k}-{n}" for k, _, n in INTEGER_FIELDS])
+def test_integer_field_must_be_an_int(cert_doc, kind, path, name, change, tmp_path, capsys):
+    doc = json.loads(json.dumps(cert_doc if kind == "cert" else cert_doc["code"]))
+    parent = reduce(lambda obj, key: obj[key], path[:-1], doc)
+    parent[path[-1]] = change(parent[path[-1]])
+    parse = cert_from_json if kind == "cert" else ldc_from_json
+    with pytest.raises(ParseError, match=rf"^{name} must be an integer"):
+        parse(doc)
+    dump_json(doc, str(tmp_path / "tampered.json"))
+    assert main(["verify", "--input", str(tmp_path / "tampered.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be an integer")
+    assert "Traceback" not in err
