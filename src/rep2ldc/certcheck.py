@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .bounds import EntropyAudit, entropy_audit, gamma
 from .construct import (
     ConstructionCert,
@@ -21,14 +23,16 @@ from .construct import (
     validate_family,
     check_spanning_identities,
     combine,
+    matching_index,
     orbit_projection_check,
 )
 from .errors import DimensionMismatch, ParseError, Rep2LdcError
-from .ldc import VerificationReport, verify
+from .ldc import QMatching, VerificationReport, verify
 from .linalg import Subspace, rank
 from .serialize import (
     group_from_spec_json,
     group_spec_hash,
+    json_fraction,
     json_int,
     ldc_from_json,
     matrix_from_json,
@@ -105,7 +109,7 @@ def cert_from_json(obj) -> ConstructionCert:
                 json_int(c, "beta_nonzero_count") for c in obj["beta_nonzero_count"]
             ),
             code=code,
-            achieved_delta=Fraction(obj["achieved_delta"]),
+            achieved_delta=json_fraction(obj["achieved_delta"], "achieved_delta"),
             seed=json_int(obj["seed"], "seed"),
         )
     except ParseError:
@@ -161,6 +165,12 @@ def _beta_mask(cert: ConstructionCert) -> list[list[bool]]:
     ]
 
 
+def _sorted_rows(a: np.ndarray) -> np.ndarray:
+    """Each row sorted, then the rows in lexicographic order."""
+    a = np.sort(a, axis=1)
+    return a[np.lexsort(a.T[::-1])]
+
+
 def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     """Re-check every invariant of a (possibly deserialized) certificate."""
     group = cert.group
@@ -193,27 +203,25 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     # pre-filter matching structure at the s-level
     check(len(cert.kept_s) == cert.prefilter_size,
           "prefilter size differs from kept_s length")
-    h_perms = [group.left_perm(h) for h in cert.hs]
-    used: set[int] = set()
-    disjoint = True
-    for s in cert.kept_s:
-        tup = {int(perm[s]) for perm in h_perms}
-        if len(tup) != len(cert.hs) or used.intersection(tup):
-            disjoint = False
-            break
-        used.update(tup)
+    q = len(cert.hs)
+    kept = np.asarray(cert.kept_s, dtype=np.int64)
+    tuples = np.stack([group.left_perm(h)[kept] for h in cert.hs])
+    try:
+        QMatching(q=q, sets=tuples.T)
+        disjoint = True
+    except ValueError:
+        disjoint = False
     check(disjoint, "pre-filter tuples are not disjoint")
     if cert.kind in ("special2", "lambda"):
         g_h = gamma(group.element_order(cert.hs[0]))
         check(Fraction(len(cert.kept_s), m) == g_h / 2,
               "pre-filter density differs from gamma/2")
     else:
-        q = len(cert.hs)
         check(len(cert.kept_s) * q * q >= m, "pre-filter size below |G|/q^2")
 
     # survivors and matchings
-    mask = _beta_mask(cert)
-    counts = tuple(sum(row) for row in mask)
+    mask = np.array(_beta_mask(cert), dtype=bool).reshape(cert.family.t, len(cert.kept_s))
+    counts = tuple(int(c) for c in mask.sum(axis=1))
     check(counts == cert.beta_nonzero_count,
           "beta_nonzero_count differs from recomputed survivors")
     total = cert.family.t * len(cert.kept_s)
@@ -223,27 +231,18 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
               "surviving fraction below 1 - 1/|F|")
     else:
         check(survivors == total, "rational certificate lost tuples")
-    expected_matchings = []
-    for j, g in enumerate(cert.family.g_refs):
-        gj_perm = group.left_perm(g)
-        sets = []
-        for si, s in enumerate(cert.kept_s):
-            if not mask[j][si]:
-                continue
-            if cert.kind == "lambda":
-                sets.append(tuple(sorted((
-                    int(gj_perm[h_perms[0][s]]), m + int(gj_perm[s])
-                ))))
-            else:
-                sets.append(tuple(sorted(
-                    int(gj_perm[perm[s]]) for perm in h_perms
-                )))
-        expected_matchings.append(tuple(sorted(sets)))
-    actual_matchings = tuple(
-        tuple(sorted(mi.sets)) for mi in cert.code.matchings
+    idx = matching_index(group, cert.kind, cert.hs, cert.family.g_refs, cert.kept_s)
+    matchings = cert.code.matchings
+    check(
+        len(matchings) == cert.family.t and all(
+            np.array_equal(
+                _sorted_rows(idx[j][:, mask[j]].T),
+                _sorted_rows(np.array(mi.sets, dtype=np.int64).reshape(mi.size, mi.q)),
+            )
+            for j, mi in enumerate(matchings)
+        ),
+        "code matchings differ from the filtered tuple family",
     )
-    check(tuple(expected_matchings) == actual_matchings,
-          "code matchings differ from the filtered tuple family")
 
     check(orbit_projection_check(cert), "code vectors are not W^T rho(s) z")
     try:

@@ -55,6 +55,7 @@ __all__ = [
     "build_q_ldc",
     "build_special_2ldc",
     "lambda_variant",
+    "matching_index",
     "orbit_projection_check",
 ]
 
@@ -241,7 +242,7 @@ def _hyperplane_normals(group: MatrixGroup, x: Matrix, hat_w, kept_s) -> np.ndar
     else:
         rows = [c.dot(group.matrix(s).a) for c in cs for s in kept_s]
         normals = np.stack(rows)
-    if not all(np.any(row != 0) for row in normals):
+    if not np.any(normals != 0, axis=1).all():
         raise InternalInconsistency("zero hyperplane normal")
     return normals
 
@@ -377,6 +378,23 @@ def _greedy_kept_s(group: MatrixGroup, hs) -> list[int]:
     return kept_s
 
 
+def matching_index(group: MatrixGroup, kind: str, hs, g_refs, kept_s) -> np.ndarray:
+    """Code positions of every translated pre-filter tuple, as a
+    (t, q, |kept_s|) int64 array: entry [j, l, si] is the position of
+    g_j h_l s for s = kept_s[si].  For the lambda kind the second leg is
+    g_j s in the scaled block, i.e. |G| + position of g_j s.
+
+    Matching j of the code is slice j restricted to the surviving s.
+    """
+    kept = np.asarray(kept_s, dtype=np.int64)
+    m = len(group)
+    g_perms = np.array([group.left_perm(g) for g in g_refs], dtype=np.int64).reshape(-1, m)
+    tuples = np.stack([group.left_perm(h)[kept] for h in hs])
+    if kind == "lambda":
+        return np.stack([g_perms[:, tuples[0]], m + g_perms[:, kept]], axis=1)
+    return g_perms[:, tuples]
+
+
 def _prepare(group: MatrixGroup, hs, alphas):
     """Shared head of every pipeline: D, factorization and family."""
     d = combine(group, hs, alphas)
@@ -444,23 +462,9 @@ def _finish(
         vec_rows = np.concatenate([vec_rows, second], axis=0)
     vectors = Matrix.from_array(field, np.ascontiguousarray(vec_rows))
 
-    h_perms = [group.left_perm(h) for h in hs]
-    matchings = []
-    counts = []
-    for j, g in enumerate(family.g_refs):
-        gj_perm = group.left_perm(g)
-        sets = []
-        for si, s in enumerate(kept_s):
-            if not mask[j, si]:
-                continue
-            if kind == "lambda":
-                p1 = int(gj_perm[h_perms[0][s]])
-                p2 = m + int(gj_perm[s])
-                sets.append((p1, p2))
-            else:
-                sets.append(tuple(int(gj_perm[perm[s]]) for perm in h_perms))
-        matchings.append(QMatching(q=len(hs), sets=tuple(sets)))
-        counts.append(len(sets))
+    idx = matching_index(group, kind, hs, family.g_refs, kept_s)
+    matchings = tuple(QMatching(q=len(hs), sets=idx[j][:, mask[j]].T) for j in range(t))
+    counts = [mi.size for mi in matchings]
 
     m_code = 2 * m if kind == "lambda" else m
     code = LdcInstance(
@@ -468,7 +472,7 @@ def _finish(
         t=t,
         m=m_code,
         vectors=vectors,
-        matchings=tuple(matchings),
+        matchings=matchings,
         form="special2" if kind in ("special2", "lambda") else "general",
         q=len(hs),
         claimed_delta=claimed_delta,

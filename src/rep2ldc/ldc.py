@@ -5,17 +5,26 @@ pairwise-disjoint query sets per coordinate.  In `general` form each set
 spans the standard basis vector of its coordinate; in `special2` form the
 sets are pairs whose difference is a nonzero multiple of it.  Indices into
 the vector list are 0-based throughout.
+
+Every set family is checked as index arrays: sizes, repeated members and
+overlaps with earlier sets come from one sort of (member, set) pairs.
+Over GF(p), `verify` also decides the span condition for all sets of a
+coordinate at once: special2 pairs by one difference array, general
+q-sets by comparing batched ranks with and without e_i.  Over the
+rationals the span condition is checked one set at a time.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import DimensionMismatch
 from .fields import Field
 from .linalg import Matrix, rank
@@ -34,22 +43,72 @@ __all__ = [
 ]
 
 
+def _index_arrays(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(members, owner, sizes): every set's members concatenated in set
+    order, the set each member belongs to, and each set's size.
+
+    `sets` is a (k, q) integer array or a sequence of integer sequences,
+    which may differ in length.
+    """
+    if isinstance(sets, np.ndarray) and sets.ndim == 2:
+        flat = sets.astype(np.int64, copy=False).ravel()
+        lens = np.full(sets.shape[0], sets.shape[1], dtype=np.int64)
+    else:
+        lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        try:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(sets), dtype=np.int64, count=int(lens.sum())
+            )
+        except OverflowError as exc:
+            raise ValueError(f"set member does not fit in int64: {exc}") from exc
+    return flat, np.repeat(np.arange(lens.size), lens), lens
+
+
+def _repeats(flat: np.ndarray, owner: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per set: (has a repeated member, shares a member with an earlier set).
+
+    One sort of the (member, set) pairs puts every occurrence of a value
+    after the earlier ones; an occurrence whose predecessor lies in the
+    same set is a repeat, one whose predecessor lies in an earlier set is
+    an overlap.
+    """
+    order = np.lexsort((owner, flat))
+    value, owner = flat[order], owner[order]
+    same = value[1:] == value[:-1]
+    later = owner[1:]
+    repeat = np.bincount(later[same & (owner[:-1] == later)], minlength=k) > 0
+    overlap = np.bincount(later[same & (owner[:-1] < later)], minlength=k) > 0
+    return repeat, overlap
+
+
 @dataclass(frozen=True)
 class QMatching:
-    """Family of pairwise disjoint q-subsets of code positions."""
+    """Family of pairwise disjoint q-subsets of code positions.
+
+    `sets` may be given as a (k, q) integer array or as integer
+    sequences; it is stored as a tuple of sorted int tuples.
+    """
 
     q: int
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for s in self.sets:
-            if len(set(s)) != self.q or len(s) != self.q:
+        if self.q < 1:
+            raise ValueError(f"matching arity q={self.q} is below 1")
+        flat, owner, lens = _index_arrays(self.sets)
+        repeat, overlap = _repeats(flat, owner, lens.size)
+        bad_size = (lens != self.q) | repeat
+        bad = np.flatnonzero(bad_size | overlap)
+        if bad.size:
+            k = int(bad[0])
+            s = self.sets[k]
+            if isinstance(s, np.ndarray):
+                s = tuple(s.tolist())
+            if bad_size[k]:
                 raise ValueError(f"set {s} does not have exactly q={self.q} members")
-            if seen.intersection(s):
-                raise ValueError(f"set {s} overlaps an earlier set")
-            seen.update(s)
-        object.__setattr__(self, "sets", tuple(tuple(sorted(s)) for s in self.sets))
+            raise ValueError(f"set {s} overlaps an earlier set")
+        rows = np.sort(flat.reshape(lens.size, self.q), axis=1)
+        object.__setattr__(self, "sets", tuple(map(tuple, rows.tolist())))
 
     @property
     def size(self) -> int:
@@ -87,9 +146,10 @@ class LdcInstance:
         for mi in self.matchings:
             if mi.q != self.q:
                 raise ValueError("matching arity differs from declared q")
-            for s in mi.sets:
-                if any(j < 0 or j >= self.m for j in s):
-                    raise ValueError(f"index out of range in {s}")
+            flat, owner, _ = _index_arrays(mi.sets)
+            if flat.size and (flat.min() < 0 or flat.max() >= self.m):
+                first = np.argmax((flat < 0) | (flat >= self.m))
+                raise ValueError(f"index out of range in {mi.sets[owner[first]]}")
 
     def as_general(self) -> "LdcInstance":
         """View a special2 instance under the general-form contract."""
@@ -185,39 +245,63 @@ def _general_set_ok(vectors: Matrix, i: int, idxs: Sequence[int]) -> bool:
     return rank(ext) == r0
 
 
+def _spans_mod(instance: LdcInstance, i: int, members: np.ndarray) -> np.ndarray:
+    """Span verdict of every row of the (k, q) index array, over GF(p)."""
+    p = instance.field.char
+    a = instance.vectors.a
+    if instance.form == "special2":
+        d = (a[members[:, 0]] - a[members[:, 1]]) % p
+        return (d[:, i] != 0) & (np.count_nonzero(d, axis=1) == 1)
+    sub = a[members]
+    e = np.zeros((sub.shape[0], 1, instance.t), dtype=np.int64)
+    e[:, 0, i] = 1
+    ext = np.concatenate([sub, e], axis=1)
+    return _kernels.rank_mod_batched(sub, p) == _kernels.rank_mod_batched(ext, p)
+
+
+def _spans_scalar(instance: LdcInstance, i: int, members: np.ndarray) -> np.ndarray:
+    """Span verdict of every row of the (k, q) index array, one at a time."""
+    ok = _special_pair_ok if instance.form == "special2" else _general_set_ok
+    return np.array([ok(instance.vectors, i, s) for s in members], dtype=bool)
+
+
 def verify(instance: LdcInstance) -> VerificationReport:
     """Check every matching set against the instance's form and the
     claimed density.  Failures are report entries, never exceptions;
     set sizes and disjointness are re-checked here even though QMatching
-    enforces them at construction."""
+    enforces them at construction.
+
+    Structure messages name each flagged set in set order; a set with
+    the wrong size or outside the code is not span-checked.
+    """
+    q = instance.q
+    spans = _spans_mod if instance.field.char else _spans_scalar
     coords = []
     for i, mi in enumerate(instance.matchings):
-        failures = []
+        flat, owner, lens = _index_arrays(mi.sets)
+        repeat, overlap = _repeats(flat, owner, lens.size)
+        bad_size = (lens != q) | repeat
+        outside = np.bincount(
+            owner[(flat < 0) | (flat >= instance.m)], minlength=lens.size
+        ) > 0
         structure = []
-        used: set[int] = set()
-        for s in mi.sets:
-            bad_shape = len(set(s)) != instance.q or len(s) != instance.q
-            if bad_shape:
-                structure.append(f"set {s} does not have {instance.q} distinct members")
-            if used.intersection(s):
+        for k in np.flatnonzero(bad_size | overlap | outside):
+            s = mi.sets[k]
+            if bad_size[k]:
+                structure.append(f"set {s} does not have {q} distinct members")
+            if overlap[k]:
                 structure.append(f"set {s} overlaps an earlier set")
-            used.update(s)
-            if any(j < 0 or j >= instance.m for j in s):
+            if outside[k]:
                 structure.append(f"set {s} indexes outside the code")
-                continue
-            if bad_shape:
-                continue
-            if instance.form == "special2":
-                ok = _special_pair_ok(instance.vectors, i, s)
-            else:
-                ok = _general_set_ok(instance.vectors, i, s)
-            if not ok:
-                failures.append(s)
+        checked = np.flatnonzero(~bad_size & ~outside)
+        starts = np.cumsum(lens) - lens
+        members = flat[starts[checked, None] + np.arange(q)]
+        ok = spans(instance, i, members)
         coords.append(
             CoordinateReport(
                 coordinate=i,
                 matching_size=mi.size,
-                span_failures=tuple(failures),
+                span_failures=tuple(mi.sets[k] for k in checked[~ok]),
                 structure_failures=tuple(structure),
             )
         )

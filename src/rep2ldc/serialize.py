@@ -40,6 +40,7 @@ __all__ = [
     "ldc_from_json",
     "cert_to_json",
     "detect_kind",
+    "json_fraction",
     "json_int",
 ]
 
@@ -71,6 +72,20 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def json_fraction(value, name: str) -> Fraction:
+    """A rational field of a JSON document, written as an "a/b" string.
+
+    A JSON number is refused (0.5 would otherwise pass as 1/2), as is a
+    string that is not a rational.
+    """
+    if type(value) is not str:
+        raise ParseError(f"{name} must be a string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad {name} {value!r}: {exc}") from exc
 
 
 def _scalar_out(field: Field, x):
@@ -158,6 +173,9 @@ def ldc_from_json(obj) -> LdcInstance:
     try:
         field = Field.from_json(obj["field"])
         t, m = json_int(obj["t"], "t"), json_int(obj["m"], "m")
+        for name, value in (("t", t), ("m", m)):
+            if value < 1:
+                raise ParseError(f"{name} must be at least 1, got {value}")
         vectors = Matrix(
             field, [[field.scalar_from_json(x) for x in row] for row in obj["vectors"]]
         )
@@ -167,7 +185,7 @@ def ldc_from_json(obj) -> LdcInstance:
             for mi in obj["matchings"]
         )
         form = str(obj["form"])
-        claimed = Fraction(obj["claimed_delta"])
+        claimed = json_fraction(obj["claimed_delta"], "claimed_delta")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad ldc object: {exc}") from exc
     try:

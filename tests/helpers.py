@@ -56,6 +56,60 @@ def _brute_rank_rational(rows) -> int:
     return best
 
 
+def rank_mod(rows, p) -> int:
+    """Rank over GF(p) by Gaussian elimination in Python ints."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_verify(vectors, form, q, m, matchings, p):
+    """Per coordinate (span_failures, structure_failures) of an LDC over
+    GF(p), walking the sets one at a time in Python ints.
+
+    `vectors` is a list of rows and `matchings` a list of set lists; the
+    messages are the ones ldc.verify gives.
+    """
+    out = []
+    for i, sets in enumerate(matchings):
+        failures, structure, used = [], [], set()
+        for s in sets:
+            bad_size = len(set(s)) != q or len(s) != q
+            if bad_size:
+                structure.append(f"set {s} does not have {q} distinct members")
+            if used.intersection(s):
+                structure.append(f"set {s} overlaps an earlier set")
+            used.update(s)
+            if any(not 0 <= j < m for j in s):
+                structure.append(f"set {s} indexes outside the code")
+                continue
+            if bad_size:
+                continue
+            rows = [list(vectors[j]) for j in s]
+            if form == "special2":
+                d = [(x - y) % p for x, y in zip(*rows)]
+                ok = d[i] != 0 and sum(1 for x in d if x) == 1
+            else:
+                e = [int(c == i) for c in range(len(rows[0]))]
+                ok = rank_mod(rows + [e], p) == rank_mod(rows, p)
+            if not ok:
+                failures.append(s)
+        out.append((tuple(failures), tuple(structure)))
+    return out
+
+
 def brute_max_matching(pairs_ok, m: int) -> int:
     """Maximum matching size on m vertices by branch and bound.
 

@@ -62,9 +62,11 @@ class TestExitCodes:
 
 
 @pytest.fixture(scope="module")
-def singular_inputs(tmp_path_factory):
-    """A group spec and a certificate, each with a singular generator."""
-    tmp = tmp_path_factory.mktemp("singular")
+def bad_inputs(tmp_path_factory):
+    """A group spec and a certificate, each with a singular generator;
+    LDC files with an empty code, a numeric density or an index beyond
+    int64; a certificate with a numeric achieved density."""
+    tmp = tmp_path_factory.mktemp("bad")
     field = {"char": 3}
     zero = {"field": field, "rows": 2, "cols": 2, "entries": [[0, 0], [0, 0]]}
     spec = tmp / "singular_group.json"
@@ -73,10 +75,24 @@ def singular_inputs(tmp_path_factory):
     assert main(["construct", "--fixture", "signed_shift(4,3)", "--special2",
                  "--h", "1", "--output", str(cert)]) == 0
     doc = load_json(str(cert))
+    doc["achieved_delta"] = 0.5
+    paths = {"group": str(spec), "cert": str(cert),
+             "cert_delta": str(tmp / "cert_delta.json")}
+    dump_json(doc, paths["cert_delta"])
+    doc["achieved_delta"] = str(doc["achieved_delta"])
     gen = doc["group"]["generators"][0]
     gen["entries"] = [[0] * gen["cols"] for _ in range(gen["rows"])]
     dump_json(doc, str(cert))
-    return {"group": str(spec), "cert": str(cert)}
+    changes = {
+        "ldc_t0": {"t": 0, "vectors": [[]] * 4, "matchings": []},
+        "ldc_m0": {"m": 0, "vectors": [], "matchings": [[], []]},
+        "ldc_delta": {"claimed_delta": 0.5},
+        "ldc_index": {"matchings": [[[0, 2**70]], []]},
+    }
+    for name, change in changes.items():
+        paths[name] = str(tmp / f"{name}.json")
+        dump_json({**ldc_to_json(hadamard(2, GF(3))), **change}, paths[name])
+    return paths
 
 
 SS43 = ["--fixture", "signed_shift(4,3)"]
@@ -92,13 +108,19 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
     ["construct", *SS43, "--q", "2", "--hs", "1,0", "--alphas", "1/3,2"],
     ["construct", *SS43, "--lambda", "1/3", "--h", "1"],
     ["construct", *SS43, "--q", "2", "--hs", "3/2,0", "--alphas", "1,2"],
+    ["verify", "--input", "{ldc_t0}"],
+    ["verify", "--input", "{ldc_m0}"],
+    ["verify", "--input", "{ldc_delta}"],
+    ["verify", "--input", "{ldc_index}"],
+    ["verify", "--input", "{cert_delta}"],
 ], ids=["rank-scan-singular", "construct-singular", "verify-singular", "h-999", "h-negative",
-        "hs-1000", "alphas-non-unit", "lambda-non-unit", "hs-fraction"])
-def test_bad_input_exits_1_without_traceback(argv, singular_inputs, tmp_path):
+        "hs-1000", "alphas-non-unit", "lambda-non-unit", "hs-fraction", "ldc-t-zero",
+        "ldc-m-zero", "ldc-delta-number", "ldc-index-past-int64", "cert-delta-number"])
+def test_bad_input_exits_1_without_traceback(argv, bad_inputs, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(rep2ldc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    argv = [a.format(**singular_inputs) for a in argv]
+    argv = [a.format(**bad_inputs) for a in argv]
     out = subprocess.run(
         [sys.executable, "-m", "rep2ldc.cli", *argv, "--output", str(tmp_path / "out.json")],
         env=env, capture_output=True, text=True,

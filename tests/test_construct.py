@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from rep2ldc.bounds import entropy_audit, gamma
-from rep2ldc.certcheck import _beta_mask, verify_cert
+from rep2ldc.certcheck import _beta_mask, cert_from_json, verify_cert
 from rep2ldc.construct import (
     beta,
     beta_table,
@@ -586,13 +587,15 @@ GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
                       "perfbench", "golden.json")
 
 
-@pytest.mark.parametrize("kind", ["special2", "lambda", "general"])
-def test_exhaustive_scan_certificates_match_golden(kind):
-    """The three signed_shift(8,3) certificates whose z comes from the
-    exhaustive scan (3^8 candidates), built as the benchmark builds them
-    at its default seed, hash to the values it pins."""
+def _golden(workload: str, job: str) -> str:
     with open(GOLDEN, encoding="utf-8") as fh:
-        want = json.load(fh)["construct"][f"signed_shift(8,3) {kind}"]
+        return json.load(fh)[workload][job]
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_shift_8_3_cert_text(kind: str) -> str:
+    """Canonical text of a signed_shift(8,3) certificate, built as the
+    benchmark builds it at its default seed."""
     g = signed_shift_group(8, 3)
     g0, g1 = g.generators[0], g.generators[1]
     h2 = g.mul(g.mul(g1, g0), g.inv(g1))
@@ -602,5 +605,25 @@ def test_exhaustive_scan_certificates_match_golden(kind):
         cert = lambda_variant(g, g0, 1)
     else:
         cert = build_q_ldc(g, [g0, h2, g.identity_pos], [1, 1, -2])
-    text = canonical_json(cert_to_json(cert))
+    return canonical_json(cert_to_json(cert))
+
+
+@pytest.mark.parametrize("kind", ["special2", "lambda", "general"])
+def test_exhaustive_scan_certificates_match_golden(kind):
+    """The three signed_shift(8,3) certificates whose z comes from the
+    exhaustive scan (3^8 candidates), built as the benchmark builds them
+    at its default seed, hash to the values it pins."""
+    want = _golden("construct", f"signed_shift(8,3) {kind}")
+    text = _signed_shift_8_3_cert_text(kind)
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("kind", ["special2", "general"])
+def test_verify_reports_match_golden(kind):
+    """verify_cert on the signed_shift(8,3) special2 and general
+    certificates, read back from their JSON text, gives the report the
+    benchmark pins byte for byte."""
+    want = _golden("verify", f"signed_shift(8,3) {kind}")
+    cert = cert_from_json(json.loads(_signed_shift_8_3_cert_text(kind)))
+    text = canonical_json(verify_cert(cert).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import brute_max_matching
+from helpers import brute_max_matching, reference_verify
 
+from rep2ldc import _kernels, ldc, linalg
 from rep2ldc.fields import GF, QQ
 from rep2ldc.ldc import (
     LdcInstance,
@@ -201,3 +203,148 @@ class TestQMatchingInvariants:
     def test_sets_canonicalized(self):
         m = QMatching(2, ((3, 0), (2, 5)))
         assert m.sets == ((0, 3), (2, 5))
+
+
+PARITY_PRIMES = [2, 3, 5, 11, 2**31 - 1]
+
+
+def _random_instance(rng, p, form):
+    """Random GF(p) instance with vectors over {0, 1, -1}, so that sets
+    both pass and fail the span test, then up to three entries tampered
+    to arbitrary residues."""
+    m, t = int(rng.integers(6, 25)), int(rng.integers(1, 5))
+    q = 2 if form == "special2" else int(rng.integers(2, 5))
+    rows = rng.integers(-1, 2, size=(m, t)) % p
+    for _ in range(int(rng.integers(0, 4))):
+        rows[rng.integers(m), rng.integers(t)] = rng.integers(0, p)
+    matchings = []
+    for _ in range(t):
+        perm = rng.permutation(m).tolist()
+        k = int(rng.integers(0, m // q + 1))
+        matchings.append(QMatching(q, tuple(tuple(perm[q * a:q * a + q]) for a in range(k))))
+    field = GF(p)
+    return LdcInstance(
+        field=field, t=t, m=m, vectors=Matrix(field, rows.tolist()),
+        matchings=tuple(matchings), form=form, q=q, claimed_delta=Fraction(0),
+    )
+
+
+def _assert_matches_reference(inst):
+    report = verify(inst)
+    want = reference_verify(
+        inst.vectors.a.tolist(), inst.form, inst.q, inst.m,
+        [mi.sets for mi in inst.matchings], inst.field.char,
+    )
+    got = [(c.span_failures, c.structure_failures) for c in report.coordinates]
+    assert got == want
+    return report
+
+
+def _smuggle(inst, i, sets):
+    """inst with matching i replaced by `sets`, bypassing QMatching's checks."""
+    bad = object.__new__(QMatching)
+    object.__setattr__(bad, "q", inst.q)
+    object.__setattr__(bad, "sets", tuple(sets))
+    matchings = list(inst.matchings)
+    matchings[i] = bad
+    out = object.__new__(LdcInstance)
+    for name in ("field", "t", "m", "vectors", "form", "q", "claimed_delta"):
+        object.__setattr__(out, name, getattr(inst, name))
+    object.__setattr__(out, "matchings", tuple(matchings))
+    return out
+
+
+class TestArrayPathParity:
+    """The GF(p) array path of verify gives the set-by-set reference's
+    span failures and structure messages, in the same order."""
+
+    @pytest.mark.parametrize("form", ["special2", "general"])
+    @pytest.mark.parametrize("p", PARITY_PRIMES)
+    def test_span_failures_match_reference(self, p, form):
+        rng = np.random.default_rng([p % 1000, len(form)])
+        passed = failed = 0
+        for _ in range(25):
+            report = _assert_matches_reference(_random_instance(rng, p, form))
+            for c in report.coordinates:
+                failed += len(c.span_failures)
+                passed += c.matching_size - len(c.span_failures)
+        assert passed and failed
+
+    @pytest.mark.parametrize("form", ["special2", "general"])
+    @pytest.mark.parametrize("p", PARITY_PRIMES)
+    def test_structure_messages_match_reference(self, p, form):
+        rng = np.random.default_rng([p % 1000, len(form), 1])
+        for _ in range(10):
+            inst = _random_instance(rng, p, form)
+            i = int(rng.integers(inst.t))
+            sets = list(inst.matchings[i].sets)
+            m, q = inst.m, inst.q
+            first = sets[0] if sets else tuple(range(q))
+            sets += [
+                first,                           # overlaps an earlier set
+                (m,) + tuple(range(1, q)),       # past the end
+                (-1,) + tuple(range(m - q + 1, m)),
+                tuple(range(q + 1)),             # too many members
+                (0,) * q,                        # repeated member
+                (m + 1,) * q,                    # repeated and outside
+                (),
+            ]
+            report = _assert_matches_reference(_smuggle(inst, i, sets))
+            assert not report.passed
+
+    def test_known_structure_texts(self):
+        inst = _smuggle(hadamard(2, F3), 0, [(0, 1), (1, 2, 3), (2, 2), (4, 9), (1, 3)])
+        report = verify(inst)
+        assert report.coordinates[0].structure_failures == (
+            "set (1, 2, 3) does not have 2 distinct members",
+            "set (1, 2, 3) overlaps an earlier set",
+            "set (2, 2) does not have 2 distinct members",
+            "set (2, 2) overlaps an earlier set",
+            "set (4, 9) indexes outside the code",
+            "set (1, 3) overlaps an earlier set",
+        )
+        assert report.coordinates[0].span_failures == ((1, 3),)
+
+
+@pytest.mark.parametrize("form", ["special2", "general"])
+def test_prime_field_verify_does_no_elimination(form, monkeypatch):
+    """verify over GF(p) decides every set from arrays and batched ranks,
+    never through linalg.rank or the single-matrix RREF kernel."""
+    def boom(*args, **kwargs):
+        raise AssertionError("per-set elimination on the GF(p) path")
+
+    for module in (linalg, ldc):
+        monkeypatch.setattr(module, "rank", boom)
+    monkeypatch.setattr(_kernels, "rref_mod", boom)
+    inst = hadamard(4, F5)
+    report = verify(inst if form == "special2" else inst.as_general())
+    assert report.passed and report.sigma == 32
+
+
+class TestQMatchingArrays:
+    def test_array_input_sorted_to_int_tuples(self):
+        got = QMatching(2, np.array([[3, 0], [2, 5]]))
+        assert got.sets == ((0, 3), (2, 5))
+        assert all(type(j) is int for s in got.sets for j in s)
+
+    @pytest.mark.parametrize("sets, message", [
+        ([[0, 1], [1, 2]], "set (1, 2) overlaps an earlier set"),
+        ([[0, 0], [1, 2]], "set (0, 0) does not have exactly q=2 members"),
+    ])
+    def test_array_input_errors(self, sets, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QMatching(2, np.array(sets))
+
+    def test_first_bad_set_named(self):
+        with pytest.raises(ValueError, match=r"^set \(4, 5, 6\) does not have exactly q=2"):
+            QMatching(2, ((0, 1), (4, 5, 6), (1, 2)))
+        with pytest.raises(ValueError, match=r"^set \(1, 2\) overlaps an earlier set$"):
+            QMatching(2, ((0, 1), (1, 2), (3, 3)))
+
+    def test_out_of_range_named(self):
+        with pytest.raises(ValueError, match=r"^index out of range in \(1, 4\)$"):
+            LdcInstance(
+                field=F2, t=1, m=4, vectors=Matrix(F2, [[0], [1], [0], [1]]),
+                matchings=(QMatching(2, ((0, 2), (1, 4))),),
+                form="special2", q=2, claimed_delta=Fraction(0),
+            )

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -103,6 +104,16 @@ class TestLdcFormat:
         doc["matchings"][0] = [[0, 1], [1, 2]]
         with pytest.raises(ParseError):
             ldc_from_json(doc)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"t": 0, "vectors": [[]] * 4, "matchings": []}, "t must be at least 1, got 0"),
+        ({"m": -1}, "m must be at least 1, got -1"),
+        ({"claimed_delta": 0.5}, "claimed_delta must be a string, got 0.5"),
+        ({"claimed_delta": "1/0"}, "bad claimed_delta '1/0'"),
+    ], ids=["t-zero", "m-negative", "delta-number", "delta-zero-denominator"])
+    def test_hostile_fields_rejected(self, change, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+            ldc_from_json({**ldc_to_json(hadamard(2, F3)), **change})
 
     def test_detect_kind(self):
         assert detect_kind(ldc_to_json(hadamard(2, F3))) == "ldc"
@@ -274,3 +285,11 @@ def test_integer_field_must_be_an_int(cert_doc, kind, path, name, change, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must be an integer")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [0.5, 1, None])
+def test_achieved_delta_must_be_a_string(cert_doc, value):
+    doc = json.loads(json.dumps(cert_doc))
+    doc["achieved_delta"] = value
+    with pytest.raises(ParseError, match=r"^achieved_delta must be a string"):
+        cert_from_json(doc)
