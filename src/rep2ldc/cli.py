@@ -6,7 +6,9 @@ does not suit it: even p, no root of unity, p dividing k; a singular
 generator; an element position outside [0, |G|); a scalar flag that is
 not a field element), 2 cap exceeded, 3 verification or bound
 failure, 4 degenerate input (zero combination / identity element /
-scalar multiple of identity), 5 spanning failure.
+scalar multiple of identity / zero vector), 5 spanning failure,
+6 internal inconsistency (a bug), 7 randomized search budget exhausted.
+EXIT_CODES gives the code of every error class.
 All randomness flows from --seed through one named generator, so reruns
 with identical arguments produce byte-identical certificates.
 """
@@ -26,15 +28,23 @@ from .certcheck import verify_cert_json
 from .construct import build_q_ldc, build_special_2ldc, lambda_variant
 from .errors import (
     BadCharacteristic,
+    BudgetExhausted,
     CapExceeded,
     CharTwo,
+    DimensionMismatch,
     IdentityElement,
+    InternalInconsistency,
+    MatchingCrossesPrefixClass,
     NoRootOfUnity,
+    NotADistribution,
+    NotInvertible,
     OrbitDoesNotSpan,
+    PairNotSeparated,
     ParseError,
     Rep2LdcError,
     ScalarMultipleOfIdentity,
     ZeroMatrix,
+    ZeroVector,
 )
 from .fields import Field
 from .fixtures import FIXTURES, parse_fixture, signed_shift_group
@@ -56,6 +66,31 @@ EXIT_CAP = 2
 EXIT_VERIFY = 3
 EXIT_DEGENERATE = 4
 EXIT_SPANNING = 5
+EXIT_INTERNAL = 6
+EXIT_BUDGET = 7
+
+# Exit code per error class; main uses the first class in the error's MRO.
+EXIT_CODES = {
+    ValueError: EXIT_PARSE,
+    ParseError: EXIT_PARSE,
+    DimensionMismatch: EXIT_PARSE,
+    NotInvertible: EXIT_PARSE,
+    CharTwo: EXIT_PARSE,
+    NoRootOfUnity: EXIT_PARSE,
+    BadCharacteristic: EXIT_PARSE,
+    CapExceeded: EXIT_CAP,
+    NotADistribution: EXIT_VERIFY,
+    PairNotSeparated: EXIT_VERIFY,
+    MatchingCrossesPrefixClass: EXIT_VERIFY,
+    ZeroMatrix: EXIT_DEGENERATE,
+    ZeroVector: EXIT_DEGENERATE,
+    IdentityElement: EXIT_DEGENERATE,
+    ScalarMultipleOfIdentity: EXIT_DEGENERATE,
+    OrbitDoesNotSpan: EXIT_SPANNING,
+    InternalInconsistency: EXIT_INTERNAL,
+    BudgetExhausted: EXIT_BUDGET,
+    Rep2LdcError: EXIT_INTERNAL,  # a class missing above
+}
 
 
 def _load_group(args):
@@ -370,18 +405,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, CharTwo, NoRootOfUnity, BadCharacteristic) as exc:
+    except (Rep2LdcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (ZeroMatrix, IdentityElement, ScalarMultipleOfIdentity) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except OrbitDoesNotSpan as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPANNING
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -355,22 +355,22 @@ def _cycle_kept_s(group: MatrixGroup, h: int) -> list[int]:
 
 
 def _greedy_kept_s(group: MatrixGroup, hs) -> list[int]:
-    """Greedy disjoint q-tuples {h_1 s, ..., h_q s} over s in canonical order."""
-    perms = [group.left_perm(h) for h in hs]
-    q = len(hs)
-    m = len(group)
-    candidates = []
-    for s in range(m):
-        tup = tuple(int(perm[s]) for perm in perms)
-        if len(set(tup)) != q:
-            raise InternalInconsistency("tuple members collide; hs not distinct?")
-        candidates.append(tup)
+    """Greedy disjoint q-tuples {h_1 s, ..., h_q s} over s in canonical order.
+
+    Column s of the (q, |G|) stack of left_perm(h) rows is the tuple of s;
+    first fit keeps s when none of its members is used yet.
+    """
+    tuples = np.stack([group.left_perm(h) for h in hs])
+    q, m = tuples.shape
+    ordered = np.sort(tuples, axis=0)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise InternalInconsistency("tuple members collide; hs not distinct?")
     kept_s = []
     used: set[int] = set()
-    for s, c in enumerate(candidates):
-        if not used.intersection(c):
+    for s, tup in enumerate(tuples.T.tolist()):
+        if not used.intersection(tup):
             kept_s.append(s)
-            used.update(c)
+            used.update(tup)
     if len(kept_s) * q * q < m:
         raise InternalInconsistency(
             f"greedy kept {len(kept_s)} tuples, below |G|/q^2 = {m}/{q * q}"

@@ -4,19 +4,29 @@ A group is its own representation: elements are invertible matrices and
 the action on F^n is plain matrix-vector multiplication.  BFS order over
 generator words fixes a canonical numbering used by every downstream
 certificate, with position 0 always the identity.
+
+One int64 Cayley table, right[s, k] = position of elements[s] @ gen_k over
+the distinct generators, answers every group question with integers, alike
+over GF(p) and QQ: left_perm is one gather per BFS level, mul a word walk,
+inv and element_order walks of powers, mult_cycles powers of left_perm.
+Building it proves closure: every product must be indexed, so the set,
+holding I, holds the generated group; every s != 0 needs a parent with
+right[parent(s), last(s)] = s one BFS level up (of a word only its length
+and last letter are read), so every element is a generator word.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import _kernels
 from .errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
 from .fields import Field
-from .linalg import Matrix, Subspace, invert, rank, residue_key, rref, subspace_sum
+from .linalg import Matrix, Subspace, nullspace, rank, residue_key, rref, subspace_sum
 
 __all__ = [
     "MatrixGroup",
@@ -86,8 +96,7 @@ class MatrixGroup:
         "generators",
         "words",
         "identity_pos",
-        "_orders",
-        "_inverses",
+        "_table",
         "_left_perms",
         "_stacked",
         "_orders_ranks",
@@ -103,8 +112,7 @@ class MatrixGroup:
         self.generators = generators
         self.words = words
         self.identity_pos = 0
-        self._orders = {}
-        self._inverses = {}
+        self._table = None
         self._left_perms = {}
         self._stacked = None
         self._orders_ranks = None
@@ -124,28 +132,35 @@ class MatrixGroup:
         """Position of a matrix, or raise KeyError if not an element."""
         return self.index[m.key()]
 
+    def _cayley(self):
+        """(right, parent, last, levels) of _cayley_table, built once."""
+        if self._table is None:
+            self._table = _cayley_table(self)
+        return self._table
+
     def mul(self, i: int, j: int) -> int:
-        return self.index[(self.elements[i] @ self.elements[j]).key()]
+        right, parent, last, _ = self._cayley()
+        word = []
+        while j:
+            word.append(last[j])
+            j = parent[j]
+        for k in reversed(word):
+            i = right[i, k]
+        return int(i)
+
+    def _powers(self, i: int) -> list[int]:
+        """Positions of g^0, g^1, ..., g^ord(g) = I for g = elements[i]."""
+        powers = [0, i]
+        while powers[-1]:
+            powers.append(self.mul(powers[-1], i))
+        return powers
 
     def inv(self, i: int) -> int:
-        pos = self._inverses.get(i)
-        if pos is None:
-            pos = self.index[invert(self.elements[i]).key()]
-            self._inverses[i] = pos
-        return pos
+        return int(self._powers(i)[-2])
 
     def element_order(self, i: int) -> int:
         """Smallest k >= 1 with g^k = identity."""
-        order = self._orders.get(i)
-        if order is None:
-            ident = self.elements[self.identity_pos]
-            acc = self.elements[i]
-            order = 1
-            while acc != ident:
-                acc = acc @ self.elements[i]
-                order += 1
-            self._orders[i] = order
-        return order
+        return len(self._powers(i)) - 1
 
     def orders_and_ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """(orders, ranks): int64 arrays over positions, with orders[i] the
@@ -180,22 +195,14 @@ class MatrixGroup:
         return self._orders_ranks
 
     def left_perm(self, i: int) -> np.ndarray:
-        """Permutation s -> position of elements[i] @ elements[s].
-
-        Prime fields take one batched product over the stacked elements.
-        """
+        """Permutation s -> position of elements[i] @ elements[s], one gather
+        per BFS level: i s = (i parent(s)) gen_last(s)."""
         perm = self._left_perms.get(i)
         if perm is None:
-            g = self.elements[i]
-            p = self.field.char
-            if p:
-                prods = _kernels.matmul_mod(g.a, self.stacked(), p)
-                keys = (residue_key(p, a) for a in prods)
-            else:
-                keys = ((g @ s).key() for s in self.elements)
-            perm = np.fromiter(
-                (self.index[k] for k in keys), dtype=np.int64, count=len(self.elements)
-            )
+            right, _, _, levels = self._cayley()
+            perm = np.full(len(right), i, dtype=np.int64)  # levels fill all but 0
+            for pos, parent, last in levels:
+                perm[pos] = right[perm[parent], last]
             self._left_perms[i] = perm
         return perm
 
@@ -236,9 +243,9 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
 
     The identity sits at position 0; products explore cur @ gen in
     generator order, so positions are reproducible.  Every element is
-    reached from the identity by its generator word, and the result is
-    proved closed by _verify_closure.  Raises CapExceeded if the closure
-    grows past `cap`, NotInvertible for singular input.
+    reached from the identity by its generator word, and building the
+    Cayley table proves the result closed.  Raises CapExceeded if the
+    closure grows past `cap`, NotInvertible for singular input.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -283,63 +290,62 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
 
     gen_positions = tuple(index[g.key()] for g in generators)
     group = MatrixGroup(field, n, elements, index, gen_positions, tuple(words))
-    _verify_closure(group)
+    group._cayley()
     return group
 
 
-def _verify_closure(group: MatrixGroup) -> None:
-    """Prove the enumerated set is the group generated by the generators.
+def _cayley_table(group: MatrixGroup):
+    """Build and prove the Cayley table (see the module docstring).
 
-    Checks that every element times every generator is already indexed.
-    That suffices: the set S holds I and each element is a generator word
-    (``words``), so S lies in the generated group; closure under right
-    multiplication by the generators puts every word in S, so S is that
-    group, and a finite monoid generated this way is closed under products
-    and inverses.  O(|G| * #generators) products, batched in chunks of
-    CLOSURE_CHUNK over prime fields.  Any miss is a bug in the BFS, not a
-    user error.
+    Returns (right, parent, last, levels), last(s) as a table column and
+    levels as (positions, parents, lasts) per BFS level from depth 1.
+    Products are batched in chunks of CLOSURE_CHUNK over prime fields.
     """
-    gens = [group.elements[g] for g in sorted(set(group.generators))]
-    if not all(k in group.index for k in _right_product_keys(group, gens)):
-        raise InternalInconsistency("BFS closure is not closed")
-
-
-def _right_product_keys(group: MatrixGroup, gens: list[Matrix]):
-    """Keys of every element times every generator in `gens`."""
-    p = group.field.char
-    if not p:
-        for e in group.elements:
-            for g in gens:
-                yield (e @ g).key()
-        return
-    elements = group.elements
-    for start in range(0, len(elements), CLOSURE_CHUNK):
-        block = np.stack([e.a for e in elements[start:start + CLOSURE_CHUNK]])
-        for g in gens:
-            for a in _kernels.matmul_mod(block, g.a, p):
-                yield residue_key(p, a)
+    elements, index, m, p = group.elements, group.index, len(group.elements), group.field.char
+    uniq = list(dict.fromkeys(group.generators))
+    right = np.empty((m, len(uniq)), dtype=np.int64)
+    try:
+        for start in range(0, m, CLOSURE_CHUNK):
+            chunk = elements[start:start + CLOSURE_CHUNK]
+            block = np.stack([e.a for e in chunk]) if p else None
+            for k, g in enumerate(elements[u] for u in uniq):
+                keys = (map(residue_key, repeat(p), _kernels.matmul_mod(block, g.a, p)) if p
+                        else ((e @ g).key() for e in chunk))
+                right[start:start + len(chunk), k] = np.fromiter(
+                    map(index.__getitem__, keys), dtype=np.int64, count=len(chunk))
+    except KeyError:
+        raise InternalInconsistency("BFS closure is not closed") from None
+    depth = np.fromiter(map(len, group.words), dtype=np.int64, count=m)
+    letter = np.fromiter((w[-1] if w else 0 for w in group.words), dtype=np.int64, count=m)
+    if letter.min() < 0 or letter.max() >= len(group.generators):
+        raise InternalInconsistency("BFS word letter is not a generator index")
+    last = np.array([uniq.index(g) for g in group.generators], dtype=np.int64)[letter]
+    s = np.arange(m)
+    parent = np.argsort(right, axis=0)[s, last]  # column inverses
+    bad = (right[parent, last] != s) | (depth[parent] != depth - 1)
+    bad[0] = depth[0] != 0 or elements[0] != Matrix.identity(group.field, group.dim)
+    if bad.any():
+        raise InternalInconsistency(f"BFS word of element {int(np.argmax(bad))} has no parent")
+    order = np.argsort(depth, kind="stable")
+    levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)[1:]
+    return right, parent, last, [(pos, parent[pos], last[pos]) for pos in levels]
 
 
 def mult_cycles(group: MatrixGroup, h: int) -> CycleDecomposition:
-    """Cycle decomposition of s -> h*s over all element positions."""
-    perm = group.left_perm(h)
-    order = group.element_order(h)
-    m = len(group)
-    seen = np.zeros(m, dtype=bool)
-    cycles = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        cycle = []
-        s = start
-        while not seen[s]:
-            seen[s] = True
-            cycle.append(int(s))
-            s = int(perm[s])
-        if len(cycle) != order:
-            raise InternalInconsistency("cycle length differs from element order")
-        cycles.append(tuple(cycle))
-    return CycleDecomposition(h=h, order=order, cycles=tuple(cycles))
+    """Cycle decomposition of s -> h*s, each cycle from its smallest position,
+    in increasing order: the power table of left_perm(h) over those starts,
+    found as minima over doubling windows of powers."""
+    perm, order = group.left_perm(h), group.element_order(h)
+    ident = np.arange(len(perm))
+    low, step, span = ident, perm, 1  # low[s] = min of h^a s over a < span
+    while span < order:
+        low, step, span = np.minimum(low, low[step]), step[step], 2 * span
+    table = [np.flatnonzero(low == ident)]
+    for _ in range(order - 1):
+        table.append(perm[table[-1]])
+    if len(table[0]) * order != len(perm) or not np.array_equal(perm[table[-1]], table[0]):
+        raise InternalInconsistency("cycle length differs from element order")
+    return CycleDecomposition(h, order, tuple(map(tuple, np.stack(table, axis=1).tolist())))
 
 
 def burnside_irreducible(group: MatrixGroup) -> bool:
@@ -395,17 +401,11 @@ def spin(v, group: MatrixGroup) -> Subspace:
                         [space, Subspace.from_rows(field, n, w.reshape(1, -1))]
                     )
                     next_frontier.append(w)
-                    if space.dim == n:
-                        break
-            if space.dim == n:
-                break
         frontier = next_frontier
     return space
 
 
 def fixed_space(group: MatrixGroup, h: int) -> Subspace:
     """Eigenspace {v : h v = v}; its codimension is rank(h - I)."""
-    from .linalg import nullspace
-
     diff = group.elements[h] - Matrix.identity(group.field, group.dim)
     return nullspace(diff)

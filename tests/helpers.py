@@ -149,3 +149,46 @@ def fresh_group(group):
 
     return MatrixGroup(group.field, group.dim, list(group.elements), group.index,
                        group.generators, group.words)
+
+
+# Group questions answered by Matrix arithmetic and the element index,
+# independent of the group's Cayley table.
+
+def matrix_mul(group, i: int, j: int) -> int:
+    return group.position_of(group.matrix(i) @ group.matrix(j))
+
+
+def matrix_inv(group, i: int) -> int:
+    from rep2ldc.linalg import invert
+
+    return group.position_of(invert(group.matrix(i)))
+
+
+def matrix_order(group, i: int) -> int:
+    from rep2ldc.linalg import Matrix
+
+    ident = Matrix.identity(group.field, group.dim)
+    acc, order = group.matrix(i), 1
+    while acc != ident:
+        acc, order = acc @ group.matrix(i), order + 1
+    return order
+
+
+def matrix_left_perm(group, i: int) -> list[int]:
+    return [matrix_mul(group, i, s) for s in range(len(group))]
+
+
+def matrix_cycles(group, h: int) -> tuple[tuple[int, ...], ...]:
+    """Cycles of s -> h s, each from its smallest unseen position, by walking
+    matrix_left_perm one element at a time."""
+    perm = matrix_left_perm(group, h)
+    seen, cycles = set(), []
+    for start in range(len(group)):
+        cycle, s = [], start
+        while s not in seen:
+            seen.add(s)
+            cycle.append(s)
+            s = perm[s]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return tuple(cycles)

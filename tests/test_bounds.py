@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import brute_entropy, fresh_group
+from helpers import brute_entropy, fresh_group, matrix_order
 
 from rep2ldc import groups
 from rep2ldc.bounds import (
@@ -140,7 +140,7 @@ class TestRankSeparation:
 
 
 def _reference_rank_scan(group):
-    """The per-element rank scan: element_order and rank(g - I) per h."""
+    """The per-element rank scan: Matrix powers and rank(g - I) per h."""
     n, m, th = group.dim, len(group), group.field.theta
     ident = Matrix.identity(group.field, n)
     reports = []
@@ -148,7 +148,7 @@ def _reference_rank_scan(group):
         g = group.matrix(pos)
         if g == ident:
             continue
-        order = group.element_order(pos)
+        order = matrix_order(group, pos)
         gm = gamma(order)
         actual = rank(g - ident)
         bound = LogBound(numerator=th * gm * n, log_arg=m)

@@ -5,7 +5,9 @@ import sys
 import pytest
 
 import rep2ldc
+from rep2ldc import cli
 from rep2ldc.cli import main
+from rep2ldc.errors import CapExceeded, Rep2LdcError
 from rep2ldc.fields import GF
 from rep2ldc.groups import close_group
 from rep2ldc.ldc import hadamard
@@ -129,6 +131,38 @@ def test_bad_input_exits_1_without_traceback(argv, bad_inputs, tmp_path):
     assert any(line.startswith("error: ") for line in out.stderr.splitlines())
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "out.json").exists()
+
+
+def _error_classes(cls=Rep2LdcError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+# The documented exit code of every error class.
+EXPECTED_EXIT = {
+    "ParseError": 1, "DimensionMismatch": 1, "NotInvertible": 1, "CharTwo": 1,
+    "NoRootOfUnity": 1, "BadCharacteristic": 1, "CapExceeded": 2, "NotADistribution": 3,
+    "PairNotSeparated": 3, "MatchingCrossesPrefixClass": 3, "ZeroMatrix": 4, "ZeroVector": 4,
+    "IdentityElement": 4, "ScalarMultipleOfIdentity": 4, "OrbitDoesNotSpan": 5,
+    "InternalInconsistency": 6, "BudgetExhausted": 7,
+}
+
+
+def test_every_error_class_is_listed():
+    assert sorted(c.__name__ for c in set(_error_classes())) == sorted(EXPECTED_EXIT)
+
+
+@pytest.mark.parametrize("cls", sorted(set(_error_classes()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls(7) if cls is CapExceeded else cls("injected failure")
+
+    monkeypatch.setattr(cli, "cmd_rank_scan", fail)
+    assert main(["rank-scan", *SS43]) == EXPECTED_EXIT[cls.__name__] == cli.EXIT_CODES[cls]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestRankScan:

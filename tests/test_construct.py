@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rep2ldc.bounds import entropy_audit, gamma
+from rep2ldc.bounds import avg_fixed_space, check_rank_separation, entropy_audit, gamma
 from rep2ldc.certcheck import _beta_mask, cert_from_json, verify_cert
 from rep2ldc.construct import (
     beta,
@@ -33,8 +33,8 @@ from rep2ldc.errors import (
     ZeroMatrix,
 )
 from rep2ldc.fields import GF, QQ
-from rep2ldc.fixtures import signed_shift_group
-from rep2ldc.groups import close_group
+from rep2ldc.fixtures import parse_fixture, signed_shift_group
+from rep2ldc.groups import burnside_irreducible, close_group
 from rep2ldc.ldc import verify
 from rep2ldc.linalg import (
     Matrix,
@@ -592,11 +592,15 @@ def _golden(workload: str, job: str) -> str:
         return json.load(fh)[workload][job]
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @functools.lru_cache(maxsize=None)
-def _signed_shift_8_3_cert_text(kind: str) -> str:
-    """Canonical text of a signed_shift(8,3) certificate, built as the
-    benchmark builds it at its default seed."""
-    g = signed_shift_group(8, 3)
+def _cert_text(fixture: str, kind: str) -> str:
+    """Canonical text of a certificate, built as the benchmark builds it
+    at its default seed."""
+    g = parse_fixture(fixture)
     g0, g1 = g.generators[0], g.generators[1]
     h2 = g.mul(g.mul(g1, g0), g.inv(g1))
     if kind == "special2":
@@ -614,8 +618,7 @@ def test_exhaustive_scan_certificates_match_golden(kind):
     exhaustive scan (3^8 candidates), built as the benchmark builds them
     at its default seed, hash to the values it pins."""
     want = _golden("construct", f"signed_shift(8,3) {kind}")
-    text = _signed_shift_8_3_cert_text(kind)
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert _sha256(_cert_text("signed_shift(8,3)", kind)) == want
 
 
 @pytest.mark.parametrize("kind", ["special2", "general"])
@@ -624,6 +627,35 @@ def test_verify_reports_match_golden(kind):
     certificates, read back from their JSON text, gives the report the
     benchmark pins byte for byte."""
     want = _golden("verify", f"signed_shift(8,3) {kind}")
-    cert = cert_from_json(json.loads(_signed_shift_8_3_cert_text(kind)))
-    text = canonical_json(verify_cert(cert).to_json())
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    cert = cert_from_json(json.loads(_cert_text("signed_shift(8,3)", kind)))
+    assert _sha256(canonical_json(verify_cert(cert).to_json())) == want
+
+
+def test_rational_certificate_and_report_match_golden():
+    """The signed_shift(4,0) special2 certificate (rational lattice search,
+    cycle matchings over QQ) and its verify_cert report hash to the
+    benchmark's pinned construct and verify values."""
+    text = _cert_text("signed_shift(4,0)", "special2")
+    assert _sha256(text) == _golden("construct", "signed_shift(4,0) special2")
+    report = verify_cert(cert_from_json(json.loads(text)))
+    assert _sha256(canonical_json(report.to_json())) == _golden(
+        "verify", "signed_shift(4,0) special2")
+
+
+@pytest.mark.parametrize("fixture", ["signed_shift(4,0)", "symmetric(7,11)"])
+def test_rank_scan_documents_match_golden(fixture):
+    """The rank-scan document (rank bound per element, Burnside verdict,
+    average fixed space), assembled as the benchmark's rank_scan job
+    assembles it, hashes to its pinned value."""
+    group = parse_fixture(fixture)
+    reports = check_rank_separation(group)
+    afs = avg_fixed_space(group)
+    doc = {
+        "group_size": len(group),
+        "dim": group.dim,
+        "burnside_irreducible": burnside_irreducible(group),
+        "all_satisfied": all(r.satisfied and r.uniform_satisfied for r in reports),
+        "reports": [r.to_json() for r in reports],
+        "avg_fixed_space": afs.to_json(),
+    }
+    assert _sha256(canonical_json(doc)) == _golden("rank_scan", f"{fixture} scan")

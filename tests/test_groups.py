@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
-from helpers import fresh_group
+from helpers import (
+    fresh_group,
+    matrix_cycles,
+    matrix_inv,
+    matrix_left_perm,
+    matrix_order,
+)
 
-from rep2ldc import groups
+from rep2ldc import _kernels, groups
 from rep2ldc.errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
 from rep2ldc.fields import GF, QQ
+from rep2ldc.fixtures import parse_fixture
 from rep2ldc.groups import (
     MatrixGroup,
-    _verify_closure,
+    _cayley_table,
     burnside_irreducible,
     close_group,
     fixed_space,
@@ -121,8 +128,41 @@ class TestCloseGroup:
         del index[g.matrix(drop).key()]
         damaged = MatrixGroup(g.field, g.dim, list(g.elements), index, g.generators, g.words)
         with pytest.raises(InternalInconsistency, match="not closed"):
-            _verify_closure(damaged)
-        _verify_closure(g)
+            _cayley_table(damaged)
+        _cayley_table(g)
+
+    @staticmethod
+    def _with_word(g, s, word):
+        words = list(g.words)
+        words[s] = word
+        return MatrixGroup(g.field, g.dim, list(g.elements), g.index, g.generators, tuple(words))
+
+    @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
+    @pytest.mark.parametrize("s", [1, 2, 37])
+    def test_wrong_last_letter_detected(self, request, fixture, s):
+        # the parent implied by the swapped letter is not one BFS level up
+        # (at other positions it can be: the swapped word then still has
+        # the right length and reaches s, and the proof stands)
+        g = request.getfixturevalue(fixture)
+        word = g.words[s][:-1] + (1 - g.words[s][-1],)
+        with pytest.raises(InternalInconsistency, match="no parent"):
+            _cayley_table(self._with_word(g, s, word))
+
+    @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
+    @pytest.mark.parametrize("s", [1, 37, 63])
+    @pytest.mark.parametrize("change", ["longer", "shorter", "empty"])
+    def test_wrong_word_length_detected(self, request, fixture, s, change):
+        g = request.getfixturevalue(fixture)
+        word = {"longer": (0,) + g.words[s], "shorter": g.words[s][1:], "empty": ()}[change]
+        with pytest.raises(InternalInconsistency, match="no parent"):
+            _cayley_table(self._with_word(g, s, word))
+
+    @pytest.mark.parametrize("letter", [-1, 2])
+    def test_letter_outside_generators_detected(self, signed_shift_4_3, letter):
+        g = signed_shift_4_3
+        damaged = self._with_word(g, 37, g.words[37][:-1] + (letter,))
+        with pytest.raises(InternalInconsistency, match="not a generator index"):
+            _cayley_table(damaged)
 
     def test_cap_env_override(self, monkeypatch):
         from rep2ldc.groups import default_cap
@@ -157,17 +197,76 @@ class TestLeftPerm:
         for i in (0, *g.generators, len(g) - 1):
             perm = g.left_perm(i)
             assert perm.dtype == np.int64
-            assert [int(x) for x in perm] == [g.mul(i, s) for s in range(len(g))]
+            assert [int(x) for x in perm] == matrix_left_perm(g, i)
 
     def test_large_prime_falls_back_exactly(self):
-        # n (p-1)^2 overflows int64: left_perm and the closure proof take
-        # _kernels.matmul_mod's one object-dtype product over the stack
+        # n (p-1)^2 overflows int64: the closure proof takes
+        # _kernels.matmul_mod's one object-dtype product over each chunk
         from rep2ldc.fixtures import signed_shift_group
 
         g = signed_shift_group(4, 2147483647)
         assert len(g) == 64
         for i in g.generators:
-            assert [int(x) for x in g.left_perm(i)] == [g.mul(i, s) for s in range(len(g))]
+            assert [int(x) for x in g.left_perm(i)] == matrix_left_perm(g, i)
+
+
+TABLE_SPECS = ["signed_shift(4,3)", "dihedral(5,11)", "signed_shift(4,2147483647)",
+               "signed_shift(4,0)"]
+
+
+class TestTableAgainstMatrixArithmetic:
+    """Every question the Cayley table answers, against Matrix products,
+    inverses and powers looked up in the element index."""
+
+    @staticmethod
+    def _sample(g):
+        rng = np.random.default_rng(len(g))
+        return sorted({0, *g.generators, len(g) - 1, *map(int, rng.integers(0, len(g), 5))})
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS)
+    def test_products_inverses_orders(self, spec):
+        g = fresh_group(parse_fixture(spec))
+        for i in range(len(g)):
+            assert g.inv(i) == matrix_inv(g, i)
+            assert g.element_order(i) == matrix_order(g, i)
+        for i in self._sample(g):
+            assert [g.mul(i, j) for j in range(len(g))] == matrix_left_perm(g, i)
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS)
+    def test_left_perm_and_cycles(self, spec):
+        g = fresh_group(parse_fixture(spec))
+        for i in self._sample(g):
+            assert g.left_perm(i).tolist() == matrix_left_perm(g, i)
+            dec = mult_cycles(g, i)
+            assert dec.cycles == matrix_cycles(g, i)
+            assert dec.order == matrix_order(g, i)
+            assert all(type(s) is int for c in dec.cycles for s in c)
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS)
+    def test_no_matrix_products_once_built(self, monkeypatch, spec):
+        g = fresh_group(parse_fixture(spec))
+        g._cayley()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("matrix product after the table was built")
+
+        monkeypatch.setattr(Matrix, "__matmul__", forbidden)
+        monkeypatch.setattr(_kernels, "matmul_mod", forbidden)
+        for i in self._sample(g):
+            g.left_perm(i)
+            g.mul(i, len(g) - 1)
+            g.inv(i)
+            g.element_order(i)
+            mult_cycles(g, i)
+
+    def test_duplicate_and_identity_generators(self):
+        rot = Matrix.diag(F11, [9, 5])
+        swap = Matrix(F11, [[0, 1], [1, 0]])
+        g = close_group([swap, Matrix.identity(F11, 2), rot, swap])
+        assert len(g) == 10 and g._cayley()[0].shape == (10, 3)
+        for i in range(len(g)):
+            assert g.left_perm(i).tolist() == matrix_left_perm(g, i)
+            assert g.inv(i) == matrix_inv(g, i)
 
 
 class TestOrdersAndRanks:
@@ -191,7 +290,7 @@ class TestOrdersAndRanks:
         assert orders.shape == ranks.shape == (m,)
         ident = Matrix.identity(g.field, n)
         for i in range(m):
-            assert orders[i] == ref.element_order(i)
+            assert orders[i] == matrix_order(ref, i)
             assert ranks[i] == rank(g.matrix(i) - ident)
             assert ranks[i] == n - fixed_space(ref, i).dim
         assert [i for i in range(m) if ranks[i] == 0] == [g.identity_pos]
