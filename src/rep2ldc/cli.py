@@ -3,8 +3,8 @@
 Subcommands: rank-scan, construct, verify, demo, fixtures.  Exit codes
 are a stable contract: 0 ok, 1 parse error (also a fixture whose field
 does not suit it: even p, no root of unity, p dividing k; a singular
-generator; an element position outside [0, |G|); a scalar flag that is
-not a field element), 2 cap exceeded, 3 verification or bound
+generator; a cap below 1; an element position outside [0, |G|); a scalar
+flag that is not a field element), 2 cap exceeded, 3 verification or bound
 failure, 4 degenerate input (zero combination / identity element /
 scalar multiple of identity / zero vector), 5 spanning failure,
 6 internal inconsistency (a bug), 7 randomized search budget exhausted.

@@ -2,17 +2,19 @@
 
 A group is its own representation: elements are invertible matrices and
 the action on F^n is plain matrix-vector multiplication.  BFS order over
-generator words fixes a canonical numbering used by every downstream
-certificate, with position 0 always the identity.
+generator words fixes the numbering of the elements, the coordinate system
+of every downstream certificate, with position 0 always the identity.
 
-One int64 Cayley table, right[s, k] = position of elements[s] @ gen_k over
-the distinct generators, answers every group question with integers, alike
-over GF(p) and QQ: left_perm is one gather per BFS level, mul a word walk,
-inv and element_order walks of powers, mult_cycles powers of left_perm.
-Building it proves closure: every product must be indexed, so the set,
-holding I, holds the generated group; every s != 0 needs a parent with
-right[parent(s), last(s)] = s one BFS level up (of a word only its length
-and last letter are read), so every element is a generator word.
+One BFS pass fixes that numbering and is the int64 Cayley table, right[s, k]
+= position of elements[s] @ gen_k over the distinct generators: it computes
+and looks up every element x generator product once.  A product first met
+is the next element, with its parent's word plus one letter; any other is a
+table entry.  So the pass is the closure proof: every row filled means the
+set, holding I, is closed, and every element is a generator word in BFS
+order.  A copy made with the constructor replays the same pass against its
+own index.  The table answers group questions with integers, alike over
+GF(p) and QQ: left_perm is one gather per BFS level, mul a word walk, inv
+and element_order walks of powers, mult_cycles powers of left_perm.
 """
 
 from __future__ import annotations
@@ -40,30 +42,9 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 200_000
-# Elements per batched product in the closure check; bounds its temporaries.
+# Elements per BFS chunk, each multiplied by every distinct generator in one
+# product, and per batch of GF(p) powers and ranks; bounds their temporaries.
 CLOSURE_CHUNK = 1024
-
-
-def _orders_batched(block: np.ndarray, p: int) -> np.ndarray:
-    """Orders of a (k, n, n) stack of invertible residue matrices.
-
-    Step k multiplies the still-active powers g^k by g; an element leaves
-    the active set once its power is I, so the loop runs max-order times
-    on a shrinking batch.
-    """
-    eye = np.eye(block.shape[-1], dtype=np.int64)
-    orders = np.zeros(len(block), dtype=np.int64)
-    active = np.arange(len(block))
-    acc = block
-    k = 1
-    while True:
-        done = (acc == eye).all(axis=(1, 2))
-        orders[active[done]] = k
-        active, acc = active[~done], acc[~done]
-        if not active.size:
-            return orders
-        acc = _kernels.matmul_mod(acc, block[active], p)
-        k += 1
 
 
 def default_cap() -> int:
@@ -133,9 +114,12 @@ class MatrixGroup:
         return self.index[m.key()]
 
     def _cayley(self):
-        """(right, parent, last, levels) of _cayley_table, built once."""
+        """(right, parent, last, levels) of the BFS pass; a group that
+        close_group did not build replays the pass on first use."""
         if self._table is None:
-            self._table = _cayley_table(self)
+            gens = [(self.generators.index(u), self.elements[u])
+                    for u in dict.fromkeys(self.generators)]
+            self._table = _bfs(self.field, self.elements, self.index, self.words, gens, None)
         return self._table
 
     def mul(self, i: int, j: int) -> int:
@@ -166,30 +150,41 @@ class MatrixGroup:
         """(orders, ranks): int64 arrays over positions, with orders[i] the
         order of elements[i] and ranks[i] = rank(elements[i] - I).
 
-        One pass over the group, cached read-only.  Prime fields take
-        chunks of CLOSURE_CHUNK elements: batched powers for the orders
-        and one batched elimination for the ranks.  The rationals keep
-        the exact per-element loop.
+        Built once, cached read-only.  GF(p) takes CLOSURE_CHUNK elements
+        at a time: batched powers g^k until I, whose cost does not grow with
+        word length, and one batched elimination.  Over QQ, orders are read
+        off the Cayley table (x <- x s for all s at once, each step a walk of
+        s's word through right) and ranks taken per element.
         """
         if self._orders_ranks is None:
-            m = len(self.elements)
-            orders = np.empty(m, dtype=np.int64)
-            ranks = np.empty(m, dtype=np.int64)
-            p = self.field.char
+            m, p = len(self.elements), self.field.char
+            orders, ranks = np.ones(m, dtype=np.int64), np.empty(m, dtype=np.int64)
             if p:
                 eye = np.eye(self.dim, dtype=np.int64)
-                for start in range(0, m, CLOSURE_CHUNK):
-                    block = np.stack(
-                        [g.a for g in self.elements[start:start + CLOSURE_CHUNK]]
-                    )
-                    stop = start + len(block)
-                    orders[start:stop] = _orders_batched(block, p)
-                    ranks[start:stop] = _kernels.rank_mod_batched(block - eye, p)
+                for i in range(0, m, CLOSURE_CHUNK):
+                    block = np.stack([g.a for g in self.elements[i:i + CLOSURE_CHUNK]])
+                    ranks[i:i + len(block)] = _kernels.rank_mod_batched(block - eye, p)
+                    acc, active = block, np.arange(len(block))
+                    while active.size:  # acc[j] = block[active[j]] ** orders[i + active[j]]
+                        keep = ~(acc == eye).all(axis=(1, 2))
+                        acc, active = acc[keep], active[keep]
+                        orders[i + active] += 1
+                        acc = _kernels.matmul_mod(acc, block[active], p)
             else:
+                right, _, _, levels = self._cayley()
+                letters = np.zeros((m, len(levels)), dtype=np.int64)  # s's word as table columns
+                for d, (pos, parent, last) in enumerate(levels):
+                    letters[pos] = letters[parent]
+                    letters[pos, d] = last
+                active, x = np.arange(1, m), np.arange(1, m)
+                while active.size:
+                    for d, (pos, _, _) in enumerate(levels):  # words longer than d start at pos[0]
+                        lo = np.searchsorted(active, pos[0])
+                        x[lo:] = right[x[lo:], letters[active[lo:], d]]
+                    orders[active] += 1
+                    active, x = active[x != 0], x[x != 0]
                 ident = Matrix.identity(self.field, self.dim)
-                for pos, g in enumerate(self.elements):
-                    orders[pos] = self.element_order(pos)
-                    ranks[pos] = rank(g - ident)
+                ranks[:] = [rank(g - ident) for g in self.elements]
             orders.flags.writeable = ranks.flags.writeable = False
             self._orders_ranks = (orders, ranks)
         return self._orders_ranks
@@ -242,14 +237,16 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
     """Breadth-first closure of a generator list into a full group.
 
     The identity sits at position 0; products explore cur @ gen in
-    generator order, so positions are reproducible.  Every element is
-    reached from the identity by its generator word, and building the
-    Cayley table proves the result closed.  Raises CapExceeded if the
-    closure grows past `cap`, NotInvertible for singular input.
+    generator order, so positions are reproducible.  The one BFS pass
+    numbers the elements, builds the Cayley table and proves the result
+    closed.  Raises CapExceeded if the closure grows past `cap`,
+    ValueError for a cap below 1, NotInvertible for singular input.
     """
     if not generators:
         raise ValueError("need at least one generator")
     cap = default_cap() if cap is None else int(cap)
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
     field = generators[0].field
     n = generators[0].rows
     for g in generators:
@@ -259,75 +256,78 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
             raise NotInvertible("generator is singular")
 
     ident = Matrix.identity(field, n)
-    elements: list[Matrix] = [ident]
-    index = {ident.key(): 0}
-    words: list[tuple[int, ...]] = [()]
-
-    # Deduplicate generators for the BFS itself; keep provenance of each.
-    uniq: list[tuple[int, Matrix]] = []
-    seen = set()
+    elements, index, words = [ident], {ident.key(): 0}, [()]
+    gens = {}  # distinct generators, each with the letter of its first occurrence
     for gi, g in enumerate(generators):
-        if g.key() not in seen:
-            seen.add(g.key())
-            uniq.append((gi, g))
-
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for pos in frontier:
-            cur = elements[pos]
-            for gi, g in uniq:
-                prod = cur @ g
-                key = prod.key()
-                if key not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded(cap)
-                    index[key] = len(elements)
-                    elements.append(prod)
-                    words.append(words[pos] + (gi,))
-                    next_frontier.append(index[key])
-        frontier = next_frontier
-
-    gen_positions = tuple(index[g.key()] for g in generators)
-    group = MatrixGroup(field, n, elements, index, gen_positions, tuple(words))
-    group._cayley()
+        gens.setdefault(g.key(), (gi, g))
+    table = _bfs(field, elements, index, words, list(gens.values()), cap)
+    group = MatrixGroup(field, n, elements, index,
+                        tuple(index[g.key()] for g in generators), tuple(words))
+    group._table = table
     return group
 
 
-def _cayley_table(group: MatrixGroup):
-    """Build and prove the Cayley table (see the module docstring).
+def _bfs(field: Field, elements, index: dict, words, gens: list, cap: int | None):
+    """The BFS pass (see the module docstring): (right, parent, last, levels),
+    last(s) as a table column and levels as (positions, parents, lasts) per
+    BFS level from depth 1.
 
-    Returns (right, parent, last, levels), last(s) as a table column and
-    levels as (positions, parents, lasts) per BFS level from depth 1.
-    Products are batched in chunks of CLOSURE_CHUNK over prime fields.
+    Positions are taken in order, CLOSURE_CHUNK at a time, each chunk times
+    every (letter, Matrix) of `gens` in one product.  A product missing from
+    `index` is appended to elements, index and words, up to `cap` elements.
+    cap None is a replay, where it is an error, as is an element met out of
+    order, not equal to its product, or whose word is not its parent's plus
+    the letter.
     """
-    elements, index, m, p = group.elements, group.index, len(group.elements), group.field.char
-    uniq = list(dict.fromkeys(group.generators))
-    right = np.empty((m, len(uniq)), dtype=np.int64)
-    try:
-        for start in range(0, m, CLOSURE_CHUNK):
-            chunk = elements[start:start + CLOSURE_CHUNK]
-            block = np.stack([e.a for e in chunk]) if p else None
-            for k, g in enumerate(elements[u] for u in uniq):
-                keys = (map(residue_key, repeat(p), _kernels.matmul_mod(block, g.a, p)) if p
-                        else ((e @ g).key() for e in chunk))
-                right[start:start + len(chunk), k] = np.fromiter(
-                    map(index.__getitem__, keys), dtype=np.int64, count=len(chunk))
-    except KeyError:
-        raise InternalInconsistency("BFS closure is not closed") from None
-    depth = np.fromiter(map(len, group.words), dtype=np.int64, count=m)
-    letter = np.fromiter((w[-1] if w else 0 for w in group.words), dtype=np.int64, count=m)
-    if letter.min() < 0 or letter.max() >= len(group.generators):
-        raise InternalInconsistency("BFS word letter is not a generator index")
-    last = np.array([uniq.index(g) for g in group.generators], dtype=np.int64)[letter]
-    s = np.arange(m)
-    parent = np.argsort(right, axis=0)[s, last]  # column inverses
-    bad = (right[parent, last] != s) | (depth[parent] != depth - 1)
-    bad[0] = depth[0] != 0 or elements[0] != Matrix.identity(group.field, group.dim)
-    if bad.any():
-        raise InternalInconsistency(f"BFS word of element {int(np.argmax(bad))} has no parent")
-    order = np.argsort(depth, kind="stable")
-    levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)[1:]
+    p, n, nk = field.char, elements[0].rows, len(gens)
+    if elements[0] != Matrix.identity(field, n) or words[0] != ():
+        raise InternalInconsistency("elements[0] is not I with the empty word")
+    side_by_side = np.concatenate([g.a for _, g in gens], axis=1) if p else None
+    right, parent, last = [], [0], [0]
+    s = 0
+    while s < len(parent):
+        chunk = elements[s:min(s + CLOSURE_CHUNK, len(parent))]  # only rows already met
+        if p:  # the rows of every element times every generator side by side
+            prods = _kernels.matmul_mod(np.concatenate([e.a for e in chunk]), side_by_side, p)
+            prods = prods.reshape(len(chunk), n, nk, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
+            keys = list(map(residue_key, repeat(p), prods))
+        else:
+            prods = [e @ g for e in chunk for _, g in gens]
+            keys = [prod.key() for prod in prods]
+        found = list(map(index.get, keys))
+        if None in found:
+            if cap is None:
+                raise InternalInconsistency("BFS closure is not closed")
+            for j in [j for j, t in enumerate(found) if t is None]:
+                t = index.get(keys[j])  # a product met twice in one chunk is added once
+                if t is None:
+                    if len(elements) >= cap:
+                        raise CapExceeded(cap)
+                    elements.append(Matrix(field, prods[j].copy(), _canonical=True) if p
+                                    else prods[j])
+                    t = index[elements[-1].key()] = len(elements) - 1  # the index shares its key
+                    words.append(words[s + j // nk] + (gens[j % nk][0],))
+                found[j] = t
+        found = np.array(found, dtype=np.int64)
+        seen = np.maximum.accumulate(np.concatenate([[len(parent) - 1], found[:-1]]))
+        first = np.flatnonzero(found > seen)  # first met: each the next element
+        for j, t in zip(first.tolist(), found[first].tolist()):
+            row, k = s + j // nk, j % nk
+            if t != len(parent) or t >= len(elements) or elements[t].key() != keys[j]:
+                raise InternalInconsistency(f"element {t} is numbered out of BFS order")
+            if words[t] != words[row] + (gens[k][0],):
+                raise InternalInconsistency(f"BFS word of element {t} has no parent")
+            parent.append(row)
+            last.append(k)
+        right.append(found)
+        s += len(chunk)
+    m = len(elements)
+    if len(parent) != m or len(index) != m or index.get(elements[0].key()) != 0:
+        raise InternalInconsistency("elements and index are not the BFS numbering")
+    right = np.concatenate(right).reshape(-1, nk)
+    parent, last = np.array(parent), np.array(last)
+    depth = np.fromiter(map(len, words), dtype=np.int64, count=m)
+    levels = np.split(np.arange(m), np.flatnonzero(np.diff(depth)) + 1)[1:]
     return right, parent, last, [(pos, parent[pos], last[pos]) for pos in levels]
 
 

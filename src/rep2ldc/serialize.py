@@ -134,9 +134,11 @@ def group_from_spec_json(obj, cap: int | None = None) -> MatrixGroup:
         field = Field.from_json(obj["field"])
         dim = json_int(obj["dim"], "dim")
         gens = [matrix_from_json(g) for g in obj["generators"]]
-        spec_cap = json_int(obj.get("cap", 0), "cap") or None
+        spec_cap = json_int(obj["cap"], "cap") if "cap" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad group spec: {exc}") from exc
+    if spec_cap is not None and spec_cap < 1:
+        raise ParseError(f"cap must be positive, got {spec_cap}")
     for g in gens:
         if g.field != field or g.rows != dim or g.cols != dim:
             raise ParseError("generator does not match group field/dim")

@@ -192,3 +192,35 @@ def matrix_cycles(group, h: int) -> tuple[tuple[int, ...], ...]:
         if cycle:
             cycles.append(tuple(cycle))
     return tuple(cycles)
+
+
+def reference_closure(generators, cap: int):
+    """(elements, index, words) of the per-element BFS: each position in
+    turn times each distinct generator, one Matrix product at a time, new
+    products numbered as they are met.  Raises CapExceeded on the first
+    new element past `cap`."""
+    from rep2ldc.errors import CapExceeded
+    from rep2ldc.linalg import Matrix
+
+    ident = Matrix.identity(generators[0].field, generators[0].rows)
+    elements, index, words = [ident], {ident.key(): 0}, [()]
+    uniq, seen = [], set()
+    for gi, g in enumerate(generators):
+        if g.key() not in seen:
+            seen.add(g.key())
+            uniq.append((gi, g))
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for pos in frontier:
+            for gi, g in uniq:
+                prod = elements[pos] @ g
+                if prod.key() not in index:
+                    if len(elements) >= cap:
+                        raise CapExceeded(cap)
+                    index[prod.key()] = len(elements)
+                    elements.append(prod)
+                    words.append(words[pos] + (gi,))
+                    next_frontier.append(index[prod.key()])
+        frontier = next_frontier
+    return elements, index, words

@@ -66,20 +66,27 @@ class TestExitCodes:
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
     """A group spec and a certificate, each with a singular generator;
-    LDC files with an empty code, a numeric density or an index beyond
-    int64; a certificate with a numeric achieved density."""
+    group specs with a cap of -3 and of 0; LDC files with an empty code, a
+    numeric density or an index beyond int64; a certificate with a numeric
+    achieved density."""
     tmp = tmp_path_factory.mktemp("bad")
     field = {"char": 3}
     zero = {"field": field, "rows": 2, "cols": 2, "entries": [[0, 0], [0, 0]]}
     spec = tmp / "singular_group.json"
     dump_json({"field": field, "dim": 2, "generators": [zero]}, str(spec))
+    ident = {**zero, "entries": [[1, 0], [0, 1]]}
+    for name, cap in [("spec_cap_negative", -3), ("spec_cap_zero", 0)]:
+        dump_json({"field": field, "dim": 2, "generators": [ident], "cap": cap},
+                  str(tmp / f"{name}.json"))
     cert = tmp / "singular_cert.json"
     assert main(["construct", "--fixture", "signed_shift(4,3)", "--special2",
                  "--h", "1", "--output", str(cert)]) == 0
     doc = load_json(str(cert))
     doc["achieved_delta"] = 0.5
     paths = {"group": str(spec), "cert": str(cert),
-             "cert_delta": str(tmp / "cert_delta.json")}
+             "cert_delta": str(tmp / "cert_delta.json"),
+             "spec_cap_negative": str(tmp / "spec_cap_negative.json"),
+             "spec_cap_zero": str(tmp / "spec_cap_zero.json")}
     dump_json(doc, paths["cert_delta"])
     doc["achieved_delta"] = str(doc["achieved_delta"])
     gen = doc["group"]["generators"][0]
@@ -115,9 +122,14 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
     ["verify", "--input", "{ldc_delta}"],
     ["verify", "--input", "{ldc_index}"],
     ["verify", "--input", "{cert_delta}"],
+    ["rank-scan", *SS43, "--cap", "0"],
+    ["rank-scan", *SS43, "--cap", "-1"],
+    ["rank-scan", "--input", "{spec_cap_negative}"],
+    ["rank-scan", "--input", "{spec_cap_zero}"],
 ], ids=["rank-scan-singular", "construct-singular", "verify-singular", "h-999", "h-negative",
         "hs-1000", "alphas-non-unit", "lambda-non-unit", "hs-fraction", "ldc-t-zero",
-        "ldc-m-zero", "ldc-delta-number", "ldc-index-past-int64", "cert-delta-number"])
+        "ldc-m-zero", "ldc-delta-number", "ldc-index-past-int64", "cert-delta-number",
+        "cap-zero", "cap-negative", "spec-cap-negative", "spec-cap-zero"])
 def test_bad_input_exits_1_without_traceback(argv, bad_inputs, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(rep2ldc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,3 +1,6 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from helpers import (
@@ -5,8 +8,12 @@ from helpers import (
     matrix_cycles,
     matrix_inv,
     matrix_left_perm,
+    matrix_mul,
     matrix_order,
+    reference_closure,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rep2ldc import _kernels, groups
 from rep2ldc.errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
@@ -14,7 +21,6 @@ from rep2ldc.fields import GF, QQ
 from rep2ldc.fixtures import parse_fixture
 from rep2ldc.groups import (
     MatrixGroup,
-    _cayley_table,
     burnside_irreducible,
     close_group,
     fixed_space,
@@ -22,6 +28,7 @@ from rep2ldc.groups import (
     spin,
 )
 from rep2ldc.linalg import Matrix, rank
+from rep2ldc.serialize import canonical_json, group_export_json
 
 F3, F5, F11, F7 = GF(3), GF(5), GF(11), GF(7)
 
@@ -128,8 +135,8 @@ class TestCloseGroup:
         del index[g.matrix(drop).key()]
         damaged = MatrixGroup(g.field, g.dim, list(g.elements), index, g.generators, g.words)
         with pytest.raises(InternalInconsistency, match="not closed"):
-            _cayley_table(damaged)
-        _cayley_table(g)
+            damaged._cayley()
+        fresh_group(g)._cayley()
 
     @staticmethod
     def _with_word(g, s, word):
@@ -140,13 +147,11 @@ class TestCloseGroup:
     @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
     @pytest.mark.parametrize("s", [1, 2, 37])
     def test_wrong_last_letter_detected(self, request, fixture, s):
-        # the parent implied by the swapped letter is not one BFS level up
-        # (at other positions it can be: the swapped word then still has
-        # the right length and reaches s, and the proof stands)
+        # every word must be its BFS parent's word plus the generator letter
         g = request.getfixturevalue(fixture)
         word = g.words[s][:-1] + (1 - g.words[s][-1],)
         with pytest.raises(InternalInconsistency, match="no parent"):
-            _cayley_table(self._with_word(g, s, word))
+            self._with_word(g, s, word)._cayley()
 
     @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
     @pytest.mark.parametrize("s", [1, 37, 63])
@@ -155,14 +160,62 @@ class TestCloseGroup:
         g = request.getfixturevalue(fixture)
         word = {"longer": (0,) + g.words[s], "shorter": g.words[s][1:], "empty": ()}[change]
         with pytest.raises(InternalInconsistency, match="no parent"):
-            _cayley_table(self._with_word(g, s, word))
+            self._with_word(g, s, word)._cayley()
 
     @pytest.mark.parametrize("letter", [-1, 2])
     def test_letter_outside_generators_detected(self, signed_shift_4_3, letter):
         g = signed_shift_4_3
         damaged = self._with_word(g, 37, g.words[37][:-1] + (letter,))
-        with pytest.raises(InternalInconsistency, match="not a generator index"):
-            _cayley_table(damaged)
+        with pytest.raises(InternalInconsistency, match="no parent"):
+            damaged._cayley()
+
+    @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_swapped_same_level_elements_detected(self, request, fixture, depth):
+        # consistent in elements, index and words, but not the BFS numbering
+        g = request.getfixturevalue(fixture)
+        level = [s for s, w in enumerate(g.words) if len(w) == depth]
+        a, b = level[0], level[-1]
+        elements, index, words = list(g.elements), dict(g.index), list(g.words)
+        elements[a], elements[b] = elements[b], elements[a]
+        words[a], words[b] = words[b], words[a]
+        index[elements[a].key()], index[elements[b].key()] = a, b
+        damaged = MatrixGroup(g.field, g.dim, elements, index, g.generators, tuple(words))
+        with pytest.raises(InternalInconsistency, match="out of BFS order"):
+            damaged._cayley()
+
+    @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
+    @pytest.mark.parametrize("damage, message", [
+        ("elements_swapped", "out of BFS order"),  # index and words left as they are
+        ("identity_moved", "is not I"),
+        ("extra_element", "not the BFS numbering"),
+        ("extra_index_key", "not the BFS numbering"),
+    ])
+    def test_numbering_damage_detected(self, request, fixture, damage, message):
+        g = request.getfixturevalue(fixture)
+        elements, index, words = list(g.elements), dict(g.index), list(g.words)
+        rows = [[int(i == j or (i, j) == (0, 1)) for j in range(g.dim)] for i in range(g.dim)]
+        outsider = Matrix(g.field, rows)  # not monomial, so not in the group
+        if damage == "elements_swapped":
+            elements[-2], elements[-1] = elements[-1], elements[-2]
+        elif damage == "identity_moved":
+            elements[0], elements[1] = elements[1], elements[0]
+            words[0], words[1] = words[1], words[0]
+            index[elements[0].key()], index[elements[1].key()] = 0, 1
+        elif damage == "extra_element":
+            index[outsider.key()] = len(elements)
+            elements.append(outsider)
+            words.append((0,))
+        else:
+            index[outsider.key()] = 5
+        damaged = MatrixGroup(g.field, g.dim, elements, index, g.generators, tuple(words))
+        with pytest.raises(InternalInconsistency, match=message):
+            damaged._cayley()
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            close_group([Matrix.identity(F3, 2)], cap=cap)
 
     def test_cap_env_override(self, monkeypatch):
         from rep2ldc.groups import default_cap
@@ -200,11 +253,12 @@ class TestLeftPerm:
             assert [int(x) for x in perm] == matrix_left_perm(g, i)
 
     def test_large_prime_falls_back_exactly(self):
-        # n (p-1)^2 overflows int64: the closure proof takes
-        # _kernels.matmul_mod's one object-dtype product over each chunk
+        # n (p-1)^2 overflows int64: the BFS pass takes _kernels.matmul_mod's
+        # one object-dtype product over each chunk, when closing the group
+        # and when a copy replays it
         from rep2ldc.fixtures import signed_shift_group
 
-        g = signed_shift_group(4, 2147483647)
+        g = fresh_group(signed_shift_group(4, 2147483647))
         assert len(g) == 64
         for i in g.generators:
             assert [int(x) for x in g.left_perm(i)] == matrix_left_perm(g, i)
@@ -269,13 +323,106 @@ class TestTableAgainstMatrixArithmetic:
             assert g.inv(i) == matrix_inv(g, i)
 
 
+# SHA-256 of canonical_json(group_export_json(g)): the elements and words of
+# the BFS numbering, which every certificate's coordinates follow.
+EXPORT_SHA256 = {
+    "signed_shift(4,3)": "1d941f2e9c1ad175c997710182c44f1ec18f834273e27bb20ecbbd1fdb61f5f0",
+    "dihedral(5,11)": "ec6b7378c36b341a7e506db11be04ad701bff3e183c87b9ceb8fa84b38625c01",
+    "symmetric(5,7)": "1b83d5e30ed576618d9e724af6459ec506016d9dd5961026b00a5cca0862403f",
+    "signed_shift(6,5)": "f3927a4a4d0c7950ad6d487c555d5391a000db8d6863b841107f0d425a84774e",
+    "signed_shift(8,3)": "b0ab79226535c4c77a7a7b28cdbdea4d0c6da289c4734c2670c04a6a93760814",
+    "symmetric(7,11)": "5db99b9df88d52d09f1f2914acf2d5dfb4f8429a315d5fe112d6d83fc8889ce8",
+    "signed_shift(4,0)": "cde99732469b175272cd1bf23d69c0034351b15bc5b14eea857ead467394c591",
+}
+
+
+@pytest.mark.parametrize("spec", list(EXPORT_SHA256))
+def test_numbering_is_pinned(monkeypatch, spec):
+    monkeypatch.delenv("REP2LDC_CAP", raising=False)  # the export holds the cap
+    text = canonical_json(group_export_json(parse_fixture(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[spec]
+
+
+@st.composite
+def generator_sets(draw):
+    """1-3 generators, drawn with repeats from up to 3 invertible 2x2 or 3x3
+    matrices and I, with a small cap and a BFS chunk size."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(5), QQ]))
+    n = draw(st.sampled_from([2, 3]))
+    entry = st.integers(0, field.char - 1) if field.char else st.integers(-1, 1)
+    matrix = st.lists(entry, min_size=n * n, max_size=n * n).map(
+        lambda v: Matrix(field, [v[i:i + n] for i in range(0, n * n, n)])
+    ).filter(lambda m: rank(m) == n)
+    pool = draw(st.lists(matrix, min_size=1, max_size=3)) + [Matrix.identity(field, n)]
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    return gens, draw(st.integers(1, 200)), draw(st.sampled_from([1024, 7]))
+
+
+class TestAgainstPerElementBfs:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=generator_sets())
+    def test_close_group_matches_reference(self, case):
+        gens, cap, chunk = case
+        with mock.patch.object(groups, "CLOSURE_CHUNK", chunk):
+            try:
+                elements, index, words = reference_closure(gens, cap)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    close_group(gens, cap=cap)
+                return
+            g = close_group(gens, cap=cap)
+            assert g.index == index and g.words == tuple(words)
+            assert g.elements == tuple(elements)
+            right = g._cayley()[0].tolist()
+            uniq = list(dict.fromkeys(g.generators))
+            assert right == [[matrix_mul(g, s, u) for u in uniq] for s in range(len(g))]
+            assert fresh_group(g)._cayley()[0].tolist() == right
+
+
+class TestOneProductPass:
+    """|G| x #distinct generators products, for close_group and for a copy's
+    replay: Matrix.__matmul__ calls over QQ, n x n blocks out of matmul_mod
+    over GF(p)."""
+
+    @pytest.mark.parametrize("spec", ["signed_shift(4,3)", "dihedral(5,11)", "symmetric(5,7)",
+                                      "signed_shift(4,0)"])
+    def test_each_product_once(self, monkeypatch, spec):
+        closed = parse_fixture(spec)
+        gens = [closed.matrix(u) for u in closed.generators]
+        count = []
+        if closed.field.char:
+            matmul_mod = _kernels.matmul_mod
+
+            def counted(a, b, p):
+                out = matmul_mod(a, b, p)
+                count.append(out.size // closed.dim ** 2)  # n x n products
+                return out
+
+            monkeypatch.setattr(_kernels, "matmul_mod", counted)
+        else:
+            matmul = Matrix.__matmul__
+
+            def counted(a, b):
+                count.append(1)
+                return matmul(a, b)
+
+            monkeypatch.setattr(Matrix, "__matmul__", counted)
+        g = close_group(gens)
+        expected = len(g) * len(set(g.generators))
+        assert sum(count) == expected
+        count.clear()
+        fresh_group(g)._cayley()
+        assert sum(count) == expected
+
+
 class TestOrdersAndRanks:
     @pytest.mark.parametrize("spec", [
         "signed_shift(4,3)",
         "dihedral(5,11)",
         "symmetric(5,7)",
+        "dihedral(100,101)",           # words of up to 51 letters, orders up to 100
         "signed_shift(4,2147483647)",  # n (p-1)^2 overflows: object-dtype products
-        "signed_shift(4,0)",           # QQ: the per-element loop
+        "signed_shift(4,0)",           # QQ: orders off the table, ranks per element
     ])
     @pytest.mark.parametrize("chunk", [groups.CLOSURE_CHUNK, 7])
     def test_matches_per_element_reference(self, monkeypatch, spec, chunk):
@@ -296,6 +443,17 @@ class TestOrdersAndRanks:
         assert [i for i in range(m) if ranks[i] == 0] == [g.identity_pos]
         assert g.orders_and_ranks() is g.orders_and_ranks()
         assert not orders.flags.writeable and not ranks.flags.writeable
+
+    def test_prime_field_orders_need_no_table(self):
+        # Batched powers: their steps do not grow with word length, as walks
+        # of each word through the table would (dihedral(100,101) reaches
+        # words of 51 letters).
+        from rep2ldc.fixtures import parse_fixture
+
+        g = fresh_group(parse_fixture("dihedral(100,101)"))
+        orders, _ = g.orders_and_ranks()
+        assert g._table is None
+        assert orders.max() == 100
 
     def test_element_order_stays_per_element(self, signed_shift_4_3):
         g = fresh_group(signed_shift_4_3)
