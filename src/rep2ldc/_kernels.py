@@ -5,8 +5,11 @@ result is exact: matmul_mod accumulates in int64 while that cannot
 overflow and in Python ints otherwise, and the eliminations keep every
 product of two residues below (p-1)^2 < 2^62.
 
-Only prime fields come through here.  Rational arithmetic lives on the
-Fraction code paths in linalg.py and never touches these kernels.
+Only prime fields come through here.  Apart from the z-scan in
+construct.choose_z and the element-wise reference construct.beta, the
+library reaches them through Field.matmul, linalg.ranks and linalg.rref,
+whose rational branches run the same array code on Fraction object arrays
+and never touch these kernels.
 """
 
 from __future__ import annotations

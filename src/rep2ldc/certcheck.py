@@ -18,7 +18,6 @@ from .bounds import EntropyAudit, entropy_audit, gamma
 from .construct import (
     ConstructionCert,
     SpanningFamily,
-    beta,
     beta_table,
     validate_family,
     check_spanning_identities,
@@ -155,14 +154,10 @@ def _check_indices_and_shapes(cert: ConstructionCert) -> None:
             raise ParseError(f"{name} has shape {mat.a.shape}, expected {want}")
 
 
-def _beta_mask(cert: ConstructionCert) -> list[list[bool]]:
-    """mask[j][si]: does beta_{j,s}(z) survive for kept_s[si]?"""
-    if cert.group.field.char:
-        return (beta_table(cert, cert.kept_s) != 0).T.tolist()
-    return [
-        [beta(cert, j, s) != 0 for s in cert.kept_s]
-        for j in range(cert.family.t)
-    ]
+def _beta_mask(cert: ConstructionCert) -> np.ndarray:
+    """(t, |kept_s|) bool array: mask[j, si] says whether beta_{j,s}(z)
+    survives for s = kept_s[si]."""
+    return (beta_table(cert, cert.kept_s) != 0).T
 
 
 def _sorted_rows(a: np.ndarray) -> np.ndarray:
@@ -220,7 +215,7 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
         check(len(cert.kept_s) * q * q >= m, "pre-filter size below |G|/q^2")
 
     # survivors and matchings
-    mask = np.array(_beta_mask(cert), dtype=bool).reshape(cert.family.t, len(cert.kept_s))
+    mask = _beta_mask(cert)
     counts = tuple(int(c) for c in mask.sum(axis=1))
     check(counts == cert.beta_nonzero_count,
           "beta_nonzero_count differs from recomputed survivors")

@@ -101,16 +101,6 @@ def _load_group(args):
     raise ParseError("need --fixture or --input to name a group")
 
 
-def _parse_scalar_list(text: str) -> list:
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        out.append(Fraction(chunk))
-    return out
-
-
 def _parse_int_list(text: str, flag: str) -> list[int]:
     """Comma-separated integers of a command-line flag; anything else,
     a fraction included, is a ParseError naming the flag."""
@@ -126,12 +116,16 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return out
 
 
-def _canon_flag(field: Field, values: list, flag: str) -> list:
-    """Scalars of a command-line flag as canonical elements of `field`."""
+def _scalar_flag(field: Field, text: str, flag: str):
+    """One scalar of a command-line flag as a canonical element of `field`.
+
+    Text that is not a rational, a zero denominator and, over GF(p), a
+    denominator that is not a unit are each a ParseError naming the flag.
+    """
     try:
-        return [field.canon(x) for x in values]
-    except ZeroDivisionError as exc:
-        raise ParseError(f"{flag}: {exc}") from exc
+        return field.canon(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{flag}: bad scalar {text.strip()!r}: {exc}") from exc
 
 
 def _emit(args, text: str) -> None:
@@ -197,13 +191,14 @@ def cmd_construct(args) -> int:
     elif args.lam is not None:
         if args.h is None:
             raise ParseError("--lambda needs --h INDEX")
-        (lam,) = _canon_flag(group.field, [args.lam], "--lambda")
+        lam = _scalar_flag(group.field, args.lam, "--lambda")
         cert = lambda_variant(group, args.h, lam, seed=args.seed)
     else:
         if not args.hs or not args.alphas:
             raise ParseError("--q needs --hs and --alphas lists")
         hs = _parse_int_list(args.hs, "--hs")
-        alphas = _canon_flag(group.field, _parse_scalar_list(args.alphas), "--alphas")
+        alphas = [_scalar_flag(group.field, chunk, "--alphas")
+                  for chunk in args.alphas.split(",") if chunk.strip()]
         if args.q != len(hs):
             raise ParseError("--q must equal the number of --hs entries")
         cert = build_q_ldc(group, hs, alphas, seed=args.seed)
@@ -376,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--alphas", help="comma-separated scalars (general q)")
     p_con.add_argument("--q", type=int, default=None, help="query arity for general form")
     p_con.add_argument("--special2", action="store_true", help="special 2-LDC pipeline")
-    p_con.add_argument("--lambda", dest="lam", type=Fraction, default=None,
+    p_con.add_argument("--lambda", dest="lam", default=None,
                        help="build the lambda variant rho(h) - lambda*I")
     p_con.set_defaults(func=cmd_construct)
 

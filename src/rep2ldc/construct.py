@@ -174,21 +174,14 @@ def dual_vectors(group: MatrixGroup, u: Subspace, g_refs, y: Matrix):
         v = subspace_sum(others) if others else Subspace.zero(field, n)
         comp = orth_complement(v)
         ygi_t = ygs[i].T
+        # A combination of basis rows that all give (Y^{g_i})^T b = 0 gives 0
+        # too, so the basis rows are the only candidates worth trying.
         w = None
         for r in range(comp.dim):
             cand = comp.basis.row(r)
             if np.any(ygi_t.matvec(cand) != 0):
                 w = cand
                 break
-        if w is None:
-            # Unreachable when the family is minimal; kept as a guard.
-            for r1, r2 in itertools.combinations(range(comp.dim), 2):
-                cand = comp.basis.row(r1) + comp.basis.row(r2)
-                if field.char:
-                    cand = cand % field.char
-                if np.any(ygi_t.matvec(cand) != 0):
-                    w = cand
-                    break
         if w is None:
             raise InternalInconsistency(
                 f"no dual vector for translate {i}; family not minimal?"
@@ -232,16 +225,11 @@ def _hyperplane_normals(group: MatrixGroup, x: Matrix, hat_w, kept_s) -> np.ndar
 
     v_{j,s} = rho(s)^T (X hat_w_j).
     """
-    field = group.field
     n = group.dim
-    cs = [x.matvec(h) for h in hat_w]
-    if field.char:
-        # (kept, j, n) stack of c_j^T rho(s), reordered j-major
-        block = _kernels.matmul_mod(np.stack(cs), group.stacked()[list(kept_s)], field.char)
-        normals = np.ascontiguousarray(block.transpose(1, 0, 2).reshape(-1, n))
-    else:
-        rows = [c.dot(group.matrix(s).a) for c in cs for s in kept_s]
-        normals = np.stack(rows)
+    cs = np.stack([x.matvec(h) for h in hat_w])
+    # (kept, j, n) stack of c_j^T rho(s), reordered j-major
+    block = group.field.matmul(cs, group.stacked()[list(kept_s)])
+    normals = np.ascontiguousarray(block.transpose(1, 0, 2).reshape(-1, n))
     if not np.any(normals != 0, axis=1).all():
         raise InternalInconsistency("zero hyperplane normal")
     return normals
@@ -322,20 +310,21 @@ def beta(cert: ConstructionCert, j: int, s: int, z=None):
 
 def beta_table(cert: ConstructionCert, positions=None) -> np.ndarray:
     """beta_{j,s}(z) for s in `positions` (rows; default every element)
-    and every j (columns), over a prime field.
+    and every j (columns), over either field.
 
-    Two batched products: rho(s) z for every s, then against the columns
-    X hat_w_j.  _kernels.matmul_mod stays exact for any machine-word prime.
+    Two batched field.matmul products: rho(s) z for every s, then against
+    the columns X hat_w_j.  Both are exact, over GF(p) for any machine-word
+    prime.
     """
     group = cert.group
-    p = group.field.char
+    field = group.field
     n = group.dim
     stack = group.stacked()
     if positions is not None:
         stack = stack[np.asarray(positions, dtype=np.int64)]
-    rho_z = _kernels.matmul_mod(stack.reshape(-1, n), cert.z.reshape(-1, 1), p)
+    rho_z = field.matmul(stack.reshape(-1, n), cert.z).reshape(-1, n)
     cs = np.stack([cert.X.matvec(h) for h in cert.family.hat_w], axis=1)
-    return _kernels.matmul_mod(rho_z.reshape(-1, n), cs, p)
+    return field.matmul(rho_z, cs)
 
 
 def _cycle_kept_s(group: MatrixGroup, h: int) -> list[int]:
@@ -410,14 +399,14 @@ def _prepare(group: MatrixGroup, hs, alphas):
     return d, r, y, x, family
 
 
-def _code_vectors(group: MatrixGroup, w: Matrix, z: np.ndarray) -> np.ndarray:
-    """Rows a_s = W^T rho(s) z for every element s in canonical order."""
-    p = group.field.char
-    if p:
-        rho_z = _kernels.matmul_mod(group.stacked(), z, p)
-        return _kernels.matmul_mod(rho_z, w.a, p)
-    rows = [group.matrix(s).a.dot(z).dot(w.a) for s in range(len(group))]
-    return np.stack(rows)
+def _code_vectors(group: MatrixGroup, w: Matrix, z: np.ndarray, lam=None) -> np.ndarray:
+    """Rows a_s = W^T rho(s) z for every element s in canonical order,
+    followed for the lambda kind by the block lam * a_s."""
+    field = group.field
+    rows = field.matmul(field.matmul(group.stacked(), z), w.a)
+    if lam is None:
+        return rows
+    return np.concatenate([rows, field.reduce(rows * lam)], axis=0)
 
 
 def _positions(group: MatrixGroup, hs) -> list[int]:
@@ -449,17 +438,12 @@ def _finish(
     field = group.field
     t = family.t
     m = len(group)
+    lam = None if kind != "lambda" else field.canon(lam)
     normals = _hyperplane_normals(group, x, family.hat_w, kept_s)
     z, mask = choose_z(field, normals, seed=seed, trials=trials)
     mask = mask.reshape(t, len(kept_s))
 
-    vec_rows = _code_vectors(group, family.W, z)
-    if kind == "lambda":
-        lam_c = field.canon(lam)
-        second = vec_rows * lam_c
-        if field.char:
-            second %= field.char
-        vec_rows = np.concatenate([vec_rows, second], axis=0)
+    vec_rows = _code_vectors(group, family.W, z, lam)
     vectors = Matrix.from_array(field, np.ascontiguousarray(vec_rows))
 
     idx = matching_index(group, kind, hs, family.g_refs, kept_s)
@@ -491,7 +475,7 @@ def _finish(
         kind=kind,
         hs=tuple(hs),
         alphas=tuple(field.canon(a) for a in alphas),
-        lam=None if kind != "lambda" else field.canon(lam),
+        lam=lam,
         D=d,
         R=r,
         Y=y,
@@ -607,11 +591,11 @@ def check_spanning_identities(cert: ConstructionCert) -> int:
     """Verify the tuple identity entrywise for every (j, s); returns the
     number of identities checked.
 
-    Over a prime field each j is one array comparison over all s; a
-    failure names the first failing (j, s) in j-major, then s order.
+    Each j is one array comparison over all s, on either field; a failure
+    names the first failing (j, s) in j-major, then s order.
     """
     group = cert.group
-    p = group.field.char
+    field = group.field
     t = cert.family.t
     m = len(group)
     vectors = cert.code.vectors.a
@@ -619,17 +603,15 @@ def check_spanning_identities(cert: ConstructionCert) -> int:
         raise InternalInconsistency(
             f"code vectors have shape {vectors.shape}, need at least {m} rows of length {t}"
         )
-    if not p:
-        return _check_spanning_identities_scalar(cert)
     betas = beta_table(cert)
     h_perms = [group.left_perm(h) for h in cert.hs]
     for j, g in enumerate(cert.family.g_refs):
         gj_perm = group.left_perm(g)
         lhs = None
         for h_perm, alpha in zip(h_perms, cert.alphas):
-            term = vectors[gj_perm[h_perm]] * alpha % p
-            lhs = term if lhs is None else (lhs + term) % p
-        expected = np.zeros((m, t), dtype=np.int64)
+            term = field.reduce(vectors[gj_perm[h_perm]] * alpha)
+            lhs = term if lhs is None else field.reduce(lhs + term)
+        expected = np.zeros_like(betas)
         expected[:, j] = betas[:, j]
         bad = np.flatnonzero(np.any(lhs != expected, axis=1))
         if bad.size:
@@ -637,34 +619,10 @@ def check_spanning_identities(cert: ConstructionCert) -> int:
     return t * m
 
 
-def _check_spanning_identities_scalar(cert: ConstructionCert) -> int:
-    """Rational path of check_spanning_identities, one (j, s) at a time."""
-    group = cert.group
-    field = group.field
-    t = cert.family.t
-    m = len(group)
-    checked = 0
-    for j in range(t):
-        for s in range(m):
-            lhs = spanning_tuple_identity(cert, j, s)
-            expected = Matrix.zeros(field, 1, t).a.copy().ravel()
-            expected[j] = beta(cert, j, s)
-            if not all(a == e for a, e in zip(lhs, expected)):
-                raise InternalInconsistency(f"tuple identity fails at (j={j}, s={s})")
-            checked += 1
-    return checked
-
-
 def orbit_projection_check(cert: ConstructionCert) -> bool:
     """True iff every code vector is W^T rho(s) z (lambda block scaled)."""
-    group = cert.group
-    field = group.field
-    expected = _code_vectors(group, cert.family.W, cert.z)
-    if cert.kind == "lambda":
-        second = expected * cert.lam
-        if field.char:
-            second %= field.char
-        expected = np.concatenate([expected, second], axis=0)
+    lam = cert.lam if cert.kind == "lambda" else None
+    expected = _code_vectors(cert.group, cert.family.W, cert.z, lam)
     actual = cert.code.vectors.a
     if expected.shape != actual.shape:
         return False

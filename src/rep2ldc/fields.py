@@ -3,6 +3,12 @@
 Scalars are plain Python objects: residues 0..p-1 (int) over GF(p) and
 ``fractions.Fraction`` over the rationals.  Both representations are
 canonical, so equality and hashing come for free.
+
+Arrays are int64 residues over GF(p) and Fraction object arrays over the
+rationals.  The field owns the one arithmetic split of the array code:
+`matmul` and `reduce` are exact mod-p kernels over GF(p) and plain numpy
+object arithmetic over QQ, so every array path above runs unchanged on
+both fields.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import MAX_PRIME
 from .errors import ParseError
 
@@ -57,15 +64,6 @@ class Field:
         self.char = char
 
     @property
-    def is_rational(self) -> bool:
-        return self.char == 0
-
-    @property
-    def size(self) -> int | None:
-        """Number of elements, or None for the rationals."""
-        return None if self.char == 0 else self.char
-
-    @property
     def theta(self) -> Fraction:
         """1 for an infinite field, 1 - 1/|F| for GF(p)."""
         if self.char == 0:
@@ -84,49 +82,39 @@ class Field:
             return x.numerator * pow(x.denominator, -1, self.char) % self.char
         return int(x) % self.char
 
-    def inv(self, x) -> int | Fraction:
-        x = self.canon(x)
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.char == 0:
-            return 1 / x
-        return pow(int(x), self.char - 2, self.char)
-
-    def minus_one(self) -> int | Fraction:
-        return self.canon(-1)
-
-    def dtype(self):
-        return object if self.char == 0 else np.int64
-
     def array(self, rows) -> np.ndarray:
         """Canonical 2-D array from nested sequences of scalars."""
         data = [[self.canon(x) for x in row] for row in rows]
         ncols = {len(row) for row in data}
         if len(ncols) > 1:
             raise ValueError("ragged rows")
-        if self.char == 0:
-            arr = np.empty((len(data), ncols.pop() if ncols else 0), dtype=object)
-            for i, row in enumerate(data):
-                for j, x in enumerate(row):
-                    arr[i, j] = x
-            return arr
-        return np.array(data, dtype=np.int64).reshape(len(data), ncols.pop() if ncols else 0)
+        shape = (len(data), ncols.pop() if ncols else 0)
+        return np.array(data, dtype=np.int64 if self.char else object).reshape(shape)
 
     def vector(self, seq) -> np.ndarray:
         """Canonical 1-D array from a sequence of scalars."""
-        data = [self.canon(x) for x in seq]
-        if self.char == 0:
-            arr = np.empty(len(data), dtype=object)
-            for i, x in enumerate(data):
-                arr[i] = x
-            return arr
-        return np.array(data, dtype=np.int64)
+        return np.array([self.canon(x) for x in seq], dtype=np.int64 if self.char else object)
+
+    # -- array arithmetic ------------------------------------------------------
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact a @ b with np.matmul semantics (1-D operands, 2-D operands
+        and broadcast stacks) on canonical arrays of this field."""
+        if self.char:
+            # looked up at call time, so a rebound kernel is the one used
+            return _kernels.matmul_mod(a, b, self.char)
+        return np.matmul(a, b)
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        """Canonical form of an array of sums, differences or multiples of
+        canonical entries: residues mod p over GF(p), unchanged over QQ."""
+        return a % self.char if self.char else a
 
     # -- scalar serialization ------------------------------------------------
 
     def scalar_to_json(self, x):
-        x = self.canon(x)
-        return int(x) if self.char else str(x)
+        """A canonical scalar as JSON: an int over GF(p), "a/b" over QQ."""
+        return int(x) if self.char else str(Fraction(x))
 
     def scalar_from_json(self, obj):
         if self.char:

@@ -2,7 +2,9 @@
 generator matrices so every construction doubles as a closure test.
 
 Each factory checks its expected invariants (group size, irreducibility
-evidence, witness ranks) before returning.  Notable element positions:
+evidence, witness ranks) before returning.  The group size is known in
+closed form, so a fixture larger than the cap is refused before any
+generator is built.  Notable element positions:
 the first generator of signed_shift_group is the rank-1 reflection, of
 dihedral_rep the rotation, of symmetric_standard_rep a transposition.
 """
@@ -10,15 +12,17 @@ dihedral_rep the rotation, of symmetric_standard_rep a transposition.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .errors import (
     BadCharacteristic,
+    CapExceeded,
     CharTwo,
     InternalInconsistency,
     NoRootOfUnity,
 )
 from .fields import GF, Field
-from .groups import MatrixGroup, burnside_irreducible, close_group
+from .groups import MatrixGroup, burnside_irreducible, close_group, default_cap
 from .linalg import Matrix, rank
 
 __all__ = [
@@ -35,6 +39,24 @@ def _expect(cond: bool, what: str) -> None:
         raise InternalInconsistency(f"fixture invariant failed: {what}")
 
 
+def _size_within_cap(factors, cap: int | None) -> int:
+    """The resolved cap, once the group size, the product of `factors`
+    (each >= 1), is known not to exceed it; CapExceeded otherwise.
+
+    Multiplying stops at the first partial product above the cap, so a
+    huge size such as n * 2^n or k! is never formed.
+    """
+    cap = default_cap() if cap is None else int(cap)
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    size = 1
+    for f in factors:
+        size *= f
+        if size > cap:
+            raise CapExceeded(cap)
+    return cap
+
+
 def signed_shift_group(n: int, p: int, cap: int | None = None) -> MatrixGroup:
     """Signed cyclic shifts of F^n: generated by diag(-1,1,...,1) and the
     n-cycle coordinate shift.  Size n * 2^n, irreducible, and the
@@ -47,6 +69,7 @@ def signed_shift_group(n: int, p: int, cap: int | None = None) -> MatrixGroup:
     if p == 2:
         raise CharTwo("signed shifts need -1 != 1, so p must be odd")
     field = Field(p)
+    cap = _size_within_cap(chain((n,), (2 for _ in range(n))), cap)
     refl = Matrix.diag(field, [-1] + [1] * (n - 1))
     shift_rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -96,6 +119,7 @@ def dihedral_rep(k: int, p: int, cap: int | None = None) -> MatrixGroup:
     if p == 0:
         raise ValueError("dihedral_rep needs a prime field with k | p-1")
     field = GF(p)
+    cap = _size_within_cap((2, k), cap)
     zeta = _element_of_order(p, k)
     rot = Matrix.diag(field, [zeta, pow(zeta, -1, p)])
     swap = Matrix(field, [[0, 1], [1, 0]])
@@ -120,6 +144,7 @@ def symmetric_standard_rep(k: int, p: int, cap: int | None = None) -> MatrixGrou
     if p != 0 and k % p == 0:
         raise BadCharacteristic(f"p={p} divides k={k}; standard rep is reducible")
     field = Field(p)
+    cap = _size_within_cap(range(2, k + 1), cap)
 
     def perm_matrix(perm: list[int]) -> Matrix:
         # Coordinates of e_a - e_b in the basis v_i = e_i - e_{i+1}:

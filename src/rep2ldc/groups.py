@@ -7,7 +7,8 @@ of every downstream certificate, with position 0 always the identity.
 
 One BFS pass fixes that numbering and is the int64 Cayley table, right[s, k]
 = position of elements[s] @ gen_k over the distinct generators: it computes
-and looks up every element x generator product once.  A product first met
+(one Field.matmul per chunk of positions, over GF(p) and QQ alike) and
+looks up every element x generator product once.  A product first met
 is the next element, with its parent's word plus one letter; any other is a
 table entry.  So the pass is the closure proof: every row filled means the
 set, holding I, is closed, and every element is a generator word in BFS
@@ -21,14 +22,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from . import _kernels
 from .errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
 from .fields import Field
-from .linalg import Matrix, Subspace, nullspace, rank, residue_key, rref, subspace_sum
+from .linalg import Matrix, Subspace, array_key, nullspace, rank, ranks, rref, subspace_sum
 
 __all__ = [
     "MatrixGroup",
@@ -150,27 +149,27 @@ class MatrixGroup:
         """(orders, ranks): int64 arrays over positions, with orders[i] the
         order of elements[i] and ranks[i] = rank(elements[i] - I).
 
-        Built once, cached read-only.  GF(p) takes CLOSURE_CHUNK elements
-        at a time: batched powers g^k until I, whose cost does not grow with
-        word length, and one batched elimination.  Over QQ, orders are read
-        off the Cayley table (x <- x s for all s at once, each step a walk of
-        s's word through right) and ranks taken per element.
+        Built once, cached read-only.  The ranks come from linalg.ranks on
+        CLOSURE_CHUNK elements at a time.  GF(p) orders are batched powers
+        g^k until I in the same chunks, whose cost does not grow with word
+        length.  Over QQ, orders are read off the Cayley table (x <- x s for
+        all s at once, each step a walk of s's word through right).
         """
         if self._orders_ranks is None:
-            m, p = len(self.elements), self.field.char
-            orders, ranks = np.ones(m, dtype=np.int64), np.empty(m, dtype=np.int64)
-            if p:
-                eye = np.eye(self.dim, dtype=np.int64)
-                for i in range(0, m, CLOSURE_CHUNK):
-                    block = np.stack([g.a for g in self.elements[i:i + CLOSURE_CHUNK]])
-                    ranks[i:i + len(block)] = _kernels.rank_mod_batched(block - eye, p)
+            m, field = len(self.elements), self.field
+            orders, rk = np.ones(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+            eye = Matrix.identity(field, self.dim).a
+            for i in range(0, m, CLOSURE_CHUNK):
+                block = np.stack([g.a for g in self.elements[i:i + CLOSURE_CHUNK]])
+                rk[i:i + len(block)] = ranks(field, field.reduce(block - eye))
+                if field.char:
                     acc, active = block, np.arange(len(block))
                     while active.size:  # acc[j] = block[active[j]] ** orders[i + active[j]]
                         keep = ~(acc == eye).all(axis=(1, 2))
                         acc, active = acc[keep], active[keep]
                         orders[i + active] += 1
-                        acc = _kernels.matmul_mod(acc, block[active], p)
-            else:
+                        acc = field.matmul(acc, block[active])
+            if not field.char:
                 right, _, _, levels = self._cayley()
                 letters = np.zeros((m, len(levels)), dtype=np.int64)  # s's word as table columns
                 for d, (pos, parent, last) in enumerate(levels):
@@ -183,10 +182,8 @@ class MatrixGroup:
                         x[lo:] = right[x[lo:], letters[active[lo:], d]]
                     orders[active] += 1
                     active, x = active[x != 0], x[x != 0]
-                ident = Matrix.identity(self.field, self.dim)
-                ranks[:] = [rank(g - ident) for g in self.elements]
-            orders.flags.writeable = ranks.flags.writeable = False
-            self._orders_ranks = (orders, ranks)
+            orders.flags.writeable = rk.flags.writeable = False
+            self._orders_ranks = (orders, rk)
         return self._orders_ranks
 
     def left_perm(self, i: int) -> np.ndarray:
@@ -202,9 +199,8 @@ class MatrixGroup:
         return perm
 
     def stacked(self) -> np.ndarray:
-        """All elements as one (m, n, n) int64 array (prime fields only)."""
-        if self.field.char == 0:
-            raise ValueError("stacked arrays are only kept for prime fields")
+        """All elements as one (m, n, n) array: int64 residues over GF(p),
+        Fraction objects over QQ."""
         if self._stacked is None:
             self._stacked = np.stack([g.a for g in self.elements])
         return self._stacked
@@ -273,27 +269,25 @@ def _bfs(field: Field, elements, index: dict, words, gens: list, cap: int | None
     BFS level from depth 1.
 
     Positions are taken in order, CLOSURE_CHUNK at a time, each chunk times
-    every (letter, Matrix) of `gens` in one product.  A product missing from
+    every (letter, Matrix) of `gens` in one field.matmul of the chunk's rows
+    by the generators side by side, and every product keyed by
+    linalg.array_key.  A product missing from
     `index` is appended to elements, index and words, up to `cap` elements.
     cap None is a replay, where it is an error, as is an element met out of
     order, not equal to its product, or whose word is not its parent's plus
     the letter.
     """
-    p, n, nk = field.char, elements[0].rows, len(gens)
+    n, nk = elements[0].rows, len(gens)
     if elements[0] != Matrix.identity(field, n) or words[0] != ():
         raise InternalInconsistency("elements[0] is not I with the empty word")
-    side_by_side = np.concatenate([g.a for _, g in gens], axis=1) if p else None
+    side_by_side = np.concatenate([g.a for _, g in gens], axis=1)
     right, parent, last = [], [0], [0]
     s = 0
     while s < len(parent):
         chunk = elements[s:min(s + CLOSURE_CHUNK, len(parent))]  # only rows already met
-        if p:  # the rows of every element times every generator side by side
-            prods = _kernels.matmul_mod(np.concatenate([e.a for e in chunk]), side_by_side, p)
-            prods = prods.reshape(len(chunk), n, nk, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
-            keys = list(map(residue_key, repeat(p), prods))
-        else:
-            prods = [e @ g for e in chunk for _, g in gens]
-            keys = [prod.key() for prod in prods]
+        prods = field.matmul(np.concatenate([e.a for e in chunk]), side_by_side)
+        prods = prods.reshape(len(chunk), n, nk, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
+        keys = [array_key(field, prod) for prod in prods]
         found = list(map(index.get, keys))
         if None in found:
             if cap is None:
@@ -303,8 +297,7 @@ def _bfs(field: Field, elements, index: dict, words, gens: list, cap: int | None
                 if t is None:
                     if len(elements) >= cap:
                         raise CapExceeded(cap)
-                    elements.append(Matrix(field, prods[j].copy(), _canonical=True) if p
-                                    else prods[j])
+                    elements.append(Matrix(field, prods[j].copy(), _canonical=True))
                     t = index[elements[-1].key()] = len(elements) - 1  # the index shares its key
                     words.append(words[s + j // nk] + (gens[j % nk][0],))
                 found[j] = t

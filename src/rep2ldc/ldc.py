@@ -8,10 +8,10 @@ the vector list are 0-based throughout.
 
 Every set family is checked as index arrays: sizes, repeated members and
 overlaps with earlier sets come from one sort of (member, set) pairs.
-Over GF(p), `verify` also decides the span condition for all sets of a
-coordinate at once: special2 pairs by one difference array, general
-q-sets by comparing batched ranks with and without e_i.  Over the
-rationals the span condition is checked one set at a time.
+`verify` also decides the span condition for all sets of a coordinate at
+once, over GF(p) and QQ alike: special2 pairs by one difference array,
+general q-sets by comparing batched ranks (linalg.ranks) with and without
+e_i.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionMismatch
 from .fields import Field
-from .linalg import Matrix, rank
+from .linalg import Matrix, ranks
 
 __all__ = [
     "QMatching",
@@ -221,48 +220,22 @@ class VerificationReport:
         }
 
 
-def _special_pair_ok(vectors: Matrix, i: int, pair: Sequence[int]) -> bool:
-    """True iff a_{j1} - a_{j2} is a nonzero multiple of e_i."""
-    j1, j2 = pair
-    d = vectors.row(j1) - vectors.row(j2)
-    if vectors.field.char:
-        d = d % vectors.field.char
-    if d[i] == 0:
-        return False
-    nz = np.nonzero(d != 0)[0]
-    return len(nz) == 1 and int(nz[0]) == i
+def _spans(field: Field, vectors: np.ndarray, form: str, i: int,
+           members: np.ndarray) -> np.ndarray:
+    """Span verdict for coordinate i of every row of the (k, q) index array
+    `members` into the (m, t) code-vector array.
 
-
-def _general_set_ok(vectors: Matrix, i: int, idxs: Sequence[int]) -> bool:
-    """True iff e_i lies in the span of the selected code vectors."""
-    field = vectors.field
-    sub = np.ascontiguousarray(vectors.a[list(idxs)])
-    base = Matrix(field, sub, _canonical=True)
-    r0 = rank(base)
-    e = Matrix.zeros(field, 1, vectors.cols).a.copy()
-    e[0, i] = field.canon(1)
-    ext = Matrix(field, np.concatenate([sub, e], axis=0), _canonical=True)
-    return rank(ext) == r0
-
-
-def _spans_mod(instance: LdcInstance, i: int, members: np.ndarray) -> np.ndarray:
-    """Span verdict of every row of the (k, q) index array, over GF(p)."""
-    p = instance.field.char
-    a = instance.vectors.a
-    if instance.form == "special2":
-        d = (a[members[:, 0]] - a[members[:, 1]]) % p
+    special2: a_{j1} - a_{j2} is a nonzero multiple of e_i.  general: e_i
+    lies in the span of the selected vectors, i.e. appending it leaves the
+    rank unchanged.
+    """
+    if form == "special2":
+        d = field.reduce(vectors[members[:, 0]] - vectors[members[:, 1]])
         return (d[:, i] != 0) & (np.count_nonzero(d, axis=1) == 1)
-    sub = a[members]
-    e = np.zeros((sub.shape[0], 1, instance.t), dtype=np.int64)
-    e[:, 0, i] = 1
-    ext = np.concatenate([sub, e], axis=1)
-    return _kernels.rank_mod_batched(sub, p) == _kernels.rank_mod_batched(ext, p)
-
-
-def _spans_scalar(instance: LdcInstance, i: int, members: np.ndarray) -> np.ndarray:
-    """Span verdict of every row of the (k, q) index array, one at a time."""
-    ok = _special_pair_ok if instance.form == "special2" else _general_set_ok
-    return np.array([ok(instance.vectors, i, s) for s in members], dtype=bool)
+    sub = vectors[members]
+    e = np.full((sub.shape[0], 1, vectors.shape[1]), field.canon(0), dtype=vectors.dtype)
+    e[:, 0, i] = field.canon(1)
+    return ranks(field, sub) == ranks(field, np.concatenate([sub, e], axis=1))
 
 
 def verify(instance: LdcInstance) -> VerificationReport:
@@ -275,7 +248,6 @@ def verify(instance: LdcInstance) -> VerificationReport:
     the wrong size or outside the code is not span-checked.
     """
     q = instance.q
-    spans = _spans_mod if instance.field.char else _spans_scalar
     coords = []
     for i, mi in enumerate(instance.matchings):
         flat, owner, lens = _index_arrays(mi.sets)
@@ -296,7 +268,7 @@ def verify(instance: LdcInstance) -> VerificationReport:
         checked = np.flatnonzero(~bad_size & ~outside)
         starts = np.cumsum(lens) - lens
         members = flat[starts[checked, None] + np.arange(q)]
-        ok = spans(instance, i, members)
+        ok = _spans(instance.field, instance.vectors.a, instance.form, i, members)
         coords.append(
             CoordinateReport(
                 coordinate=i,
@@ -383,10 +355,12 @@ def greedy_matching_general(
     size >= len(candidates)/q**2.  With validate=True each candidate is
     first checked to span e_i.
     """
-    if validate:
-        for s in candidate_sets:
-            if not _general_set_ok(vectors, i, s):
-                raise ValueError(f"candidate {tuple(s)} does not span e_{i}")
+    if validate and len(candidate_sets):
+        members = np.array(candidate_sets, dtype=np.int64).reshape(len(candidate_sets), -1)
+        ok = _spans(vectors.field, vectors.a, "general", i, members)
+        if not ok.all():
+            bad = candidate_sets[int(np.argmin(ok))]
+            raise ValueError(f"candidate {tuple(bad)} does not span e_{i}")
     return QMatching(q=q, sets=tuple(greedy_disjoint(candidate_sets)))
 
 

@@ -2,13 +2,15 @@
 
 Matrices are immutable wrappers around numpy arrays: int64 residues for
 prime fields (hot paths go through the kernels in _kernels.py), Fraction
-object arrays for the rationals.  Rank, nullspace, factorization and all
-subspace operations reduce to one deterministic RREF.
+object arrays for the rationals.  Their arithmetic goes through the field's
+`matmul`, `reduce` and `canon`.  Rank, nullspace, factorization and all
+subspace operations reduce to one deterministic RREF; `ranks` takes the
+ranks of a whole stack and `array_key` keys an array for dict lookup, on
+either field.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +31,8 @@ __all__ = [
     "subspace_contains",
     "apply_to_subspace",
     "invert",
-    "residue_key",
+    "ranks",
+    "array_key",
 ]
 
 
@@ -60,14 +63,24 @@ def _rref_fraction(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     return a, r, np.asarray(pivots, dtype=np.int64)
 
 
-def residue_key(p: int, a: np.ndarray):
-    """Lookup key of a canonical int64 residue array over GF(p).
+def ranks(field: Field, stack: np.ndarray) -> np.ndarray:
+    """Ranks of a (b, m, n) stack of canonical matrices, as int64 (b,):
+    one batched elimination over GF(p), one RREF per matrix over QQ."""
+    if field.char:
+        return _kernels.rank_mod_batched(stack, field.char)
+    return np.array([_rref_fraction(a)[1] for a in stack], dtype=np.int64)
+
+
+def array_key(field: Field, a: np.ndarray):
+    """Lookup key of a canonical array.
 
     Matrix.key() and the batched group lookups in groups.py both build
-    keys here, so a row of a stacked product finds the same dict entry as
-    the Matrix it equals.
+    keys here, so a slice of a stacked product finds the same dict entry
+    as the Matrix it equals.
     """
-    return (p, a.shape, a.tobytes())
+    if field.char:
+        return (field.char, a.shape, a.tobytes())
+    return (0, a.shape, tuple((x.numerator, x.denominator) for x in a.flat))
 
 
 class Matrix:
@@ -91,21 +104,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        if field.char == 0:
-            a = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    a[i, j] = Fraction(1 if i == j else 0)
-            return cls(field, a, _canonical=True)
-        return cls(field, np.eye(n, dtype=np.int64), _canonical=True)
+        return cls.diag(field, [1] * n)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        if field.char == 0:
-            a = np.empty((rows, cols), dtype=object)
-            a[...] = Fraction(0)
-            return cls(field, a, _canonical=True)
-        return cls(field, np.zeros((rows, cols), dtype=np.int64), _canonical=True)
+        a = np.full((rows, cols), field.canon(0), dtype=np.int64 if field.char else object)
+        return cls(field, a, _canonical=True)
 
     @classmethod
     def diag(cls, field: Field, entries: Sequence) -> "Matrix":
@@ -152,15 +156,7 @@ class Matrix:
     def key(self):
         """Hashable canonical key (shared with group element lookup)."""
         if self._key is None:
-            if self.field.char:
-                k = residue_key(self.field.char, self.a)
-            else:
-                k = (
-                    0,
-                    self.a.shape,
-                    tuple((x.numerator, x.denominator) for x in self.a.flat),
-                )
-            self._key = k
+            self._key = array_key(self.field, self.a)
         return self._key
 
     # -- arithmetic ---------------------------------------------------------------
@@ -173,50 +169,30 @@ class Matrix:
         self._check(other)
         if self.a.shape != other.a.shape:
             raise DimensionMismatch(f"{self.a.shape} + {other.a.shape}")
-        s = self.a + other.a
-        if self.field.char:
-            s %= self.field.char
-        return Matrix(self.field, s, _canonical=True)
+        return Matrix(self.field, self.field.reduce(self.a + other.a), _canonical=True)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.a.shape != other.a.shape:
             raise DimensionMismatch(f"{self.a.shape} - {other.a.shape}")
-        s = self.a - other.a
-        if self.field.char:
-            s %= self.field.char
-        return Matrix(self.field, s, _canonical=True)
+        return Matrix(self.field, self.field.reduce(self.a - other.a), _canonical=True)
 
     def __neg__(self) -> "Matrix":
-        s = -self.a
-        if self.field.char:
-            s %= self.field.char
-        return Matrix(self.field, s, _canonical=True)
+        return Matrix(self.field, self.field.reduce(-self.a), _canonical=True)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.canon(c)
-        s = self.a * c
-        if self.field.char:
-            s %= self.field.char
-        return Matrix(self.field, s, _canonical=True)
+        s = self.a * self.field.canon(c)
+        return Matrix(self.field, self.field.reduce(s), _canonical=True)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.a.shape} @ {other.a.shape}")
-        p = self.field.char
-        if p:
-            prod = _kernels.matmul_mod(self.a, other.a, p)
-        else:
-            prod = self.a.dot(other.a)
-        return Matrix(self.field, prod, _canonical=True)
+        return Matrix(self.field, self.field.matmul(self.a, other.a), _canonical=True)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Column action: returns self @ v for a 1-D canonical vector."""
-        p = self.field.char
-        if p:
-            return _kernels.matmul_mod(self.a, v.reshape(-1, 1), p).ravel()
-        return self.a.dot(v)
+        return self.field.matmul(self.a, v)
 
     @property
     def T(self) -> "Matrix":
@@ -272,7 +248,7 @@ def nullspace(m: Matrix) -> "Subspace":
         for row_idx, pc in enumerate(piv):
             coeff = r.a[row_idx, f]
             if coeff != 0:
-                basis[k, pc] = -coeff if m.field.char == 0 else (-int(coeff)) % m.field.char
+                basis[k, pc] = m.field.canon(-coeff)
     return Subspace.from_rows(m.field, n, Matrix(m.field, basis, _canonical=True))
 
 

@@ -88,12 +88,8 @@ def json_fraction(value, name: str) -> Fraction:
         raise ParseError(f"bad {name} {value!r}: {exc}") from exc
 
 
-def _scalar_out(field: Field, x):
-    return int(x) if field.char else str(Fraction(x))
-
-
 def _vector_out(field: Field, v) -> list:
-    return [_scalar_out(field, x) for x in v]
+    return [field.scalar_to_json(x) for x in v]
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -215,7 +211,7 @@ def cert_to_json(cert) -> dict:
         "group_hash": group_spec_hash(spec),
         "hs": list(cert.hs),
         "alphas": _vector_out(field, cert.alphas),
-        "lambda": None if cert.lam is None else _scalar_out(field, cert.lam),
+        "lambda": None if cert.lam is None else field.scalar_to_json(cert.lam),
         "D": matrix_to_json(cert.D),
         "R": cert.R,
         "Y": matrix_to_json(cert.Y),

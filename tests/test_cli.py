@@ -33,6 +33,12 @@ class TestExitCodes:
     def test_cap_exceeded(self):
         assert main(["rank-scan", "--fixture", "signed_shift(4,3)", "--cap", "10"]) == 2
 
+    @pytest.mark.parametrize("fixture", ["signed_shift(100000000000000000001,3)",
+                                         "symmetric(100000000000000000001,5)"])
+    def test_oversized_fixture_refused_before_building(self, fixture, capsys):
+        assert main(["rank-scan", "--fixture", fixture]) == 2
+        assert capsys.readouterr().err.startswith("error: group closure exceeded cap")
+
     def test_degenerate_identity(self):
         assert main(["construct", "--fixture", "signed_shift(4,3)",
                      "--special2", "--h", "0"]) == 4
@@ -116,6 +122,8 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
     ["construct", *SS43, "--q", "2", "--hs", "1,1000", "--alphas", "1,2"],
     ["construct", *SS43, "--q", "2", "--hs", "1,0", "--alphas", "1/3,2"],
     ["construct", *SS43, "--lambda", "1/3", "--h", "1"],
+    ["construct", *SS43, "--q", "2", "--hs", "1,2", "--alphas", "1/0,1"],
+    ["construct", *SS43, "--lambda", "1/0", "--h", "1"],
     ["construct", *SS43, "--q", "2", "--hs", "3/2,0", "--alphas", "1,2"],
     ["verify", "--input", "{ldc_t0}"],
     ["verify", "--input", "{ldc_m0}"],
@@ -127,7 +135,8 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
     ["rank-scan", "--input", "{spec_cap_negative}"],
     ["rank-scan", "--input", "{spec_cap_zero}"],
 ], ids=["rank-scan-singular", "construct-singular", "verify-singular", "h-999", "h-negative",
-        "hs-1000", "alphas-non-unit", "lambda-non-unit", "hs-fraction", "ldc-t-zero",
+        "hs-1000", "alphas-non-unit", "lambda-non-unit", "alphas-zero-denominator",
+        "lambda-zero-denominator", "hs-fraction", "ldc-t-zero",
         "ldc-m-zero", "ldc-delta-number", "ldc-index-past-int64", "cert-delta-number",
         "cap-zero", "cap-negative", "spec-cap-negative", "spec-cap-zero"])
 def test_bad_input_exits_1_without_traceback(argv, bad_inputs, tmp_path):

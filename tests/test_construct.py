@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from rep2ldc.bounds import avg_fixed_space, check_rank_separation, entropy_audit, gamma
+from rep2ldc import ldc
 from rep2ldc.certcheck import _beta_mask, cert_from_json, verify_cert
 from rep2ldc.construct import (
+    _code_vectors,
+    _hyperplane_normals,
     beta,
     beta_table,
     build_q_ldc,
@@ -42,6 +45,7 @@ from rep2ldc.linalg import (
     apply_to_subspace,
     rank,
     rank_factorize,
+    ranks,
     subspace_sum,
 )
 from rep2ldc.serialize import canonical_json, cert_to_json
@@ -334,17 +338,14 @@ class TestArrayChecksAgainstScalarReference:
 
     @pytest.fixture(scope="class")
     def certs(self, signed_shift_4_3, dihedral_5_11, signed_shift_4_q):
-        g = signed_shift_4_q
         return (
             [build_special_2ldc(signed_shift_4_3, signed_shift_4_3.generators[0], seed=0)]
             + _every_kind(dihedral_5_11)
-            + [build_special_2ldc(g, g.generators[0], seed=0)]
+            + _every_kind(signed_shift_4_q)
         )
 
     def test_beta_table_matches_beta(self, certs):
         for cert in certs:
-            if not cert.group.field.char:
-                continue
             table = beta_table(cert)
             assert table.shape == (len(cert.group), cert.t)
             for j in range(cert.t):
@@ -354,12 +355,40 @@ class TestArrayChecksAgainstScalarReference:
     def test_beta_mask_matches_beta(self, certs):
         for cert in certs:
             expected = [[beta(cert, j, s) != 0 for s in cert.kept_s] for j in range(cert.t)]
-            assert _beta_mask(cert) == expected
+            assert _beta_mask(cert).tolist() == expected
 
     def test_identities_hold_elementwise(self, certs):
         for cert in certs:
             assert _reference_identity_failure(cert) is None
             assert check_spanning_identities(cert) == cert.t * len(cert.group)
+
+    def test_rational_arrays_hold_fractions(self, certs, monkeypatch):
+        """Over QQ every entry of the normals, code vectors, beta table and
+        the stacks ranked by ldc._spans (e_i row included) is a Fraction:
+        an int or a float would reach _rref_fraction's 1 / a[r, c]."""
+        stacks = []
+
+        def recording(field, stack):
+            stacks.append(stack)
+            return ranks(field, stack)
+
+        monkeypatch.setattr(ldc, "ranks", recording)
+        arrays = []
+        for cert in certs:
+            if cert.group.field.char:
+                continue
+            g, fam = cert.group, cert.family
+            lam = cert.lam if cert.kind == "lambda" else None
+            arrays += [
+                _hyperplane_normals(g, cert.X, fam.hat_w, cert.kept_s),
+                _code_vectors(g, fam.W, cert.z, lam),
+                cert.code.vectors.a,
+                beta_table(cert),
+            ]
+            assert verify(cert.code.as_general()).passed
+        assert len(arrays) == 12 and stacks
+        for a in arrays + stacks:
+            assert a.size and all(type(x) is Fraction for x in a.flat)
 
     def test_large_prime_matches_reference(self):
         from rep2ldc.fixtures import signed_shift_group
@@ -393,14 +422,21 @@ class TestIdentityFailureLocation:
             verify_cert(bad).failures
         )
 
-    @pytest.mark.parametrize("row, col", [(0, 0), (9, 1), (3, 0)])
-    def test_location_agrees_with_reference(self, dihedral_5_11, row, col):
-        for cert in _every_kind(dihedral_5_11):
+    def _assert_location_agrees(self, group, row, col):
+        for cert in _every_kind(group):
             bad = self._tampered(cert, row, col % cert.t)
             j, s = _reference_identity_failure(bad)
             with pytest.raises(InternalInconsistency,
                                match=rf"^tuple identity fails at \(j={j}, s={s}\)$"):
                 check_spanning_identities(bad)
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (9, 1), (3, 0)])
+    def test_location_agrees_with_reference(self, dihedral_5_11, row, col):
+        self._assert_location_agrees(dihedral_5_11, row, col)
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (9, 1), (3, 0)])
+    def test_rational_location_agrees_with_reference(self, signed_shift_4_q, row, col):
+        self._assert_location_agrees(signed_shift_4_q, row, col)
 
     def test_short_code_reported_not_raised(self, signed_shift_4_3):
         g = signed_shift_4_3

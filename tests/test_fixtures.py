@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rep2ldc.errors import BadCharacteristic, CharTwo, NoRootOfUnity
+from rep2ldc.errors import BadCharacteristic, CapExceeded, CharTwo, NoRootOfUnity
 from rep2ldc.fields import GF
 from rep2ldc.fixtures import (
     dihedral_rep,
@@ -102,3 +102,13 @@ class TestParseFixture:
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
             parse_fixture("dihedral(5)")
+
+    @pytest.mark.parametrize("spec, size", [
+        ("signed_shift(4,3)", 64), ("dihedral(5,11)", 10), ("symmetric(5,7)", 120),
+    ])
+    def test_closed_form_size_against_cap(self, spec, size):
+        assert len(parse_fixture(spec, cap=size)) == size
+        with pytest.raises(CapExceeded):
+            parse_fixture(spec, cap=size - 1)
+        with pytest.raises(ValueError, match="cap must be positive"):
+            parse_fixture(spec, cap=0)

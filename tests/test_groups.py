@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rep2ldc import _kernels, groups
 from rep2ldc.errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
-from rep2ldc.fields import GF, QQ
+from rep2ldc.fields import GF, QQ, Field
 from rep2ldc.fixtures import parse_fixture
 from rep2ldc.groups import (
     MatrixGroup,
@@ -305,6 +305,7 @@ class TestTableAgainstMatrixArithmetic:
             raise AssertionError("matrix product after the table was built")
 
         monkeypatch.setattr(Matrix, "__matmul__", forbidden)
+        monkeypatch.setattr(Field, "matmul", forbidden)
         monkeypatch.setattr(_kernels, "matmul_mod", forbidden)
         for i in self._sample(g):
             g.left_perm(i)
@@ -381,8 +382,7 @@ class TestAgainstPerElementBfs:
 
 class TestOneProductPass:
     """|G| x #distinct generators products, for close_group and for a copy's
-    replay: Matrix.__matmul__ calls over QQ, n x n blocks out of matmul_mod
-    over GF(p)."""
+    replay, counted as n x n blocks out of Field.matmul over both fields."""
 
     @pytest.mark.parametrize("spec", ["signed_shift(4,3)", "dihedral(5,11)", "symmetric(5,7)",
                                       "signed_shift(4,0)"])
@@ -390,23 +390,14 @@ class TestOneProductPass:
         closed = parse_fixture(spec)
         gens = [closed.matrix(u) for u in closed.generators]
         count = []
-        if closed.field.char:
-            matmul_mod = _kernels.matmul_mod
+        matmul = Field.matmul
 
-            def counted(a, b, p):
-                out = matmul_mod(a, b, p)
-                count.append(out.size // closed.dim ** 2)  # n x n products
-                return out
+        def counted(field, a, b):
+            out = matmul(field, a, b)
+            count.append(out.size // closed.dim ** 2)  # n x n products
+            return out
 
-            monkeypatch.setattr(_kernels, "matmul_mod", counted)
-        else:
-            matmul = Matrix.__matmul__
-
-            def counted(a, b):
-                count.append(1)
-                return matmul(a, b)
-
-            monkeypatch.setattr(Matrix, "__matmul__", counted)
+        monkeypatch.setattr(Field, "matmul", counted)
         g = close_group(gens)
         expected = len(g) * len(set(g.generators))
         assert sum(count) == expected
@@ -422,7 +413,7 @@ class TestOrdersAndRanks:
         "symmetric(5,7)",
         "dihedral(100,101)",           # words of up to 51 letters, orders up to 100
         "signed_shift(4,2147483647)",  # n (p-1)^2 overflows: object-dtype products
-        "signed_shift(4,0)",           # QQ: orders off the table, ranks per element
+        "signed_shift(4,0)",           # QQ: orders off the table, ranks by linalg.ranks
     ])
     @pytest.mark.parametrize("chunk", [groups.CLOSURE_CHUNK, 7])
     def test_matches_per_element_reference(self, monkeypatch, spec, chunk):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import brute_max_matching, reference_verify
+from helpers import brute_max_matching, brute_rank, reference_verify
 
-from rep2ldc import _kernels, ldc, linalg
+from rep2ldc import _kernels, linalg
 from rep2ldc.fields import GF, QQ
 from rep2ldc.ldc import (
     LdcInstance,
@@ -292,6 +292,34 @@ class TestArrayPathParity:
             report = _assert_matches_reference(_smuggle(inst, i, sets))
             assert not report.passed
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rational_general_span_failures_match_brute_rank(self, seed):
+        """Over QQ, a general-form set fails iff appending e_i raises the
+        rank, by helpers.brute_rank; vectors have tampered entries and the
+        matching smuggled extra sets."""
+        rng = np.random.default_rng([seed, 0])
+        values = [Fraction(1), Fraction(-1), Fraction(0), Fraction(2), Fraction(1, 2)]
+        m, t, q = 10, 3, int(rng.integers(2, 4))
+        rows = [[values[k] for k in rng.integers(0, 3, size=t)] for _ in range(m)]
+        for _ in range(3):
+            rows[int(rng.integers(m))][int(rng.integers(t))] = values[int(rng.integers(5))]
+        sets = [tuple(s) for s in rng.permutation(m)[: q * (m // q)].reshape(-1, q).tolist()]
+        matchings = tuple(QMatching(q, sets) for _ in range(t))
+        inst = LdcInstance(field=QQ, t=t, m=m, vectors=Matrix(QQ, rows), matchings=matchings,
+                           form="general", q=q, claimed_delta=Fraction(0))
+        i = int(rng.integers(t))
+        inst = _smuggle(inst, i, sets + [sets[0], tuple(range(m - q, m))])
+        failed = 0
+        for c, mi in zip(verify(inst).coordinates, inst.matchings):
+            e = [int(k == c.coordinate) for k in range(t)]
+            want = tuple(
+                s for s in mi.sets
+                if brute_rank([rows[j] for j in s] + [e], 0) != brute_rank([rows[j] for j in s], 0)
+            )
+            assert c.span_failures == want
+            failed += len(want)
+        assert 0 < failed < sum(mi.size for mi in inst.matchings)
+
     def test_known_structure_texts(self):
         inst = _smuggle(hadamard(2, F3), 0, [(0, 1), (1, 2, 3), (2, 2), (4, 9), (1, 3)])
         report = verify(inst)
@@ -309,12 +337,12 @@ class TestArrayPathParity:
 @pytest.mark.parametrize("form", ["special2", "general"])
 def test_prime_field_verify_does_no_elimination(form, monkeypatch):
     """verify over GF(p) decides every set from arrays and batched ranks,
-    never through linalg.rank or the single-matrix RREF kernel."""
+    never through a single-matrix RREF."""
     def boom(*args, **kwargs):
         raise AssertionError("per-set elimination on the GF(p) path")
 
-    for module in (linalg, ldc):
-        monkeypatch.setattr(module, "rank", boom)
+    for name in ("rank", "rref", "_rref_fraction"):
+        monkeypatch.setattr(linalg, name, boom)
     monkeypatch.setattr(_kernels, "rref_mod", boom)
     inst = hadamard(4, F5)
     report = verify(inst if form == "special2" else inst.as_general())
