@@ -9,8 +9,11 @@ reporting only.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     MatchingCrossesPrefixClass,
@@ -68,11 +71,7 @@ def log2_ratio_cmp(num: int, den: int, q: Fraction) -> int:
         rhs *= 2**a
     else:
         lhs *= 2**(-a)
-    if lhs > rhs:
-        return 1
-    if lhs < rhs:
-        return -1
-    return 0
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _pow_ge_pow2(base: int, e: int, a: int) -> bool:
@@ -270,10 +269,7 @@ def match_entropy_check(t: int, matching, f) -> MatchEntropyResult:
             raise ValueError("pair index out of range")
         if f[j1] == f[j2]:
             raise PairNotSeparated(f"f agrees on matched pair ({j1}, {j2})")
-    counts: dict = {}
-    for j in range(t):
-        counts[f[j]] = counts.get(f[j], 0) + 1
-    h, num, den = _entropy_of_counts(list(counts.values()))
+    h, num, den = _entropy_of_counts(list(Counter(f[j] for j in range(t)).values()))
     s = len(pairs)
     bound = Fraction(2 * s, t)
     # H = log2(num/den)/t >= 2s/t  <=>  log2(num/den) >= 2s
@@ -337,78 +333,62 @@ class EntropyAudit:
 def entropy_audit(instance: LdcInstance) -> EntropyAudit:
     """Walk the chain rule over the code coordinates.
 
-    For each coordinate i the rows are partitioned by their length-(i-1)
+    For each coordinate i the rows are partitioned by their length-i
     prefix; the matching must stay inside one class (pairs agree before i)
     and separate values at i.  Each conditional entropy is then at least
     2|M_i^b| / |J_i^b|, which telescopes into H(X) >= 2*delta*t and,
     with H(X) <= log2 m, into m >= 2^{2*delta*t}.
+
+    `label[r]` is the prefix class of row r; coordinate i refines it by
+    (label, value at i), and the last level's classes give H(X).  Classes
+    are numbered by first appearance, so classes, and the values within
+    each, come in row order, the order the float terms have always been
+    summed in.  Verify reports pin those floats, so the per-class loop
+    keeps the same `math.log2` calls and sums: numpy's log2 and pairwise
+    sums could change the last bit.
     """
     if instance.form != "special2":
         raise ValueError("entropy audit applies to special2-form instances")
     m, t = instance.m, instance.t
-    vectors = instance.vectors
-    rows = [tuple(vectors.row(j)) for j in range(m)]
-
-    full_counts: dict = {}
-    for row in rows:
-        full_counts[row] = full_counts.get(row, 0) + 1
-    h_x, hx_num, hx_den = _entropy_of_counts(list(full_counts.values()))
-    # H(X) = log2(hx_num/hx_den) / m
-
-    chain_terms = []
-    chain_ok = []
-    bound_terms = []
-    class_sizes = []
+    label = np.zeros(m, dtype=np.int64)
+    chain_terms, chain_ok, bound_terms, class_sizes = [], [], [], []
     for i in range(t):
-        classes: dict = {}
-        for j, row in enumerate(rows):
-            classes.setdefault(row[:i], []).append(j)
-        sizes = tuple(len(v) for v in classes.values())
-        class_sizes.append(sizes)
+        sizes = np.bincount(label)
+        class_sizes.append(tuple(sizes.tolist()))
+        value = np.unique(instance.vectors.col(i), return_inverse=True)[1]
+        _, first, inverse = np.unique(label * m + value, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        child = np.argsort(order)[inverse]
 
         matching = instance.matchings[i]
-        per_class_pairs: dict = {}
-        for j1, j2 in matching.sets:
-            b1, b2 = rows[j1][:i], rows[j2][:i]
-            if b1 != b2:
+        a, b = np.array(matching.sets, dtype=np.int64).reshape(-1, 2).T
+        crosses = label[a] != label[b]
+        bad = np.flatnonzero(crosses | (value[a] == value[b]))
+        if bad.size:
+            j1, j2 = matching.sets[bad[0]]
+            if crosses[bad[0]]:
                 raise MatchingCrossesPrefixClass(
-                    f"pair ({j1}, {j2}) crosses prefix classes at coordinate {i}"
-                )
-            if rows[j1][i] == rows[j2][i]:
-                raise PairNotSeparated(
-                    f"pair ({j1}, {j2}) agrees at coordinate {i}"
-                )
-            per_class_pairs[b1] = per_class_pairs.get(b1, 0) + 1
+                    f"pair ({j1}, {j2}) crosses prefix classes at coordinate {i}")
+            raise PairNotSeparated(f"pair ({j1}, {j2}) agrees at coordinate {i}")
 
         # m * H(X_i | prefix) = log2( prod_b |J_b|^{|J_b|} / prod_{b,v} c^c );
         # per class, |J_b| * H(X_i | b) >= 2 |M_i^b| must hold on its own
-        num = 1
-        den = 1
-        term = 0.0
-        classes_ok = True
-        for b, members in classes.items():
-            jb = len(members)
-            num *= jb**jb
-            val_counts: dict = {}
-            for j in members:
-                val_counts[rows[j][i]] = val_counts.get(rows[j][i], 0) + 1
-            hb = 0.0
-            den_b = 1
-            for c in val_counts.values():
-                den_b *= c**c
-                hb -= (c / jb) * math.log2(c / jb)
-            den *= den_b
-            term += (jb / m) * hb
-            pairs_b = per_class_pairs.get(b, 0)
-            if pairs_b and log2_ratio_cmp(jb**jb, den_b, Fraction(2 * pairs_b)) < 0:
+        children = [[] for _ in range(sizes.size)]
+        for parent, c in zip(label[first[order]].tolist(), np.bincount(child).tolist()):
+            children[parent].append(c)
+        class_pairs = np.bincount(label[a], minlength=sizes.size).tolist()
+        num, den, term, classes_ok = 1, 1, 0.0, True
+        for jb, counts, pairs_b in zip(sizes.tolist(), children, class_pairs):
+            hb, num_b, den_b = _entropy_of_counts(counts)
+            num, den, term = num * num_b, den * den_b, term + (jb / m) * hb
+            if pairs_b and log2_ratio_cmp(num_b, den_b, Fraction(2 * pairs_b)) < 0:
                 classes_ok = False
         chain_terms.append(term)
-        mi = matching.size
-        bound_terms.append(Fraction(2 * mi, m))
-        chain_ok.append(
-            classes_ok and log2_ratio_cmp(num, den, Fraction(2 * mi)) >= 0
-        )
+        bound_terms.append(Fraction(2 * matching.size, m))
+        chain_ok.append(classes_ok and log2_ratio_cmp(num, den, Fraction(2 * matching.size)) >= 0)
+        label = child
 
+    h_x, hx_num, hx_den = _entropy_of_counts(np.bincount(label).tolist())
     delta = Fraction(instance.matching_total(), m * t)
     two_dt = 2 * delta * t          # equals 2*sigma/m
     residual = abs(sum(chain_terms) - h_x)

@@ -121,10 +121,12 @@ class Field:
             if type(obj) is not int:
                 raise ParseError(f"expected residue int, got {obj!r}")
             return self.canon(obj)
-        try:
-            return Fraction(obj)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"cannot parse rational scalar {obj!r}") from exc
+        if type(obj) in (str, int):  # not float or bool: rationals are written "a/b"
+            try:
+                return Fraction(obj)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ParseError(f"cannot parse rational scalar {obj!r}")
 
     # -- dunders -------------------------------------------------------------
 

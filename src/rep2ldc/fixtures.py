@@ -86,15 +86,26 @@ def signed_shift_group(n: int, p: int, cap: int | None = None) -> MatrixGroup:
 
 
 def _element_of_order(p: int, k: int) -> int:
-    """Smallest residue of multiplicative order exactly k mod p."""
+    """Smallest residue of multiplicative order exactly k mod p.
+
+    As a runs over GF(p)^x, h = a^((p-1)/k) takes each residue of order
+    dividing k equally often, so a few values of a give one of order
+    exactly k.  The residues of order k are then the powers h^j with
+    gcd(j, k) = 1, so k products find the smallest, however far from 1.
+    """
     if (p - 1) % k != 0:
         raise NoRootOfUnity(f"GF({p}) has no element of order {k}")
-    for a in range(2, p):
-        if pow(a, k, p) != 1:
-            continue
-        if all(pow(a, k // q, p) != 1 for q in _prime_factors(k)):
-            return a
-    raise NoRootOfUnity(f"no order-{k} element found mod {p}")
+    primes = _prime_factors(k)
+    for a in range(1, p):
+        h = pow(a, (p - 1) // k, p)
+        if all(pow(h, k // q, p) != 1 for q in primes):
+            break
+    best, x = h, 1
+    for j in range(1, k + 1):
+        x = x * h % p
+        if math.gcd(j, k) == 1:
+            best = min(best, x)
+    return best
 
 
 def _prime_factors(k: int) -> list[int]:

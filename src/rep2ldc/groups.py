@@ -297,8 +297,8 @@ def _bfs(field: Field, elements, index: dict, words, gens: list, cap: int | None
                 if t is None:
                     if len(elements) >= cap:
                         raise CapExceeded(cap)
-                    elements.append(Matrix(field, prods[j].copy(), _canonical=True))
-                    t = index[elements[-1].key()] = len(elements) - 1  # the index shares its key
+                    elements.append(Matrix(field, prods[j].copy(), _canonical=True, _key=keys[j]))
+                    t = index[keys[j]] = len(elements) - 1  # the element shares its key
                     words.append(words[s + j // nk] + (gens[j % nk][0],))
                 found[j] = t
         found = np.array(found, dtype=np.int64)

@@ -88,7 +88,7 @@ class Matrix:
 
     __slots__ = ("field", "a", "_key")
 
-    def __init__(self, field: Field, array, _canonical: bool = False):
+    def __init__(self, field: Field, array, _canonical: bool = False, _key=None):
         self.field = field
         if _canonical:
             a = array
@@ -98,7 +98,7 @@ class Matrix:
             raise ValueError("matrix array must be 2-D")
         a.flags.writeable = False
         self.a = a
-        self._key = None
+        self._key = _key  # array_key(field, a) if given
 
     # -- constructors ---------------------------------------------------------
 

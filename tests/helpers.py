@@ -224,3 +224,60 @@ def reference_closure(generators, cap: int):
                     next_frontier.append(index[prod.key()])
         frontier = next_frontier
     return elements, index, words
+
+
+def reference_entropy_audit(rows, matchings) -> dict:
+    """The entropy audit by tuple-keyed dicts.
+
+    Prefix classes, and the values within each, are taken in order of
+    first appearance; each matching is checked pair by pair in set order,
+    and a pair that crosses classes is reported as crossing even when it
+    also agrees.  Raises what bounds.entropy_audit raises, with its text.
+    Floats are summed in class order, so they equal the audit's exactly.
+    """
+    from collections import Counter
+
+    from rep2ldc.bounds import log2_ratio_cmp
+    from rep2ldc.errors import MatchingCrossesPrefixClass, PairNotSeparated
+
+    rows = [tuple(row) for row in rows]
+    m = len(rows)
+    out = {"prefix_class_sizes": [], "chain_terms": [], "chain_term_ok": [],
+           "matching_bound_terms": []}
+    for i, pairs in enumerate(matchings):
+        classes: dict = {}
+        for row in rows:
+            values = classes.setdefault(row[:i], {})
+            values[row[i]] = values.get(row[i], 0) + 1
+        for j1, j2 in pairs:
+            if rows[j1][:i] != rows[j2][:i]:
+                raise MatchingCrossesPrefixClass(
+                    f"pair ({j1}, {j2}) crosses prefix classes at coordinate {i}")
+            if rows[j1][i] == rows[j2][i]:
+                raise PairNotSeparated(f"pair ({j1}, {j2}) agrees at coordinate {i}")
+        class_pairs = Counter(rows[j1][:i] for j1, _ in pairs)
+        num, den, term, ok = 1, 1, 0.0, True
+        for prefix, values in classes.items():
+            counts = list(values.values())
+            jb, den_b = sum(counts), math.prod(c**c for c in counts)
+            num, den = num * jb**jb, den * den_b
+            term += (jb / m) * brute_entropy(counts)
+            s = class_pairs[prefix]
+            ok = ok and (not s or log2_ratio_cmp(jb**jb, den_b, Fraction(2 * s)) >= 0)
+        out["prefix_class_sizes"].append(tuple(sum(v.values()) for v in classes.values()))
+        out["chain_terms"].append(term)
+        out["matching_bound_terms"].append(Fraction(2 * len(pairs), m))
+        out["chain_term_ok"].append(
+            ok and log2_ratio_cmp(num, den, Fraction(2 * len(pairs))) >= 0)
+    full = list(Counter(rows).values())
+    hx_den = math.prod(c**c for c in full)
+    two_dt = Fraction(2 * sum(map(len, matchings)), m)
+    log_cmp = log2_ratio_cmp(m, 1, two_dt)
+    out.update(
+        entropy_value=brute_entropy(full),
+        upper_ok=True,  # m^m / prod c^c <= m^m
+        hx_ge_2dt=log2_ratio_cmp(m**m, hx_den, two_dt * m) >= 0,
+        log2m_ge_2dt=log_cmp >= 0,
+        code_size_relation={1: "gt", 0: "eq", -1: "lt"}[log_cmp],
+    )
+    return out

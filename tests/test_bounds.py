@@ -1,9 +1,11 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import brute_entropy, fresh_group, matrix_order
+from helpers import brute_entropy, fresh_group, matrix_order, reference_entropy_audit
 
 from rep2ldc import groups
 from rep2ldc.bounds import (
@@ -19,7 +21,7 @@ from rep2ldc.bounds import (
     match_entropy_check,
     theta,
 )
-from rep2ldc.construct import build_special_2ldc
+from rep2ldc.construct import build_special_2ldc, lambda_variant
 from rep2ldc.errors import (
     MatchingCrossesPrefixClass,
     NotADistribution,
@@ -30,6 +32,7 @@ from rep2ldc.fixtures import parse_fixture
 from rep2ldc.groups import close_group, fixed_space
 from rep2ldc.ldc import LdcInstance, QMatching, hadamard
 from rep2ldc.linalg import Matrix, rank
+from rep2ldc.serialize import canonical_json
 
 F2, F3, F11 = GF(2), GF(3), GF(11)
 
@@ -373,6 +376,113 @@ class TestEntropyAudit:
             )
             audit = entropy_audit(inst)
             assert audit.chain_sum_ok
+
+    def test_first_failing_pair_in_set_order(self):
+        # pair (0, 1) agrees at coordinate 1; the later pair (2, 3) crosses
+        inst = _special2(F2, [[0, 0], [0, 0], [0, 1], [1, 0]], [(), ((0, 1), (2, 3))])
+        with pytest.raises(PairNotSeparated, match=r"^pair \(0, 1\) agrees at coordinate 1$"):
+            entropy_audit(inst)
+
+    def test_pair_failing_both_ways_reports_crossing(self):
+        inst = _special2(F2, [[0, 0], [1, 0]], [(), ((0, 1),)])
+        with pytest.raises(MatchingCrossesPrefixClass,
+                           match=r"^pair \(0, 1\) crosses prefix classes at coordinate 1$"):
+            entropy_audit(inst)
+
+    @pytest.mark.parametrize("field, values", [
+        (GF(2), [0, 1]),
+        (GF(3), [0, 1, 2]),
+        (GF(5), [0, 1, 2, 3, 4]),
+        (QQ, [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 7)]),
+    ], ids=["GF2", "GF3", "GF5", "QQ"])
+    def test_matches_dict_oracle(self, field, values):
+        """Random codes with matchings inside prefix classes, some with one
+        extra pair between unmatched rows, which may cross or agree."""
+        rng = random.Random(field.char)
+        outcomes = set()
+        for _ in range(60):
+            rows, matchings = _random_special2(rng, values)
+            try:
+                want = reference_entropy_audit(rows, matchings)
+            except (MatchingCrossesPrefixClass, PairNotSeparated) as exc:
+                with pytest.raises(type(exc)) as got:
+                    entropy_audit(_special2(field, rows, matchings))
+                assert str(got.value) == str(exc)
+                outcomes.add(type(exc))
+                continue
+            audit = entropy_audit(_special2(field, rows, matchings))
+            assert {k: getattr(audit, k) for k in want} == {
+                k: tuple(v) if isinstance(v, list) else v for k, v in want.items()}
+            outcomes.add("passed" if audit.passed else "failed")
+        assert {"passed", MatchingCrossesPrefixClass, PairNotSeparated} <= outcomes
+
+    @pytest.mark.parametrize("code, want", [
+        ("signed_shift(4,3) special2",
+         "a3f3d8fc6a5144ebd74140a05a70faeb2a7342f9835584781b0a92239f923780"),
+        ("signed_shift(4,3) lambda",
+         "5800aa8cd424526215ddc4ac8851e6bb28964d12de19e982c6b0742f1df7d1e8"),
+        ("dihedral(5,11) special2",
+         "69cd164a146507e687e3167217c2cf04ea5b4a56a8c23bd660f6d03b86e88ee4"),
+        ("dihedral(5,11) lambda",
+         "022b65585869bc0587ffe3a5ceb0cb954dc5c5a3f7af10b3b549b9be64eebf20"),
+        ("signed_shift(6,5) special2",
+         "99111c7c02e5ad8ca134027c173f8d65022559e5df9458bb159d4de1ffb44fd2"),
+        ("signed_shift(6,5) lambda",
+         "cb0815c1da99ae8685cbb7825ebd0215e541fadb7f5311c235613645a6608cad"),
+        ("signed_shift(4,0) special2",
+         "a3f3d8fc6a5144ebd74140a05a70faeb2a7342f9835584781b0a92239f923780"),
+        ("signed_shift(4,0) lambda",
+         "5800aa8cd424526215ddc4ac8851e6bb28964d12de19e982c6b0742f1df7d1e8"),
+        ("hadamard(3)",
+         "745dd1ac63ea7acfebc80976057f108081dfc53b55fa5a22d1d1b1cbf7e03ae5"),
+    ])
+    def test_audit_bytes_pinned(self, code, want):
+        """The canonical JSON of the audit, floats included, hashes as it did
+        when prefix classes were tuple-keyed dicts.  Certificates are built
+        from the first generator at seed 0 (lambda = 1)."""
+        if code == "hadamard(3)":
+            inst = hadamard(3, F2)
+        else:
+            fixture, kind = code.split()
+            g = parse_fixture(fixture)
+            build = build_special_2ldc if kind == "special2" else (
+                lambda g, h: lambda_variant(g, h, 1))
+            inst = build(g, g.generators[0]).code
+        text = canonical_json(entropy_audit(inst).to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def _special2(field, rows, matchings) -> LdcInstance:
+    return LdcInstance(
+        field=field, t=len(rows[0]), m=len(rows), vectors=Matrix(field, rows),
+        matchings=tuple(QMatching(2, sets) for sets in matchings),
+        form="special2", q=2, claimed_delta=Fraction(0),
+    )
+
+
+def _random_special2(rng, values):
+    """(rows, matchings): repeated rows among random ones, and per
+    coordinate i a random matching of rows that share their length-i
+    prefix and differ at i; one in five gets one more pair of unmatched
+    rows, in a random place."""
+    m, t = rng.randint(2, 16), rng.randint(1, 4)
+    rows = [[rng.choice(values) for _ in range(t)] for _ in range(m)]
+    for _ in range(rng.randint(0, m // 2)):
+        rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+    matchings = []
+    for i in range(t):
+        order, used, pairs = rng.sample(range(m), m), set(), []
+        for j1 in order:
+            for j2 in order:
+                if used.isdisjoint((j1, j2)) and j1 != j2 and rng.random() < 0.7 \
+                        and rows[j1][:i] == rows[j2][:i] and rows[j1][i] != rows[j2][i]:
+                    pairs.append((j1, j2))
+                    used.update((j1, j2))
+        free = [j for j in range(m) if j not in used]
+        if rng.random() < 0.2 and len(free) >= 2:
+            pairs.insert(rng.randint(0, len(pairs)), tuple(rng.sample(free, 2)))
+        matchings.append(tuple(tuple(sorted(p)) for p in pairs))
+    return rows, matchings
 
 
 class TestAvgFixedSpace:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -209,6 +210,33 @@ class TestRankScan:
         assert doc["all_satisfied"] is True
         assert doc["burnside_irreducible"] is True
         assert len(doc["reports"]) == 5
+
+
+    @pytest.mark.parametrize("fixture, fmt, want", [
+        ("signed_shift(4,3)", "json",
+         "688eccb4317865a047a841e0d98efd14c01253fad192293305db3d7c313fd879"),
+        ("signed_shift(4,3)", "csv",
+         "67e67412ff445f9826e34ffb861457c794f065dfb84be74b9a824c3907cb74fa"),
+        ("signed_shift(4,3)", "text",
+         "3d716b792c838dd4d40be2ea1f0ddff67c3cab840731daaa2d80714d71b5d6f2"),
+        ("dihedral(5,11)", "json",
+         "a9262404a9ea39a62390459dc39c0901e2b87ee457f872646316d58d6b696603"),
+        ("dihedral(5,11)", "csv",
+         "33cdd384d6b0ef6b9a0df4bef90292bfb6571860bb819a8689824e0eeb8b026c"),
+        ("dihedral(5,11)", "text",
+         "99df32c81747126120a7eee93418972ab7e113a2d247d16051771638862945ef"),
+        ("signed_shift(4,0)", "json",
+         "2d71b9ef4ea82897015e883da197686ac853034120835549298e2e1af13ff388"),
+        ("signed_shift(4,0)", "csv",
+         "0a179094090d5129e99f43c0e1c3fea4cc59d2c732e0c0fab3e278b3ecec162d"),
+        ("signed_shift(4,0)", "text",
+         "55c10edd98240ce94521ff4f3b1878f194a53c203e99fdfcd3bd238267009894"),
+    ])
+    def test_output_bytes_pinned(self, fixture, fmt, want, tmp_path):
+        out = tmp_path / f"scan.{fmt}"
+        assert main(["rank-scan", "--fixture", fixture, "--format", fmt,
+                     "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 class TestConstructVerify:

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from rep2ldc.errors import BadCharacteristic, CapExceeded, CharTwo, NoRootOfUnity
-from rep2ldc.fields import GF
+from rep2ldc.fields import GF, is_prime
 from rep2ldc.fixtures import (
+    _element_of_order,
     dihedral_rep,
     parse_fixture,
     signed_shift_group,
@@ -63,6 +64,31 @@ class TestDihedral:
         g = dihedral_rep(k, p)
         assert len(g) == 2 * k
         assert g.element_order(g.generators[0]) == k
+
+
+    def test_order_two_root_far_from_one(self):
+        # the only residue of order 2 is p - 1, about 2^31 residues past 2
+        g = parse_fixture("dihedral(2,2147483647)")
+        assert len(g) == 4
+        assert g.matrix(g.generators[0]).a.tolist() == [[2147483646, 0], [0, 2147483646]]
+
+    def test_order_one(self):
+        assert _element_of_order(1000003, 1) == 1
+        assert len(parse_fixture("dihedral(1,1000003)")) == 2
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 400) if is_prime(p)])
+def test_element_of_order_is_the_smallest(p):
+    """Against the order of every residue, found by repeated products."""
+    orders = {}
+    for a in range(1, p):
+        x, order = a, 1
+        while x != 1:
+            x, order = x * a % p, order + 1
+        orders.setdefault(order, a)
+    for k in range(1, p):
+        if (p - 1) % k == 0:
+            assert _element_of_order(p, k) == orders[k]
 
 
 class TestSymmetric:

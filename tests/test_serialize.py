@@ -287,6 +287,24 @@ def test_integer_field_must_be_an_int(cert_doc, kind, path, name, change, tmp_pa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [1.0, 0.5, True, None, "1/0"],
+                         ids=["float-one", "float-half", "bool", "null", "zero-denominator"])
+def test_rational_scalar_must_be_a_string_or_int(signed_shift_4_q, value, tmp_path, capsys):
+    """Over QQ, z[0] = "1" may be written 1 but not 1.0 or true."""
+    g = signed_shift_4_q
+    doc = json.loads(canonical_json(cert_to_json(build_special_2ldc(g, g.generators[0]))))
+    assert doc["z"][0] == "1"
+    doc["z"][0] = 1
+    assert verify_cert_json(doc).passed
+    doc["z"][0] = value
+    with pytest.raises(ParseError, match=rf"^cannot parse rational scalar {re.escape(repr(value))}$"):
+        cert_from_json(doc)
+    dump_json(doc, str(tmp_path / "tampered.json"))
+    assert main(["verify", "--input", str(tmp_path / "tampered.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot parse rational scalar {value!r}\n"
+
+
 @pytest.mark.parametrize("value", [0.5, 1, None])
 def test_achieved_delta_must_be_a_string(cert_doc, value):
     doc = json.loads(json.dumps(cert_doc))
