@@ -7,7 +7,8 @@ generator; a cap below 1; an element position outside [0, |G|); a scalar
 flag that is not a field element), 2 cap exceeded, 3 verification or bound
 failure, 4 degenerate input (zero combination / identity element /
 scalar multiple of identity / zero vector), 5 spanning failure,
-6 internal inconsistency (a bug), 7 randomized search budget exhausted.
+6 internal inconsistency (a bug), 7 randomized search budget exhausted,
+141 the reader closed stdout early (128 + SIGPIPE, quietly).
 EXIT_CODES gives the code of every error class.
 All randomness flows from --seed through one named generator, so reruns
 with identical arguments produce byte-identical certificates.
@@ -19,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -68,6 +70,7 @@ EXIT_DEGENERATE = 4
 EXIT_SPANNING = 5
 EXIT_INTERNAL = 6
 EXIT_BUDGET = 7
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout before the report ended
 
 # Exit code per error class; main uses the first class in the error's MRO.
 EXIT_CODES = {
@@ -399,7 +402,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # silences that flush
+        return EXIT_PIPE
     except (Rep2LdcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)

@@ -16,6 +16,8 @@ order.  A copy made with the constructor replays the same pass against its
 own index.  The table answers group questions with integers, alike over
 GF(p) and QQ: left_perm is one gather per BFS level, mul a word walk, inv
 and element_order walks of powers, mult_cycles powers of left_perm.
+Burnside and spin are each one linalg.row_closure under the generators:
+span(G) is the algebra they generate, as g^-1 = g^(ord g - 1).
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
+from .errors import CapExceeded, DimensionMismatch, InternalInconsistency, NotInvertible, ZeroVector
 from .fields import Field
-from .linalg import Matrix, Subspace, array_key, nullspace, rank, ranks, rref, subspace_sum
+from .linalg import Matrix, Subspace, array_key, nullspace, rank, ranks, row_closure
 
 __all__ = [
     "MatrixGroup",
@@ -345,57 +347,29 @@ def burnside_irreducible(group: MatrixGroup) -> bool:
     """True iff the elements span the full n x n matrix algebra.
 
     True certifies (absolute) irreducibility of the action on F^n; False
-    is inconclusive for irreducibility over F itself.  The verdict is
-    cached on the group.
+    is inconclusive for irreducibility over F itself.  As g^-1 = g^(ord g - 1),
+    span(G) is vec(I) closed under right multiplication by the generators:
+    at most n^2 rows, however large G is.  The verdict is cached on the group.
     """
     if group._burnside is None:
-        group._burnside = _spans_matrix_algebra(group)
+        vec_i = Matrix(group.field, np.eye(group.dim, dtype=np.int64).reshape(1, -1))
+        gens = [group.elements[u] for u in group.generators]
+        group._burnside = row_closure(vec_i, gens).dim == group.dim ** 2
     return group._burnside
-
-
-def _spans_matrix_algebra(group: MatrixGroup) -> bool:
-    n = group.dim
-    target = n * n
-    field = group.field
-    basis = Matrix.zeros(field, 0, target).a
-    chunk = 256
-    elems = group.elements
-    for start in range(0, len(elems), chunk):
-        block = np.stack([g.a.reshape(target) for g in elems[start:start + chunk]])
-        stacked = np.concatenate([basis, block], axis=0)
-        reduced, rk, _ = rref(Matrix(field, stacked, _canonical=True))
-        basis = reduced.a[:rk]
-        if rk == target:
-            return True
-    return basis.shape[0] == target
 
 
 def spin(v, group: MatrixGroup) -> Subspace:
     """Smallest group-invariant subspace containing v.
 
-    Closes {v} under the generators only; invariance under generators
-    implies invariance under the whole group.
+    The row v closed under the transposed generators (g v is the row v g^T);
+    invariance under the generators is invariance under the whole group.
     """
-    field = group.field
-    v = v if isinstance(v, np.ndarray) else field.vector(v)
-    if not np.any(v != 0):
+    rows = Matrix(group.field, [v])
+    if rows.is_zero():
         raise ZeroVector("cannot spin the zero vector")
-    n = group.dim
-    space = Subspace.from_rows(field, n, v.reshape(1, -1))
-    frontier = [v]
-    gens = [group.elements[g] for g in group.generators]
-    while frontier and space.dim < n:
-        next_frontier = []
-        for u in frontier:
-            for g in gens:
-                w = g.matvec(u)
-                if not space.contains_vector(w):
-                    space = subspace_sum(
-                        [space, Subspace.from_rows(field, n, w.reshape(1, -1))]
-                    )
-                    next_frontier.append(w)
-        frontier = next_frontier
-    return space
+    if rows.cols != group.dim:
+        raise DimensionMismatch("vector has wrong length")
+    return row_closure(rows, [group.elements[u].T for u in group.generators])
 
 
 def fixed_space(group: MatrixGroup, h: int) -> Subspace:

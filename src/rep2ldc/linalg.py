@@ -4,9 +4,9 @@ Matrices are immutable wrappers around numpy arrays: int64 residues for
 prime fields (hot paths go through the kernels in _kernels.py), Fraction
 object arrays for the rationals.  Their arithmetic goes through the field's
 `matmul`, `reduce` and `canon`.  Rank, nullspace, factorization and all
-subspace operations reduce to one deterministic RREF; `ranks` takes the
-ranks of a whole stack and `array_key` keys an array for dict lookup, on
-either field.
+subspace operations (row_closure too) reduce to one deterministic RREF;
+`ranks` takes the ranks of a whole stack and `array_key` keys an array for
+dict lookup, on either field.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "orth_complement",
     "subspace_sum",
     "subspace_contains",
+    "row_closure",
     "apply_to_subspace",
     "invert",
     "ranks",
@@ -331,9 +332,6 @@ class Subspace:
         _, rk, _ = rref(Matrix(field, stacked, _canonical=True))
         return rk == self.dim
 
-    def contains(self, other: "Subspace") -> bool:
-        return subspace_contains(self, other)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -373,6 +371,26 @@ def subspace_contains(u: Subspace, v: Subspace) -> bool:
     stacked = np.concatenate([u.basis.a, v.basis.a], axis=0)
     _, rk, _ = rref(Matrix(u.field, stacked, _canonical=True))
     return rk == u.dim
+
+
+def row_closure(rows: Matrix, mats: Sequence[Matrix]) -> Subspace:
+    """Smallest row space holding `rows` and closed under r -> r @ M for
+    every n x n M of `mats`, each row read as n-wide blocks.
+
+    Each round multiplies only the rows whose RREF pivot is new and takes
+    one RREF of [basis; images]: old pivots stay pivots of a larger space,
+    and the rows with new pivots span a complement of the old one.
+    """
+    field, n = rows.field, mats[0].rows
+    r, rk, piv = rref(rows)
+    basis = new = r.a[:rk]
+    while len(new) and rk < rows.cols:
+        images = [field.matmul(new.reshape(-1, n), m.a).reshape(len(new), -1) for m in mats]
+        old = set(piv)
+        r, rk, piv = rref(Matrix(field, np.concatenate([basis, *images]), _canonical=True))
+        basis = r.a[:rk]
+        new = basis[[c not in old for c in piv]]
+    return Subspace(field, rows.cols, Matrix(field, basis, _canonical=True), _trusted=True)
 
 
 def orth_complement(u: Subspace) -> Subspace:

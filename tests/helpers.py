@@ -281,3 +281,45 @@ def reference_entropy_audit(rows, matchings) -> dict:
         code_size_relation={1: "gt", 0: "eq", -1: "lt"}[log_cmp],
     )
     return out
+
+
+# Burnside by an element scan and spin one vector at a time: oracles of the
+# row-space closure (linalg.row_closure) that groups uses for both.
+
+def scan_spans_matrix_algebra(group) -> bool:
+    """Burnside by the element scan: the elements' rows vec(g), 256 at a
+    time, each chunk one RREF of the growing stack, until the rank is n^2."""
+    import numpy as np
+
+    from rep2ldc.linalg import Matrix, rref
+
+    n, field = group.dim, group.field
+    basis = Matrix.zeros(field, 0, n * n).a
+    for start in range(0, len(group.elements), 256):
+        block = np.stack([g.a.reshape(n * n) for g in group.elements[start:start + 256]])
+        reduced, rk, _ = rref(Matrix(field, np.concatenate([basis, block]), _canonical=True))
+        basis = reduced.a[:rk]
+        if rk == n * n:
+            return True
+    return False
+
+
+def vector_spin(v, group):
+    """spin by one vector at a time: each frontier vector times each
+    generator, added by subspace_sum when the space does not contain it."""
+    from rep2ldc.linalg import Subspace, subspace_sum
+
+    field, n = group.field, group.dim
+    v = field.vector(v)
+    space, frontier = Subspace.from_rows(field, n, v.reshape(1, -1)), [v]
+    gens = [group.elements[g] for g in group.generators]
+    while frontier and space.dim < n:
+        next_frontier = []
+        for u in frontier:
+            for g in gens:
+                w = g.matvec(u)
+                if not space.contains_vector(w):
+                    space = subspace_sum([space, Subspace.from_rows(field, n, w.reshape(1, -1))])
+                    next_frontier.append(w)
+        frontier = next_frontier
+    return space

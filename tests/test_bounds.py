@@ -413,6 +413,9 @@ class TestEntropyAudit:
             audit = entropy_audit(_special2(field, rows, matchings))
             assert {k: getattr(audit, k) for k in want} == {
                 k: tuple(v) if isinstance(v, list) else v for k, v in want.items()}
+            # the matching lemma: once the pair checks pass, every exact verdict holds
+            assert all(audit.chain_term_ok) and audit.upper_ok
+            assert audit.hx_ge_2dt and audit.log2m_ge_2dt
             outcomes.add("passed" if audit.passed else "failed")
         assert {"passed", MatchingCrossesPrefixClass, PairNotSeparated} <= outcomes
 

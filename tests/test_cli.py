@@ -141,18 +141,36 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
         "ldc-m-zero", "ldc-delta-number", "ldc-index-past-int64", "cert-delta-number",
         "cap-zero", "cap-negative", "spec-cap-negative", "spec-cap-zero"])
 def test_bad_input_exits_1_without_traceback(argv, bad_inputs, tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rep2ldc.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     argv = [a.format(**bad_inputs) for a in argv]
     out = subprocess.run(
         [sys.executable, "-m", "rep2ldc.cli", *argv, "--output", str(tmp_path / "out.json")],
-        env=env, capture_output=True, text=True,
+        env=_cli_env(), capture_output=True, text=True,
     )
     assert out.returncode == 1
     assert any(line.startswith("error: ") for line in out.stderr.splitlines())
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "out.json").exists()
+
+
+def _cli_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rep2ldc.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def test_closed_pipe_exits_141_quietly():
+    """A reader that takes one line and closes the pipe, as `| head -1`
+    does, of a report (1 MB of JSON) far larger than a pipe's buffer."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "rep2ldc.cli", "rank-scan", "--fixture", "signed_shift(8,3)",
+         "--format", "json"],
+        env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == cli.EXIT_PIPE == 141
 
 
 def _error_classes(cls=Rep2LdcError):

@@ -11,12 +11,20 @@ from helpers import (
     matrix_mul,
     matrix_order,
     reference_closure,
+    scan_spans_matrix_algebra,
+    vector_spin,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rep2ldc import _kernels, groups
-from rep2ldc.errors import CapExceeded, InternalInconsistency, NotInvertible, ZeroVector
+from rep2ldc.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    InternalInconsistency,
+    NotInvertible,
+    ZeroVector,
+)
 from rep2ldc.fields import GF, QQ, Field
 from rep2ldc.fixtures import parse_fixture
 from rep2ldc.groups import (
@@ -500,7 +508,7 @@ class TestBurnside:
     def test_verdict_cached_on_group(self, monkeypatch, dihedral_5_11):
         g = fresh_group(dihedral_5_11)
         assert burnside_irreducible(g)
-        monkeypatch.setattr(groups, "_spans_matrix_algebra", None)
+        monkeypatch.setattr(groups, "row_closure", None)
         assert burnside_irreducible(g)
 
 
@@ -515,6 +523,12 @@ class TestSpin:
     def test_zero_vector_rejected(self, signed_shift_4_3):
         with pytest.raises(ZeroVector):
             spin([0, 0, 0, 0], signed_shift_4_3)
+        with pytest.raises(ZeroVector):  # 3 = 0 in GF(3)
+            spin(np.array([3, 0, 0, 0]), signed_shift_4_3)
+
+    def test_wrong_length_rejected(self, signed_shift_4_3):
+        with pytest.raises(DimensionMismatch):
+            spin([1, 0, 0, 0, 0, 0, 0, 0], signed_shift_4_3)
 
     def test_spin_is_invariant(self, dihedral_5_11):
         g = dihedral_5_11
@@ -523,6 +537,97 @@ class TestSpin:
             mat = g.matrix(pos)
             for i in range(space.dim):
                 assert space.contains_vector(mat.matvec(space.basis.row(i)))
+
+
+@st.composite
+def closure_cases(draw, field):
+    """(generators, v): 1-3 generators of dimension n <= 4 and a nonzero v.
+
+    Generators are random invertible matrices over GF(p), monomial
+    matrices (a permutation times nonzero scalars; +-1 over QQ, so the
+    group is finite), or block-diagonal and block-triangular matrices of
+    those, which give reducible groups."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(0, field.char - 1) if field.char else st.integers(-2, 2)
+    unit = st.integers(1, field.char - 1) if field.char else st.sampled_from([-1, 1])
+
+    def square(k, kind):
+        if kind == "random":
+            flat = draw(st.lists(entry, min_size=k * k, max_size=k * k).filter(
+                lambda f: rank(Matrix(field, [f[i:i + k] for i in range(0, k * k, k)])) == k))
+            return [flat[i:i + k] for i in range(0, k * k, k)]
+        perm, scale = draw(st.permutations(range(k))), draw(st.lists(unit, min_size=k, max_size=k))
+        return [[scale[i] if j == perm[i] else 0 for j in range(k)] for i in range(k)]
+
+    kinds = ["monomial"] + (["random"] if field.char else [])
+    shape = draw(st.sampled_from(["whole", "diagonal", "triangular"] if n > 1 else ["whole"]))
+    split = draw(st.integers(1, n - 1)) if shape != "whole" else n
+    gens = []
+    for _ in range(draw(st.integers(1 if shape != "whole" else 2, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if shape == "whole":
+            rows = square(n, kind)
+        else:
+            top, bottom = square(split, kind), square(n - split, kind)
+            corner = [[draw(entry) if shape == "triangular" and field.char else 0
+                       for _ in range(n - split)] for _ in range(split)]
+            rows = [t + c for t, c in zip(top, corner)] + [[0] * split + b for b in bottom]
+        gens.append(Matrix(field, rows))
+    v = draw(st.lists(entry, min_size=n, max_size=n).filter(any))
+    return gens, v
+
+
+def assert_closure_matches_oracles(g, v) -> bool:
+    """The closure's Burnside verdict is the element scan's, and its spin
+    basis the per-vector spin's, byte for byte; returns the verdict."""
+    verdict = burnside_irreducible(g)
+    assert verdict == scan_spans_matrix_algebra(g)
+    new, old = spin(v, g).basis.a, vector_spin(v, g).basis.a
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert list(map(repr, new.flat)) == list(map(repr, old.flat))
+    return verdict
+
+
+FIELDS = pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ],
+                                 ids=["GF2", "GF3", "GF5", "QQ"])
+
+
+class TestClosureAgainstScan:
+    @FIELDS
+    def test_random_generators(self, field):
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(case=closure_cases(field))
+        def check(case):
+            gens, v = case
+            try:
+                g = close_group(gens, cap=400)
+            except CapExceeded:
+                return
+            assert_closure_matches_oracles(g, v)
+
+        check()
+
+    @FIELDS
+    def test_irreducible_and_reducible(self, field):
+        """A signed 3-cycle group (GL(2,2) over GF(2)) is irreducible; the
+        permutation group S_3, fixing (1, 1, 1), and a block-diagonal group
+        are not."""
+        if field.char == 2:
+            irreducible = [[[1, 1], [0, 1]], [[0, 1], [1, 0]]]
+        else:
+            irreducible = [[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+        permutations = [[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]]]
+        block = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]
+        for gens, expected in [(irreducible, True), (permutations, False), (block, False)]:
+            g = close_group([Matrix(field, rows) for rows in gens])
+            for v in np.eye(g.dim, dtype=np.int64).tolist() + [[1] * g.dim]:
+                assert assert_closure_matches_oracles(g, v) is expected
+
+    @pytest.mark.parametrize("spec", ["signed_shift(4,3)", "dihedral(5,11)", "symmetric(5,7)",
+                                      "signed_shift(4,0)"])
+    def test_fixtures(self, spec):
+        g = fresh_group(parse_fixture(spec))
+        assert assert_closure_matches_oracles(g, [1] + [0] * (g.dim - 1)) is True
 
 
 class TestFixedSpace:
