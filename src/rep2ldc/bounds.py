@@ -175,7 +175,7 @@ def check_rank_separation(group: MatrixGroup) -> list[BoundReport]:
     """One report per non-identity element h: does rank(h - I) clear
     theta*gamma*n / log2|G| and the weaker n / (3 log2|G|)?
 
-    Orders and ranks come from the group's one-pass table; the identity
+    Orders and ranks are computed once per conjugacy class; the identity
     is the one element with rank 0.  Gamma, both bounds and both verdicts
     depend only on (order, rank), so each distinct pair is decided once.
     """
@@ -439,7 +439,7 @@ class AvgFixedSpaceReport:
 def avg_fixed_space(group: MatrixGroup) -> AvgFixedSpaceReport:
     """Exact average of dim C(h) over the whole group, compared to n/2.
 
-    dim C(h) = n - rank(h - I), read from the group's one-pass table.
+    dim C(h) = n - rank(h - I), computed once per conjugacy class.
     The bound is only meaningful for irreducible actions; burnside
     evidence is recorded so reducible inputs can be flagged as
     not-applicable rather than as violations.

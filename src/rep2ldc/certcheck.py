@@ -79,9 +79,10 @@ def cert_from_json(obj) -> ConstructionCert:
         y = matrix_from_json(obj["Y"])
         x = matrix_from_json(obj["X"])
         fam = obj["family"]
+        u = matrix_from_json(fam["U"])
         family = SpanningFamily(
             g_refs=tuple(json_int(g, "family.g_refs") for g in fam["g_refs"]),
-            U=Subspace(field, group.dim, matrix_from_json(fam["U"])),
+            U=Subspace(u.field, group.dim, u),
             W=matrix_from_json(fam["W"]),
             hat_w=tuple(
                 field.vector([field.scalar_from_json(v) for v in h])
@@ -123,8 +124,14 @@ def cert_from_json(obj) -> ConstructionCert:
 
 
 def _check_indices_and_shapes(cert: ConstructionCert) -> None:
-    """Reject element indices outside [0, |G|) and vectors or matrices whose
-    shape contradicts n, R or t, which verify_cert would index with."""
+    """Reject parts over a field other than the group's, element indices
+    outside [0, |G|) and vectors or matrices whose shape contradicts n, R
+    or t, which verify_cert would index with."""
+    field = cert.group.field
+    for name, part in (("D", cert.D), ("Y", cert.Y), ("X", cert.X), ("family.U", cert.family.U),
+                       ("family.W", cert.family.W), ("code", cert.code)):
+        if part.field != field:
+            raise ParseError(f"{name} is over {part.field!r}, the group over {field!r}")
     m = len(cert.group)
     n = cert.group.dim
     r = cert.R

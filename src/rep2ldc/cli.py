@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import avg_fixed_space, check_rank_separation, entropy_audit
-from .certcheck import verify_cert_json
+from .certcheck import CertCheckReport, verify_cert_json
 from .construct import build_q_ldc, build_special_2ldc, lambda_variant
 from .errors import (
     BadCharacteristic,
@@ -226,30 +226,19 @@ def cmd_verify(args) -> int:
     kind = detect_kind(doc)
     if kind == "cert":
         report = verify_cert_json(doc)
-        payload = report.to_json()
-        passed = report.passed
     elif kind == "ldc":
         instance = ldc_from_json(doc)
-        code_report = ldc_verify(instance)
-        audit = None
-        failures = []
+        code_report, audit, failures = ldc_verify(instance), None, ()
         if instance.form == "special2":
             try:
                 audit = entropy_audit(instance)
             except Rep2LdcError as exc:
-                failures.append(f"entropy audit rejected the instance: {exc}")
-        payload = {
-            "kind": "ldc",
-            "passed": code_report.passed
-            and not failures
-            and (audit is None or audit.passed),
-            "failures": failures,
-            "code_report": code_report.to_json(),
-            "entropy_audit": None if audit is None else audit.to_json(),
-        }
-        passed = payload["passed"]
+                failures = (f"entropy audit rejected the instance: {exc}",)
+        report = CertCheckReport(kind="ldc", failures=failures,
+                                 code_report=code_report, audit=audit)
     else:
         raise ParseError("verify expects an ldc or cert document, got a group spec")
+    payload, passed = report.to_json(), report.passed
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2, sort_keys=True))
     else:

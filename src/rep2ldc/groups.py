@@ -15,7 +15,9 @@ set, holding I, is closed, and every element is a generator word in BFS
 order.  A copy made with the constructor replays the same pass against its
 own index.  The table answers group questions with integers, alike over
 GF(p) and QQ: left_perm is one gather per BFS level, mul a word walk, inv
-and element_order walks of powers, mult_cycles powers of left_perm.
+and element_order walks of powers, mult_cycles powers of left_perm, and the
+conjugacy classes orbits of s -> u^-1 s u, whose representatives alone get
+the batched powers and linalg.ranks of orders_and_ranks.
 Burnside and spin are each one linalg.row_closure under the generators:
 span(G) is the algebra they generate, as g^-1 = g^(ord g - 1).
 """
@@ -43,8 +45,8 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 200_000
-# Elements per BFS chunk, each multiplied by every distinct generator in one
-# product, and per batch of GF(p) powers and ranks; bounds their temporaries.
+# Elements per BFS chunk, each times every distinct generator in one product,
+# and class representatives per batch of powers and ranks; bounds temporaries.
 CLOSURE_CHUNK = 1024
 
 
@@ -151,39 +153,36 @@ class MatrixGroup:
         """(orders, ranks): int64 arrays over positions, with orders[i] the
         order of elements[i] and ranks[i] = rank(elements[i] - I).
 
-        Built once, cached read-only.  The ranks come from linalg.ranks on
-        CLOSURE_CHUNK elements at a time.  GF(p) orders are batched powers
-        g^k until I in the same chunks, whose cost does not grow with word
-        length.  Over QQ, orders are read off the Cayley table (x <- x s for
-        all s at once, each step a walk of s's word through right).
+        Both are class functions, as x(h - I)x^-1 = xhx^-1 - I: computed on
+        each class's smallest position, CLOSURE_CHUNK at a time (batched
+        powers g^k until I, one linalg.ranks), and read back per element.
+        A class is an orbit of s -> u^-1 s u over the generators u: every
+        position takes the least label of its images until none changes.
+        Built once, cached read-only.
         """
         if self._orders_ranks is None:
-            m, field = len(self.elements), self.field
-            orders, rk = np.ones(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+            field, right = self.field, self._cayley()[0]
+            conj = [self.left_perm(self.inv(u))[right[:, k]]
+                    for k, u in enumerate(dict.fromkeys(self.generators))]
+            label, prev = np.arange(len(right)), None
+            while not np.array_equal(label, prev):
+                prev = label
+                for c in conj:
+                    label = np.minimum(label, label[c])
+                label = label[label]
+            reps, label = np.unique(label, return_inverse=True)
+            orders, rk = np.ones(len(reps), dtype=np.int64), np.empty(len(reps), dtype=np.int64)
             eye = Matrix.identity(field, self.dim).a
-            for i in range(0, m, CLOSURE_CHUNK):
-                block = np.stack([g.a for g in self.elements[i:i + CLOSURE_CHUNK]])
+            for i in range(0, len(reps), CLOSURE_CHUNK):
+                block = np.stack([self.elements[r].a for r in reps[i:i + CLOSURE_CHUNK]])
                 rk[i:i + len(block)] = ranks(field, field.reduce(block - eye))
-                if field.char:
-                    acc, active = block, np.arange(len(block))
-                    while active.size:  # acc[j] = block[active[j]] ** orders[i + active[j]]
-                        keep = ~(acc == eye).all(axis=(1, 2))
-                        acc, active = acc[keep], active[keep]
-                        orders[i + active] += 1
-                        acc = field.matmul(acc, block[active])
-            if not field.char:
-                right, _, _, levels = self._cayley()
-                letters = np.zeros((m, len(levels)), dtype=np.int64)  # s's word as table columns
-                for d, (pos, parent, last) in enumerate(levels):
-                    letters[pos] = letters[parent]
-                    letters[pos, d] = last
-                active, x = np.arange(1, m), np.arange(1, m)
-                while active.size:
-                    for d, (pos, _, _) in enumerate(levels):  # words longer than d start at pos[0]
-                        lo = np.searchsorted(active, pos[0])
-                        x[lo:] = right[x[lo:], letters[active[lo:], d]]
-                    orders[active] += 1
-                    active, x = active[x != 0], x[x != 0]
+                acc, active = block, np.arange(len(block))
+                while active.size:  # acc[j] = block[active[j]] ** orders[i + active[j]]
+                    keep = ~(acc == eye).all(axis=(1, 2))
+                    acc, active = acc[keep], active[keep]
+                    orders[i + active] += 1
+                    acc = field.matmul(acc, block[active])
+            orders, rk = orders[label], rk[label]
             orders.flags.writeable = rk.flags.writeable = False
             self._orders_ranks = (orders, rk)
         return self._orders_ranks

@@ -332,6 +332,30 @@ class TestVerifyLdcFiles:
         out = capsys.readouterr().out
         assert "not applicable" in out
 
+    @pytest.mark.parametrize("case, fmt, code, want", [
+        ("passing", "json", 0, "121a85ba2c30b23c0128c94a6dbab279117519a6336ce460d995bcad491dc908"),
+        ("passing", "text", 0, "79a4f7fa9734164ffee509829d7b4fedbb4f79219bda0c0bb15eafce87645953"),
+        ("failing", "json", 3, "3ee3a04ba0348313623ae27ce80b4601a1ba142bde1286eaba42d9ae959f6c77"),
+        ("failing", "text", 3, "19c6ca029c59c092b0a8c76fbb3d5a9ab22356f6add5565229204ada146d79c0"),
+        ("audit_raises", "json", 3,
+         "28bcf146e88c4ad6093d44cb0a68e198cb18aee8bb04c1846788f3d56b92cdde"),
+        ("audit_raises", "text", 3,
+         "58047c197f6e3d92a790add7dfe1d7f5f83f0c9e797f2cfda1a7bfbacd13be5e"),
+    ])
+    def test_report_bytes_pinned(self, case, fmt, code, want, tmp_path, capsys):
+        """hadamard(3) passes; hadamard(2) claiming delta 1 fails its code
+        report; hadamard(2) with v_1 = v_0 makes the entropy audit raise."""
+        doc = ldc_to_json(hadamard(3 if case == "passing" else 2, GF(2)))
+        if case == "failing":
+            doc["claimed_delta"] = "1"
+        elif case == "audit_raises":
+            doc["vectors"][1] = doc["vectors"][0]
+        path = tmp_path / "ldc.json"
+        dump_json(doc, str(path))
+        assert main(["verify", "--input", str(path), "--format", fmt]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
     def test_failing_ldc_exits_three(self, tmp_path):
         doc = ldc_to_json(hadamard(2, GF(2)))
         doc["vectors"][0] = [1, 1]  # break pair differences

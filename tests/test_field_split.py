@@ -11,7 +11,6 @@ SPLIT_MODULES = {"fields.py", "linalg.py", "_kernels.py", "fixtures.py"}
 ALLOWED = {
     "choose_z",                 # exhaustive or seeded scan over GF(p), lattice search over QQ
     "_finish", "verify_cert",   # surviving-fraction checks, whose messages differ by field
-    "orders_and_ranks",         # batched powers over GF(p), the table walk over QQ
     "beta", "spanning_tuple_identity",  # element-wise references of the array checks
 }
 

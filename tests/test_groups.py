@@ -421,7 +421,7 @@ class TestOrdersAndRanks:
         "symmetric(5,7)",
         "dihedral(100,101)",           # words of up to 51 letters, orders up to 100
         "signed_shift(4,2147483647)",  # n (p-1)^2 overflows: object-dtype products
-        "signed_shift(4,0)",           # QQ: orders off the table, ranks by linalg.ranks
+        "signed_shift(4,0)",           # QQ: the same powers and ranks
     ])
     @pytest.mark.parametrize("chunk", [groups.CLOSURE_CHUNK, 7])
     def test_matches_per_element_reference(self, monkeypatch, spec, chunk):
@@ -443,16 +443,39 @@ class TestOrdersAndRanks:
         assert g.orders_and_ranks() is g.orders_and_ranks()
         assert not orders.flags.writeable and not ranks.flags.writeable
 
-    def test_prime_field_orders_need_no_table(self):
-        # Batched powers: their steps do not grow with word length, as walks
-        # of each word through the table would (dihedral(100,101) reaches
-        # words of 51 letters).
-        from rep2ldc.fixtures import parse_fixture
+    @pytest.mark.parametrize("spec, classes", [
+        ("symmetric(5,7)", 7),        # the partitions of 5
+        ("dihedral(5,11)", 4),
+        ("dihedral(100,101)", 53),
+        ("signed_shift(4,0)", 13),    # QQ
+    ])
+    def test_ranks_once_per_class(self, monkeypatch, spec, classes):
+        rows = []
 
-        g = fresh_group(parse_fixture("dihedral(100,101)"))
+        def counted(field, a):
+            rows.append(len(a))
+            return ranks(field, a)
+
+        ranks = groups.ranks
+        monkeypatch.setattr(groups, "ranks", counted)
+        fresh_group(parse_fixture(spec)).orders_and_ranks()
+        assert sum(rows) == classes
+
+    def test_no_word_walk_per_element(self, monkeypatch):
+        # dihedral(100,101) has words of up to 51 letters and orders up to
+        # 100; mul is called only to invert the generators.
+        closed = parse_fixture("dihedral(100,101)")
+        g, calls = fresh_group(closed), []
+        mul = MatrixGroup.mul
+
+        def counted(self, i, j):
+            calls.append((i, j))
+            return mul(self, i, j)
+
+        monkeypatch.setattr(MatrixGroup, "mul", counted)
         orders, _ = g.orders_and_ranks()
-        assert g._table is None
         assert orders.max() == 100
+        assert len(calls) <= sum(matrix_order(closed, u) for u in set(g.generators))
 
     def test_element_order_stays_per_element(self, signed_shift_4_3):
         g = fresh_group(signed_shift_4_3)
@@ -628,6 +651,30 @@ class TestClosureAgainstScan:
     def test_fixtures(self, spec):
         g = fresh_group(parse_fixture(spec))
         assert assert_closure_matches_oracles(g, [1] + [0] * (g.dim - 1)) is True
+
+
+class TestOrdersAndRanksAgainstMatrices:
+    @FIELDS
+    def test_random_generators(self, field):
+        """Orders and ranks equal Matrix arithmetic's for every element, and
+        agree on s and u s u^-1 for every generator u."""
+        @settings(max_examples=8, deadline=None, derandomize=True)
+        @given(case=closure_cases(field))
+        def check(case):
+            try:
+                g = close_group(case[0], cap=400)
+            except CapExceeded:
+                return
+            orders, ranks = g.orders_and_ranks()
+            ident = Matrix.identity(g.field, g.dim)
+            for s in range(len(g)):
+                assert orders[s] == matrix_order(g, s)
+                assert ranks[s] == rank(g.matrix(s) - ident)
+                for u in g.generators:
+                    t = matrix_mul(g, matrix_mul(g, u, s), matrix_inv(g, u))
+                    assert (orders[t], ranks[t]) == (orders[s], ranks[s])
+
+        check()
 
 
 class TestFixedSpace:

@@ -311,3 +311,22 @@ def test_achieved_delta_must_be_a_string(cert_doc, value):
     doc["achieved_delta"] = value
     with pytest.raises(ParseError, match=r"^achieved_delta must be a string"):
         cert_from_json(doc)
+
+
+@pytest.mark.parametrize("char", [5, 0], ids=["GF5", "QQ"])
+@pytest.mark.parametrize("path, name", [
+    (("D",), "D"), (("Y",), "Y"), (("X",), "X"), (("family", "U"), "family.U"),
+    (("family", "W"), "family.W"), (("code",), "code"),
+])
+def test_part_over_another_field(cert_doc, path, name, char, tmp_path, capsys):
+    """A part of a GF(3) certificate relabelled GF(5) or QQ was re-read over
+    GF(3) (U, code) or failed deep in verify_cert (Y, X)."""
+    doc = json.loads(json.dumps(cert_doc))
+    reduce(lambda obj, key: obj[key], path, doc)["field"] = {"char": char}
+    other = "QQ" if char == 0 else f"GF({char})"
+    message = f"{name} is over {other}, the group over GF(3)"
+    with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+        cert_from_json(doc)
+    dump_json(doc, str(tmp_path / "tampered.json"))
+    assert main(["verify", "--input", str(tmp_path / "tampered.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
