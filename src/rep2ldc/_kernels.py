@@ -8,8 +8,8 @@ product of two residues below (p-1)^2 < 2^62.
 Only prime fields come through here.  Apart from the z-scan in
 construct.choose_z and the element-wise reference construct.beta, the
 library reaches them through Field.matmul, linalg.ranks and linalg.rref,
-whose rational branches run the same array code on Fraction object arrays
-and never touch these kernels.
+whose rational branches (integer-numerator products, Fraction
+eliminations) never touch these kernels.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -103,7 +104,7 @@ class LogBound:
     log_arg: int
     coeff: int = 1
 
-    @property
+    @cached_property
     def value(self) -> float:
         if self.numerator == 0:
             return 0.0
@@ -118,13 +119,19 @@ class LogBound:
         a, b = self.numerator.numerator, self.numerator.denominator
         return _pow_ge_pow2(self.log_arg, k * self.coeff * b, a)
 
-    def to_json(self) -> dict:
+    @cached_property
+    def _json(self) -> dict:
         return {
             "numerator": str(self.numerator),
             "log_arg": self.log_arg,
             "coeff": self.coeff,
             "value": self.value,
         }
+
+    def to_json(self) -> dict:
+        """A fresh dict; the fields are rendered once per bound, which every
+        report with the same (order, rank) shares."""
+        return dict(self._json)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .errors import (
     ScalarMultipleOfIdentity,
     ZeroMatrix,
 )
-from .fields import Field
+from .fields import Field, scaled_numerators
 from .groups import MatrixGroup, mult_cycles
 from .ldc import LdcInstance, QMatching, verify
 from .linalg import (
@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_Z_LIMIT = 100_000
+# entries of one (normals x candidates) product of the rational z search
+LATTICE_PRODUCT_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -245,21 +247,31 @@ def choose_z(field: Field, normals: np.ndarray, seed: int = 0, trials: int = 64)
     weighted projective classes of the normals: a normal and its nonzero
     multiples vanish on the same z, so every candidate's count, and hence
     the lex-first maximizer, equals that over the raw rows; the mask is
-    taken over the raw rows.  Rationals: first lattice point in expanding
-    boxes [0..B]^n avoiding every hyperplane, so the fraction is exactly 1.
+    taken over the raw rows.  Rationals: first lattice point, in
+    itertools.product order, of the expanding boxes [0..B]^n (new shell
+    only) avoiding every hyperplane, so the fraction is exactly 1.  Each
+    normal is scaled by the positive lcm of its denominators, which keeps
+    the zero dots zero, and a box's candidates are tested with one integer
+    product (int64 under the overflow guard of Field.matmul, Python ints
+    beyond it), split only where it would exceed LATTICE_PRODUCT_ENTRIES.
 
     Returns (z, mask) with mask[r] true iff row r survives.
     """
     k, n = normals.shape
     if field.char == 0:
+        rows = [scaled_numerators(row)[0] for row in normals]
+        top = max((abs(x) for row in rows for x in row), default=0)
+        dtype = np.int64 if top * (k + 1) * n < 2**63 - 1 else object
+        ints = np.array(rows, dtype=dtype).reshape(k, n)
+        per_product = max(1, LATTICE_PRODUCT_ENTRIES // max(k, 1))
         for bound in range(1, k + 2):
-            for z_tuple in itertools.product(range(bound + 1), repeat=n):
-                if max(z_tuple) != bound and bound > 1:
-                    continue
-                z = field.vector(z_tuple)
-                dots = normals.dot(z)
-                if all(d != 0 for d in dots):
-                    return z, np.ones(k, dtype=bool)
+            shell = (z for z in itertools.product(range(bound + 1), repeat=n)
+                     if bound == 1 or max(z) == bound)
+            while chunk := list(itertools.islice(shell, per_product)):
+                dots = ints @ np.array(chunk, dtype=dtype).reshape(-1, n).T
+                hits = np.flatnonzero((dots != 0).all(axis=0))
+                if hits.size:
+                    return field.vector(chunk[hits[0]]), np.ones(k, dtype=bool)
         raise InternalInconsistency("no lattice point avoids the hyperplanes")
 
     p = field.char

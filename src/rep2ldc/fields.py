@@ -6,13 +6,15 @@ canonical, so equality and hashing come for free.
 
 Arrays are int64 residues over GF(p) and Fraction object arrays over the
 rationals.  The field owns the one arithmetic split of the array code:
-`matmul` and `reduce` are exact mod-p kernels over GF(p) and plain numpy
-object arithmetic over QQ, so every array path above runs unchanged on
-both fields.
+`matmul` and `reduce` are exact mod-p kernels over GF(p); over QQ `matmul`
+multiplies integer numerators (each operand scaled by the lcm of its
+denominators) and `reduce` is the identity, so every array path above runs
+unchanged on both fields and no product multiplies Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -99,11 +101,28 @@ class Field:
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact a @ b with np.matmul semantics (1-D operands, 2-D operands
-        and broadcast stacks) on canonical arrays of this field."""
+        and broadcast stacks) on canonical arrays of this field.
+
+        Over QQ, a = A / la and b = B / lb with integer A, B and la, lb the
+        lcms of the operands' denominators.  A @ B is one integer product,
+        in int64 under the guard of matmul_mod (max|A| max|B| k < 2^63 - 1
+        for the contracted length k) and in Python ints beyond it; each
+        distinct entry of (A @ B) / (la lb) becomes one canonical Fraction.
+        """
         if self.char:
             # looked up at call time, so a rebound kernel is the one used
             return _kernels.matmul_mod(a, b, self.char)
-        return np.matmul(a, b)
+        (na, la), (nb, lb) = scaled_numerators(a), scaled_numerators(b)
+        bound = max(map(abs, na), default=0) * max(map(abs, nb), default=0) * a.shape[-1]
+        dtype = np.int64 if bound < 2**63 - 1 else object
+        prod = np.matmul(np.array(na, dtype=dtype).reshape(a.shape),
+                         np.array(nb, dtype=dtype).reshape(b.shape))
+        den = la * lb
+        if np.ndim(prod) == 0:
+            return Fraction(int(prod), den)
+        values, inverse = np.unique(prod.ravel(), return_inverse=True)
+        fracs = np.array([Fraction(v, den) for v in values.tolist()], dtype=object)
+        return fracs[inverse].reshape(prod.shape)
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         """Canonical form of an array of sums, differences or multiples of
@@ -150,6 +169,17 @@ class Field:
             return cls(json_int(obj["char"], "field.char"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad field spec {obj!r}") from exc
+
+
+def scaled_numerators(a: np.ndarray) -> tuple[list[int], int]:
+    """(numerators, l) with a.flat == numerators / l: l is the lcm of the
+    denominators of a's rational entries, and numerators are Python ints
+    in a.flat order."""
+    flat = a.ravel().tolist()
+    lcm = math.lcm(*{x.denominator for x in flat})
+    if lcm == 1:
+        return [x.numerator for x in flat], 1
+    return [x.numerator * (lcm // x.denominator) for x in flat], lcm
 
 
 def GF(p: int) -> Field:

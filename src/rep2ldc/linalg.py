@@ -296,6 +296,9 @@ class Subspace:
     def __init__(self, field: Field, ambient_dim: int, basis: Matrix, _trusted: bool = False):
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis width != ambient dimension")
+        if basis.field != field:
+            raise DimensionMismatch(
+                f"subspace and basis over different fields ({field!r}, {basis.field!r})")
         if not _trusted:
             r, rk, _ = rref(basis)
             basis = Matrix(field, np.ascontiguousarray(r.a[:rk]), _canonical=True)

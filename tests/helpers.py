@@ -323,3 +323,32 @@ def vector_spin(v, group):
                     next_frontier.append(w)
         frontier = next_frontier
     return space
+
+
+# Field.matmul over QQ and the rational z search by Fraction arithmetic:
+# oracles of the integer-numerator products of fields.py and choose_z.
+
+def fraction_matmul(a, b):
+    """a @ b by numpy object arithmetic on Fraction arrays."""
+    import numpy as np
+
+    return np.matmul(a, b)
+
+
+def lattice_z(normals):
+    """First z of the boxes [0..B]^n, new shell only, with every
+    <normal, z> nonzero, one candidate at a time: (z, mask)."""
+    import numpy as np
+
+    from rep2ldc.errors import InternalInconsistency
+    from rep2ldc.fields import QQ
+
+    k, n = normals.shape
+    for bound in range(1, k + 2):
+        for z_tuple in itertools.product(range(bound + 1), repeat=n):
+            if max(z_tuple) != bound and bound > 1:
+                continue
+            z = QQ.vector(z_tuple)
+            if all(d != 0 for d in normals.dot(z)):
+                return z, np.ones(k, dtype=bool)
+    raise InternalInconsistency("no lattice point avoids the hyperplanes")

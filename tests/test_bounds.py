@@ -79,6 +79,17 @@ class TestLogBound:
                         want = log_arg ** (k * coeff * b) >= 2**a
                         assert bound.satisfied_by(k) == want
 
+    def test_json_rendered_once_and_fresh(self):
+        """Every report of one (order, rank) pair shares its bound; each
+        to_json is a new dict, so a caller's edit reaches no other report."""
+        b = LogBound(numerator=Fraction(8, 3), log_arg=64)
+        first = b.to_json()
+        assert first == {"numerator": "8/3", "log_arg": 64, "coeff": 1, "value": b.value}
+        first["value"] = None
+        second = b.to_json()
+        assert second is not first and second["value"] == b.value
+        assert b.to_json()["numerator"] is second["numerator"]  # rendered once
+
     def test_large_prime_denominator(self):
         # theta = 1 - 1/p puts p in the denominator: 64 ** (k * b) would have
         # billions of bits, the bracketing decides at once

@@ -158,6 +158,18 @@ def _cli_env():
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
+@pytest.mark.parametrize("fixture, code", [("symmetric(3,5)", 0), ("signed_shift(4,3)", 2)])
+def test_package_runs_as_module(fixture, code):
+    """`python -m rep2ldc` is the CLI, exit code included (the cap of 10
+    stops the second group)."""
+    out = subprocess.run(
+        [sys.executable, "-m", "rep2ldc", "rank-scan", "--fixture", fixture, "--cap", "10"],
+        env=_cli_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == code
+    assert ("all satisfied: True" in out.stdout) == (code == 0)
+
+
 def test_closed_pipe_exits_141_quietly():
     """A reader that takes one line and closes the pipe, as `| head -1`
     does, of a report (1 MB of JSON) far larger than a pipe's buffer."""
@@ -249,6 +261,8 @@ class TestRankScan:
          "0a179094090d5129e99f43c0e1c3fea4cc59d2c732e0c0fab3e278b3ecec162d"),
         ("signed_shift(4,0)", "text",
          "55c10edd98240ce94521ff4f3b1878f194a53c203e99fdfcd3bd238267009894"),
+        ("signed_shift(6,0)", "json",
+         "51cc5fbd13d2e9ae6f84c3e1a1a90b49d7c2d0ff155c094100a6a393f9405f24"),
     ])
     def test_output_bytes_pinned(self, fixture, fmt, want, tmp_path):
         out = tmp_path / f"scan.{fmt}"
@@ -265,6 +279,15 @@ class TestConstructVerify:
         out = capsys.readouterr().out
         assert "m=64" in out and "t=4" in out
         assert main(["verify", "--input", str(cert_path)]) == 0
+
+    def test_rational_certificate_bytes_pinned(self, tmp_path):
+        """The signed_shift(6,0) special2 certificate: a 384-element group
+        over QQ, its lattice search and its rational code vectors."""
+        cert_path = tmp_path / "cert.json"
+        assert main(["construct", "--fixture", "signed_shift(6,0)", "--special2",
+                     "--h", "1", "--output", str(cert_path)]) == 0
+        assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == (
+            "75afc64c06d33b60d5780c48ffc44d9309a2d8bb91d5518539e4b20144577194")
 
     def test_determinism_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"

@@ -678,6 +678,16 @@ def test_rational_certificate_and_report_match_golden():
         "verify", "signed_shift(4,0) special2")
 
 
+@pytest.mark.parametrize("kind, want", [
+    ("lambda", "bb5c98d8168333dbfe170824191865c2bd6a05773f163aba642ce660eed5e941"),
+    ("general", "16639859e6d0260012c402af2c9ddc0343114f0f9cf427363af9b33eb5075b85"),
+])
+def test_rational_lambda_and_general_certificates_pinned(kind, want):
+    """The signed_shift(4,0) lambda and general certificates over QQ,
+    built as the benchmark builds them at its default seed."""
+    assert _sha256(_cert_text("signed_shift(4,0)", kind)) == want
+
+
 @pytest.mark.parametrize("fixture", ["signed_shift(4,0)", "symmetric(7,11)"])
 def test_rank_scan_documents_match_golden(fixture):
     """The rank-scan document (rank bound per element, Burnside verdict,

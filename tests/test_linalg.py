@@ -204,6 +204,14 @@ class TestSubspaces:
         with pytest.raises(DimensionMismatch):
             Matrix.identity(F3, 2) @ Matrix.identity(F5, 2)
 
+    @pytest.mark.parametrize("other, rows", [(F5, [[1, 4]]), (QQ, [[2, 1]])])
+    def test_basis_over_another_field_rejected(self, other, rows):
+        """A GF(5) basis holding 4, or a QQ one, is not re-labelled as GF(3)."""
+        with pytest.raises(DimensionMismatch, match="over different fields"):
+            Subspace(F3, 2, Matrix(other, rows))
+        with pytest.raises(DimensionMismatch, match="over different fields"):
+            Subspace.from_rows(F3, 2, Matrix(other, rows))
+
 
 class TestFieldsAndMatrices:
     def test_canonical_scalars(self):
