@@ -33,6 +33,7 @@ from .serialize import (
     group_spec_hash,
     json_fraction,
     json_int,
+    json_int_rows,
     ldc_from_json,
     matrix_from_json,
 )
@@ -72,8 +73,8 @@ def cert_from_json(obj) -> ConstructionCert:
             raise ParseError("group hash does not match embedded spec")
         field = group.field
         kind = str(obj["kind"])
-        hs = tuple(json_int(h, "hs") for h in obj["hs"])
-        alphas = tuple(field.scalar_from_json(a) for a in obj["alphas"])
+        hs = _ints(obj["hs"], "hs")
+        alphas = tuple(_vector(field, obj["alphas"]).tolist())
         lam = None if obj.get("lambda") is None else field.scalar_from_json(obj["lambda"])
         d = matrix_from_json(obj["D"])
         y = matrix_from_json(obj["Y"])
@@ -81,15 +82,12 @@ def cert_from_json(obj) -> ConstructionCert:
         fam = obj["family"]
         u = matrix_from_json(fam["U"])
         family = SpanningFamily(
-            g_refs=tuple(json_int(g, "family.g_refs") for g in fam["g_refs"]),
+            g_refs=_ints(fam["g_refs"], "family.g_refs"),
             U=Subspace(u.field, group.dim, u),
             W=matrix_from_json(fam["W"]),
-            hat_w=tuple(
-                field.vector([field.scalar_from_json(v) for v in h])
-                for h in fam["hat_w"]
-            ),
+            hat_w=tuple(_vector(field, h) for h in fam["hat_w"]),
         )
-        z = field.vector([field.scalar_from_json(v) for v in obj["z"]])
+        z = _vector(field, obj["z"])
         code = ldc_from_json(obj["code"])
         cert = ConstructionCert(
             group=group,
@@ -103,11 +101,9 @@ def cert_from_json(obj) -> ConstructionCert:
             X=x,
             family=family,
             z=z,
-            kept_s=tuple(json_int(s, "kept_s") for s in obj["kept_s"]),
+            kept_s=_ints(obj["kept_s"], "kept_s"),
             prefilter_size=json_int(obj["prefilter_size"], "prefilter_size"),
-            beta_nonzero_count=tuple(
-                json_int(c, "beta_nonzero_count") for c in obj["beta_nonzero_count"]
-            ),
+            beta_nonzero_count=_ints(obj["beta_nonzero_count"], "beta_nonzero_count"),
             code=code,
             achieved_delta=json_fraction(obj["achieved_delta"], "achieved_delta"),
             seed=json_int(obj["seed"], "seed"),
@@ -121,6 +117,14 @@ def cert_from_json(obj) -> ConstructionCert:
         raise ParseError(f"unknown certificate kind {cert.kind!r}")
     _check_indices_and_shapes(cert)
     return cert
+
+
+def _ints(values, name: str) -> tuple[int, ...]:
+    return json_int_rows([values], name)[0]
+
+
+def _vector(field, values) -> np.ndarray:
+    return field.array_from_json([values])[0]
 
 
 def _check_indices_and_shapes(cert: ConstructionCert) -> None:
@@ -252,6 +256,10 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     except Rep2LdcError as exc:
         failures.append(f"tuple identity failed: {exc}")
 
+    form = "general" if cert.kind == "general" else "special2"
+    check(cert.code.form == form,
+          f"code form {cert.code.form!r} differs from {form!r}, the form of a {cert.kind} "
+          "certificate")
     m_code = 2 * m if cert.kind == "lambda" else m
     check(cert.code.m == m_code, "code length differs from group size")
     check(

@@ -9,13 +9,17 @@ rationals.  The field owns the one arithmetic split of the array code:
 `matmul` and `reduce` are exact mod-p kernels over GF(p); over QQ `matmul`
 multiplies integer numerators (each operand scaled by the lcm of its
 denominators) and `reduce` is the identity, so every array path above runs
-unchanged on both fields and no product multiplies Fractions.
+unchanged on both fields and no product multiplies Fractions.  The JSON
+wire form is split here too: `array_from_json` and `array_to_json` read and
+write a whole array at a time (JSON integers taken mod p over GF(p), "a/b"
+strings over QQ).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +28,8 @@ from ._kernels import MAX_PRIME
 from .errors import ParseError
 
 __all__ = ["Field", "GF", "QQ", "is_prime"]
+
+_to_str = np.frompyfunc(str, 1, 1)  # "a/b" of each Fraction of an object array
 
 
 def is_prime(n: int) -> bool:
@@ -129,7 +135,44 @@ class Field:
         canonical entries: residues mod p over GF(p), unchanged over QQ."""
         return a % self.char if self.char else a
 
-    # -- scalar serialization ------------------------------------------------
+    # -- serialization ---------------------------------------------------------
+
+    def array_from_json(self, rows) -> np.ndarray:
+        """Canonical 2-D array from JSON rows of scalars, one pass per array.
+
+        Over GF(p) every entry must be a JSON integer (not a bool), taken
+        mod p; over QQ an "a/b" string or a JSON integer, one Fraction each.
+        A bad entry raises the scalar_from_json error of the first one in
+        row-major order, a row that is not a sequence the TypeError of
+        iterating it, and rows of different lengths ValueError.
+        """
+        try:
+            data = list(map(list, rows))
+            flat = list(chain.from_iterable(data))
+            if not set(map(type, flat)) <= ({int} if self.char else {int, str}):
+                raise TypeError("not a JSON scalar of this field")
+            if self.char:
+                try:
+                    values = np.array(flat, dtype=np.int64) % self.char
+                except OverflowError:  # beyond int64: reduce as Python ints
+                    values = (np.array(flat, dtype=object) % self.char).astype(np.int64)
+            else:
+                values = np.array(list(map(Fraction, flat)), dtype=object)
+        except (TypeError, ValueError, ZeroDivisionError):
+            for x in chain.from_iterable(rows):  # the first bad entry, in row-major order
+                self.scalar_from_json(x)
+            raise
+        ncols = set(map(len, data))
+        if len(ncols) > 1:
+            raise ValueError("ragged rows")
+        return values.reshape(len(data), ncols.pop() if ncols else 0)
+
+    def array_to_json(self, a) -> list:
+        """A canonical array as nested JSON lists: ints over GF(p), "a/b"
+        strings over QQ."""
+        if self.char:
+            return np.asarray(a).tolist()
+        return _to_str(np.asarray(a, dtype=object)).tolist()
 
     def scalar_to_json(self, x):
         """A canonical scalar as JSON: an int over GF(p), "a/b" over QQ."""

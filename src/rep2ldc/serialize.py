@@ -10,8 +10,12 @@ Formats (all indices 0-based, rationals as "a/b" strings):
   cert       group spec + hash, the full pipeline transcript and the ldc,
               enough to re-check every invariant from the file alone.
 
-Serialization is canonical (sorted keys, fixed separators), so identical
-inputs and seeds give byte-identical files.
+Scalars cross the wire a whole array at a time: every matrix, code
+vector block, `alphas`, `hat_w` and `z` goes through the field's
+`array_from_json` and `array_to_json`, and every integer list (indices,
+counts, matching sets) through `json_int_rows`, each one type pass over all
+entries.  Serialization is canonical (sorted keys, fixed separators), so
+identical inputs and seeds give byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 
 from .errors import NotInvertible, ParseError
 from .fields import Field
@@ -42,6 +47,7 @@ __all__ = [
     "detect_kind",
     "json_fraction",
     "json_int",
+    "json_int_rows",
 ]
 
 
@@ -74,6 +80,22 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_int_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
+    """Rows of JSON integers as int tuples, with one type pass over all
+    members: the first non-integer in row-major order raises json_int's
+    message, and a row that is not a sequence the TypeError of iterating it.
+    """
+    try:
+        out = tuple(map(tuple, rows))
+        if not set(map(type, chain.from_iterable(out))) <= {int}:
+            raise TypeError(f"{name} must be integers")
+    except TypeError:
+        for value in chain.from_iterable(rows):  # the first offender, in row-major order
+            json_int(value, name)
+        raise
+    return out
+
+
 def json_fraction(value, name: str) -> Fraction:
     """A rational field of a JSON document, written as an "a/b" string.
 
@@ -88,16 +110,12 @@ def json_fraction(value, name: str) -> Fraction:
         raise ParseError(f"bad {name} {value!r}: {exc}") from exc
 
 
-def _vector_out(field: Field, v) -> list:
-    return [field.scalar_to_json(x) for x in v]
-
-
 def matrix_to_json(m: Matrix) -> dict:
     return {
         "field": m.field.to_json(),
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [_vector_out(m.field, row) for row in m.a],
+        "entries": m.field.array_to_json(m.a),
     }
 
 
@@ -111,10 +129,10 @@ def matrix_from_json(obj) -> Matrix:
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ParseError("matrix entries do not match declared shape")
     try:
-        data = [[field.scalar_from_json(x) for x in row] for row in entries]
+        data = field.array_from_json(entries)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad matrix entry: {exc}") from exc
-    return Matrix(field, data)
+    return Matrix.from_array(field, data)
 
 
 def group_spec_to_json(group: MatrixGroup, cap: int | None = None) -> dict:
@@ -149,7 +167,7 @@ def group_export_json(group: MatrixGroup) -> dict:
     return {
         "spec": group.spec_json(),
         "size": len(group),
-        "elements": [matrix_to_json(g)["entries"] for g in group.elements],
+        "elements": group.field.array_to_json(group.stacked()),
         "words": [list(w) for w in group.words],
     }
 
@@ -159,8 +177,8 @@ def ldc_to_json(instance: LdcInstance) -> dict:
         "field": instance.field.to_json(),
         "t": instance.t,
         "m": instance.m,
-        "vectors": [_vector_out(instance.field, row) for row in instance.vectors.a],
-        "matchings": [[list(s) for s in mi.sets] for mi in instance.matchings],
+        "vectors": instance.field.array_to_json(instance.vectors.a),
+        "matchings": [list(map(list, mi.sets)) for mi in instance.matchings],
         "form": instance.form,
         "q": instance.q,
         "claimed_delta": str(instance.claimed_delta),
@@ -174,13 +192,10 @@ def ldc_from_json(obj) -> LdcInstance:
         for name, value in (("t", t), ("m", m)):
             if value < 1:
                 raise ParseError(f"{name} must be at least 1, got {value}")
-        vectors = Matrix(
-            field, [[field.scalar_from_json(x) for x in row] for row in obj["vectors"]]
-        )
+        vectors = Matrix.from_array(field, field.array_from_json(obj["vectors"]))
         q = json_int(obj["q"], "q")
         matchings = tuple(
-            QMatching(q=q, sets=tuple(tuple(json_int(j, "matchings") for j in s) for s in mi))
-            for mi in obj["matchings"]
+            QMatching(q=q, sets=json_int_rows(mi, "matchings")) for mi in obj["matchings"]
         )
         form = str(obj["form"])
         claimed = json_fraction(obj["claimed_delta"], "claimed_delta")
@@ -210,7 +225,7 @@ def cert_to_json(cert) -> dict:
         "group": spec,
         "group_hash": group_spec_hash(spec),
         "hs": list(cert.hs),
-        "alphas": _vector_out(field, cert.alphas),
+        "alphas": field.array_to_json(cert.alphas),
         "lambda": None if cert.lam is None else field.scalar_to_json(cert.lam),
         "D": matrix_to_json(cert.D),
         "R": cert.R,
@@ -220,9 +235,9 @@ def cert_to_json(cert) -> dict:
             "g_refs": list(cert.family.g_refs),
             "U": matrix_to_json(cert.family.U.basis),
             "W": matrix_to_json(cert.family.W),
-            "hat_w": [_vector_out(field, h) for h in cert.family.hat_w],
+            "hat_w": [field.array_to_json(h) for h in cert.family.hat_w],
         },
-        "z": _vector_out(field, cert.z),
+        "z": field.array_to_json(cert.z),
         "kept_s": list(cert.kept_s),
         "prefilter_size": cert.prefilter_size,
         "beta_nonzero_count": list(cert.beta_nonzero_count),

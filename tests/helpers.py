@@ -352,3 +352,239 @@ def lattice_z(normals):
             if all(d != 0 for d in normals.dot(z)):
                 return z, np.ones(k, dtype=bool)
     raise InternalInconsistency("no lattice point avoids the hyperplanes")
+
+
+# Certificate I/O one scalar at a time: oracles of the whole-array reader
+# and writer (Field.array_from_json / array_to_json) that serialize and
+# certcheck use.  Each entry goes through Field.scalar_from_json or
+# scalar_to_json and each matching member through json_int.
+
+def _vector_out(field, v) -> list:
+    return [field.scalar_to_json(x) for x in v]
+
+
+def reference_matrix_to_json(m) -> dict:
+    return {
+        "field": m.field.to_json(),
+        "rows": m.rows,
+        "cols": m.cols,
+        "entries": [_vector_out(m.field, row) for row in m.a],
+    }
+
+
+def reference_matrix_from_json(obj):
+    from rep2ldc.errors import ParseError
+    from rep2ldc.fields import Field
+    from rep2ldc.linalg import Matrix
+    from rep2ldc.serialize import json_int
+
+    try:
+        field = Field.from_json(obj["field"])
+        rows, cols = json_int(obj["rows"], "rows"), json_int(obj["cols"], "cols")
+        entries = obj["entries"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad matrix object: {exc}") from exc
+    if len(entries) != rows or any(len(r) != cols for r in entries):
+        raise ParseError("matrix entries do not match declared shape")
+    try:
+        data = [[field.scalar_from_json(x) for x in row] for row in entries]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad matrix entry: {exc}") from exc
+    return Matrix(field, data)
+
+
+def reference_spec_json(group, cap=None) -> dict:
+    from rep2ldc.groups import default_cap
+
+    return {
+        "field": group.field.to_json(),
+        "dim": group.dim,
+        "generators": [reference_matrix_to_json(group.elements[g]) for g in group.generators],
+        "cap": int(cap if cap is not None else default_cap()),
+    }
+
+
+def reference_group_from_spec_json(obj, cap=None):
+    from rep2ldc.errors import NotInvertible, ParseError
+    from rep2ldc.fields import Field
+    from rep2ldc.groups import close_group
+    from rep2ldc.serialize import json_int
+
+    try:
+        field = Field.from_json(obj["field"])
+        dim = json_int(obj["dim"], "dim")
+        gens = [reference_matrix_from_json(g) for g in obj["generators"]]
+        spec_cap = json_int(obj["cap"], "cap") if "cap" in obj else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad group spec: {exc}") from exc
+    if spec_cap is not None and spec_cap < 1:
+        raise ParseError(f"cap must be positive, got {spec_cap}")
+    for g in gens:
+        if g.field != field or g.rows != dim or g.cols != dim:
+            raise ParseError("generator does not match group field/dim")
+    try:
+        return close_group(gens, cap=cap if cap is not None else spec_cap)
+    except NotInvertible as exc:
+        raise ParseError(f"bad group spec: {exc}") from exc
+
+
+def reference_group_export_json(group) -> dict:
+    return {
+        "spec": reference_spec_json(group),
+        "size": len(group),
+        "elements": [reference_matrix_to_json(g)["entries"] for g in group.elements],
+        "words": [list(w) for w in group.words],
+    }
+
+
+def reference_ldc_to_json(instance) -> dict:
+    return {
+        "field": instance.field.to_json(),
+        "t": instance.t,
+        "m": instance.m,
+        "vectors": [_vector_out(instance.field, row) for row in instance.vectors.a],
+        "matchings": [[list(s) for s in mi.sets] for mi in instance.matchings],
+        "form": instance.form,
+        "q": instance.q,
+        "claimed_delta": str(instance.claimed_delta),
+    }
+
+
+def reference_ldc_from_json(obj):
+    from rep2ldc.errors import ParseError
+    from rep2ldc.fields import Field
+    from rep2ldc.ldc import LdcInstance, QMatching
+    from rep2ldc.linalg import Matrix
+    from rep2ldc.serialize import json_fraction, json_int
+
+    try:
+        field = Field.from_json(obj["field"])
+        t, m = json_int(obj["t"], "t"), json_int(obj["m"], "m")
+        for name, value in (("t", t), ("m", m)):
+            if value < 1:
+                raise ParseError(f"{name} must be at least 1, got {value}")
+        vectors = Matrix(
+            field, [[field.scalar_from_json(x) for x in row] for row in obj["vectors"]]
+        )
+        q = json_int(obj["q"], "q")
+        matchings = tuple(
+            QMatching(q=q, sets=tuple(tuple(json_int(j, "matchings") for j in s) for s in mi))
+            for mi in obj["matchings"]
+        )
+        form = str(obj["form"])
+        claimed = json_fraction(obj["claimed_delta"], "claimed_delta")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad ldc object: {exc}") from exc
+    try:
+        return LdcInstance(
+            field=field,
+            t=t,
+            m=m,
+            vectors=vectors,
+            matchings=matchings,
+            form=form,
+            q=q,
+            claimed_delta=claimed,
+        )
+    except Exception as exc:
+        raise ParseError(f"inconsistent ldc object: {exc}") from exc
+
+
+def reference_cert_to_json(cert) -> dict:
+    import hashlib
+    import json
+
+    field = cert.group.field
+    spec = reference_spec_json(cert.group)
+    return {
+        "kind": cert.kind,
+        "group": spec,
+        "group_hash": hashlib.sha256(
+            json.dumps(spec, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest(),
+        "hs": list(cert.hs),
+        "alphas": _vector_out(field, cert.alphas),
+        "lambda": None if cert.lam is None else field.scalar_to_json(cert.lam),
+        "D": reference_matrix_to_json(cert.D),
+        "R": cert.R,
+        "Y": reference_matrix_to_json(cert.Y),
+        "X": reference_matrix_to_json(cert.X),
+        "family": {
+            "g_refs": list(cert.family.g_refs),
+            "U": reference_matrix_to_json(cert.family.U.basis),
+            "W": reference_matrix_to_json(cert.family.W),
+            "hat_w": [_vector_out(field, h) for h in cert.family.hat_w],
+        },
+        "z": _vector_out(field, cert.z),
+        "kept_s": list(cert.kept_s),
+        "prefilter_size": cert.prefilter_size,
+        "beta_nonzero_count": list(cert.beta_nonzero_count),
+        "code": reference_ldc_to_json(cert.code),
+        "achieved_delta": str(cert.achieved_delta),
+        "seed": cert.seed,
+    }
+
+
+def reference_cert_from_json(obj):
+    from rep2ldc.certcheck import _check_indices_and_shapes
+    from rep2ldc.construct import ConstructionCert, SpanningFamily
+    from rep2ldc.errors import DimensionMismatch, ParseError
+    from rep2ldc.linalg import Subspace
+    from rep2ldc.serialize import group_spec_hash, json_fraction, json_int
+
+    try:
+        spec = obj["group"]
+        group = reference_group_from_spec_json(spec)
+        if group_spec_hash(spec) != obj["group_hash"]:
+            raise ParseError("group hash does not match embedded spec")
+        field = group.field
+        kind = str(obj["kind"])
+        hs = tuple(json_int(h, "hs") for h in obj["hs"])
+        alphas = tuple(field.scalar_from_json(a) for a in obj["alphas"])
+        lam = None if obj.get("lambda") is None else field.scalar_from_json(obj["lambda"])
+        d = reference_matrix_from_json(obj["D"])
+        y = reference_matrix_from_json(obj["Y"])
+        x = reference_matrix_from_json(obj["X"])
+        fam = obj["family"]
+        u = reference_matrix_from_json(fam["U"])
+        family = SpanningFamily(
+            g_refs=tuple(json_int(g, "family.g_refs") for g in fam["g_refs"]),
+            U=Subspace(u.field, group.dim, u),
+            W=reference_matrix_from_json(fam["W"]),
+            hat_w=tuple(
+                field.vector([field.scalar_from_json(v) for v in h])
+                for h in fam["hat_w"]
+            ),
+        )
+        z = field.vector([field.scalar_from_json(v) for v in obj["z"]])
+        code = reference_ldc_from_json(obj["code"])
+        cert = ConstructionCert(
+            group=group,
+            kind=kind,
+            hs=hs,
+            alphas=alphas,
+            lam=lam,
+            D=d,
+            R=json_int(obj["R"], "R"),
+            Y=y,
+            X=x,
+            family=family,
+            z=z,
+            kept_s=tuple(json_int(s, "kept_s") for s in obj["kept_s"]),
+            prefilter_size=json_int(obj["prefilter_size"], "prefilter_size"),
+            beta_nonzero_count=tuple(
+                json_int(c, "beta_nonzero_count") for c in obj["beta_nonzero_count"]
+            ),
+            code=code,
+            achieved_delta=json_fraction(obj["achieved_delta"], "achieved_delta"),
+            seed=json_int(obj["seed"], "seed"),
+        )
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError,
+            DimensionMismatch) as exc:
+        raise ParseError(f"bad certificate document: {exc}") from exc
+    if cert.kind not in ("special2", "general", "lambda"):
+        raise ParseError(f"unknown certificate kind {cert.kind!r}")
+    _check_indices_and_shapes(cert)
+    return cert
