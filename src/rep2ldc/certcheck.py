@@ -243,7 +243,7 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
         len(matchings) == cert.family.t and all(
             np.array_equal(
                 _sorted_rows(idx[j][:, mask[j]].T),
-                _sorted_rows(np.array(mi.sets, dtype=np.int64).reshape(mi.size, mi.q)),
+                _sorted_rows(mi.members),
             )
             for j, mi in enumerate(matchings)
         ),

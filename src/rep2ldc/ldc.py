@@ -20,6 +20,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +86,8 @@ class QMatching:
     """Family of pairwise disjoint q-subsets of code positions.
 
     `sets` may be given as a (k, q) integer array or as integer
-    sequences; it is stored as a tuple of sorted int tuples.
+    sequences; it is stored as a tuple of sorted int tuples, and
+    `members` holds the same sets as a read-only (k, q) int64 array.
     """
 
     q: int
@@ -107,7 +109,15 @@ class QMatching:
                 raise ValueError(f"set {s} does not have exactly q={self.q} members")
             raise ValueError(f"set {s} overlaps an earlier set")
         rows = np.sort(flat.reshape(lens.size, self.q), axis=1)
+        rows.flags.writeable = False
         object.__setattr__(self, "sets", tuple(map(tuple, rows.tolist())))
+        object.__setattr__(self, "members", rows)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The (k, q) int64 array of `sets`.  Set at construction; derived
+        from `sets` only for an instance made without `__post_init__`."""
+        return np.array(self.sets, dtype=np.int64).reshape(len(self.sets), self.q)
 
     @property
     def size(self) -> int:
@@ -145,10 +155,10 @@ class LdcInstance:
         for mi in self.matchings:
             if mi.q != self.q:
                 raise ValueError("matching arity differs from declared q")
-            flat, owner, _ = _index_arrays(mi.sets)
-            if flat.size and (flat.min() < 0 or flat.max() >= self.m):
-                first = np.argmax((flat < 0) | (flat >= self.m))
-                raise ValueError(f"index out of range in {mi.sets[owner[first]]}")
+            a = mi.members
+            if a.size and (a.min() < 0 or a.max() >= self.m):
+                first = np.argmax(((a < 0) | (a >= self.m)).any(axis=1))
+                raise ValueError(f"index out of range in {mi.sets[first]}")
 
     def as_general(self) -> "LdcInstance":
         """View a special2 instance under the general-form contract."""

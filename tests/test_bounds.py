@@ -2,12 +2,13 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import brute_entropy, fresh_group, matrix_order, reference_entropy_audit
 
-from rep2ldc import groups
+from rep2ldc import bounds, groups
 from rep2ldc.bounds import (
     BoundReport,
     LogBound,
@@ -21,6 +22,7 @@ from rep2ldc.bounds import (
     match_entropy_check,
     theta,
 )
+from rep2ldc.cli import main
 from rep2ldc.construct import build_special_2ldc, lambda_variant
 from rep2ldc.errors import (
     MatchingCrossesPrefixClass,
@@ -30,9 +32,9 @@ from rep2ldc.errors import (
 from rep2ldc.fields import GF, QQ
 from rep2ldc.fixtures import parse_fixture
 from rep2ldc.groups import close_group, fixed_space
-from rep2ldc.ldc import LdcInstance, QMatching, hadamard
+from rep2ldc.ldc import LdcInstance, QMatching, hadamard, max_special_matching, verify
 from rep2ldc.linalg import Matrix, rank
-from rep2ldc.serialize import canonical_json
+from rep2ldc.serialize import canonical_json, dump_json, ldc_to_json
 
 F2, F3, F11 = GF(2), GF(3), GF(11)
 
@@ -386,7 +388,40 @@ class TestEntropyAudit:
                 form="special2", q=2, claimed_delta=Fraction(0),
             )
             audit = entropy_audit(inst)
-            assert audit.chain_sum_ok
+            assert audit.chain_sum_ok and audit.chain_sum_residual < 1e-12
+
+    def test_large_code_passes_whatever_its_float_residual(self, tmp_path):
+        """20,000 random GF(7) rows with maximum special matchings: the
+        float chain terms miss H(X) by more than 1e-12, yet every verdict
+        holds, since none rests on a float, and `verify` of the LDC
+        document exits 0."""
+        f7 = GF(7)
+        rows = np.random.default_rng(0).integers(0, 7, size=(20000, 5))
+        vectors = Matrix(f7, rows.tolist())
+        matchings = tuple(max_special_matching(vectors, i) for i in range(5))
+        sigma = sum(mi.size for mi in matchings)
+        inst = LdcInstance(field=f7, t=5, m=20000, vectors=vectors, matchings=matchings,
+                           form="special2", q=2, claimed_delta=Fraction(sigma, 20000 * 5))
+        audit = entropy_audit(inst)
+        assert audit.chain_sum_residual > 1e-12
+        assert audit.passed and audit.to_json()["passed"]
+        assert verify(inst).passed
+        path = str(tmp_path / "code.json")
+        dump_json(ldc_to_json(inst), path)
+        assert main(["verify", "--input", path]) == 0
+
+    @pytest.mark.parametrize("sets", [((0, 1), (1, 2)), ((1, 1),), ((0, 1), (2, 3))],
+                             ids=["overlap", "repeat", "outside"])
+    def test_smuggled_pairs_rejected(self, sets):
+        """Pairs that QMatching would refuse get no verdict: the
+        overlapping pairs here pass both pair checks, yet 3 H(X_0) < 4."""
+        inst = _special2(F3, [[0], [1], [0]], [()])
+        bad = object.__new__(QMatching)
+        object.__setattr__(bad, "q", 2)
+        object.__setattr__(bad, "sets", sets)
+        object.__setattr__(inst, "matchings", (bad,))
+        with pytest.raises(ValueError, match="^matching pairs at coordinate 0 must be disjoint"):
+            entropy_audit(inst)
 
     def test_first_failing_pair_in_set_order(self):
         # pair (0, 1) agrees at coordinate 1; the later pair (2, 3) crosses
@@ -429,6 +464,15 @@ class TestEntropyAudit:
             assert audit.hx_ge_2dt and audit.log2m_ge_2dt
             outcomes.add("passed" if audit.passed else "failed")
         assert {"passed", MatchingCrossesPrefixClass, PairNotSeparated} <= outcomes
+        relations = set()
+        for rows, matchings in _tight_special2(values):
+            want = reference_entropy_audit(rows, matchings)
+            audit = entropy_audit(_special2(field, rows, matchings))
+            assert {k: getattr(audit, k) for k in want} == {
+                k: tuple(v) if isinstance(v, list) else v for k, v in want.items()}
+            assert audit.passed
+            relations.add(audit.code_size_relation)
+        assert relations == {"eq", "gt"}
 
     @pytest.mark.parametrize("code, want", [
         ("signed_shift(4,3) special2",
@@ -462,7 +506,9 @@ class TestEntropyAudit:
             build = build_special_2ldc if kind == "special2" else (
                 lambda g, h: lambda_variant(g, h, 1))
             inst = build(g, g.generators[0]).code
-        text = canonical_json(entropy_audit(inst).to_json())
+        with mock.patch.object(bounds, "log2_ratio_cmp", wraps=bounds.log2_ratio_cmp) as cmp:
+            text = canonical_json(entropy_audit(inst).to_json())
+        assert cmp.call_count == 0
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
@@ -472,6 +518,31 @@ def _special2(field, rows, matchings) -> LdcInstance:
         matchings=tuple(QMatching(2, sets) for sets in matchings),
         form="special2", q=2, claimed_delta=Fraction(0),
     )
+
+
+def _tight_special2(values):
+    """(rows, matchings) where the matching lemma is tight or nearly so:
+    hadamard(1..4), whose every class splits in half and whose size is
+    exactly 2^(2 delta t); classes where one value holds more than half
+    the rows; and classes where one value holds exactly half."""
+    a, b = values[:2]
+    c = values[2] if len(values) > 2 else b
+    cases = []
+    for n in range(1, 5):
+        code = hadamard(n, F2)
+        cases.append(([[values[x] for x in row] for row in code.vectors.a.tolist()],
+                      [mi.sets for mi in code.matchings]))
+    cases += [
+        ([[a], [a], [a], [b]], [((0, 3),)]),                           # 3/4
+        ([[a], [a], [a], [a], [a], [b], [c]], [((0, 5), (1, 6))]),     # 5/7
+        ([[a], [a], [b], [b]], [((0, 2), (1, 3))]),                    # 1/2, equality
+        ([[a], [a], [a], [b], [b], [c]], [((0, 3), (1, 4), (2, 5))]),  # 1/2
+        # coordinate 1: the a-prefix class holds a 3/4 majority, the
+        # b-prefix class one value in exact half
+        ([[a, a], [a, a], [a, a], [a, b], [b, a], [b, b]],
+         [((0, 4), (3, 5)), ((0, 3), (4, 5))]),
+    ]
+    return cases
 
 
 def _random_special2(rng, values):

@@ -1,11 +1,14 @@
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import brute_max_matching, brute_rank, reference_verify
 
-from rep2ldc import _kernels, linalg
+from rep2ldc import _kernels, ldc, linalg
+from rep2ldc.bounds import entropy_audit
+from rep2ldc.construct import build_special_2ldc
 from rep2ldc.fields import GF, QQ
 from rep2ldc.ldc import (
     LdcInstance,
@@ -17,6 +20,7 @@ from rep2ldc.ldc import (
     verify,
 )
 from rep2ldc.linalg import Matrix
+from rep2ldc.serialize import ldc_from_json, ldc_to_json
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -376,3 +380,18 @@ class TestQMatchingArrays:
                 matchings=(QMatching(2, ((0, 2), (1, 4))),),
                 form="special2", q=2, claimed_delta=Fraction(0),
             )
+
+    def test_members_array_kept(self):
+        got = QMatching(2, ((3, 0), (2, 5)))
+        assert got.members.dtype == np.int64 and not got.members.flags.writeable
+        assert got.members.tolist() == [[0, 3], [2, 5]]
+        assert QMatching(3, ()).members.shape == (0, 3)
+
+    def test_matchings_indexed_once(self, signed_shift_4_3):
+        """Reading a code (QMatching, then LdcInstance's range check) and
+        auditing it build each matching's index arrays once."""
+        cert = build_special_2ldc(signed_shift_4_3, signed_shift_4_3.generators[0])
+        doc = ldc_to_json(cert.code)
+        with mock.patch.object(ldc, "_index_arrays", wraps=ldc._index_arrays) as spy:
+            entropy_audit(ldc_from_json(doc))
+        assert spy.call_count == cert.code.t
