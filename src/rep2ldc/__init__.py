@@ -76,7 +76,6 @@ from .serialize import (
     cert_to_json,
     group_export_json,
     group_from_spec_json,
-    group_spec_to_json,
     ldc_from_json,
     ldc_to_json,
     matrix_from_json,
@@ -109,8 +108,7 @@ __all__ = [
     # fixtures
     "signed_shift_group", "dihedral_rep", "symmetric_standard_rep", "parse_fixture",
     # serialization / certs
-    "matrix_to_json", "matrix_from_json", "group_spec_to_json",
-    "group_from_spec_json", "group_export_json", "ldc_to_json", "ldc_from_json",
-    "cert_to_json", "cert_from_json", "verify_cert", "verify_cert_json",
-    "CertCheckReport",
+    "matrix_to_json", "matrix_from_json", "group_from_spec_json", "group_export_json",
+    "ldc_to_json", "ldc_from_json", "cert_to_json", "cert_from_json", "verify_cert",
+    "verify_cert_json", "CertCheckReport",
 ]

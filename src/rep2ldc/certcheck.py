@@ -64,11 +64,12 @@ class CertCheckReport:
         }
 
 
-def cert_from_json(obj) -> ConstructionCert:
-    """Rebuild a ConstructionCert from its JSON document."""
+def cert_from_json(obj, cap: int | None = None) -> ConstructionCert:
+    """Rebuild a ConstructionCert from its JSON document; `cap`, if given,
+    overrides the embedded group spec's element cap."""
     try:
         spec = obj["group"]
-        group = group_from_spec_json(spec)
+        group = group_from_spec_json(spec, cap)
         if group_spec_hash(spec) != obj["group_hash"]:
             raise ParseError("group hash does not match embedded spec")
         field = group.field
@@ -291,5 +292,5 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     )
 
 
-def verify_cert_json(obj) -> CertCheckReport:
-    return verify_cert(cert_from_json(obj))
+def verify_cert_json(obj, cap: int | None = None) -> CertCheckReport:
+    return verify_cert(cert_from_json(obj, cap))

@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
     doc = load_json(args.input)
     kind = detect_kind(doc)
     if kind == "cert":
-        report = verify_cert_json(doc)
+        report = verify_cert_json(doc, args.cap)
     elif kind == "ldc":
         instance = ldc_from_json(doc)
         code_report, audit, failures = ldc_verify(instance), None, ()
@@ -280,8 +280,7 @@ def cmd_demo(args) -> int:
     print(f"  size {len(group)} (= 4 * 2^4), burnside irreducible: "
           f"{burnside_irreducible(group)}")
 
-    from .linalg import Matrix, rank
-    witness_rank = rank(group.matrix(refl) - Matrix.identity(field, 4))
+    witness_rank = group.orders_and_ranks()[1][refl]
     print(f"  reflection at position {refl}: rank(rho(h) - I) = {witness_rank}")
 
     cert = build_special_2ldc(group, refl, seed=args.seed)

@@ -114,11 +114,9 @@ def combine(group: MatrixGroup, hs, alphas) -> Matrix:
     """Exact linear combination sum alpha_l * rho(h_l)."""
     if len(hs) != len(alphas) or not hs:
         raise ValueError("hs and alphas must be equal-length and nonempty")
-    field = group.field
-    acc = Matrix.zeros(field, group.dim, group.dim)
-    for h, alpha in zip(hs, alphas):
-        acc = acc + group.matrix(h).scale(alpha)
-    return acc
+    field, n = group.field, group.dim
+    flat = group.stacked()[list(hs)].reshape(len(hs), n * n)
+    return Matrix(field, field.matmul(field.vector(alphas), flat).reshape(n, n), _canonical=True)
 
 
 def minimal_spanning_family(group: MatrixGroup, u: Subspace) -> list[int]:

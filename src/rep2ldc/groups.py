@@ -2,36 +2,39 @@
 
 A group is its own representation: elements are invertible matrices and
 the action on F^n is plain matrix-vector multiplication.  BFS order over
-generator words fixes the numbering of the elements, the coordinate system
-of every downstream certificate, with position 0 always the identity.
+generator words numbers the elements, the coordinate system of every
+downstream certificate, with position 0 the identity.  They are stored once,
+as one read-only (m, n, n) array (int64 residues over GF(p), Fractions over
+QQ); index maps the linalg.array_keys key of each to its position.
 
 One BFS pass fixes that numbering and is the int64 Cayley table, right[s, k]
-= position of elements[s] @ gen_k over the distinct generators: it computes
-(one Field.matmul per chunk of positions, over GF(p) and QQ alike) and
-looks up every element x generator product once.  A product first met
-is the next element, with its parent's word plus one letter; any other is a
-table entry.  So the pass is the closure proof: every row filled means the
-set, holding I, is closed, and every element is a generator word in BFS
-order.  A copy made with the constructor replays the same pass against its
-own index.  The table answers group questions with integers, alike over
-GF(p) and QQ: left_perm is one gather per BFS level, mul a word walk, inv
-and element_order walks of powers, mult_cycles powers of left_perm, and the
-conjugacy classes orbits of s -> u^-1 s u, whose representatives alone get
-the batched powers and linalg.ranks of orders_and_ranks.
-Burnside and spin are each one linalg.row_closure under the generators:
-span(G) is the algebra they generate, as g^-1 = g^(ord g - 1).
+= position of elements[s] @ gen_k over the distinct generators: a chunk of
+positions times every generator is one Field.matmul, its products keyed by
+one linalg.array_keys call.  A product first met is the next element, its
+word its parent's plus the generator's letter; any other is a table entry.
+So the pass is the closure proof: every row filled means the set, holding
+I, is closed, and every element is a generator word in BFS order.  A copy
+made with the constructor replays the pass against its own array, index
+and words.  The table answers group questions with integers: left_perm is
+one gather per BFS level, mul a word walk, inv and element_order walks of
+powers, mult_cycles powers of left_perm, and the conjugacy classes orbits
+of s -> u^-1 s u, whose representatives alone get the batched powers and
+linalg.ranks of orders_and_ranks.  Burnside and spin are each one
+linalg.row_closure under the generators: span(G) is the algebra they
+generate, as g^-1 = g^(ord g - 1).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InternalInconsistency, NotInvertible, ZeroVector
 from .fields import Field
-from .linalg import Matrix, Subspace, array_key, nullspace, rank, ranks, row_closure
+from .linalg import Matrix, Subspace, array_keys, nullspace, rank, ranks, row_closure
 
 __all__ = [
     "MatrixGroup",
@@ -69,60 +72,75 @@ class MatrixGroup:
 
     Built through close_group; immutable afterwards.  ``words[i]`` is the
     BFS generator word (tuple of generator indices, product left to
-    right) reaching ``elements[i]``.
+    right) reaching element i.  The constructor also copies a closed group.
     """
 
     __slots__ = (
         "field",
         "dim",
-        "elements",
         "index",
         "generators",
         "words",
-        "identity_pos",
+        "_stack",
+        "_elements",
         "_table",
         "_left_perms",
-        "_stacked",
         "_orders_ranks",
         "_burnside",
     )
+    identity_pos = 0
 
-    def __init__(self, field: Field, dim: int, elements: list[Matrix],
-                 index: dict, generators: tuple[int, ...], words: tuple[tuple[int, ...], ...]):
+    def __init__(self, field: Field, dim: int, elements, index: dict,
+                 generators: tuple[int, ...], words: tuple[tuple[int, ...], ...]):
+        if not isinstance(elements, np.ndarray):
+            elements = np.concatenate([e.a for e in elements]).reshape(-1, dim, dim)
+        elements.flags.writeable = False
         self.field = field
         self.dim = dim
-        self.elements = tuple(elements)
+        self._stack = elements
         self.index = index
         self.generators = generators
-        self.words = words
-        self.identity_pos = 0
+        self.words = tuple(words)
+        self._elements = None
         self._table = None
         self._left_perms = {}
-        self._stacked = None
         self._orders_ranks = None
         self._burnside = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._stack)
 
     @property
-    def size(self) -> int:
-        return len(self.elements)
+    def elements(self) -> tuple[Matrix, ...]:
+        """The elements as Matrix views of the stacked array, built on first use."""
+        if self._elements is None:
+            self._elements = tuple(Matrix(self.field, a, _canonical=True) for a in self._stack)
+        return self._elements
 
     def matrix(self, pos: int) -> Matrix:
-        return self.elements[pos]
+        return Matrix(self.field, self._stack[pos], _canonical=True)
 
     def position_of(self, m: Matrix) -> int:
         """Position of a matrix, or raise KeyError if not an element."""
+        if m.field != self.field or m.a.shape != (self.dim, self.dim):
+            raise KeyError(m)
         return self.index[m.key()]
 
     def _cayley(self):
-        """(right, parent, last, levels) of the BFS pass; a group that
-        close_group did not build replays the pass on first use."""
+        """(right, parent, last, levels) of the BFS pass, which a copy replays on
+        first use: each element's key must lead back to it, its word be derived."""
         if self._table is None:
-            gens = [(self.generators.index(u), self.elements[u])
+            gens = [(self.generators.index(u), self.matrix(u))
                     for u in dict.fromkeys(self.generators)]
-            self._table = _bfs(self.field, self.elements, self.index, self.words, gens, None)
+            _, words, table = _bfs(self.field, self._stack, self.index, gens, None)
+            held = list(map(self.index.get, array_keys(self.field, self._stack)))
+            if held != list(range(len(held))):
+                t = next(t for t, pos in enumerate(held) if pos != t)
+                raise InternalInconsistency(f"element {t} is numbered out of BFS order")
+            if words != self.words:
+                t = next(t for t, (w, v) in enumerate(zip_longest(words, self.words)) if w != v)
+                raise InternalInconsistency(f"BFS word of element {t} has no parent")
+            self._table = table
         return self._table
 
     def mul(self, i: int, j: int) -> int:
@@ -174,7 +192,7 @@ class MatrixGroup:
             orders, rk = np.ones(len(reps), dtype=np.int64), np.empty(len(reps), dtype=np.int64)
             eye = Matrix.identity(field, self.dim).a
             for i in range(0, len(reps), CLOSURE_CHUNK):
-                block = np.stack([self.elements[r].a for r in reps[i:i + CLOSURE_CHUNK]])
+                block = self._stack[reps[i:i + CLOSURE_CHUNK]]
                 rk[i:i + len(block)] = ranks(field, field.reduce(block - eye))
                 acc, active = block, np.arange(len(block))
                 while active.size:  # acc[j] = block[active[j]] ** orders[i + active[j]]
@@ -200,11 +218,8 @@ class MatrixGroup:
         return perm
 
     def stacked(self) -> np.ndarray:
-        """All elements as one (m, n, n) array: int64 residues over GF(p),
-        Fraction objects over QQ."""
-        if self._stacked is None:
-            self._stacked = np.stack([g.a for g in self.elements])
-        return self._stacked
+        """The elements: the one read-only (m, n, n) array that stores them."""
+        return self._stack
 
     def spec_json(self, cap: int | None = None) -> dict:
         from .serialize import matrix_to_json
@@ -212,7 +227,7 @@ class MatrixGroup:
         return {
             "field": self.field.to_json(),
             "dim": self.dim,
-            "generators": [matrix_to_json(self.elements[g]) for g in self.generators],
+            "generators": [matrix_to_json(self.matrix(g)) for g in self.generators],
             "cap": int(cap if cap is not None else default_cap()),
         }
 
@@ -253,76 +268,75 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
             raise NotInvertible("generator is singular")
 
     ident = Matrix.identity(field, n)
-    elements, index, words = [ident], {ident.key(): 0}, [()]
-    gens = {}  # distinct generators, each with the letter of its first occurrence
-    for gi, g in enumerate(generators):
-        gens.setdefault(g.key(), (gi, g))
-    table = _bfs(field, elements, index, words, list(gens.values()), cap)
-    group = MatrixGroup(field, n, elements, index,
-                        tuple(index[g.key()] for g in generators), tuple(words))
+    index = {ident.key(): 0}
+    gens = [(generators.index(g), g) for g in dict.fromkeys(generators)]  # letters: first indices
+    stack, words, table = _bfs(field, np.array([ident.a]), index, gens, cap)
+    group = MatrixGroup(field, n, stack, index, tuple(index[g.key()] for g in generators), words)
     group._table = table
     return group
 
 
-def _bfs(field: Field, elements, index: dict, words, gens: list, cap: int | None):
-    """The BFS pass (see the module docstring): (right, parent, last, levels),
-    last(s) as a table column and levels as (positions, parents, lasts) per
-    BFS level from depth 1.
+def _bfs(field: Field, stack: np.ndarray, index: dict, gens: list, cap: int | None):
+    """The BFS pass (see the module docstring): (stack, words, (right, parent,
+    last, levels)), last(s) as a table column and levels as (positions,
+    parents, lasts) per BFS level from depth 1.
 
-    Positions are taken in order, CLOSURE_CHUNK at a time, each chunk times
-    every (letter, Matrix) of `gens` in one field.matmul of the chunk's rows
-    by the generators side by side, and every product keyed by
-    linalg.array_key.  A product missing from
-    `index` is appended to elements, index and words, up to `cap` elements.
-    cap None is a replay, where it is an error, as is an element met out of
-    order, not equal to its product, or whose word is not its parent's plus
-    the letter.
+    Positions are taken CLOSURE_CHUNK at a time, their rows of `stack` times
+    every (letter, Matrix) of `gens` side by side in one field.matmul, the
+    products keyed in one linalg.array_keys call.  A product missing from
+    `index` is the next element, added to index and to `stack` (resized in
+    place) up to `cap` elements.  cap None is a replay of a full stack,
+    where that is an error, as is an element first met out of order.
     """
-    n, nk = elements[0].rows, len(gens)
-    if elements[0] != Matrix.identity(field, n) or words[0] != ():
-        raise InternalInconsistency("elements[0] is not I with the empty word")
+    n, nk = stack.shape[1], len(gens)
+    if not (stack[0] == Matrix.identity(field, n).a).all():
+        raise InternalInconsistency("elements[0] is not I")
     side_by_side = np.concatenate([g.a for _, g in gens], axis=1)
-    right, parent, last = [], [0], [0]
+    m, right, parent, last = len(stack), [], [0], [0]
     s = 0
     while s < len(parent):
-        chunk = elements[s:min(s + CLOSURE_CHUNK, len(parent))]  # only rows already met
-        prods = field.matmul(np.concatenate([e.a for e in chunk]), side_by_side)
-        prods = prods.reshape(len(chunk), n, nk, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
-        keys = [array_key(field, prod) for prod in prods]
+        e = min(s + CLOSURE_CHUNK, len(parent))  # only rows already met
+        prods = field.matmul(stack[s:e].reshape(-1, n), side_by_side)
+        prods = prods.reshape(e - s, n, nk, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
+        keys = array_keys(field, prods)
         found = list(map(index.get, keys))
         if None in found:
             if cap is None:
                 raise InternalInconsistency("BFS closure is not closed")
-            for j in [j for j, t in enumerate(found) if t is None]:
-                t = index.get(keys[j])  # a product met twice in one chunk is added once
-                if t is None:
-                    if len(elements) >= cap:
-                        raise CapExceeded(cap)
-                    elements.append(Matrix(field, prods[j].copy(), _canonical=True, _key=keys[j]))
-                    t = index[keys[j]] = len(elements) - 1  # the element shares its key
-                    words.append(words[s + j // nk] + (gens[j % nk][0],))
-                found[j] = t
+            for j in [j for j, t in enumerate(found) if t is None]:  # numbered as met, once
+                found[j] = index.setdefault(keys[j], len(index))
+            if len(index) > cap:
+                raise CapExceeded(cap)
         found = np.array(found, dtype=np.int64)
         seen = np.maximum.accumulate(np.concatenate([[len(parent) - 1], found[:-1]]))
         first = np.flatnonzero(found > seen)  # first met: each the next element
-        for j, t in zip(first.tolist(), found[first].tolist()):
-            row, k = s + j // nk, j % nk
-            if t != len(parent) or t >= len(elements) or elements[t].key() != keys[j]:
-                raise InternalInconsistency(f"element {t} is numbered out of BFS order")
-            if words[t] != words[row] + (gens[k][0],):
-                raise InternalInconsistency(f"BFS word of element {t} has no parent")
-            parent.append(row)
-            last.append(k)
+        met = found[first]
+        if cap is not None:  # closing: the products first met are the new elements
+            if m + len(met) > len(stack):  # in place: no view of it outlives a statement
+                stack.resize(((m + len(met)) * 5 // 4, n, n), refcheck=False)
+            stack[m:m + len(met)] = prods[first]
+            m += len(met)
+        bad = (met != np.arange(len(parent), len(parent) + len(met))) | (met >= m)
+        if bad.any():
+            raise InternalInconsistency(f"element {met[bad][0]} is numbered out of BFS order")
+        parent.extend((s + first // nk).tolist())
+        last.extend((first % nk).tolist())
         right.append(found)
-        s += len(chunk)
-    m = len(elements)
-    if len(parent) != m or len(index) != m or index.get(elements[0].key()) != 0:
+        s = e
+    if len(parent) != m or len(index) != m:
         raise InternalInconsistency("elements and index are not the BFS numbering")
+    letters = [letter for letter, _ in gens]
+    words = [()]
+    for row, k in zip(parent[1:], last[1:]):
+        words.append(words[row] + (letters[k],))
     right = np.concatenate(right).reshape(-1, nk)
     parent, last = np.array(parent), np.array(last)
     depth = np.fromiter(map(len, words), dtype=np.int64, count=m)
-    levels = np.split(np.arange(m), np.flatnonzero(np.diff(depth)) + 1)[1:]
-    return right, parent, last, [(pos, parent[pos], last[pos]) for pos in levels]
+    levels = [(pos, parent[pos], last[pos])
+              for pos in np.split(np.arange(m), np.flatnonzero(np.diff(depth)) + 1)[1:]]
+    if len(stack) > m:
+        stack.resize((m, n, n), refcheck=False)
+    return stack, tuple(words), (right, parent, last, levels)
 
 
 def mult_cycles(group: MatrixGroup, h: int) -> CycleDecomposition:
@@ -352,7 +366,7 @@ def burnside_irreducible(group: MatrixGroup) -> bool:
     """
     if group._burnside is None:
         vec_i = Matrix(group.field, np.eye(group.dim, dtype=np.int64).reshape(1, -1))
-        gens = [group.elements[u] for u in group.generators]
+        gens = [group.matrix(u) for u in group.generators]
         group._burnside = row_closure(vec_i, gens).dim == group.dim ** 2
     return group._burnside
 
@@ -368,10 +382,10 @@ def spin(v, group: MatrixGroup) -> Subspace:
         raise ZeroVector("cannot spin the zero vector")
     if rows.cols != group.dim:
         raise DimensionMismatch("vector has wrong length")
-    return row_closure(rows, [group.elements[u].T for u in group.generators])
+    return row_closure(rows, [group.matrix(u).T for u in group.generators])
 
 
 def fixed_space(group: MatrixGroup, h: int) -> Subspace:
     """Eigenspace {v : h v = v}; its codimension is rank(h - I)."""
-    diff = group.elements[h] - Matrix.identity(group.field, group.dim)
+    diff = group.matrix(h) - Matrix.identity(group.field, group.dim)
     return nullspace(diff)

@@ -5,13 +5,13 @@ prime fields (hot paths go through the kernels in _kernels.py), Fraction
 object arrays for the rationals.  Their arithmetic goes through the field's
 `matmul`, `reduce` and `canon`.  Rank, nullspace, factorization and all
 subspace operations (row_closure too) reduce to one deterministic RREF;
-`ranks` takes the ranks of a whole stack and `array_key` keys an array for
-dict lookup, on either field.
+`ranks` takes the ranks of a whole stack and `array_keys` keys each matrix
+of a stack for dict lookup, on either field.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = [
     "apply_to_subspace",
     "invert",
     "ranks",
-    "array_key",
+    "array_keys",
 ]
 
 
@@ -72,24 +72,26 @@ def ranks(field: Field, stack: np.ndarray) -> np.ndarray:
     return np.array([_rref_fraction(a)[1] for a in stack], dtype=np.int64)
 
 
-def array_key(field: Field, a: np.ndarray):
-    """Lookup key of a canonical array.
-
-    Matrix.key() and the batched group lookups in groups.py both build
-    keys here, so a slice of a stacked product finds the same dict entry
-    as the Matrix it equals.
-    """
-    if field.char:
-        return (field.char, a.shape, a.tobytes())
-    return (0, a.shape, tuple((x.numerator, x.denominator) for x in a.flat))
+def array_keys(field: Field, stack: np.ndarray) -> list:
+    """Lookup keys of a (b, r, c) stack of canonical matrices: over GF(p)
+    each matrix's bytes in the smallest unsigned dtype holding p - 1, all
+    from one np.void view; over QQ its (numerator, denominator) pairs.  Keys
+    carry neither p nor the shape, so one dict holds one field and shape."""
+    flat = stack.reshape(len(stack), -1)
+    if not field.char:
+        return [tuple((x.numerator, x.denominator) for x in row) for row in flat.tolist()]
+    flat = np.ascontiguousarray(flat, dtype=np.min_scalar_type(field.char - 1))
+    if not flat.shape[1]:  # np.void holds at least one byte
+        return [b""] * len(flat)
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
 
 
 class Matrix:
     """Immutable exact matrix over a fixed field."""
 
-    __slots__ = ("field", "a", "_key")
+    __slots__ = ("field", "a")
 
-    def __init__(self, field: Field, array, _canonical: bool = False, _key=None):
+    def __init__(self, field: Field, array, _canonical: bool = False):
         self.field = field
         if _canonical:
             a = array
@@ -99,7 +101,6 @@ class Matrix:
             raise ValueError("matrix array must be 2-D")
         a.flags.writeable = False
         self.a = a
-        self._key = _key  # array_key(field, a) if given
 
     # -- constructors ---------------------------------------------------------
 
@@ -120,10 +121,6 @@ class Matrix:
         for i, x in enumerate(entries):
             a[i, i] = field.canon(x)
         return cls(field, a, _canonical=True)
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Iterable]) -> "Matrix":
-        return cls(field, rows)
 
     @classmethod
     def from_array(cls, field: Field, a: np.ndarray) -> "Matrix":
@@ -155,10 +152,8 @@ class Matrix:
         return [list(row) for row in self.a]
 
     def key(self):
-        """Hashable canonical key (shared with group element lookup)."""
-        if self._key is None:
-            self._key = array_key(self.field, self.a)
-        return self._key
+        """Hashable key of the entries, as the group lookup's array_keys."""
+        return array_keys(self.field, self.a[None])[0]
 
     # -- arithmetic ---------------------------------------------------------------
 

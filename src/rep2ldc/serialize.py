@@ -37,7 +37,6 @@ __all__ = [
     "load_json",
     "matrix_to_json",
     "matrix_from_json",
-    "group_spec_to_json",
     "group_from_spec_json",
     "group_export_json",
     "group_spec_hash",
@@ -133,10 +132,6 @@ def matrix_from_json(obj) -> Matrix:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad matrix entry: {exc}") from exc
     return Matrix.from_array(field, data)
-
-
-def group_spec_to_json(group: MatrixGroup, cap: int | None = None) -> dict:
-    return group.spec_json(cap=cap)
 
 
 def group_spec_hash(spec: dict) -> str:

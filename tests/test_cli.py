@@ -280,6 +280,15 @@ class TestConstructVerify:
         assert "m=64" in out and "t=4" in out
         assert main(["verify", "--input", str(cert_path)]) == 0
 
+    def test_verify_applies_cap(self, tmp_path, capsys):
+        # verify re-closes the certificate's group, which --cap bounds
+        cert_path = tmp_path / "cert.json"
+        assert main(["construct", "--fixture", "signed_shift(4,3)", "--special2",
+                     "--h", "1", "--output", str(cert_path)]) == cli.EXIT_OK
+        assert main(["verify", "--input", str(cert_path), "--cap", "10"]) == cli.EXIT_CAP
+        assert "exceeded cap" in capsys.readouterr().err
+        assert main(["verify", "--input", str(cert_path)]) == cli.EXIT_OK
+
     def test_rational_certificate_bytes_pinned(self, tmp_path):
         """The signed_shift(6,0) special2 certificate: a 384-element group
         over QQ, its lattice search and its rational code vectors."""

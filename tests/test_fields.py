@@ -76,9 +76,8 @@ class TestRationalMatmul:
         """The BFS pass of a QQ closure, all of whose products go through
         Field.matmul, makes no Fraction product or sum; the same counter
         sees the oracle's."""
-        gens = [signed_shift_group(4, 0).elements[g] for g in (1, 2)]
+        gens = [signed_shift_group(4, 0).matrix(g) for g in (1, 2)]
         ident = Matrix.identity(QQ, 4)
-        elements, index, words = [ident], {ident.key(): 0}, [()]
         calls = []
         for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
             original = getattr(Fraction, name)
@@ -88,8 +87,9 @@ class TestRationalMatmul:
                 return _original(x, y)
 
             monkeypatch.setattr(Fraction, name, counted)
-        groups._bfs(QQ, elements, index, words, list(enumerate(gens)), 1000)
-        assert len(elements) == 64 and calls == []
+        stack, _, _ = groups._bfs(QQ, np.array([ident.a]), {ident.key(): 0},
+                                  list(enumerate(gens)), 1000)
+        assert len(stack) == 64 and calls == []
         fraction_matmul(gens[0].a, gens[1].a)
         assert calls
 

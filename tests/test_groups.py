@@ -11,6 +11,7 @@ from helpers import (
     matrix_mul,
     matrix_order,
     reference_closure,
+    reference_group_export_json,
     scan_spans_matrix_algebra,
     vector_spin,
 )
@@ -220,6 +221,14 @@ class TestCloseGroup:
         with pytest.raises(InternalInconsistency, match=message):
             damaged._cayley()
 
+    def test_position_of_rejects_another_field_or_shape(self, signed_shift_4_3):
+        g = signed_shift_4_3
+        s = g.generators[1]
+        assert g.position_of(g.matrix(s)) == s
+        for other in (Matrix(F5, g.matrix(s).a.tolist()), Matrix(F3, g.matrix(s).a.reshape(1, -1))):
+            with pytest.raises(KeyError):
+                g.position_of(other)
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_rejected(self, cap):
         with pytest.raises(ValueError, match="cap must be positive"):
@@ -386,6 +395,27 @@ class TestAgainstPerElementBfs:
             uniq = list(dict.fromkeys(g.generators))
             assert right == [[matrix_mul(g, s, u) for u in uniq] for s in range(len(g))]
             assert fresh_group(g)._cayley()[0].tolist() == right
+
+    @pytest.mark.parametrize("letters", ["AAB", "AIBA", "IA"])
+    @pytest.mark.parametrize("chunk", [groups.CLOSURE_CHUNK, 3])
+    def test_repeated_generators(self, monkeypatch, letters, chunk):
+        # a word's letter is the generator's first index in the list, not
+        # its column in the table of distinct generators
+        monkeypatch.setattr(groups, "CLOSURE_CHUNK", chunk)
+        mats = {"A": Matrix(F11, [[0, 1], [1, 0]]), "B": Matrix.diag(F11, [9, 5]),
+                "I": Matrix.identity(F11, 2)}
+        gens = [mats[c] for c in letters]
+        elements, index, words = reference_closure(gens, 1000)
+        right = [[index[(e @ u).key()] for u in dict.fromkeys(gens)] for e in elements]
+        ref = MatrixGroup(F11, 2, elements, index, tuple(index[u.key()] for u in gens),
+                          tuple(words))
+        g = close_group(gens)
+        for group in (g, fresh_group(g), ref):  # the closure and two replays
+            assert group.words == tuple(words) and group.index == index
+            assert group._cayley()[0].tolist() == right
+            assert group_export_json(group) == reference_group_export_json(ref)
+        if letters == "AAB":
+            assert g.words[1:3] == ((0,), (2,))
 
 
 class TestOneProductPass:
