@@ -131,7 +131,8 @@ def _vector(field, values) -> np.ndarray:
 def _check_indices_and_shapes(cert: ConstructionCert) -> None:
     """Reject parts over a field other than the group's, element indices
     outside [0, |G|) and vectors or matrices whose shape contradicts n, R
-    or t, which verify_cert would index with."""
+    or t, which verify_cert would index with.  A family of more than n
+    translates is never minimal, and its checks would grow with t^2."""
     field = cert.group.field
     for name, part in (("D", cert.D), ("Y", cert.Y), ("X", cert.X), ("family.U", cert.family.U),
                        ("family.W", cert.family.W), ("code", cert.code)):
@@ -149,6 +150,11 @@ def _check_indices_and_shapes(cert: ConstructionCert) -> None:
             raise ParseError(f"{name} entry {bad[0]} outside [0, {m})")
     if not cert.hs or len(cert.alphas) != len(cert.hs):
         raise ParseError("hs and alphas must be nonempty and of equal length")
+    for name, value in (("R", r), ("the number of family.g_refs", t)):
+        if value < 1:
+            raise ParseError(f"{name} must be at least 1, got {value}")
+    if t > n:
+        raise ParseError(f"the number of family.g_refs must be at most n = {n}, got {t}")
     if cert.kind == "lambda" and cert.lam is None:
         raise ParseError("lambda certificate without a lambda")
     if len(cert.family.hat_w) != t:

@@ -2,11 +2,13 @@
 
 Given elements h_1..h_q and scalars alpha_1..alpha_q whose combination
 D = sum alpha_l rho(h_l) has rank R >= 1, the pipeline factorizes D,
-builds a minimal spanning family of translates of the column span of Y,
-equips it with dual vectors, picks z avoiding the bad hyperplanes, and
-emits the projected-orbit code a_s = W^T rho(s) z together with its
-matchings.  Every step is deterministic given the seed, and the finished
-certificate re-verifies itself.
+builds a minimal spanning family of translates of the column span of Y
+(the row-rank profile of one stack of translates, pruned by batched ranks),
+equips it with dual vectors (nullspaces of the other translates stacked),
+picks z avoiding the bad hyperplanes, and emits the projected-orbit code
+a_s = W^T rho(s) z together with its matchings.  Every step is
+deterministic given the seed, and the finished certificate re-verifies
+itself.
 """
 
 from __future__ import annotations
@@ -28,17 +30,9 @@ from .errors import (
     ZeroMatrix,
 )
 from .fields import Field, scaled_numerators
-from .groups import MatrixGroup, mult_cycles
+from .groups import CLOSURE_CHUNK, MatrixGroup, mult_cycles
 from .ldc import LdcInstance, QMatching, verify
-from .linalg import (
-    Matrix,
-    Subspace,
-    apply_to_subspace,
-    orth_complement,
-    rank_factorize,
-    subspace_contains,
-    subspace_sum,
-)
+from .linalg import Matrix, Subspace, nullspace, rank_factorize, ranks, rref
 
 __all__ = [
     "SpanningFamily",
@@ -119,104 +113,108 @@ def combine(group: MatrixGroup, hs, alphas) -> Matrix:
     return Matrix(field, field.matmul(field.vector(alphas), flat).reshape(n, n), _canonical=True)
 
 
+def _translates(group: MatrixGroup, basis: np.ndarray, positions) -> np.ndarray:
+    """(k, R, n) stack: slice j holds the rows of B g^T for the j'th listed
+    element g, where the R x n basis B spans U, so its row space is U^g."""
+    stack = group.stacked()[np.asarray(positions, dtype=np.int64)]
+    return group.field.matmul(stack, basis.T).transpose(0, 2, 1)
+
+
+def _first_redundant(field: Field, images: np.ndarray, n: int) -> int | None:
+    """First k of a (t, R, n) stack of translates spanning F^n whose other
+    t - 1 still span, or None: one batched rank over k < min(t, n).  Past n
+    there is always such a k < n, for vectors v_k of the first n outside the
+    rest would be a basis, and a vector of the next translate puts one inside."""
+    if len(images) < 2:
+        return None
+    others = [np.delete(images, k, axis=0).reshape(-1, n) for k in range(min(len(images), n))]
+    hits = np.flatnonzero(ranks(field, np.stack(others)) == n)
+    return int(hits[0]) if hits.size else None
+
+
 def minimal_spanning_family(group: MatrixGroup, u: Subspace) -> list[int]:
     """Minimal list of positions g_j with sum of U^{g_j} = F^n.
 
-    Scans elements in canonical BFS order, adding g whenever U^g is not
-    already inside the running sum, then prunes redundant members.
-    Raises OrbitDoesNotSpan when the full orbit fails to span, which is
-    exactly a failure of the irreducibility hypothesis for this U.
+    Greedy first fit in canonical BFS order keeps g exactly when a row of
+    U^g raises the rank of all rows before it, since the kept translates
+    always span every one met so far.  So the greedy family is the row-rank
+    profile of the translates stacked in BFS order: per chunk, the pivot
+    columns of one RREF of [running basis; chunk rows]^T.  Chunks start at
+    n positions and double up to CLOSURE_CHUNK; the scan stops at full
+    rank.  Pruning then deletes the first member whose removal keeps the
+    span, one batched rank per round, until none can go.  Raises
+    OrbitDoesNotSpan when the full orbit fails to span, which is exactly a
+    failure of the irreducibility hypothesis for this U.
     """
-    field = group.field
-    n = group.dim
-    if u.dim == 0:
+    field, n, r = group.field, group.dim, u.dim
+    if r == 0:
         raise ValueError("seed subspace is zero")
+    basis = u.basis.a
     family: list[int] = []
-    images: list[Subspace] = []
-    total = Subspace.zero(field, n)
-    for pos in range(len(group)):
-        img = apply_to_subspace(group.matrix(pos), u)
-        if not subspace_contains(total, img):
-            family.append(pos)
-            images.append(img)
-            total = subspace_sum([total, img])
-            if total.is_full():
-                break
-    if not total.is_full():
-        raise OrbitDoesNotSpan(
-            f"translates of a dim-{u.dim} subspace span only {total.dim} of {n} dimensions"
-        )
-    changed = True
-    while changed and len(family) > 1:
-        changed = False
-        for k in range(len(family)):
-            rest = [images[i] for i in range(len(images)) if i != k]
-            if subspace_sum(rest).is_full():
-                del family[k]
-                del images[k]
-                changed = True
-                break
+    rows = basis[:0]  # independent rows spanning every translate so far
+    start, size, rk = 0, n, 0
+    while rk < n and start < len(group):
+        stop = min(start + min(size, CLOSURE_CHUNK), len(group))
+        chunk = _translates(group, basis, range(start, stop)).reshape(-1, n)
+        stacked = np.concatenate([rows, chunk])
+        _, rk, piv = rref(Matrix(field, np.ascontiguousarray(stacked.T), _canonical=True))
+        b = len(rows)  # a new pivot column c is row c - b of the chunk
+        family.extend(dict.fromkeys(start + (c - b) // r for c in piv[b:]))
+        rows = stacked[list(piv)]
+        start, size = stop, 2 * size
+    if rk < n:
+        raise OrbitDoesNotSpan(f"translates of a dim-{r} subspace span only {rk} of {n} dimensions")
+    images = _translates(group, basis, family)
+    while (k := _first_redundant(field, images, n)) is not None:
+        del family[k]
+        images = np.delete(images, k, axis=0)
     return family
 
 
 def dual_vectors(group: MatrixGroup, u: Subspace, g_refs, y: Matrix):
     """Vectors w_i orthogonal to every U^{g_j} except the i'th, with
-    hat_w_i = (Y^{g_i})^T w_i != 0.  Returns (W, hat_w)."""
-    field = group.field
-    n = group.dim
-    t = len(g_refs)
-    images = [apply_to_subspace(group.matrix(g), u) for g in g_refs]
-    ygs = [group.matrix(g) @ y for g in g_refs]
-    cols = []
-    hats = []
-    for i in range(t):
-        others = [images[j] for j in range(t) if j != i]
-        v = subspace_sum(others) if others else Subspace.zero(field, n)
-        comp = orth_complement(v)
-        ygi_t = ygs[i].T
-        # A combination of basis rows that all give (Y^{g_i})^T b = 0 gives 0
-        # too, so the basis rows are the only candidates worth trying.
-        w = None
-        for r in range(comp.dim):
-            cand = comp.basis.row(r)
-            if np.any(ygi_t.matvec(cand) != 0):
-                w = cand
-                break
-        if w is None:
-            raise InternalInconsistency(
-                f"no dual vector for translate {i}; family not minimal?"
-            )
-        cols.append(np.asarray(w))
-        hats.append(ygi_t.matvec(w))
-    w_arr = np.ascontiguousarray(np.stack(cols, axis=1))
-    return Matrix.from_array(field, w_arr), hats
+    hat_w_i = (Y^{g_i})^T w_i != 0.  Returns (W, hat_w).
+
+    w_i is the first nullspace basis row of the other translates stacked
+    (the orthogonal complement of their sum, with the same RREF basis) with
+    a nonzero hat_w_i: rows giving 0 combine to 0, so one product of the
+    rows tests every candidate worth trying.
+    """
+    field, n = group.field, group.dim
+    ygs = field.matmul(group.stacked()[list(g_refs)], y.a)
+    images = _translates(group, u.basis.a, g_refs)
+    cols, hats = [], []
+    for i in range(len(images)):
+        others = np.delete(images, i, axis=0).reshape(-1, n)
+        cands = nullspace(Matrix(field, others, _canonical=True)).basis.a
+        cand_hats = field.matmul(cands, ygs[i])
+        hit = np.flatnonzero(np.any(cand_hats != 0, axis=1))
+        if not hit.size:
+            raise InternalInconsistency(f"no dual vector for translate {i}; family not minimal?")
+        cols.append(cands[hit[0]])
+        hats.append(cand_hats[hit[0]])
+    return Matrix.from_array(field, np.ascontiguousarray(np.stack(cols, axis=1))), hats
 
 
 def validate_family(group: MatrixGroup, family: SpanningFamily, y: Matrix) -> None:
-    """Assert every structural identity of the spanning family."""
-    field = group.field
-    n = group.dim
-    r = y.cols
-    t = family.t
-    images = [apply_to_subspace(group.matrix(g), family.U) for g in family.g_refs]
-    if not subspace_sum(images).is_full():
+    """Assert every structural identity of the spanning family, over the
+    translates computed once: one rank for the span, one batched rank for
+    redundancy (which any t > n fails) and one (t, t, R) product W^T (g_j Y)
+    for the rank-one identities.  A failure names the first failing translate."""
+    field, n, t = group.field, group.dim, family.t
+    images = _translates(group, family.U.basis.a, family.g_refs)
+    if rref(Matrix(field, images.reshape(-1, n), _canonical=True))[1] < n:
         raise InternalInconsistency("translates do not span the space")
-    for i in range(t):
-        others = [images[j] for j in range(t) if j != i]
-        rest = subspace_sum(others) if others else Subspace.zero(field, n)
-        if subspace_contains(rest, images[i]):
-            raise InternalInconsistency(f"translate {i} is redundant")
-    if t * r < n:
-        raise InternalInconsistency("family too small to span")
-    w_t = family.W.T
-    for j, g in enumerate(family.g_refs):
-        prod = w_t @ (group.matrix(g) @ y)
-        hat = family.hat_w[j]
-        if not np.any(hat != 0):
+    if (k := _first_redundant(field, images, n)) is not None:
+        raise InternalInconsistency(f"translate {k} is redundant")
+    prods = field.matmul(family.W.T.a, field.matmul(group.stacked()[list(family.g_refs)], y.a))
+    hats = np.stack(family.hat_w)
+    expected = np.eye(t, dtype=np.int64)[:, :, None] * hats[:, None, :]
+    wrong = np.any((prods != expected).reshape(t, -1), axis=1)
+    for j in range(t):
+        if not np.any(hats[j] != 0):
             raise InternalInconsistency(f"hat_w[{j}] is zero")
-        expected = Matrix.zeros(field, t, r).a.copy()
-        expected[j, :] = hat
-        if not np.all(prod.a == expected):
+        if wrong[j]:
             raise InternalInconsistency(f"rank-one identity fails for translate {j}")
 
 

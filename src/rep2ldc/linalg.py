@@ -137,9 +137,6 @@ class Matrix:
     def cols(self) -> int:
         return self.a.shape[1]
 
-    def __getitem__(self, ij):
-        return self.a[ij]
-
     def row(self, i: int) -> np.ndarray:
         return self.a[i]
 
@@ -172,9 +169,6 @@ class Matrix:
         if self.a.shape != other.a.shape:
             raise DimensionMismatch(f"{self.a.shape} - {other.a.shape}")
         return Matrix(self.field, self.field.reduce(self.a - other.a), _canonical=True)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.field.reduce(-self.a), _canonical=True)
 
     def scale(self, c) -> "Matrix":
         s = self.a * self.field.canon(c)

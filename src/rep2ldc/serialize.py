@@ -125,10 +125,10 @@ def matrix_from_json(obj) -> Matrix:
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix object: {exc}") from exc
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
         raise ParseError("matrix entries do not match declared shape")
-    try:
-        data = field.array_from_json(entries)
+    try:  # the reshape keeps the declared width of a matrix without rows
+        data = field.array_from_json(entries).reshape(rows, cols)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad matrix entry: {exc}") from exc
     return Matrix.from_array(field, data)

@@ -384,13 +384,13 @@ def reference_matrix_from_json(obj):
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix object: {exc}") from exc
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
         raise ParseError("matrix entries do not match declared shape")
     try:
         data = [[field.scalar_from_json(x) for x in row] for row in entries]
+        return Matrix.from_array(field, field.array(data).reshape(rows, cols))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad matrix entry: {exc}") from exc
-    return Matrix(field, data)
 
 
 def reference_spec_json(group, cap=None) -> dict:
@@ -588,3 +588,67 @@ def reference_cert_from_json(obj):
         raise ParseError(f"unknown certificate kind {cert.kind!r}")
     _check_indices_and_shapes(cert)
     return cert
+
+
+# The spanning family one element at a time, through Subspace objects:
+# oracles of construct.minimal_spanning_family and construct.dual_vectors,
+# which work on one stack of translates.
+
+def reference_spanning_family(group, u) -> list[int]:
+    """Greedy first fit in BFS order, adding g whenever U^g is not inside
+    the running sum (one apply_to_subspace, subspace_contains and
+    subspace_sum per element), then deleting the first redundant member
+    until none is."""
+    from rep2ldc.errors import OrbitDoesNotSpan
+    from rep2ldc.linalg import Subspace, apply_to_subspace, subspace_contains, subspace_sum
+
+    n = group.dim
+    family, images, total = [], [], Subspace.zero(group.field, n)
+    for pos in range(len(group)):
+        img = apply_to_subspace(group.matrix(pos), u)
+        if not subspace_contains(total, img):
+            family.append(pos)
+            images.append(img)
+            total = subspace_sum([total, img])
+            if total.is_full():
+                break
+    if not total.is_full():
+        raise OrbitDoesNotSpan(
+            f"translates of a dim-{u.dim} subspace span only {total.dim} of {n} dimensions"
+        )
+    changed = True
+    while changed and len(family) > 1:
+        changed = False
+        for k in range(len(family)):
+            if subspace_sum(images[:k] + images[k + 1:]).is_full():
+                del family[k]
+                del images[k]
+                changed = True
+                break
+    return family
+
+
+def reference_dual_vectors(group, u, g_refs, y):
+    """(W, hat_w): w_i is the first basis row of the orthogonal complement
+    of the other translates' sum with (Y^{g_i})^T w_i != 0, tried one
+    matvec at a time."""
+    import numpy as np
+
+    from rep2ldc.errors import InternalInconsistency
+    from rep2ldc.linalg import Matrix, Subspace, apply_to_subspace, orth_complement, subspace_sum
+
+    field, n = group.field, group.dim
+    images = [apply_to_subspace(group.matrix(g), u) for g in g_refs]
+    cols, hats = [], []
+    for i, g in enumerate(g_refs):
+        others = images[:i] + images[i + 1:]
+        comp = orth_complement(subspace_sum(others) if others else Subspace.zero(field, n))
+        ygi_t = (group.matrix(g) @ y).T
+        for r in range(comp.dim):
+            if np.any(ygi_t.matvec(comp.basis.row(r)) != 0):
+                cols.append(comp.basis.row(r))
+                hats.append(ygi_t.matvec(comp.basis.row(r)))
+                break
+        else:
+            raise InternalInconsistency(f"no dual vector for translate {i}; family not minimal?")
+    return Matrix.from_array(field, np.ascontiguousarray(np.stack(cols, axis=1))), hats

@@ -74,8 +74,8 @@ class TestExitCodes:
 def bad_inputs(tmp_path_factory):
     """A group spec and a certificate, each with a singular generator;
     group specs with a cap of -3 and of 0; LDC files with an empty code, a
-    numeric density or an index beyond int64; a certificate with a numeric
-    achieved density."""
+    numeric density or an index beyond int64; certificates with a numeric
+    achieved density and with R = 0 (Y, X and every hat_w of width 0)."""
     tmp = tmp_path_factory.mktemp("bad")
     field = {"char": 3}
     zero = {"field": field, "rows": 2, "cols": 2, "entries": [[0, 0], [0, 0]]}
@@ -96,6 +96,12 @@ def bad_inputs(tmp_path_factory):
              "spec_cap_zero": str(tmp / "spec_cap_zero.json")}
     dump_json(doc, paths["cert_delta"])
     doc["achieved_delta"] = str(doc["achieved_delta"])
+    family = {**doc["family"], "hat_w": [[]] * len(doc["family"]["hat_w"])}
+    rank_zero = {**doc, "R": 0, "family": family}
+    for name in ("Y", "X"):
+        rank_zero[name] = {**doc[name], "cols": 0, "entries": [[]] * doc[name]["rows"]}
+    paths["cert_rank_zero"] = str(tmp / "cert_rank_zero.json")
+    dump_json(rank_zero, paths["cert_rank_zero"])
     gen = doc["group"]["generators"][0]
     gen["entries"] = [[0] * gen["cols"] for _ in range(gen["rows"])]
     dump_json(doc, str(cert))
@@ -131,6 +137,7 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
     ["verify", "--input", "{ldc_delta}"],
     ["verify", "--input", "{ldc_index}"],
     ["verify", "--input", "{cert_delta}"],
+    ["verify", "--input", "{cert_rank_zero}"],
     ["rank-scan", *SS43, "--cap", "0"],
     ["rank-scan", *SS43, "--cap", "-1"],
     ["rank-scan", "--input", "{spec_cap_negative}"],
@@ -139,7 +146,7 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
         "hs-1000", "alphas-non-unit", "lambda-non-unit", "alphas-zero-denominator",
         "lambda-zero-denominator", "hs-fraction", "ldc-t-zero",
         "ldc-m-zero", "ldc-delta-number", "ldc-index-past-int64", "cert-delta-number",
-        "cap-zero", "cap-negative", "spec-cap-negative", "spec-cap-zero"])
+        "cert-rank-zero", "cap-zero", "cap-negative", "spec-cap-negative", "spec-cap-zero"])
 def test_bad_input_exits_1_without_traceback(argv, bad_inputs, tmp_path):
     argv = [a.format(**bad_inputs) for a in argv]
     out = subprocess.run(

@@ -4,15 +4,21 @@ import hashlib
 import itertools
 import json
 import os
+import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import reference_dual_vectors, reference_spanning_family
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rep2ldc.bounds import avg_fixed_space, check_rank_separation, entropy_audit, gamma
-from rep2ldc import ldc
+from rep2ldc import _kernels, construct, ldc
 from rep2ldc.certcheck import _beta_mask, cert_from_json, verify_cert
 from rep2ldc.construct import (
+    SpanningFamily,
     _code_vectors,
     _hyperplane_normals,
     beta,
@@ -27,8 +33,10 @@ from rep2ldc.construct import (
     minimal_spanning_family,
     orbit_projection_check,
     spanning_tuple_identity,
+    validate_family,
 )
 from rep2ldc.errors import (
+    CapExceeded,
     IdentityElement,
     InternalInconsistency,
     OrbitDoesNotSpan,
@@ -161,6 +169,148 @@ class TestDualVectors:
             expected = Matrix.zeros(F11, t, 1).a.copy()
             expected[j, :] = hats[j]
             assert np.array_equal(prod.a, expected)
+
+
+@st.composite
+def spanning_cases(draw):
+    """(generators, seed rows): 1-3 monomial generators (a permutation times
+    units, so the group is finite) over GF(2), GF(3), GF(5) or QQ, over a
+    finite field also any invertible matrix, and 1..n rows for U, unit
+    vectors or any.  Groups of permutation matrices alone are reducible,
+    and coordinate subspaces under monomial groups often need pruning."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(5), QQ]))
+    n = draw(st.sampled_from([2, 3, 4, 4]))
+    entry = st.integers(0, field.char - 1) if field.char else st.integers(-1, 1)
+    units = st.sampled_from(list(range(1, field.char)) if field.char else [1, -1])
+
+    @st.composite
+    def monomial(draw):
+        a = np.zeros((n, n), dtype=np.int64)
+        a[np.arange(n), draw(st.permutations(range(n)))] = draw(
+            st.lists(units, min_size=n, max_size=n))
+        return Matrix(field, a.tolist())
+
+    dense = st.lists(entry, min_size=n * n, max_size=n * n).map(
+        lambda v: Matrix(field, np.reshape(v, (n, n)).tolist())
+    ).filter(lambda m: rank(m) == n)
+    matrix = st.one_of(monomial(), dense) if field.char else monomial()
+    gens = draw(st.lists(matrix, min_size=1, max_size=3))
+    d = min(n, draw(st.sampled_from([1, 1, 2, 3])))
+    coordinate = st.lists(st.integers(0, n - 1), min_size=d, max_size=d, unique=True).map(
+        lambda idx: np.eye(n, dtype=np.int64)[idx].tolist())
+    dense_rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=d, max_size=d)
+    return gens, draw(st.one_of(coordinate, dense_rows))
+
+
+class TestAgainstPerElementFamily:
+    """The stacked translates against the per-element Subspace walk of
+    helpers.py, with BFS chunks of 3 positions so the scan crosses chunks."""
+
+    @staticmethod
+    def _check(g, u):
+        with mock.patch.object(construct, "CLOSURE_CHUNK", 3):
+            try:
+                want = reference_spanning_family(g, u)
+            except OrbitDoesNotSpan as exc:
+                with pytest.raises(OrbitDoesNotSpan, match=f"^{re.escape(str(exc))}$"):
+                    minimal_spanning_family(g, u)
+                return
+            fam = minimal_spanning_family(g, u)
+        assert fam == want
+        y = Matrix(g.field, u.basis.a.T)
+        w_ref, hats_ref = reference_dual_vectors(g, u, want, y)
+        w, hats = dual_vectors(g, u, fam, y)
+        assert w == w_ref
+        assert len(hats) == len(hats_ref)
+        assert all(np.array_equal(a, b) for a, b in zip(hats, hats_ref))
+        validate_family(g, SpanningFamily(tuple(fam), u, w, tuple(hats)), y)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=spanning_cases())
+    def test_family_and_dual_vectors_match_reference(self, case):
+        gens, rows = case
+        try:
+            g = close_group(gens, cap=400)
+        except CapExceeded:
+            return
+        u = Subspace.from_rows(g.field, g.dim, rows)
+        if u.dim:
+            self._check(g, u)
+
+    # Greedy keeps 3-5 translates of these coordinate subspaces and pruning
+    # deletes 1-2 ([0, 2, 5] -> [0, 5] on the 4-dimensional signed shifts);
+    # the other subspaces have two redundant members in one round, and the
+    # first is the one to go ([0, 1, 2] -> [1, 2] on signed_shift(4,3)).
+    @pytest.mark.parametrize("fixture, rows", [
+        ("signed_shift(4,3)", [[1, 0, 0, 0], [0, 1, 0, 0]]),
+        ("signed_shift(4,0)", [[1, 0, 0, 0], [0, 1, 0, 0]]),
+        ("signed_shift(6,5)", [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]),
+        ("signed_shift(6,5)", [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),
+        ("signed_shift(4,3)", [[2, 2, 0, 0], [0, 0, 2, 0]]),
+        ("signed_shift(4,0)", [[2, 1, 2, 2], [2, 2, 2, 0]]),
+        ("symmetric(5,7)", [[2, 1, 3, 6], [6, 1, 1, 1]]),
+        ("signed_shift(6,5)", [[0, 3, 1, 3, 1, 4], [4, 0, 1, 0, 1, 1]]),
+    ])
+    def test_pruned_families_match_reference(self, fixture, rows):
+        g = parse_fixture(fixture)
+        self._check(g, Subspace.from_rows(g.field, g.dim, rows))
+
+    def test_spanning_family_is_a_few_eliminations(self):
+        # over GF(p) each linalg.rref is one rref_mod and each linalg.ranks
+        # one rank_mod_batched; the per-element walk made hundreds
+        g = signed_shift_group(10, 3)
+        y, _ = rank_factorize(combine(g, [g.generators[0], 0], [1, -1]))
+        u = Subspace.from_rows(F3, 10, y.T)
+        with mock.patch.object(_kernels, "rref_mod", wraps=_kernels.rref_mod) as rref_mod, \
+                mock.patch.object(_kernels, "rank_mod_batched",
+                                  wraps=_kernels.rank_mod_batched) as batched:
+            fam = minimal_spanning_family(g, u)
+        assert fam == reference_spanning_family(g, u)
+        assert rref_mod.call_count + batched.call_count <= 20
+
+
+class TestValidateFamilyFailures:
+    @pytest.mark.parametrize("fixture, kind", [("signed_shift(4,3)", "special2"),
+                                               ("dihedral(5,11)", "general")])
+    def test_every_single_entry_edit_fails(self, fixture, kind):
+        g = parse_fixture(fixture)
+        if kind == "special2":
+            cert = build_special_2ldc(g, g.generators[0])
+        else:
+            g0, g1 = g.generators
+            cert = build_q_ldc(g, [g0, g.mul(g.mul(g1, g0), g.inv(g1)), 0], [1, 1, -2])
+        fam, field = cert.family, g.field
+        edits = []
+        for i, j in np.ndindex(fam.W.a.shape):
+            w = fam.W.a.copy()
+            w[i, j] = field.reduce(w[i, j] + 1)
+            edits.append(dataclasses.replace(fam, W=Matrix.from_array(field, w)))
+        for j, k in np.ndindex(len(fam.hat_w), cert.R):
+            hats = [h.copy() for h in fam.hat_w]
+            hats[j][k] = field.reduce(hats[j][k] + 1)
+            edits.append(dataclasses.replace(fam, hat_w=tuple(hats)))
+        for edited in edits:
+            report = verify_cert(dataclasses.replace(cert, family=edited))
+            assert not report.passed
+            assert any(f.startswith("spanning family invalid: ") for f in report.failures)
+
+    def test_duplicated_and_dropped_members(self, signed_shift_4_3):
+        g = signed_shift_4_3
+        cert = build_special_2ldc(g, g.generators[0])
+        fam = cert.family
+        dup = SpanningFamily(fam.g_refs + fam.g_refs[:1], fam.U, fam.W, fam.hat_w)
+        with pytest.raises(InternalInconsistency, match="^translate 0 is redundant$"):
+            validate_family(g, dup, cert.Y)
+        dup_last = SpanningFamily(fam.g_refs + fam.g_refs[-1:], fam.U, fam.W, fam.hat_w)
+        with pytest.raises(InternalInconsistency, match="^translate 3 is redundant$"):
+            validate_family(g, dup_last, cert.Y)
+        # 20,000 members: the redundancy check stays linear in the family size
+        long = SpanningFamily(fam.g_refs * 5000, fam.U, fam.W, fam.hat_w * 5000)
+        with pytest.raises(InternalInconsistency, match="^translate 0 is redundant$"):
+            validate_family(g, long, cert.Y)
+        dropped = SpanningFamily(fam.g_refs[:-1], fam.U, fam.W, fam.hat_w[:-1])
+        with pytest.raises(InternalInconsistency, match="do not span|too small"):
+            validate_family(g, dropped, cert.Y)
 
 
 class TestBeta:

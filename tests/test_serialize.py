@@ -44,6 +44,20 @@ class TestMatrixFormat:
         assert doc["entries"] == [["1/2", "-3"], ["0", "1"]]
         assert matrix_from_json(doc) == m
 
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_matrix_keeps_its_declared_shape(self, field, shape):
+        m = Matrix.zeros(field, *shape)
+        doc = matrix_to_json(m)
+        assert matrix_from_json(doc) == m
+        assert matrix_from_json(doc).a.shape == shape
+
+    def test_negative_width_rejected(self):
+        doc = matrix_to_json(Matrix.zeros(F3, 0, 2))
+        doc["cols"] = -1
+        with pytest.raises(ParseError, match="do not match declared shape"):
+            matrix_from_json(doc)
+
     def test_shape_mismatch_rejected(self):
         doc = matrix_to_json(Matrix.identity(F3, 2))
         doc["rows"] = 3
@@ -205,6 +219,27 @@ class TestHostileCertIndices:
 
     def test_hat_w_count_differs_from_g_refs(self, doc):
         self._rejects(doc, lambda d: d["family"]["hat_w"].pop(), r"3 hat_w rows for 4 g_refs")
+
+    def test_empty_family(self, doc):
+        # verify_cert stacks the family's vectors, which an empty family lacks
+        def edit(d):
+            w = d["family"]["W"]
+            d["family"].update(g_refs=[], hat_w=[])
+            w.update(cols=0, entries=[[]] * w["rows"])
+
+        self._rejects(doc, edit, r"^the number of family.g_refs must be at least 1, got 0$")
+
+    def test_family_longer_than_n(self, doc):
+        # 20,000 copies of the 4 translates: every member is redundant, and
+        # the "all but k" checks of so long a family would need tens of GB
+        def edit(d):
+            family, copies = d["family"], 5000
+            family["g_refs"] *= copies
+            family["hat_w"] *= copies
+            w = family["W"]
+            w.update(cols=w["cols"] * copies, entries=[row * copies for row in w["entries"]])
+
+        self._rejects(doc, edit, r"^the number of family.g_refs must be at most n = 4, got 20000$")
 
     def test_alphas_length_differs_from_hs(self, doc):
         self._rejects(doc, lambda d: d["alphas"].pop(), r"equal length")
