@@ -3,7 +3,9 @@
 A certificate file embeds the group spec, so the group is re-enumerated
 (BFS order is canonical, hence positions match) and every pipeline
 invariant is re-checked from the file alone.  Failures accumulate as
-strings; nothing is repaired.
+strings; nothing is repaired.  The rules of a certificate kind (density
+floor, pre-filter guarantee, survivor bound, code form and length) are the
+builders' own, read from construct; each check here names what failed.
 """
 
 from __future__ import annotations
@@ -14,16 +16,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import EntropyAudit, entropy_audit, gamma
+from .bounds import EntropyAudit, entropy_audit
 from .construct import (
     ConstructionCert,
     SpanningFamily,
     beta_table,
-    validate_family,
     check_spanning_identities,
+    code_shape,
     combine,
+    density_floor,
     matching_index,
     orbit_projection_check,
+    prefilter_holds,
+    survivors_suffice,
+    validate_family,
 )
 from .errors import DimensionMismatch, ParseError, Rep2LdcError
 from .ldc import QMatching, VerificationReport, verify
@@ -216,34 +222,27 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     # pre-filter matching structure at the s-level
     check(len(cert.kept_s) == cert.prefilter_size,
           "prefilter size differs from kept_s length")
-    q = len(cert.hs)
     kept = np.asarray(cert.kept_s, dtype=np.int64)
     tuples = np.stack([group.left_perm(h)[kept] for h in cert.hs])
     try:
-        QMatching(q=q, sets=tuples.T)
+        QMatching(q=len(cert.hs), sets=tuples.T)
         disjoint = True
     except ValueError:
         disjoint = False
     check(disjoint, "pre-filter tuples are not disjoint")
-    if cert.kind in ("special2", "lambda"):
-        g_h = gamma(group.element_order(cert.hs[0]))
-        check(Fraction(len(cert.kept_s), m) == g_h / 2,
-              "pre-filter density differs from gamma/2")
-    else:
-        check(len(cert.kept_s) * q * q >= m, "pre-filter size below |G|/q^2")
+    check(prefilter_holds(group, cert.kind, cert.hs, len(cert.kept_s)),
+          "pre-filter size below |G|/q^2" if cert.kind == "general"
+          else "pre-filter density differs from gamma/2")
 
     # survivors and matchings
     mask = _beta_mask(cert)
     counts = tuple(int(c) for c in mask.sum(axis=1))
     check(counts == cert.beta_nonzero_count,
           "beta_nonzero_count differs from recomputed survivors")
-    total = cert.family.t * len(cert.kept_s)
     survivors = sum(counts)
-    if field.char:
-        check(survivors * field.char >= (field.char - 1) * total,
-              "surviving fraction below 1 - 1/|F|")
-    else:
-        check(survivors == total, "rational certificate lost tuples")
+    check(survivors_suffice(field, survivors, mask.size),
+          "surviving fraction below 1 - 1/|F|" if field.char
+          else "rational certificate lost tuples")
     idx = matching_index(group, cert.kind, cert.hs, cert.family.g_refs, cert.kept_s)
     matchings = cert.code.matchings
     check(
@@ -263,23 +262,16 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     except Rep2LdcError as exc:
         failures.append(f"tuple identity failed: {exc}")
 
-    form = "general" if cert.kind == "general" else "special2"
+    form, m_code = code_shape(cert.kind, m)
     check(cert.code.form == form,
           f"code form {cert.code.form!r} differs from {form!r}, the form of a {cert.kind} "
           "certificate")
-    m_code = 2 * m if cert.kind == "lambda" else m
     check(cert.code.m == m_code, "code length differs from group size")
     check(
         cert.achieved_delta == Fraction(survivors, m_code * cert.family.t),
         "achieved_delta differs from matching counts",
     )
-    th = field.theta
-    if cert.kind == "special2":
-        floor = th * gamma(group.element_order(cert.hs[0])) / 2
-    elif cert.kind == "lambda":
-        floor = th * gamma(group.element_order(cert.hs[0])) / 4
-    else:
-        floor = th / (len(cert.hs) ** 2)
+    floor = density_floor(group, cert.kind, cert.hs)
     check(cert.achieved_delta >= floor, "achieved_delta below the guaranteed floor")
     check(cert.code.claimed_delta == floor, "claimed_delta differs from the guaranteed floor")
 

@@ -7,8 +7,13 @@ builds a minimal spanning family of translates of the column span of Y
 equips it with dual vectors (nullspaces of the other translates stacked),
 picks z avoiding the bad hyperplanes, and emits the projected-orbit code
 a_s = W^T rho(s) z together with its matchings.  Every step is
-deterministic given the seed, and the finished certificate re-verifies
-itself.
+deterministic given the seed, and the finished code re-verifies itself.
+
+The three kinds share one pipeline (`_build`) and one contract: the
+density floor, the pre-filter guarantee, the survivor bound and the code's
+form and length are each decided by one function here (`density_floor`,
+`prefilter_holds`, `survivors_suffice`, `code_shape`), which the builders
+and certcheck.verify_cert both call.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ __all__ = [
     "choose_z",
     "spanning_tuple_identity",
     "check_spanning_identities",
+    "density_floor",
+    "prefilter_holds",
+    "survivors_suffice",
+    "code_shape",
     "build_q_ldc",
     "build_special_2ldc",
     "lambda_variant",
@@ -54,6 +63,9 @@ __all__ = [
 ]
 
 EXHAUSTIVE_Z_LIMIT = 100_000
+# seeded draws of the randomized z search before it stops at the first best
+# z meeting the survivor bound; it gives up after 100 times as many
+Z_TRIALS = 64
 # entries of one (normals x candidates) product of the rational z search
 LATTICE_PRODUCT_ENTRIES = 1 << 20
 
@@ -233,11 +245,11 @@ def _hyperplane_normals(group: MatrixGroup, x: Matrix, hat_w, kept_s) -> np.ndar
     return normals
 
 
-def choose_z(field: Field, normals: np.ndarray, seed: int = 0, trials: int = 64):
+def choose_z(field: Field, normals: np.ndarray, seed: int = 0):
     """Pick z with as many nonzero <normal, z> as possible.
 
     Finite field: exhaustive scan of all |F|^n vectors when that count is
-    at most 10**5, else best of `trials` seeded draws retried up to 100x
+    at most 10**5, else best of Z_TRIALS seeded draws retried up to 100x
     until the surviving fraction reaches 1 - 1/|F| (existence is
     guaranteed by the expectation argument).  The exhaustive scan counts
     weighted projective classes of the normals: a normal and its nonzero
@@ -272,10 +284,9 @@ def choose_z(field: Field, normals: np.ndarray, seed: int = 0, trials: int = 64)
 
     p = field.char
     normals = np.ascontiguousarray(normals, dtype=np.int64)
-    # survivors * p >= (p - 1) * k, exactly
     if p**n <= EXHAUSTIVE_Z_LIMIT:
         z, count = _kernels.best_z_exhaustive(normals, p, n)
-        if count * p < (p - 1) * k:
+        if not survivors_suffice(field, count, k):
             raise InternalInconsistency("exhaustive scan fell below the mean")
         z = np.asarray(z, dtype=np.int64)
         mask = np.asarray(
@@ -285,19 +296,16 @@ def choose_z(field: Field, normals: np.ndarray, seed: int = 0, trials: int = 64)
     rng = np.random.default_rng(seed)
     best_z = None
     best_count = -1
-    for trial in range(100 * trials):
+    for trial in range(100 * Z_TRIALS):
         z = rng.integers(0, p, size=n, dtype=np.int64)
         count = _kernels.count_nonzero_dots(normals, z, p)
         if count > best_count:
             best_count = count
             best_z = z
-        if trial + 1 >= trials and best_count * p >= (p - 1) * k:
+        if trial + 1 >= Z_TRIALS and survivors_suffice(field, best_count, k):
             break
-    else:
-        if best_count * p < (p - 1) * k:
-            raise BudgetExhausted(
-                f"no z met the surviving fraction in {100 * trials} draws"
-            )
+    else:  # the best count only grows, so it never met the bound
+        raise BudgetExhausted(f"no z met the surviving fraction in {100 * Z_TRIALS} draws")
     mask = np.asarray(
         _kernels.matmul_mod(normals, best_z.reshape(-1, 1), p).ravel() != 0
     )
@@ -358,7 +366,6 @@ def _greedy_kept_s(group: MatrixGroup, hs) -> list[int]:
     first fit keeps s when none of its members is used yet.
     """
     tuples = np.stack([group.left_perm(h) for h in hs])
-    q, m = tuples.shape
     ordered = np.sort(tuples, axis=0)
     if (ordered[1:] == ordered[:-1]).any():
         raise InternalInconsistency("tuple members collide; hs not distinct?")
@@ -368,10 +375,6 @@ def _greedy_kept_s(group: MatrixGroup, hs) -> list[int]:
         if not used.intersection(tup):
             kept_s.append(s)
             used.update(tup)
-    if len(kept_s) * q * q < m:
-        raise InternalInconsistency(
-            f"greedy kept {len(kept_s)} tuples, below |G|/q^2 = {m}/{q * q}"
-        )
     return kept_s
 
 
@@ -427,100 +430,79 @@ def _positions(group: MatrixGroup, hs) -> list[int]:
     return hs
 
 
-def _finish(
-    group: MatrixGroup,
-    kind: str,
-    hs,
-    alphas,
-    lam,
-    d,
-    r,
-    y,
-    x,
-    family,
-    kept_s,
-    claimed_delta: Fraction,
-    seed: int,
-    trials: int,
-) -> ConstructionCert:
-    field = group.field
-    t = family.t
-    m = len(group)
-    lam = None if kind != "lambda" else field.canon(lam)
+# -- the certificate contract: each rule of a kind is decided here alone, for
+# the builders and for certcheck.verify_cert ---------------------------------
+
+def density_floor(group: MatrixGroup, kind: str, hs) -> Fraction:
+    """The density a kind guarantees, with h = hs[0]: theta * gamma_h / 2
+    (special2), theta * gamma_h / 4 (lambda, length 2|G|) or theta / q^2
+    (general)."""
+    if kind == "general":
+        return group.field.theta / len(hs) ** 2
+    return group.field.theta * gamma(group.element_order(hs[0])) / (2 if kind == "special2" else 4)
+
+
+def prefilter_holds(group: MatrixGroup, kind: str, hs, size: int) -> bool:
+    """The pre-filter guarantee on `size` kept s: exactly gamma_h/2 of |G|
+    from the h-cycles, or at least |G|/q^2 greedy q-tuples (general)."""
+    if kind == "general":
+        return size * len(hs) ** 2 >= len(group)
+    return Fraction(size, len(group)) == gamma(group.element_order(hs[0])) / 2
+
+
+def survivors_suffice(field: Field, survivors: int, total: int) -> bool:
+    """The survivor bound survivors >= theta * total, exactly: 1 - 1/p of
+    the tuples over GF(p), and over QQ (theta = 1) every one of them."""
+    return survivors >= field.theta * total
+
+
+def code_shape(kind: str, m: int) -> tuple[str, int]:
+    """(form, length) of a kind's code over a group of m elements."""
+    return ("general" if kind == "general" else "special2"), (2 * m if kind == "lambda" else m)
+
+
+def _build(group: MatrixGroup, kind: str, hs, alphas, lam, seed: int) -> ConstructionCert:
+    """The pipeline of every kind: the combination of hs and alphas, its
+    spanning family, the pre-filter tuples, z and the code, each checked
+    against the kind's contract; lam scales the lambda kind's second block."""
+    field, q = group.field, len(hs)
+    d, r, y, x, family = _prepare(group, hs, alphas)
+    kept_s = _greedy_kept_s(group, hs) if kind == "general" else _cycle_kept_s(group, hs[0])
+    if not prefilter_holds(group, kind, hs, len(kept_s)):
+        raise InternalInconsistency(f"{len(kept_s)} pre-filter tuples miss the {kind} guarantee")
     normals = _hyperplane_normals(group, x, family.hat_w, kept_s)
-    z, mask = choose_z(field, normals, seed=seed, trials=trials)
-    mask = mask.reshape(t, len(kept_s))
-
-    vec_rows = _code_vectors(group, family.W, z, lam)
-    vectors = Matrix.from_array(field, np.ascontiguousarray(vec_rows))
-
+    z, mask = choose_z(field, normals, seed=seed)
+    mask = mask.reshape(family.t, len(kept_s))
     idx = matching_index(group, kind, hs, family.g_refs, kept_s)
-    matchings = tuple(QMatching(q=len(hs), sets=idx[j][:, mask[j]].T) for j in range(t))
-    counts = [mi.size for mi in matchings]
-
-    m_code = 2 * m if kind == "lambda" else m
-    code = LdcInstance(
-        field=field,
-        t=t,
-        m=m_code,
-        vectors=vectors,
-        matchings=matchings,
-        form="special2" if kind in ("special2", "lambda") else "general",
-        q=len(hs),
-        claimed_delta=claimed_delta,
-    )
-
-    total = t * len(kept_s)
-    survivors = sum(counts)
-    if field.char:
-        if survivors * field.char < (field.char - 1) * total:
-            raise InternalInconsistency("surviving fraction below 1 - 1/|F|")
-    elif survivors != total:
-        raise InternalInconsistency("rational z must keep every tuple")
-
-    cert = ConstructionCert(
-        group=group,
-        kind=kind,
-        hs=tuple(hs),
-        alphas=tuple(field.canon(a) for a in alphas),
-        lam=lam,
-        D=d,
-        R=r,
-        Y=y,
-        X=x,
-        family=family,
-        z=z,
-        kept_s=tuple(int(s) for s in kept_s),
-        prefilter_size=len(kept_s),
-        beta_nonzero_count=tuple(counts),
-        code=code,
-        achieved_delta=Fraction(sum(counts), m_code * t),
-        seed=seed,
-    )
-    report = verify(code)
-    if not report.passed:
+    matchings = tuple(QMatching(q=q, sets=idx[j][:, mask[j]].T) for j in range(family.t))
+    counts = tuple(mi.size for mi in matchings)
+    if not survivors_suffice(field, sum(counts), mask.size):
+        raise InternalInconsistency("surviving fraction below theta")
+    form, length = code_shape(kind, len(group))
+    vectors = np.ascontiguousarray(_code_vectors(group, family.W, z, lam))
+    code = LdcInstance(field=field, t=family.t, m=length,
+                       vectors=Matrix.from_array(field, vectors), matchings=matchings,
+                       form=form, q=q, claimed_delta=density_floor(group, kind, hs))
+    if not verify(code).passed:
         raise InternalInconsistency("constructed code failed verification")
-    if not orbit_projection_check(cert):
-        raise InternalInconsistency("code is not the expected orbit projection")
-    return cert
+    return ConstructionCert(
+        group=group, kind=kind, hs=tuple(hs), alphas=tuple(field.canon(a) for a in alphas),
+        lam=lam, D=d, R=r, Y=y, X=x, family=family, z=z, kept_s=tuple(map(int, kept_s)),
+        prefilter_size=len(kept_s), beta_nonzero_count=counts, code=code,
+        achieved_delta=Fraction(sum(counts), length * family.t), seed=seed,
+    )
 
 
-def build_q_ldc(group: MatrixGroup, hs, alphas, seed: int = 0, trials: int = 64) -> ConstructionCert:
+def build_q_ldc(group: MatrixGroup, hs, alphas, seed: int = 0) -> ConstructionCert:
     """General (q, >= theta/q^2)-LDC from q elements spanning a low-rank
     combination.  m = |G|, t >= ceil(n/R)."""
     hs = _positions(group, hs)
     if len(set(hs)) != len(hs):
         raise ValueError("hs must be distinct group elements")
-    d, r, y, x, family = _prepare(group, hs, alphas)
-    kept_s = _greedy_kept_s(group, hs)
-    theta = group.field.theta
-    claimed = theta / (len(hs) ** 2)
-    return _finish(
-        group, "general", hs, alphas, None, d, r, y, x, family, kept_s, claimed, seed, trials
-    )
+    return _build(group, "general", hs, alphas, None, seed)
 
 
-def build_special_2ldc(group: MatrixGroup, h: int, seed: int = 0, trials: int = 64) -> ConstructionCert:
+def build_special_2ldc(group: MatrixGroup, h: int, seed: int = 0) -> ConstructionCert:
     """Special 2-LDC from a single non-identity element h.
 
     Canonicalizes to (h_1, h_2) = (h, id), (alpha_1, alpha_2) = (1, -1);
@@ -529,23 +511,12 @@ def build_special_2ldc(group: MatrixGroup, h: int, seed: int = 0, trials: int = 
     theta * gamma_h / 2.
     """
     (h,) = _positions(group, [h])
-    ident = Matrix.identity(group.field, group.dim)
-    if group.matrix(h) == ident:
+    if group.matrix(h) == Matrix.identity(group.field, group.dim):
         raise IdentityElement("h acts as the identity")
-    hs = [h, group.identity_pos]
-    alphas = [1, -1]
-    d, r, y, x, family = _prepare(group, hs, alphas)
-    kept_s = _cycle_kept_s(group, h)
-    g_h = gamma(group.element_order(h))
-    if Fraction(len(kept_s), len(group)) != g_h / 2:
-        raise InternalInconsistency("cycle matching size differs from gamma/2")
-    claimed = group.field.theta * g_h / 2
-    return _finish(
-        group, "special2", hs, alphas, None, d, r, y, x, family, kept_s, claimed, seed, trials
-    )
+    return _build(group, "special2", [h, group.identity_pos], [1, -1], None, seed)
 
 
-def lambda_variant(group: MatrixGroup, h: int, lam, seed: int = 0, trials: int = 64) -> ConstructionCert:
+def lambda_variant(group: MatrixGroup, h: int, lam, seed: int = 0) -> ConstructionCert:
     """Special 2-LDC of length 2|G| from rho(h) - lambda*I.
 
     The raw pairs span e_j only with lambda's help, so the sequence is
@@ -555,21 +526,12 @@ def lambda_variant(group: MatrixGroup, h: int, lam, seed: int = 0, trials: int =
     """
     (h,) = _positions(group, [h])
     field = group.field
-    lam_c = field.canon(lam)
-    if lam_c == 0:
+    lam = field.canon(lam)
+    if lam == 0:
         raise ValueError("lambda must be nonzero")
-    scaled_ident = Matrix.identity(field, group.dim).scale(lam_c)
-    if group.matrix(h) == scaled_ident:
+    if group.matrix(h) == Matrix.identity(field, group.dim).scale(lam):
         raise ScalarMultipleOfIdentity("rho(h) equals lambda * I")
-    hs = [h, group.identity_pos]
-    alphas = [1, field.canon(-lam_c)]
-    d, r, y, x, family = _prepare(group, hs, alphas)
-    kept_s = _cycle_kept_s(group, h)
-    g_h = gamma(group.element_order(h))
-    claimed = field.theta * g_h / 4
-    return _finish(
-        group, "lambda", hs, alphas, lam_c, d, r, y, x, family, kept_s, claimed, seed, trials
-    )
+    return _build(group, "lambda", [h, group.identity_pos], [1, field.canon(-lam)], lam, seed)
 
 
 def spanning_tuple_identity(cert: ConstructionCert, j: int, s: int) -> np.ndarray:

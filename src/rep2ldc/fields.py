@@ -12,12 +12,14 @@ denominators) and `reduce` is the identity, so every array path above runs
 unchanged on both fields and no product multiplies Fractions.  The JSON
 wire form is split here too: `array_from_json` and `array_to_json` read and
 write a whole array at a time (JSON integers taken mod p over GF(p), "a/b"
-strings over QQ).
+strings over QQ).  A rational string on the wire has one grammar,
+-?[0-9]+(/[0-9]+)? (`rational_from_json`), what str(Fraction) writes.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import chain
 
@@ -27,9 +29,28 @@ from . import _kernels
 from ._kernels import MAX_PRIME
 from .errors import ParseError
 
-__all__ = ["Field", "GF", "QQ", "is_prime"]
+__all__ = ["Field", "GF", "QQ", "is_prime", "rational_from_json"]
 
 _to_str = np.frompyfunc(str, 1, 1)  # "a/b" of each Fraction of an object array
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def rational_from_json(x) -> Fraction:
+    """The rational a JSON integer or an "a/b" or "a" string of ASCII
+    digits names.
+
+    Any other string raises ValueError: an exponent, a decimal point,
+    spaces, underscores, a plus sign or a non-ASCII digit, all of which
+    Fraction() would take (and "1e10000000" would take seconds).  A zero
+    denominator raises ZeroDivisionError, any other type TypeError.
+    """
+    if type(x) is int:
+        return Fraction(x)
+    match = _RATIONAL.fullmatch(x)
+    if match is None:
+        raise ValueError(f"not a rational -?[0-9]+(/[0-9]+)?: {x!r}")
+    num, den = match.groups()
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def is_prime(n: int) -> bool:
@@ -157,7 +178,7 @@ class Field:
                 except OverflowError:  # beyond int64: reduce as Python ints
                     values = (np.array(flat, dtype=object) % self.char).astype(np.int64)
             else:
-                values = np.array(list(map(Fraction, flat)), dtype=object)
+                values = np.array(list(map(rational_from_json, flat)), dtype=object)
         except (TypeError, ValueError, ZeroDivisionError):
             for x in chain.from_iterable(rows):  # the first bad entry, in row-major order
                 self.scalar_from_json(x)
@@ -185,7 +206,7 @@ class Field:
             return self.canon(obj)
         if type(obj) in (str, int):  # not float or bool: rationals are written "a/b"
             try:
-                return Fraction(obj)
+                return rational_from_json(obj)
             except (ValueError, ZeroDivisionError):
                 pass
         raise ParseError(f"cannot parse rational scalar {obj!r}")

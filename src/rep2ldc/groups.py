@@ -221,14 +221,16 @@ class MatrixGroup:
         """The elements: the one read-only (m, n, n) array that stores them."""
         return self._stack
 
-    def spec_json(self, cap: int | None = None) -> dict:
+    def spec_json(self) -> dict:
+        """Field, dimension, generators and an element cap the group fits
+        under: DEFAULT_CAP, or |G| above it, whatever cap closed it."""
         from .serialize import matrix_to_json
 
         return {
             "field": self.field.to_json(),
             "dim": self.dim,
             "generators": [matrix_to_json(self.matrix(g)) for g in self.generators],
-            "cap": int(cap if cap is not None else default_cap()),
+            "cap": max(DEFAULT_CAP, len(self)),
         }
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import NotInvertible, ParseError
-from .fields import Field
+from .fields import Field, rational_from_json
 from .groups import MatrixGroup, close_group
 from .ldc import LdcInstance, QMatching
 from .linalg import Matrix
@@ -99,12 +99,12 @@ def json_fraction(value, name: str) -> Fraction:
     """A rational field of a JSON document, written as an "a/b" string.
 
     A JSON number is refused (0.5 would otherwise pass as 1/2), as is a
-    string that is not a rational.
+    string outside fields.rational_from_json's grammar.
     """
     if type(value) is not str:
         raise ParseError(f"{name} must be a string, got {value!r}")
     try:
-        return Fraction(value)
+        return rational_from_json(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad {name} {value!r}: {exc}") from exc
 
@@ -189,6 +189,8 @@ def ldc_from_json(obj) -> LdcInstance:
                 raise ParseError(f"{name} must be at least 1, got {value}")
         vectors = Matrix.from_array(field, field.array_from_json(obj["vectors"]))
         q = json_int(obj["q"], "q")
+        if q > m:  # a set of q distinct positions needs q <= m
+            raise ParseError(f"q must be at most m = {m}, got {q}")
         matchings = tuple(
             QMatching(q=q, sets=json_int_rows(mi, "matchings")) for mi in obj["matchings"]
         )

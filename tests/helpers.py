@@ -226,6 +226,18 @@ def reference_closure(generators, cap: int):
     return elements, index, words
 
 
+def log2_ratio_cmp(num: int, den: int, q: Fraction) -> int:
+    """Sign of log2(num/den) - q for positive integers num and den, decided
+    with integer powers: log2(num/den) >= a/b iff num^b >= den^b 2^a."""
+    a, b = q.numerator, q.denominator
+    lhs, rhs = num**b, den**b
+    if a >= 0:
+        rhs *= 2**a
+    else:
+        lhs *= 2**(-a)
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def reference_entropy_audit(rows, matchings) -> dict:
     """The entropy audit by tuple-keyed dicts.
 
@@ -237,7 +249,6 @@ def reference_entropy_audit(rows, matchings) -> dict:
     """
     from collections import Counter
 
-    from rep2ldc.bounds import log2_ratio_cmp
     from rep2ldc.errors import MatchingCrossesPrefixClass, PairNotSeparated
 
     rows = [tuple(row) for row in rows]
@@ -393,14 +404,14 @@ def reference_matrix_from_json(obj):
         raise ParseError(f"bad matrix entry: {exc}") from exc
 
 
-def reference_spec_json(group, cap=None) -> dict:
-    from rep2ldc.groups import default_cap
+def reference_spec_json(group) -> dict:
+    from rep2ldc.groups import DEFAULT_CAP
 
     return {
         "field": group.field.to_json(),
         "dim": group.dim,
         "generators": [reference_matrix_to_json(group.elements[g]) for g in group.generators],
-        "cap": int(cap if cap is not None else default_cap()),
+        "cap": max(DEFAULT_CAP, len(group)),
     }
 
 

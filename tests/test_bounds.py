@@ -2,13 +2,12 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import brute_entropy, fresh_group, matrix_order, reference_entropy_audit
 
-from rep2ldc import bounds, groups
+from rep2ldc import groups
 from rep2ldc.bounds import (
     BoundReport,
     LogBound,
@@ -18,7 +17,6 @@ from rep2ldc.bounds import (
     entropy_audit,
     gamma,
     lambda_bound,
-    log2_ratio_cmp,
     match_entropy_check,
     theta,
 )
@@ -100,13 +98,6 @@ class TestLogBound:
         assert b.satisfied_by(1) and not b.satisfied_by(0)
         b = LogBound(numerator=(1 - Fraction(1, p)) * 12, log_arg=4)
         assert b.satisfied_by(6) and not b.satisfied_by(5)
-
-    def test_log2_ratio_cmp(self):
-        assert log2_ratio_cmp(8, 1, Fraction(3)) == 0
-        assert log2_ratio_cmp(9, 1, Fraction(3)) == 1
-        assert log2_ratio_cmp(7, 1, Fraction(3)) == -1
-        assert log2_ratio_cmp(3, 2, Fraction(1, 2)) == 1  # log2(1.5) > 0.5
-        assert log2_ratio_cmp(4, 3, Fraction(1, 2)) == -1
 
 
 class TestRankSeparation:
@@ -506,9 +497,7 @@ class TestEntropyAudit:
             build = build_special_2ldc if kind == "special2" else (
                 lambda g, h: lambda_variant(g, h, 1))
             inst = build(g, g.generators[0]).code
-        with mock.patch.object(bounds, "log2_ratio_cmp", wraps=bounds.log2_ratio_cmp) as cmp:
-            text = canonical_json(entropy_audit(inst).to_json())
-        assert cmp.call_count == 0
+        text = canonical_json(entropy_audit(inst).to_json())
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
 

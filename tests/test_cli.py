@@ -74,7 +74,8 @@ class TestExitCodes:
 def bad_inputs(tmp_path_factory):
     """A group spec and a certificate, each with a singular generator;
     group specs with a cap of -3 and of 0; LDC files with an empty code, a
-    numeric density or an index beyond int64; certificates with a numeric
+    numeric density, an index beyond int64 or q = m + 1 (no q distinct
+    positions exist); certificates with a numeric
     achieved density and with R = 0 (Y, X and every hat_w of width 0)."""
     tmp = tmp_path_factory.mktemp("bad")
     field = {"char": 3}
@@ -110,6 +111,7 @@ def bad_inputs(tmp_path_factory):
         "ldc_m0": {"m": 0, "vectors": [], "matchings": [[], []]},
         "ldc_delta": {"claimed_delta": 0.5},
         "ldc_index": {"matchings": [[[0, 2**70]], []]},
+        "ldc_q_past_m": {"form": "general", "q": 5, "matchings": [[], []]},
     }
     for name, change in changes.items():
         paths[name] = str(tmp / f"{name}.json")
@@ -136,6 +138,7 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
     ["verify", "--input", "{ldc_m0}"],
     ["verify", "--input", "{ldc_delta}"],
     ["verify", "--input", "{ldc_index}"],
+    ["verify", "--input", "{ldc_q_past_m}"],
     ["verify", "--input", "{cert_delta}"],
     ["verify", "--input", "{cert_rank_zero}"],
     ["rank-scan", *SS43, "--cap", "0"],
@@ -145,7 +148,8 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
 ], ids=["rank-scan-singular", "construct-singular", "verify-singular", "h-999", "h-negative",
         "hs-1000", "alphas-non-unit", "lambda-non-unit", "alphas-zero-denominator",
         "lambda-zero-denominator", "hs-fraction", "ldc-t-zero",
-        "ldc-m-zero", "ldc-delta-number", "ldc-index-past-int64", "cert-delta-number",
+        "ldc-m-zero", "ldc-delta-number", "ldc-index-past-int64", "ldc-q-past-m",
+        "cert-delta-number",
         "cert-rank-zero", "cap-zero", "cap-negative", "spec-cap-negative", "spec-cap-zero"])
 def test_bad_input_exits_1_without_traceback(argv, bad_inputs, tmp_path):
     argv = [a.format(**bad_inputs) for a in argv]

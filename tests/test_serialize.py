@@ -1,16 +1,18 @@
 import json
 import re
+import time
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
+from rep2ldc import groups
 from rep2ldc.certcheck import cert_from_json, verify_cert_json
 from rep2ldc.cli import main
 from rep2ldc.construct import build_special_2ldc, lambda_variant
 from rep2ldc.errors import ParseError
 from rep2ldc.fields import GF, QQ
-from rep2ldc.fixtures import dihedral_rep
+from rep2ldc.fixtures import dihedral_rep, parse_fixture
 from rep2ldc.ldc import hadamard
 from rep2ldc.linalg import Matrix
 from rep2ldc.serialize import (
@@ -101,6 +103,28 @@ class TestGroupFormat:
         h1 = group_spec_hash(spec)
         h2 = group_spec_hash(json.loads(canonical_json(spec)))
         assert h1 == h2
+
+    def test_recorded_cap_ignores_the_environment(self, monkeypatch, tmp_path):
+        """REP2LDC_CAP bounds the closure; the spec records the default cap,
+        so the file and its group_hash match a run without the variable."""
+        argv = ["construct", "--fixture", "signed_shift(4,3)", "--special2", "--h", "1"]
+        monkeypatch.delenv("REP2LDC_CAP", raising=False)
+        assert main([*argv, "--output", str(tmp_path / "plain.json")]) == 0
+        monkeypatch.setenv("REP2LDC_CAP", "100")
+        assert main([*argv, "--output", str(tmp_path / "env.json")]) == 0
+        doc = json.loads((tmp_path / "env.json").read_text())
+        assert doc["group"]["cap"] == 200_000
+        assert (tmp_path / "env.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_recorded_cap_holds_the_group(self, monkeypatch):
+        """A group above the default cap records its own size, so its
+        certificate re-verifies without repeating the cap."""
+        monkeypatch.delenv("REP2LDC_CAP", raising=False)
+        monkeypatch.setattr(groups, "DEFAULT_CAP", 10)
+        g = parse_fixture("signed_shift(4,3)", cap=100)
+        doc = json.loads(canonical_json(cert_to_json(build_special_2ldc(g, g.generators[0]))))
+        assert doc["group"]["cap"] == 64
+        assert verify_cert_json(doc).passed
 
 
 class TestLdcFormat:
@@ -338,6 +362,23 @@ def test_rational_scalar_must_be_a_string_or_int(signed_shift_4_q, value, tmp_pa
     assert main(["verify", "--input", str(tmp_path / "tampered.json")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot parse rational scalar {value!r}\n"
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "0.5", " 1/2 ", "1_0", "+3", "\u0661/2"],
+                         ids=["exponent", "decimal", "spaces", "underscore", "plus",
+                              "arabic-indic-digit"])
+def test_rationals_read_in_one_grammar(text):
+    """Fraction() takes each of these, the exponent only after seconds; the
+    readers take -?[0-9]+(/[0-9]+)? alone, what the writer emits, and refuse
+    the rest at once."""
+    start = time.process_time()
+    with pytest.raises(ParseError, match=r"^bad claimed_delta "):
+        ldc_from_json({**ldc_to_json(hadamard(2, F3)), "claimed_delta": text})
+    with pytest.raises(ParseError, match=r"^cannot parse rational scalar "):
+        QQ.scalar_from_json(text)
+    with pytest.raises(ParseError, match=r"^cannot parse rational scalar "):
+        QQ.array_from_json([["1/2", text]])
+    assert time.process_time() - start < 0.5
 
 
 @pytest.mark.parametrize("value", [0.5, 1, None])
