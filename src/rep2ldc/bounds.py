@@ -4,7 +4,8 @@ No float decides a verdict.  The rank bounds compare a logarithm with a
 rational through integer powers (`_pow_ge_pow2`).  The verdicts of
 `match_entropy_check` and of the entropy audit follow by proof from their
 exact pair checks (the lemma in `entropy_audit`), so neither forms a big
-integer.  Floats are attached for reporting only.
+integer.  Floats are attached for reporting only.  Whether matched pairs
+are distinct, disjoint and in range is ldc's one set-family rule.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ldc
 from .errors import (
     MatchingCrossesPrefixClass,
     NotADistribution,
@@ -244,16 +246,16 @@ def match_entropy_check(t: int, matching, f) -> MatchEntropyResult:
     they hold, the verdict holds by proof: `entropy_audit`'s lemma on one
     class of J = t rows gives t H(f(X)) >= 2s.
     """
-    pairs = matching.sets if isinstance(matching, QMatching) else [
-        tuple(p) for p in matching
-    ]
-    seen: set[int] = set()
-    for j1, j2 in pairs:
-        if j1 in seen or j2 in seen or j1 == j2:
+    pairs = matching.sets if isinstance(matching, QMatching) else [tuple(p) for p in matching]
+    faults = ldc._set_faults(pairs, 2, t)
+    for k, pair in enumerate(pairs):
+        if faults.sizes[k] != 2:
+            raise ValueError(f"set {pair} does not have 2 distinct members")
+        if faults.bad_size[k] or faults.overlap[k]:
             raise ValueError("matching pairs must be disjoint")
-        seen.update((j1, j2))
-        if not (0 <= j1 < t and 0 <= j2 < t):
+        if faults.outside[k]:
             raise ValueError("pair index out of range")
+        j1, j2 = pair
         if f[j1] == f[j2]:
             raise PairNotSeparated(f"f agrees on matched pair ({j1}, {j2})")
     h = _entropy_of_counts(list(Counter(f[j] for j in range(t)).values()))
@@ -351,11 +353,14 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
         child = np.argsort(order)[inverse]
 
         matching = instance.matchings[i]
-        pairs = matching.members
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= m
-                           or np.bincount(pairs.ravel()).max() > 1):
+        faults = ldc._set_faults(matching.sets, 2, m)
+        broken = np.flatnonzero(faults.bad_size | faults.overlap | faults.outside)
+        if broken.size:
+            if faults.sizes[broken[0]] != 2:
+                raise ValueError(f"set {matching.sets[broken[0]]} does not have 2 distinct "
+                                 f"members at coordinate {i}")
             raise ValueError(f"matching pairs at coordinate {i} must be disjoint rows of the code")
-        a, b = pairs.T
+        a, b = faults.members.reshape(-1, 2).T
         crosses = label[a] != label[b]
         bad = np.flatnonzero(crosses | (value[a] == value[b]))
         if bad.size:

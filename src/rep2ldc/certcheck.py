@@ -5,7 +5,8 @@ A certificate file embeds the group spec, so the group is re-enumerated
 invariant is re-checked from the file alone.  Failures accumulate as
 strings; nothing is repaired.  The rules of a certificate kind (density
 floor, pre-filter guarantee, survivor bound, code form and length) are the
-builders' own, read from construct; each check here names what failed.
+builders' own, read from construct, and whether the pre-filter tuples are
+disjoint is ldc's one set-family rule; each check here names what failed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ldc
 from .bounds import EntropyAudit, entropy_audit
 from .construct import (
     ConstructionCert,
@@ -32,7 +34,7 @@ from .construct import (
     validate_family,
 )
 from .errors import DimensionMismatch, ParseError, Rep2LdcError
-from .ldc import QMatching, VerificationReport, verify
+from .ldc import VerificationReport, verify
 from .linalg import Subspace, rank
 from .serialize import (
     group_from_spec_json,
@@ -223,13 +225,9 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     check(len(cert.kept_s) == cert.prefilter_size,
           "prefilter size differs from kept_s length")
     kept = np.asarray(cert.kept_s, dtype=np.int64)
-    tuples = np.stack([group.left_perm(h)[kept] for h in cert.hs])
-    try:
-        QMatching(q=len(cert.hs), sets=tuples.T)
-        disjoint = True
-    except ValueError:
-        disjoint = False
-    check(disjoint, "pre-filter tuples are not disjoint")
+    tuples = np.stack([group.left_perm(h)[kept] for h in cert.hs], axis=1)
+    faults = ldc._set_faults(tuples, len(cert.hs))
+    check(not (faults.bad_size | faults.overlap).any(), "pre-filter tuples are not disjoint")
     check(prefilter_holds(group, cert.kind, cert.hs, len(cert.kept_s)),
           "pre-filter size below |G|/q^2" if cert.kind == "general"
           else "pre-filter density differs from gamma/2")

@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .bounds import avg_fixed_space, check_rank_separation, entropy_audit
@@ -48,7 +47,7 @@ from .errors import (
     ZeroMatrix,
     ZeroVector,
 )
-from .fields import Field
+from .fields import Field, rational_from_json
 from .fixtures import FIXTURES, parse_fixture, signed_shift_group
 from .groups import burnside_irreducible
 from .ldc import verify as ldc_verify
@@ -122,11 +121,13 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def _scalar_flag(field: Field, text: str, flag: str):
     """One scalar of a command-line flag as a canonical element of `field`.
 
-    Text that is not a rational, a zero denominator and, over GF(p), a
-    denominator that is not a unit are each a ParseError naming the flag.
+    The stripped text is read as the file readers read it
+    (fields.rational_from_json); other text, a zero denominator and, over
+    GF(p), a denominator that is not a unit are each a ParseError naming
+    the flag.
     """
     try:
-        return field.canon(Fraction(text.strip()))
+        return field.canon(rational_from_json(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{flag}: bad scalar {text.strip()!r}: {exc}") from exc
 

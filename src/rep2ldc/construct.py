@@ -13,7 +13,8 @@ The three kinds share one pipeline (`_build`) and one contract: the
 density floor, the pre-filter guarantee, the survivor bound and the code's
 form and length are each decided by one function here (`density_floor`,
 `prefilter_holds`, `survivors_suffice`, `code_shape`), which the builders
-and certcheck.verify_cert both call.
+and certcheck.verify_cert both call.  The pre-filter's tuples are checked
+by ldc's one set-family rule and kept (general kind) by its one first fit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, ldc
 from .bounds import gamma
 from .errors import (
     BudgetExhausted,
@@ -350,32 +351,19 @@ def _cycle_kept_s(group: MatrixGroup, h: int) -> list[int]:
     at even offsets a, i.e. a perfect matching for even k and (k-1)/2
     edges for odd k.
     """
-    dec = mult_cycles(group, h)
-    kept = []
-    for cycle in dec.cycles:
-        k = len(cycle)
-        for a in range(0, k - 1, 2):
-            kept.append(cycle[a])
-    return kept
+    return np.asarray(mult_cycles(group, h).cycles)[:, :-1:2].ravel().tolist()
 
 
 def _greedy_kept_s(group: MatrixGroup, hs) -> list[int]:
     """Greedy disjoint q-tuples {h_1 s, ..., h_q s} over s in canonical order.
 
-    Column s of the (q, |G|) stack of left_perm(h) rows is the tuple of s;
-    first fit keeps s when none of its members is used yet.
+    Row s of the (|G|, q) stack of left_perm(h) columns is the tuple of s;
+    the first fit of ldc keeps s when none of its members is used yet.
     """
-    tuples = np.stack([group.left_perm(h) for h in hs])
-    ordered = np.sort(tuples, axis=0)
-    if (ordered[1:] == ordered[:-1]).any():
+    tuples = np.stack([group.left_perm(h) for h in hs], axis=1)
+    if ldc._set_faults(tuples, len(hs)).bad_size.any():
         raise InternalInconsistency("tuple members collide; hs not distinct?")
-    kept_s = []
-    used: set[int] = set()
-    for s, tup in enumerate(tuples.T.tolist()):
-        if not used.intersection(tup):
-            kept_s.append(s)
-            used.update(tup)
-    return kept_s
+    return ldc._first_fit(tuples.tolist())
 
 
 def matching_index(group: MatrixGroup, kind: str, hs, g_refs, kept_s) -> np.ndarray:

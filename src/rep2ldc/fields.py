@@ -85,11 +85,10 @@ class Field:
 
     def __init__(self, char: int):
         char = int(char)
-        if char != 0:
-            if not is_prime(char):
-                raise ValueError(f"field characteristic must be 0 or prime, got {char}")
-            if char > MAX_PRIME:
-                raise ValueError(f"prime {char} exceeds machine-word limit {MAX_PRIME}")
+        if char > MAX_PRIME:
+            raise ValueError(f"field characteristic {char} exceeds machine-word limit {MAX_PRIME}")
+        if char != 0 and not is_prime(char):
+            raise ValueError(f"field characteristic must be 0 or prime, got {char}")
         self.char = char
 
     @property

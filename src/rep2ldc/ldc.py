@@ -6,8 +6,12 @@ spans the standard basis vector of its coordinate; in `special2` form the
 sets are pairs whose difference is a nonzero multiple of it.  Indices into
 the vector list are 0-based throughout.
 
-Every set family is checked as index arrays: sizes, repeated members and
-overlaps with earlier sets come from one sort of (member, set) pairs.
+One rule, `_set_faults`, decides whether index sets are q distinct,
+pairwise disjoint positions inside the code; QMatching, LdcInstance,
+`verify`, bounds' entropy checks, construct's pre-filter and certcheck all
+take their verdict from it.  One first fit, `_first_fit`, keeps the
+disjoint subfamily for `greedy_disjoint` and construct's general pre-filter.
+
 `verify` also decides the span condition for all sets of a coordinate at
 once, over GF(p) and QQ alike: special2 pairs by one difference array,
 general q-sets by comparing batched ranks (linalg.ranks) with and without
@@ -21,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,42 +47,63 @@ __all__ = [
 ]
 
 
-def _index_arrays(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(members, owner, sizes): every set's members concatenated in set
-    order, the set each member belongs to, and each set's size.
+class _Faults(NamedTuple):
+    """The verdict of `_set_faults` on a family of k index sets."""
+
+    members: np.ndarray   # every set's members, concatenated in set order
+    sizes: np.ndarray     # (k,) each set's length
+    bad_size: np.ndarray  # (k,) length other than q, or a repeated member
+    overlap: np.ndarray   # (k,) a member shared with an earlier set
+    outside: np.ndarray   # (k,) a member outside [0, m); never when m is None
+
+
+def _set_faults(sets, q: int, m: int | None = None) -> _Faults:
+    """The one rule for a family of index sets: q distinct members per
+    set, pairwise disjoint sets, every member in [0, m).
 
     `sets` is a (k, q) integer array or a sequence of integer sequences,
-    which may differ in length.
+    which may differ in length.  One sort of the members finds the repeated
+    values; when there are any, a stable sort puts every occurrence of a
+    value after the earlier ones (members come in set order), and an
+    occurrence whose predecessor lies in the same set is a repeat, one
+    whose predecessor lies in an earlier set an overlap.
     """
     if isinstance(sets, np.ndarray) and sets.ndim == 2:
         flat = sets.astype(np.int64, copy=False).ravel()
-        lens = np.full(sets.shape[0], sets.shape[1], dtype=np.int64)
+        sizes = np.full(sets.shape[0], sets.shape[1], dtype=np.int64)
     else:
-        lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
         try:
             flat = np.fromiter(
-                itertools.chain.from_iterable(sets), dtype=np.int64, count=int(lens.sum())
+                itertools.chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum())
             )
         except OverflowError as exc:
             raise ValueError(f"set member does not fit in int64: {exc}") from exc
-    return flat, np.repeat(np.arange(lens.size), lens), lens
+    k = sizes.size
+    owner = np.repeat(np.arange(k), sizes)
+    value = np.sort(flat)
+    dup = np.flatnonzero(value[1:] == value[:-1])
+    earlier = later = dup
+    if dup.size:
+        order = np.argsort(flat, kind="stable")
+        earlier, later = owner[order[dup]], owner[order[dup + 1]]
+    repeat = np.bincount(later[earlier == later], minlength=k) > 0
+    overlap = np.bincount(later[earlier < later], minlength=k) > 0
+    off = np.zeros(flat.size, dtype=bool) if m is None else (flat < 0) | (flat >= m)
+    outside = np.bincount(owner[off], minlength=k) > 0
+    return _Faults(flat, sizes, (sizes != q) | repeat, overlap, outside)
 
 
-def _repeats(flat: np.ndarray, owner: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per set: (has a repeated member, shares a member with an earlier set).
-
-    One sort of the (member, set) pairs puts every occurrence of a value
-    after the earlier ones; an occurrence whose predecessor lies in the
-    same set is a repeat, one whose predecessor lies in an earlier set is
-    an overlap.
-    """
-    order = np.lexsort((owner, flat))
-    value, owner = flat[order], owner[order]
-    same = value[1:] == value[:-1]
-    later = owner[1:]
-    repeat = np.bincount(later[same & (owner[:-1] == later)], minlength=k) > 0
-    overlap = np.bincount(later[same & (owner[:-1] < later)], minlength=k) > 0
-    return repeat, overlap
+def _first_fit(candidates) -> list[int]:
+    """Indices of the first-fit maximal disjoint subfamily: a candidate is
+    kept when it shares no member with an earlier kept one."""
+    kept = []
+    used: set[int] = set()
+    for k, cand in enumerate(candidates):
+        if used.isdisjoint(cand):
+            kept.append(k)
+            used.update(cand)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -96,19 +121,17 @@ class QMatching:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"matching arity q={self.q} is below 1")
-        flat, owner, lens = _index_arrays(self.sets)
-        repeat, overlap = _repeats(flat, owner, lens.size)
-        bad_size = (lens != self.q) | repeat
-        bad = np.flatnonzero(bad_size | overlap)
+        faults = _set_faults(self.sets, self.q)
+        bad = np.flatnonzero(faults.bad_size | faults.overlap)
         if bad.size:
             k = int(bad[0])
             s = self.sets[k]
             if isinstance(s, np.ndarray):
                 s = tuple(s.tolist())
-            if bad_size[k]:
+            if faults.bad_size[k]:
                 raise ValueError(f"set {s} does not have exactly q={self.q} members")
             raise ValueError(f"set {s} overlaps an earlier set")
-        rows = np.sort(flat.reshape(lens.size, self.q), axis=1)
+        rows = np.sort(faults.members.reshape(faults.sizes.size, self.q), axis=1)
         rows.flags.writeable = False
         object.__setattr__(self, "sets", tuple(map(tuple, rows.tolist())))
         object.__setattr__(self, "members", rows)
@@ -155,10 +178,9 @@ class LdcInstance:
         for mi in self.matchings:
             if mi.q != self.q:
                 raise ValueError("matching arity differs from declared q")
-            a = mi.members
-            if a.size and (a.min() < 0 or a.max() >= self.m):
-                first = np.argmax(((a < 0) | (a >= self.m)).any(axis=1))
-                raise ValueError(f"index out of range in {mi.sets[first]}")
+            outside = _set_faults(mi.members, self.q, self.m).outside
+            if outside.any():
+                raise ValueError(f"index out of range in {mi.sets[np.argmax(outside)]}")
 
     def as_general(self) -> "LdcInstance":
         """View a special2 instance under the general-form contract."""
@@ -260,12 +282,7 @@ def verify(instance: LdcInstance) -> VerificationReport:
     q = instance.q
     coords = []
     for i, mi in enumerate(instance.matchings):
-        flat, owner, lens = _index_arrays(mi.sets)
-        repeat, overlap = _repeats(flat, owner, lens.size)
-        bad_size = (lens != q) | repeat
-        outside = np.bincount(
-            owner[(flat < 0) | (flat >= instance.m)], minlength=lens.size
-        ) > 0
+        flat, lens, bad_size, overlap, outside = _set_faults(mi.sets, q, instance.m)
         structure = []
         for k in np.flatnonzero(bad_size | overlap | outside):
             s = mi.sets[k]
@@ -343,29 +360,18 @@ def max_special_matching(vectors: Matrix, i: int) -> QMatching:
 
 def greedy_disjoint(candidates: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """First-fit maximal disjoint subfamily, preserving candidate order."""
-    kept = []
-    used: set[int] = set()
-    for cand in candidates:
-        if not used.intersection(cand):
-            kept.append(tuple(sorted(cand)))
-            used.update(cand)
-    return kept
+    return [tuple(sorted(candidates[k])) for k in _first_fit(candidates)]
 
 
-def greedy_matching_general(
-    vectors: Matrix,
-    i: int,
-    q: int,
-    candidate_sets: Sequence[Sequence[int]],
-    validate: bool = True,
-) -> QMatching:
+def greedy_matching_general(vectors: Matrix, i: int, q: int,
+                            candidate_sets: Sequence[Sequence[int]]) -> QMatching:
     """Greedy disjoint subfamily of spanning q-sets for coordinate i.
 
     When every index appears in at most q candidates, the kept family has
-    size >= len(candidates)/q**2.  With validate=True each candidate is
-    first checked to span e_i.
+    size >= len(candidates)/q**2.  Each candidate is first checked to span
+    e_i.
     """
-    if validate and len(candidate_sets):
+    if len(candidate_sets):
         members = np.array(candidate_sets, dtype=np.int64).reshape(len(candidate_sets), -1)
         ok = _spans(vectors.field, vectors.a, "general", i, members)
         if not ok.all():

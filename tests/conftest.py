@@ -16,3 +16,8 @@ def signed_shift_4_q():
 @pytest.fixture(scope="session")
 def dihedral_5_11():
     return dihedral_rep(5, 11)
+
+
+@pytest.fixture(scope="session")
+def signed_shift_3_3():
+    return signed_shift_group(3, 3)

@@ -663,3 +663,80 @@ def reference_dual_vectors(group, u, g_refs, y):
         else:
             raise InternalInconsistency(f"no dual vector for translate {i}; family not minimal?")
     return Matrix.from_array(field, np.ascontiguousarray(np.stack(cols, axis=1))), hats
+
+
+# The set-family walks that ldc._set_faults and ldc._first_fit replaced:
+# oracles of the one rule and the one first fit.
+
+def reference_set_faults(sets, q: int, m=None) -> list[tuple[bool, bool, bool]]:
+    """Per set (wrong size or repeated member, member shared with an earlier
+    set, member outside [0, m)), walking the sets in order with the set of
+    members seen so far; the third entry is False when m is None."""
+    out, used = [], set()
+    for s in sets:
+        out.append((len(s) != q or len(set(s)) != len(s), bool(used.intersection(s)),
+                    m is not None and any(not 0 <= j < m for j in s)))
+        used.update(s)
+    return out
+
+
+def reference_match_entropy_check(t: int, pairs, f):
+    """bounds.match_entropy_check by its former pair walk: per pair in set
+    order disjointness, then range, then separation.  A set that is not a
+    pair raises the text of the rule's size fault (the walk itself died
+    unpacking it).  Returns (entropy, bound)."""
+    from rep2ldc.errors import PairNotSeparated
+
+    seen: set[int] = set()
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"set {tuple(pair)} does not have 2 distinct members")
+        j1, j2 = pair
+        if j1 in seen or j2 in seen or j1 == j2:
+            raise ValueError("matching pairs must be disjoint")
+        seen.update((j1, j2))
+        if not (0 <= j1 < t and 0 <= j2 < t):
+            raise ValueError("pair index out of range")
+        if f[j1] == f[j2]:
+            raise PairNotSeparated(f"f agrees on matched pair ({j1}, {j2})")
+    counts: dict = {}
+    for j in range(t):
+        counts[f[j]] = counts.get(f[j], 0) + 1
+    return brute_entropy(counts.values()), Fraction(2 * len(pairs), t)
+
+
+def reference_first_fit(candidates) -> list[int]:
+    """Indices of the candidates first fit keeps: each one sharing no
+    member with a kept earlier one."""
+    kept, used = [], set()
+    for k, cand in enumerate(candidates):
+        if not used.intersection(cand):
+            kept.append(k)
+            used.update(cand)
+    return kept
+
+
+def reference_greedy_kept_s(group, hs) -> list[int]:
+    """construct's general pre-filter by its former walk: s is kept when
+    none of h_1 s, ..., h_q s is used yet; colliding members raise."""
+    from rep2ldc.errors import InternalInconsistency
+
+    perms = [matrix_left_perm(group, h) for h in hs]
+    kept, used = [], set()
+    for s in range(len(group)):
+        tup = [perm[s] for perm in perms]
+        if len(set(tup)) != len(tup):
+            raise InternalInconsistency("tuple members collide; hs not distinct?")
+        if not used.intersection(tup):
+            kept.append(s)
+            used.update(tup)
+    return kept
+
+
+def reference_cycle_kept_s(group, h: int) -> list[int]:
+    """The special2 pre-filter by walking each h-cycle from its smallest
+    position: the starts of the edges at even offsets."""
+    kept = []
+    for cycle in matrix_cycles(group, h):
+        kept.extend(cycle[a] for a in range(0, len(cycle) - 1, 2))
+    return kept

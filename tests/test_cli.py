@@ -2,6 +2,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,7 @@ import rep2ldc
 from rep2ldc import cli
 from rep2ldc.cli import main
 from rep2ldc.errors import CapExceeded, Rep2LdcError
-from rep2ldc.fields import GF
+from rep2ldc.fields import GF, QQ
 from rep2ldc.groups import close_group
 from rep2ldc.ldc import hadamard
 from rep2ldc.linalg import Matrix
@@ -448,3 +450,33 @@ class TestDemoAndFixtures:
         assert main(["fixtures", "export", "--fixture", "dihedral(5,11)",
                      "--output", str(spec)]) == 0
         assert main(["rank-scan", "--input", str(spec)]) == 0
+
+
+class TestScalarFlags:
+    """--lambda and --alphas read the one rational grammar of the file
+    readers: "a" or "a/b" in ASCII digits, surrounding spaces stripped."""
+
+    @pytest.mark.parametrize("text", ["1e3000000", "0.5", "1_0", "+3", "١٢"],
+                             ids=["exponent", "decimal", "underscore", "plus", "arabic-indic"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--alphas"])
+    def test_other_text_refused_quickly(self, flag, text, tmp_path, capsys):
+        argv = ["construct", *SS43, "--output", str(tmp_path / "cert.json")]
+        argv += (["--lambda", text, "--h", "1"] if flag == "--lambda"
+                 else ["--q", "2", "--hs", "1,0", "--alphas", f"1,{text}"])
+        start = time.process_time()
+        assert main(argv) == 1
+        assert time.process_time() - start < 0.5
+        assert f"{flag}: bad scalar {text!r}: not a rational" in capsys.readouterr().err
+        assert not (tmp_path / "cert.json").exists()
+
+    @pytest.mark.parametrize("text, gf3, rational", [
+        ("1/2", 2, Fraction(1, 2)), ("-3", 0, Fraction(-3)), (" 2 ", 2, Fraction(2)),
+    ])
+    def test_rationals_accepted(self, text, gf3, rational):
+        assert cli._scalar_flag(GF(3), text, "--lambda") == gf3
+        assert cli._scalar_flag(QQ, text, "--alphas") == rational
+
+    def test_spaced_lambda_builds(self, tmp_path):
+        out = str(tmp_path / "cert.json")
+        assert main(["construct", *SS43, "--lambda", " 2 ", "--h", "1", "--output", out]) == 0
+        assert load_json(out)["kind"] == "lambda"

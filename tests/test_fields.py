@@ -1,7 +1,9 @@
 """Field.matmul over QQ and the rational z search against their Fraction
-oracles in helpers.py, and the count of Fraction products in a QQ BFS
-pass."""
+oracles in helpers.py, the count of Fraction products in a QQ BFS pass,
+and the characteristic checks of Field."""
 
+import re
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -12,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rep2ldc import construct, groups
+from rep2ldc.cli import main
 from rep2ldc.construct import choose_z
-from rep2ldc.errors import InternalInconsistency
-from rep2ldc.fields import QQ, scaled_numerators
+from rep2ldc.errors import InternalInconsistency, ParseError
+from rep2ldc.fields import GF, QQ, Field, scaled_numerators
 from rep2ldc.fixtures import signed_shift_group
+from rep2ldc.ldc import hadamard
 from rep2ldc.linalg import Matrix
+from rep2ldc.serialize import dump_json, ldc_to_json
 
 # operand shapes of np.matmul: 1-D, 2-D and broadcast stacks, with b, m, k
 # and n each drawn from 0..3 so that zero-size operands come up
@@ -120,3 +125,41 @@ class TestRationalZSearch:
         for search in (lambda: choose_z(QQ, normals), lambda: lattice_z(normals)):
             with pytest.raises(InternalInconsistency):
                 search()
+
+
+class TestCharacteristic:
+    # 4,299 digits, inside JSON's 4,300-digit int limit, and prime to every
+    # trial divisor of is_prime, so only Miller-Rabin could reject it
+    HUGE = 10**4298 + 7
+
+    def test_above_machine_word_refused_before_primality(self, tmp_path):
+        start = time.process_time()
+        with pytest.raises(ValueError, match=r"^field characteristic \d+ exceeds "
+                                             r"machine-word limit 2147483647$"):
+            Field(self.HUGE)
+        with pytest.raises(ParseError, match="^bad field spec"):
+            Field.from_json({"char": self.HUGE})
+        assert time.process_time() - start < 0.5
+
+        doc = ldc_to_json(hadamard(2, GF(3)))
+        doc["field"]["char"] = self.HUGE
+        path = str(tmp_path / "code.json")
+        dump_json(doc, path)
+        start = time.process_time()
+        assert main(["verify", "--input", path]) == 1
+        assert time.process_time() - start < 0.5
+
+    @pytest.mark.parametrize("char, message", [
+        (4, "field characteristic must be 0 or prime, got 4"),
+        (-3, "field characteristic must be 0 or prime, got -3"),
+        (2**31 - 3, "field characteristic must be 0 or prime, got 2147483645"),
+        (2**31, "field characteristic 2147483648 exceeds machine-word limit 2147483647"),
+        (2**61 - 1, "field characteristic 2305843009213693951 exceeds machine-word limit "
+                    "2147483647"),
+    ])
+    def test_messages(self, char, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Field(char)
+
+    def test_largest_prime_accepted(self):
+        assert Field(2**31 - 1).char == 2**31 - 1

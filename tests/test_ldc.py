@@ -1,26 +1,40 @@
+import dataclasses
 import re
+import sys
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import brute_max_matching, brute_rank, reference_verify
+from helpers import (
+    brute_max_matching,
+    brute_rank,
+    reference_cycle_kept_s,
+    reference_entropy_audit,
+    reference_first_fit,
+    reference_greedy_kept_s,
+    reference_match_entropy_check,
+    reference_set_faults,
+    reference_verify,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rep2ldc import _kernels, ldc, linalg
-from rep2ldc.bounds import entropy_audit
-from rep2ldc.construct import build_special_2ldc
+from rep2ldc.bounds import entropy_audit, match_entropy_check
+from rep2ldc.certcheck import verify_cert
+from rep2ldc.construct import _cycle_kept_s, _greedy_kept_s, build_q_ldc, build_special_2ldc
 from rep2ldc.fields import GF, QQ
 from rep2ldc.ldc import (
     LdcInstance,
     QMatching,
     achieved_delta,
+    greedy_disjoint,
     greedy_matching_general,
     hadamard,
     max_special_matching,
     verify,
 )
 from rep2ldc.linalg import Matrix
-from rep2ldc.serialize import ldc_from_json, ldc_to_json
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -182,9 +196,7 @@ class TestGreedyMatching:
             for x in c:
                 uses[x] = uses.get(x, 0) + 1
         assert max(uses.values()) == 3
-        kept = greedy_matching_general(
-            Matrix(F2, [[0]] * 12), 0, 3, cands, validate=False
-        )
+        kept = greedy_matching_general(Matrix(F2, [[1]] * 12), 0, 3, cands)
         assert kept.size >= 2  # ceil(12 / 3^2)
 
     def test_span_validation(self):
@@ -387,11 +399,203 @@ class TestQMatchingArrays:
         assert got.members.tolist() == [[0, 3], [2, 5]]
         assert QMatching(3, ()).members.shape == (0, 3)
 
-    def test_matchings_indexed_once(self, signed_shift_4_3):
-        """Reading a code (QMatching, then LdcInstance's range check) and
-        auditing it build each matching's index arrays once."""
-        cert = build_special_2ldc(signed_shift_4_3, signed_shift_4_3.generators[0])
-        doc = ldc_to_json(cert.code)
-        with mock.patch.object(ldc, "_index_arrays", wraps=ldc._index_arrays) as spy:
-            entropy_audit(ldc_from_json(doc))
-        assert spy.call_count == cert.code.t
+
+# members around [0, m) for m up to 6, and sets of 0..4 of them: repeats,
+# overlaps, negative and too-large members and ragged sets all come up
+FAMILY = st.lists(st.lists(st.integers(-2, 8), max_size=4).map(tuple), max_size=6)
+
+
+def _outcome(call):
+    """(exception class name, message) of call(), or ("ok", result)."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # noqa: BLE001 - the class is compared
+        return type(exc).__name__, str(exc)
+
+
+def _qmatching_oracle(sets, q):
+    """QMatching's verdict read off the reference walk: the first set with
+    a size fault or an overlap, size before overlap."""
+    if q < 1:
+        return "ValueError", f"matching arity q={q} is below 1"
+    for s, (size, overlap, _) in zip(sets, reference_set_faults(sets, q)):
+        if size:
+            return "ValueError", f"set {s} does not have exactly q={q} members"
+        if overlap:
+            return "ValueError", f"set {s} overlaps an earlier set"
+    return "ok", tuple(tuple(sorted(s)) for s in sets)
+
+
+class TestSetFamilyRule:
+    """ldc._set_faults and ldc._first_fit against the walks they replaced
+    (helpers.py), read through every site that takes its verdict from them."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sets=FAMILY, q=st.integers(1, 3), m=st.one_of(st.none(), st.integers(0, 6)))
+    def test_faults_match_the_walk(self, sets, q, m):
+        faults = ldc._set_faults(sets, q, m)
+        got = list(zip(faults.bad_size.tolist(), faults.overlap.tolist(),
+                       faults.outside.tolist()))
+        assert got == reference_set_faults(sets, q, m)
+        assert faults.sizes.tolist() == [len(s) for s in sets]
+        assert faults.members.tolist() == [j for s in sets for j in s]
+        if sets and len({len(s) for s in sets}) == 1:
+            as_array = ldc._set_faults(np.array(sets, dtype=np.int64), q, m)
+            assert all(np.array_equal(a, b) for a, b in zip(as_array, faults))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sets=FAMILY, q=st.integers(0, 3))
+    def test_qmatching(self, sets, q):
+        got = _outcome(lambda: QMatching(q, sets).sets)
+        assert got == _qmatching_oracle(sets, q)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sets=FAMILY, q=st.integers(2, 3), form=st.sampled_from(["special2", "general"]))
+    def test_verify_structure(self, sets, q, form):
+        q = 2 if form == "special2" else q
+        inst = hadamard(3, F3)
+        if form == "general":
+            inst = dataclasses.replace(inst.as_general(), q=q, matchings=(QMatching(q, ()),) * 3)
+        inst = _smuggle(inst, 1, sets)
+        got = [(c.span_failures, c.structure_failures) for c in verify(inst).coordinates]
+        rows = inst.vectors.to_lists()
+        want = reference_verify(rows, form, q, inst.m,
+                                [mi.sets for mi in inst.matchings], 3)
+        assert got == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sets=FAMILY, m=st.integers(1, 6))
+    def test_ldc_instance_range(self, sets, m):
+        pairs = [s for s, (size, overlap, _) in zip(sets, reference_set_faults(sets, 2))
+                 if not size and not overlap]
+        bad = [s for s, f in zip(pairs, reference_set_faults(pairs, 2, m)) if f[2]]
+        got = _outcome(lambda: LdcInstance(
+            field=F2, t=1, m=m, vectors=Matrix(F2, [[j % 2] for j in range(m)]),
+            matchings=(QMatching(2, pairs),), form="special2", q=2,
+            claimed_delta=Fraction(0)).m)
+        want = ("ValueError", f"index out of range in {tuple(sorted(bad[0]))}") if bad else ("ok", m)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), m=st.integers(2, 6))
+    def test_entropy_audit(self, data, m):
+        """The first coordinate with a faulty family raises the rule's
+        verdict, unless a pair of an earlier coordinate fails first."""
+        rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2),
+                                  min_size=m, max_size=m))
+        members = st.integers(-1, m)
+        pair = st.lists(members, min_size=1, max_size=3).map(tuple)
+        families = [data.draw(st.lists(pair, max_size=3)) for _ in range(2)]
+        inst = LdcInstance(field=F3, t=2, m=m, vectors=Matrix(F3, rows),
+                           matchings=(QMatching(2, ()),) * 2, form="special2", q=2,
+                           claimed_delta=Fraction(0))
+        for i, sets in enumerate(families):
+            inst = _smuggle(inst, i, sets)
+        want = None
+        for i, sets in enumerate(families):
+            broken = [(s, f) for s, f in zip(sets, reference_set_faults(sets, 2, m)) if any(f)]
+            if broken:
+                s = broken[0][0]
+                want = _outcome(lambda: reference_entropy_audit(rows, families[:i]))
+                if want[0] == "ok":
+                    want = ("ValueError", f"set {s} does not have 2 distinct members at "
+                            f"coordinate {i}" if len(s) != 2 else
+                            f"matching pairs at coordinate {i} must be disjoint rows of the code")
+                break
+        got = _outcome(lambda: entropy_audit(inst).chain_terms)
+        if want is None:
+            want = _outcome(lambda: reference_entropy_audit(rows, families)["chain_terms"])
+            got = got if got[0] != "ok" else ("ok", list(got[1]))
+        assert got == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), t=st.integers(1, 6))
+    def test_match_entropy_check(self, data, t):
+        pairs = data.draw(st.lists(st.lists(st.integers(-1, t), min_size=1, max_size=3)
+                                   .map(tuple), max_size=4))
+        f = data.draw(st.lists(st.integers(0, 3), min_size=t, max_size=t))
+        got = _outcome(lambda: match_entropy_check(t, pairs, f))
+        if got[0] == "ok":
+            got = ("ok", (got[1].entropy_value, got[1].bound))
+        want = _outcome(lambda: reference_match_entropy_check(t, pairs, f))
+        if want[0] == "ok":
+            assert got[0] == "ok" and got[1][1] == want[1][1]
+            assert abs(got[1][0] - want[1][0]) < 1e-12
+        else:
+            assert got == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(candidates=st.lists(st.lists(st.integers(0, 9), max_size=4).map(tuple),
+                               max_size=10))
+    def test_greedy_disjoint(self, candidates):
+        kept = reference_first_fit(candidates)
+        assert ldc._first_fit(candidates) == kept
+        assert greedy_disjoint(candidates) == [tuple(sorted(candidates[k])) for k in kept]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hs=st.lists(st.integers(0, 23), min_size=1, max_size=4))
+    def test_greedy_kept_s(self, hs, signed_shift_3_3):
+        group = signed_shift_3_3
+        assert _outcome(lambda: _greedy_kept_s(group, hs)) == _outcome(
+            lambda: reference_greedy_kept_s(group, hs))
+
+    def test_cycle_kept_s(self, signed_shift_3_3):
+        """Every h, the identity (order 1, no kept s) and odd orders included."""
+        group = signed_shift_3_3
+        orders = {group.element_order(h) for h in range(len(group))}
+        assert 1 in orders and any(k % 2 for k in orders if k > 1)
+        for h in range(len(group)):
+            assert _cycle_kept_s(group, h) == reference_cycle_kept_s(group, h)
+        assert _cycle_kept_s(group, group.identity_pos) == []
+
+    def test_known_texts_of_a_triple_in_a_pair_family(self):
+        """One 3-set smuggled into a pair family: each site names the set."""
+        inst = _smuggle(hadamard(2, F3), 0, [(0, 1, 2)])
+        assert verify(inst).coordinates[0].structure_failures == (
+            "set (0, 1, 2) does not have 2 distinct members",)
+        with pytest.raises(ValueError, match=r"^set \(0, 1, 2\) does not have 2 distinct "
+                                             r"members at coordinate 0$"):
+            entropy_audit(inst)
+        with pytest.raises(ValueError, match=r"^set \(0, 1, 2\) does not have 2 distinct "
+                                             r"members$"):
+            match_entropy_check(4, [(0, 1, 2)], [0, 1, 2, 3])
+
+    def test_every_site_calls_the_rule(self, signed_shift_4_3, monkeypatch):
+        """With the rule and the first fit patched, each site that decides
+        set structure calls them (seen by the calling function's name)."""
+        callers = {"_set_faults": set(), "_first_fit": set()}
+
+        def spy(name):
+            original = getattr(ldc, name)
+
+            def wrapper(*args, **kwargs):
+                frame = sys._getframe(1)
+                owner = frame.f_locals.get("self")
+                prefix = "" if owner is None else f"{type(owner).__name__}."
+                callers[name].add(prefix + frame.f_code.co_name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        group = signed_shift_4_3
+        cert = build_special_2ldc(group, group.generators[0])
+        code = cert.code
+        for name in callers:
+            monkeypatch.setattr(ldc, name, spy(name))
+        sites = [
+            ("_set_faults", "QMatching.__post_init__", lambda: QMatching(2, ((0, 1),))),
+            ("_set_faults", "LdcInstance.__post_init__", lambda: dataclasses.replace(code)),
+            ("_set_faults", "verify", lambda: verify(code)),
+            ("_set_faults", "entropy_audit", lambda: entropy_audit(code)),
+            ("_set_faults", "match_entropy_check",
+             lambda: match_entropy_check(2, [(0, 1)], [0, 1])),
+            ("_set_faults", "verify_cert", lambda: verify_cert(cert)),
+            ("_set_faults", "_greedy_kept_s",
+             lambda: build_q_ldc(group, [group.generators[0], group.identity_pos], [1, -1])),
+            ("_first_fit", "_greedy_kept_s",
+             lambda: build_q_ldc(group, [group.generators[0], group.identity_pos], [1, -1])),
+            ("_first_fit", "greedy_disjoint", lambda: greedy_disjoint([(0, 1), (1, 2)])),
+        ]
+        for name, caller, call in sites:
+            callers[name].clear()
+            call()
+            assert caller in callers[name], (name, caller)
