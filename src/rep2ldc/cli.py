@@ -1,17 +1,18 @@
 """Command-line interface.
 
-Subcommands: rank-scan, construct, verify, demo, fixtures.  Exit codes
-are a stable contract: 0 ok, 1 parse error (also a fixture whose field
-does not suit it: even p, no root of unity, p dividing k; a singular
-generator; a cap below 1; an element position outside [0, |G|); a scalar
-flag that is not a field element), 2 cap exceeded, 3 verification or bound
-failure, 4 degenerate input (zero combination / identity element /
-scalar multiple of identity / zero vector), 5 spanning failure,
-6 internal inconsistency (a bug), 7 randomized search budget exhausted,
-141 the reader closed stdout early (128 + SIGPIPE, quietly).
-EXIT_CODES gives the code of every error class.
-All randomness flows from --seed through one named generator, so reruns
-with identical arguments produce byte-identical certificates.
+Subcommands: rank-scan, construct, verify, demo, fixtures; each takes only
+the flags it reads (_build_parser).  Exit codes are a stable contract:
+0 ok, 1 parse error (also a usage error: a missing subcommand, an unknown
+flag, a bad flag value; a fixture whose field does not suit it: even p, no
+root of unity, p dividing k; a singular generator; a cap below 1; an
+element position outside [0, |G|); a scalar flag that is not a field
+element), 2 cap exceeded, 3 verification or bound failure, 4 degenerate
+input (zero combination / identity element / scalar multiple of identity /
+zero vector), 5 spanning failure, 6 internal inconsistency (a bug),
+7 randomized search budget exhausted, 141 the reader closed stdout early
+(128 + SIGPIPE, quietly).  --help and --version exit 0.  EXIT_CODES gives
+the code of every error class.  All randomness flows from --seed through
+one named generator, so reruns give byte-identical certificates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .fields import Field, rational_from_json
 from .fixtures import FIXTURES, parse_fixture, signed_shift_group
-from .groups import burnside_irreducible
+from .groups import DEFAULT_CAP, burnside_irreducible
 from .ldc import verify as ldc_verify
 from .serialize import (
     cert_to_json,
@@ -96,9 +96,9 @@ EXIT_CODES = {
 
 
 def _load_group(args):
-    if getattr(args, "fixture", None):
+    if args.fixture:
         return parse_fixture(args.fixture, cap=args.cap)
-    if getattr(args, "input", None):
+    if args.input:
         return group_from_spec_json(load_json(args.input), cap=args.cap)
     raise ParseError("need --fixture or --input to name a group")
 
@@ -133,11 +133,10 @@ def _scalar_flag(field: Field, text: str, flag: str):
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    """A text or CSV report, plus a newline, to --output or stdout."""
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -152,13 +151,13 @@ def cmd_rank_scan(args) -> int:
     irreducible = burnside_irreducible(group)
     all_ok = all(r.satisfied and r.uniform_satisfied for r in reports)
     if args.format == "json":
-        _emit(args, json.dumps({
+        dump_json({
             "group_size": len(group),
             "dim": group.dim,
             "burnside_irreducible": irreducible,
             "all_satisfied": all_ok,
             "reports": [r.to_json() for r in reports],
-        }, indent=2, sort_keys=True))
+        }, args.output)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -206,9 +205,8 @@ def cmd_construct(args) -> int:
         if args.q != len(hs):
             raise ParseError("--q must equal the number of --hs entries")
         cert = build_q_ldc(group, hs, alphas, seed=args.seed)
-    doc = cert_to_json(cert)
     out = args.output or "cert.json"
-    dump_json(doc, out)
+    dump_json(cert_to_json(cert), out)
     audit_verdict = "n/a"
     if cert.code.form == "special2":
         audit_verdict = "pass" if entropy_audit(cert.code).passed else "FAIL"
@@ -221,8 +219,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.input:
-        raise ParseError("verify needs --input FILE")
     doc = load_json(args.input)
     kind = detect_kind(doc)
     if kind == "cert":
@@ -241,7 +237,7 @@ def cmd_verify(args) -> int:
         raise ParseError("verify expects an ldc or cert document, got a group spec")
     payload, passed = report.to_json(), report.passed
     if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+        dump_json(payload, args.output)
     else:
         lines = [f"document: {payload['kind']}", f"passed: {payload['passed']}"]
         failures = payload.get("failures", [])
@@ -312,20 +308,20 @@ def cmd_demo(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    if args.action == "list" or not args.fixture:
+    if args.action == "list":
+        if args.fixture or args.output or args.full or args.cap is not None:
+            raise ParseError("fixtures list takes no flags; export takes --fixture")
         lines = []
         for name, (_, params, desc) in sorted(FIXTURES.items()):
             lines.append(f"{name}({', '.join(params)}): {desc}")
         print("\n".join(lines))
         return EXIT_OK
+    if not args.fixture:
+        raise ParseError("fixtures export needs --fixture NAME")
     group = parse_fixture(args.fixture, cap=args.cap)
-    doc = group_export_json(group) if args.full else group.spec_json()
-    out = args.output
-    if out:
-        dump_json(doc, out)
-        print(f"wrote {out}: {len(group)} elements")
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    dump_json(group_export_json(group) if args.full else group.spec_json(), args.output)
+    if args.output:
+        print(f"wrote {args.output}: {len(group)} elements")
     return EXIT_OK
 
 
@@ -333,31 +329,48 @@ def cmd_fixtures(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Flags only as spelled (no prefixes: `rank-scan --h` is not --help);
+    a usage error is a ParseError, exit 1, not argparse's 2, the cap code."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rep2ldc",
         description="Reductions from finite matrix-group representations to "
         "locally decodable codes, with exact verification.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parser too
 
-    def add_common(p, with_group=True):
-        if with_group:
-            p.add_argument("--input", help="input JSON file")
-            p.add_argument("--fixture", help="fixture spec, e.g. signed_shift(4,3)")
+    def cap(p):
         p.add_argument("--cap", type=int, default=None,
-                       help="group size cap (default from REP2LDC_CAP or 200000)")
-        p.add_argument("--seed", type=int, default=0, help="deterministic seed")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--output", help="write the report/file here instead of stdout")
+                       help=f"group element cap (default {DEFAULT_CAP})")
+
+    def group(p):
+        p.add_argument("--input", help="group spec JSON file")
+        p.add_argument("--fixture", help="fixture spec, e.g. signed_shift(4,3)")
+        cap(p)
+
+    def report(p, formats):
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--output", help="write the report here instead of stdout")
 
     p_scan = sub.add_parser("rank-scan", help="check the rank bound for every element")
-    add_common(p_scan)
+    group(p_scan)
+    report(p_scan, ("text", "json", "csv"))
     p_scan.set_defaults(func=cmd_rank_scan)
 
     p_con = sub.add_parser("construct", help="run the LDC construction pipeline")
-    add_common(p_con)
+    group(p_con)
+    p_con.add_argument("--seed", type=int, default=0, help="deterministic seed")
+    p_con.add_argument("--output", help="certificate file (default cert.json)")
     p_con.add_argument("--h", type=int, default=None, help="element position index")
     p_con.add_argument("--hs", help="comma-separated element positions (general q)")
     p_con.add_argument("--alphas", help="comma-separated scalars (general q)")
@@ -368,19 +381,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="re-verify an ldc or cert JSON file")
-    add_common(p_ver, with_group=False)
-    p_ver.add_argument("--input", required=False, help="ldc or cert JSON file")
+    p_ver.add_argument("--input", required=True, help="ldc or cert JSON file")
+    cap(p_ver)
+    report(p_ver, ("text", "json"))
     p_ver.set_defaults(func=cmd_verify)
 
     p_demo = sub.add_parser("demo", help="full narrative on the signed-shift group")
-    add_common(p_demo, with_group=False)
+    cap(p_demo)
+    p_demo.add_argument("--seed", type=int, default=0, help="deterministic seed")
     p_demo.add_argument("--field", type=int, default=3,
                         help="field characteristic (0 for the rationals)")
     p_demo.set_defaults(func=cmd_demo)
 
     p_fix = sub.add_parser("fixtures", help="list or export built-in fixtures")
     p_fix.add_argument("action", nargs="?", choices=("list", "export"), default="list")
-    add_common(p_fix)
+    p_fix.add_argument("--fixture", help="fixture spec to export, e.g. signed_shift(4,3)")
+    cap(p_fix)
+    p_fix.add_argument("--output", help="write the export here instead of stdout")
     p_fix.add_argument("--full", action="store_true",
                        help="export the full element list, not just the spec")
     p_fix.set_defaults(func=cmd_fixtures)
@@ -388,9 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
         return code

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 
+from . import groups
 from .errors import (
     BadCharacteristic,
     CapExceeded,
@@ -22,7 +23,7 @@ from .errors import (
     NoRootOfUnity,
 )
 from .fields import GF, Field
-from .groups import MatrixGroup, burnside_irreducible, close_group, default_cap
+from .groups import MatrixGroup, burnside_irreducible, close_group
 from .linalg import Matrix, rank
 
 __all__ = [
@@ -46,7 +47,7 @@ def _size_within_cap(factors, cap: int | None) -> int:
     Multiplying stops at the first partial product above the cap, so a
     huge size such as n * 2^n or k! is never formed.
     """
-    cap = default_cap() if cap is None else int(cap)
+    cap = groups.DEFAULT_CAP if cap is None else int(cap)
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     size = 1

@@ -26,7 +26,6 @@ generate, as g^-1 = g^(ord g - 1).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -40,7 +39,6 @@ __all__ = [
     "MatrixGroup",
     "CycleDecomposition",
     "close_group",
-    "default_cap",
     "mult_cycles",
     "burnside_irreducible",
     "spin",
@@ -51,20 +49,6 @@ DEFAULT_CAP = 200_000
 # Elements per BFS chunk, each times every distinct generator in one product,
 # and class representatives per batch of powers and ranks; bounds temporaries.
 CLOSURE_CHUNK = 1024
-
-
-def default_cap() -> int:
-    """Element cap, overridable through REP2LDC_CAP."""
-    raw = os.environ.get("REP2LDC_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"REP2LDC_CAP must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("REP2LDC_CAP must be positive")
-    return cap
 
 
 class MatrixGroup:
@@ -258,7 +242,7 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
     """
     if not generators:
         raise ValueError("need at least one generator")
-    cap = default_cap() if cap is None else int(cap)
+    cap = DEFAULT_CAP if cap is None else int(cap)
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     field = generators[0].field

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -184,16 +184,7 @@ class LdcInstance:
 
     def as_general(self) -> "LdcInstance":
         """View a special2 instance under the general-form contract."""
-        return LdcInstance(
-            field=self.field,
-            t=self.t,
-            m=self.m,
-            vectors=self.vectors,
-            matchings=self.matchings,
-            form="general",
-            q=self.q,
-            claimed_delta=self.claimed_delta,
-        )
+        return replace(self, form="general")
 
     def matching_total(self) -> int:
         return sum(mi.size for mi in self.matchings)

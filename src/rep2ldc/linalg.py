@@ -224,22 +224,21 @@ def rank(m: Matrix) -> int:
 
 
 def nullspace(m: Matrix) -> "Subspace":
-    """Right nullspace {v : m v = 0} as a subspace of F^cols."""
-    r, rk, piv = rref(m)
-    n = m.cols
-    piv_set = set(piv)
-    free = [c for c in range(n) if c not in piv_set]
-    if not free:
-        return Subspace.zero(m.field, n)
-    basis = Matrix.zeros(m.field, len(free), n).a.copy()
-    one = m.field.canon(1)
-    for k, f in enumerate(free):
-        basis[k, f] = one
-        for row_idx, pc in enumerate(piv):
-            coeff = r.a[row_idx, f]
-            if coeff != 0:
-                basis[k, pc] = m.field.canon(-coeff)
-    return Subspace.from_rows(m.field, n, Matrix(m.field, basis, _canonical=True))
+    """Right nullspace {v : m v = 0} as a subspace of F^cols.
+
+    One RREF of m with its columns reversed: that system's free-variable
+    basis, reversed in rows and columns, has each leading 1 at a free
+    column and 0 at every other free column, so it is already the unique
+    RREF basis.
+    """
+    field, n = m.field, m.cols
+    r, rk, piv = rref(Matrix(field, np.ascontiguousarray(m.a[:, ::-1]), _canonical=True))
+    free = [c for c in range(n) if c not in piv]
+    basis = Matrix.zeros(field, len(free), n).a.copy()
+    basis[np.arange(len(free)), free] = field.canon(1)
+    basis[:, list(piv)] = field.reduce(-r.a[:rk, free]).T
+    return Subspace(field, n, Matrix(field, np.ascontiguousarray(basis[::-1, ::-1]),
+                                     _canonical=True), _trusted=True)
 
 
 def rank_factorize(d: Matrix) -> tuple[Matrix, Matrix]:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
 
@@ -54,8 +56,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def dump_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def dump_json(obj, path: str | None = None) -> None:
+    """The one indented JSON writer (sorted keys, indent 2, trailing
+    newline) of every file and report: to `path`, or without one to stdout."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -665,6 +665,27 @@ def reference_dual_vectors(group, u, g_refs, y):
     return Matrix.from_array(field, np.ascontiguousarray(np.stack(cols, axis=1))), hats
 
 
+def reference_nullspace(m):
+    """linalg.nullspace by its former two eliminations: the free-variable
+    basis of rref(m), built entry by entry, then put into RREF by
+    Subspace.from_rows."""
+    from rep2ldc.linalg import Matrix, Subspace, rref
+
+    r, rk, piv = rref(m)
+    n = m.cols
+    piv_set = set(piv)
+    free = [c for c in range(n) if c not in piv_set]
+    if not free:
+        return Subspace.zero(m.field, n)
+    basis = Matrix.zeros(m.field, len(free), n).a.copy()
+    for k, f in enumerate(free):
+        basis[k, f] = m.field.canon(1)
+        for row_idx, pc in enumerate(piv):
+            if r.a[row_idx, f] != 0:
+                basis[k, pc] = m.field.canon(-r.a[row_idx, f])
+    return Subspace.from_rows(m.field, n, Matrix(m.field, basis, _canonical=True))
+
+
 # The set-family walks that ldc._set_faults and ldc._first_fit replaced:
 # oracles of the one rule and the one first fit.
 

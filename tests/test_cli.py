@@ -480,3 +480,115 @@ class TestScalarFlags:
         out = str(tmp_path / "cert.json")
         assert main(["construct", *SS43, "--lambda", " 2 ", "--h", "1", "--output", out]) == 0
         assert load_json(out)["kind"] == "lambda"
+
+
+class TestUsage:
+    """Each subcommand takes only the flags it reads, and a usage error is
+    exit 1 with one `error:` line, as any other bad input; exit 2 is kept
+    for a cap exceeded."""
+
+    ACCEPTED = {
+        "rank-scan": {"--input", "--fixture", "--cap", "--format", "--output"},
+        "construct": {"--input", "--fixture", "--cap", "--seed", "--output", "--h", "--hs",
+                      "--alphas", "--q", "--special2", "--lambda"},
+        "verify": {"--input", "--cap", "--format", "--output"},
+        "demo": {"--cap", "--seed", "--field"},
+        "fixtures": {"action", "--fixture", "--cap", "--output", "--full"},
+    }
+
+    def test_accepted_flags_pinned(self):
+        subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        accepted = {
+            name: {s for a in p._actions if a.dest != "help" for s in a.option_strings or [a.dest]}
+            for name, p in subparsers.choices.items()
+        }
+        assert accepted == self.ACCEPTED
+        assert sum(map(len, accepted.values())) == 28
+
+    @pytest.fixture
+    def ldc_file(self, tmp_path):
+        path = tmp_path / "hadamard2.json"
+        dump_json(ldc_to_json(hadamard(2, GF(2))), str(path))
+        return str(path)
+
+    @staticmethod
+    def _assert_usage_error(capsys, code):
+        assert code == cli.EXIT_PARSE == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["rank-scan", "--fixture", "dihedral(3,7)", "--output", "{out}/scan.txt", "--seed", "0"],
+        ["construct", *SS43, "--special2", "--h", "1", "--output", "{out}/cert.json",
+         "--format", "json"],
+        ["verify", "--input", "{ldc}", "--output", "{out}/report.txt", "--seed", "0"],
+        ["demo", "--format", "json"],
+        ["demo", "--output", "{out}/demo.txt"],
+        ["fixtures", "export", "--fixture", "dihedral(3,7)", "--output", "{out}/spec.json",
+         "--input", "{ldc}"],
+        ["fixtures", "export", "--fixture", "dihedral(3,7)", "--output", "{out}/spec.json",
+         "--seed", "0"],
+        ["fixtures", "export", "--fixture", "dihedral(3,7)", "--output", "{out}/spec.json",
+         "--format", "json"],
+        ["verify", "--input", "{ldc}", "--output", "{out}/report.csv", "--format", "csv"],
+    ], ids=["rank-scan-seed", "construct-format", "verify-seed", "demo-format", "demo-output",
+            "fixtures-input", "fixtures-seed", "fixtures-format", "verify-format-csv"])
+    def test_removed_flag_is_a_usage_error(self, argv, ldc_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        self._assert_usage_error(capsys, main([a.format(out=out, ldc=ldc_file) for a in argv]))
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["rank-scan", *SS43, "--bogus"],
+        ["construct", *SS43, "--special2", "--h", "abc"],
+        ["rank-scan", *SS43, "--cap", "abc"],
+        ["verify"],
+        ["fixtures", "export"],
+        ["fixtures", "export", "--full"],
+        ["fixtures", "--fixture", "dihedral(3,7)", "--output", "spec.json"],
+        ["fixtures", "list", "--cap", "10"],
+        ["rank-scan", *SS43, "--out", "scan.txt"],
+        ["rank-scan", *SS43, "--h", "1"],
+    ], ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "h-abc", "cap-abc",
+            "verify-no-input", "export-no-fixture", "export-full-no-fixture",
+            "list-with-export-flags", "list-with-cap", "abbreviated-flag", "h-is-not-help"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        self._assert_usage_error(capsys, main(argv))
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"],
+                                      ["fixtures", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [([], 1), (["rank-scan", *SS43, "--cap", "abc"], 1),
+                                            (["--version"], 0)])
+    def test_process_exit_codes(self, argv, code):
+        out = subprocess.run([sys.executable, "-m", "rep2ldc", *argv],
+                             env=_cli_env(), capture_output=True, text=True)
+        assert out.returncode == code
+        if code:
+            assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+        else:
+            assert out.stderr == "" and out.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["fixtures", "export", "--fixture", "dihedral(3,7)"],
+        ["fixtures", "export", "--fixture", "symmetric(3,2)", "--full"],
+        ["rank-scan", "--fixture", "dihedral(3,7)", "--format", "json"],
+        ["verify", "--input", "{ldc}", "--format", "json"],
+    ], ids=["fixtures-export", "fixtures-export-full", "rank-scan-json", "verify-json"])
+    def test_stdout_and_output_bytes_agree(self, argv, ldc_file, tmp_path, capsys):
+        """The one JSON writer gives a file and stdout the same bytes."""
+        argv = [a.format(ldc=ldc_file) for a in argv]
+        path = tmp_path / "doc.json"
+        code = main(argv)
+        printed = capsys.readouterr().out
+        assert main([*argv, "--output", str(path)]) == code
+        assert path.read_bytes() == printed.encode()

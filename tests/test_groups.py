@@ -234,18 +234,6 @@ class TestCloseGroup:
         with pytest.raises(ValueError, match="cap must be positive"):
             close_group([Matrix.identity(F3, 2)], cap=cap)
 
-    def test_cap_env_override(self, monkeypatch):
-        from rep2ldc.groups import default_cap
-
-        monkeypatch.setenv("REP2LDC_CAP", "123")
-        assert default_cap() == 123
-        monkeypatch.setenv("REP2LDC_CAP", "5")
-        refl = Matrix.diag(F3, [-1, 1, 1, 1])
-        with pytest.raises(CapExceeded):
-            close_group([refl, shift_matrix(F3, 4)])
-        monkeypatch.delenv("REP2LDC_CAP")
-        assert default_cap() == 200_000
-
 
 class TestElementOrder:
     def test_identity(self, signed_shift_4_3):
@@ -355,8 +343,7 @@ EXPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("spec", list(EXPORT_SHA256))
-def test_numbering_is_pinned(monkeypatch, spec):
-    monkeypatch.delenv("REP2LDC_CAP", raising=False)  # the export holds the cap
+def test_numbering_is_pinned(spec):
     text = canonical_json(group_export_json(parse_fixture(spec)))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[spec]
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import brute_rank
+from helpers import brute_rank, reference_nullspace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rep2ldc.errors import DimensionMismatch, ZeroMatrix
 from rep2ldc.fields import GF, QQ, Field
@@ -96,6 +98,27 @@ class TestNullspace:
             assert ns.dim == 5 - rank(m)
             for i in range(ns.dim):
                 assert not np.any(m.matvec(ns.basis.row(i)) != 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_two_elimination_reference(self, data):
+        """One reversed-column RREF gives the basis, dtype and entry types of
+        the former RREF-then-Subspace.from_rows path, on r x c products
+        A B of inner width k (so every rank up to min(r, c) occurs), 0 rows
+        and 0 columns included."""
+        field = data.draw(st.sampled_from([F2, F3, GF(7), F11, GF(2**31 - 1), QQ]))
+        r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
+        k = data.draw(st.integers(0, 4))
+        entry = (st.fractions(-3, 3, max_denominator=3) if not field.char
+                 else st.one_of(st.integers(-2, 2), st.integers(0, field.char - 1)))
+        a = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+        b = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+        rows = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(c)]
+                for i in range(r)]
+        m = Matrix(field, rows) if r else Matrix.zeros(field, 0, c)
+        got, want = nullspace(m), reference_nullspace(m)
+        assert got == want and got.basis.a.dtype == want.basis.a.dtype
+        assert [type(x) for x in got.basis.a.flat] == [type(x) for x in want.basis.a.flat]
 
 
 class TestRankFactorize:

@@ -104,22 +104,19 @@ class TestGroupFormat:
         h2 = group_spec_hash(json.loads(canonical_json(spec)))
         assert h1 == h2
 
-    def test_recorded_cap_ignores_the_environment(self, monkeypatch, tmp_path):
-        """REP2LDC_CAP bounds the closure; the spec records the default cap,
-        so the file and its group_hash match a run without the variable."""
+    def test_recorded_cap_ignores_the_environment(self, tmp_path):
+        """--cap bounds the closure; the spec records the default cap, so
+        the file and its group_hash match a run without --cap."""
         argv = ["construct", "--fixture", "signed_shift(4,3)", "--special2", "--h", "1"]
-        monkeypatch.delenv("REP2LDC_CAP", raising=False)
         assert main([*argv, "--output", str(tmp_path / "plain.json")]) == 0
-        monkeypatch.setenv("REP2LDC_CAP", "100")
-        assert main([*argv, "--output", str(tmp_path / "env.json")]) == 0
-        doc = json.loads((tmp_path / "env.json").read_text())
+        assert main([*argv, "--cap", "100", "--output", str(tmp_path / "capped.json")]) == 0
+        doc = json.loads((tmp_path / "capped.json").read_text())
         assert doc["group"]["cap"] == 200_000
-        assert (tmp_path / "env.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert (tmp_path / "capped.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_recorded_cap_holds_the_group(self, monkeypatch):
         """A group above the default cap records its own size, so its
         certificate re-verifies without repeating the cap."""
-        monkeypatch.delenv("REP2LDC_CAP", raising=False)
         monkeypatch.setattr(groups, "DEFAULT_CAP", 10)
         g = parse_fixture("signed_shift(4,3)", cap=100)
         doc = json.loads(canonical_json(cert_to_json(build_special_2ldc(g, g.generators[0]))))
