@@ -105,17 +105,19 @@ class LogBound:
 
     @cached_property
     def _json(self) -> dict:
+        # keys in sorted order, the order every JSON writer emits them in
         return {
-            "numerator": str(self.numerator),
-            "log_arg": self.log_arg,
             "coeff": self.coeff,
+            "log_arg": self.log_arg,
+            "numerator": str(self.numerator),
             "value": self.value,
         }
 
     def to_json(self) -> dict:
-        """A fresh dict; the fields are rendered once per bound, which every
-        report with the same (order, rank) shares."""
-        return dict(self._json)
+        """A fresh dict.  The fields are rendered once per bound; every
+        report of one (order, rank) class holds the same bound, so the class
+        shares one rendering."""
+        return self._json.copy()
 
 
 @dataclass(frozen=True)
@@ -134,27 +136,42 @@ class BoundReport:
     satisfied: bool
     uniform_satisfied: bool
 
-    def to_json(self) -> dict:
+    @cached_property
+    def _class_json(self) -> dict:
+        """Every field but h (a placeholder that `to_json` fills), rendered
+        once and shared by the clones that `check_rank_separation` makes of
+        this report; keys in sorted order."""
         return {
-            "h": self.h,
-            "order": self.order,
-            "gamma": str(self.gamma),
-            "theta": str(self.theta),
-            "n": self.n,
-            "group_size": self.group_size,
-            "bound": self.bound.to_json(),
-            "uniform_bound": self.uniform_bound.to_json(),
             "actual_rank": self.actual_rank,
+            "bound": self.bound._json,
+            "gamma": str(self.gamma),
+            "group_size": self.group_size,
+            "h": None,
+            "n": self.n,
+            "order": self.order,
             "satisfied": self.satisfied,
+            "theta": str(self.theta),
+            "uniform_bound": self.uniform_bound._json,
             "uniform_satisfied": self.uniform_satisfied,
         }
 
+    def to_json(self) -> dict:
+        """A fresh dict: a copy of the class's shared rendering (see
+        `_class_json`) with this report's h and fresh copies of both bounds."""
+        body = self._class_json
+        out = body.copy()
+        out["h"] = self.h
+        out["bound"] = body["bound"].copy()
+        out["uniform_bound"] = body["uniform_bound"].copy()
+        return out
+
     def csv_row(self) -> list:
+        body = self._class_json
         return [
             self.h,
             self.order,
-            str(self.gamma),
-            str(self.theta),
+            body["gamma"],
+            body["theta"],
             self.actual_rank,
             f"{self.bound.value:.6f}",
             self.satisfied,
@@ -167,29 +184,28 @@ def check_rank_separation(group: MatrixGroup) -> list[BoundReport]:
     theta*gamma*n / log2|G| and the weaker n / (3 log2|G|)?
 
     Orders and ranks are computed once per conjugacy class; the identity
-    is the one element with rank 0.  Gamma, both bounds and both verdicts
-    depend only on (order, rank), so each distinct pair is decided once.
+    is the one element with rank 0.  Every field but h depends only on
+    (order, rank), so each distinct pair is decided, built and rendered
+    once: its first element gets a BoundReport, and every later element of
+    the class a clone of it with only h changed.  A clone skips the frozen
+    `__init__` and shares the class's rendered body (`to_json` still
+    returns fresh dicts).
     """
     n = group.dim
     m = len(group)
     th = group.field.theta
     uniform = LogBound(numerator=Fraction(n), log_arg=m, coeff=3)
     orders, ranks = group.orders_and_ranks()
-    verdicts: dict = {}
+    first: dict = {}
     reports = []
     for pos, (order, actual) in enumerate(zip(orders.tolist(), ranks.tolist())):
         if actual == 0:
             continue
-        key = (order, actual)
-        if key not in verdicts:
+        proto = first.get((order, actual))
+        if proto is None:
             gm = gamma(order)
             bound = LogBound(numerator=th * gm * n, log_arg=m)
-            verdicts[key] = (
-                gm, bound, bound.satisfied_by(actual), uniform.satisfied_by(actual)
-            )
-        gm, bound, satisfied, uniform_satisfied = verdicts[key]
-        reports.append(
-            BoundReport(
+            report = BoundReport(
                 h=pos,
                 order=order,
                 gamma=gm,
@@ -199,10 +215,15 @@ def check_rank_separation(group: MatrixGroup) -> list[BoundReport]:
                 bound=bound,
                 uniform_bound=uniform,
                 actual_rank=actual,
-                satisfied=satisfied,
-                uniform_satisfied=uniform_satisfied,
+                satisfied=bound.satisfied_by(actual),
+                uniform_satisfied=uniform.satisfied_by(actual),
             )
-        )
+            report._class_json  # rendered before any clone copies the dict
+            first[order, actual] = report
+        else:
+            report = object.__new__(BoundReport)
+            report.__dict__.update(proto.__dict__, h=pos)
+        reports.append(report)
     return reports
 
 
@@ -353,7 +374,7 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
         child = np.argsort(order)[inverse]
 
         matching = instance.matchings[i]
-        faults = ldc._set_faults(matching.sets, 2, m)
+        faults = ldc._set_faults(ldc._rule_input(matching), 2, m)
         broken = np.flatnonzero(faults.bad_size | faults.overlap | faults.outside)
         if broken.size:
             if faults.sizes[broken[0]] != 2:

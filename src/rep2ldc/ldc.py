@@ -62,7 +62,9 @@ def _set_faults(sets, q: int, m: int | None = None) -> _Faults:
     set, pairwise disjoint sets, every member in [0, m).
 
     `sets` is a (k, q) integer array or a sequence of integer sequences,
-    which may differ in length.  One sort of the members finds the repeated
+    which may differ in length.  In a sequence every member must be an int
+    or a numpy integer; any other member (a bool, a float, a numeric
+    string) raises ValueError.  One sort of the members finds the repeated
     values; when there are any, a stable sort puts every occurrence of a
     value after the earlier ones (members come in set order), and an
     occurrence whose predecessor lies in the same set is a repeat, one
@@ -73,10 +75,14 @@ def _set_faults(sets, q: int, m: int | None = None) -> _Faults:
         sizes = np.full(sets.shape[0], sets.shape[1], dtype=np.int64)
     else:
         sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        items = list(itertools.chain.from_iterable(sets))
+        wrong = {t for t in set(map(type, items))
+                 if t is bool or not issubclass(t, (int, np.integer))}
+        if wrong:
+            bad = next(x for x in items if type(x) in wrong)
+            raise ValueError(f"set member {bad!r} is not an integer")
         try:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum())
-            )
+            flat = np.fromiter(items, dtype=np.int64, count=len(items))
         except OverflowError as exc:
             raise ValueError(f"set member does not fit in int64: {exc}") from exc
     k = sizes.size
@@ -92,6 +98,13 @@ def _set_faults(sets, q: int, m: int | None = None) -> _Faults:
     off = np.zeros(flat.size, dtype=bool) if m is None else (flat < 0) | (flat >= m)
     outside = np.bincount(owner[off], minlength=k) > 0
     return _Faults(flat, sizes, (sizes != q) | repeat, overlap, outside)
+
+
+def _rule_input(mi: "QMatching"):
+    """What `_set_faults` reads for a matching: the (k, q) `members` array
+    when the matching holds one (every QMatching built through
+    `__post_init__` does), else `sets`, which may be ragged."""
+    return vars(mi).get("members", mi.sets)
 
 
 def _first_fit(candidates) -> list[int]:
@@ -264,8 +277,8 @@ def _spans(field: Field, vectors: np.ndarray, form: str, i: int,
 def verify(instance: LdcInstance) -> VerificationReport:
     """Check every matching set against the instance's form and the
     claimed density.  Failures are report entries, never exceptions;
-    set sizes and disjointness are re-checked here even though QMatching
-    enforces them at construction.
+    set sizes and disjointness are re-checked here, from each matching's
+    `members` array, even though QMatching enforces them at construction.
 
     Structure messages name each flagged set in set order; a set with
     the wrong size or outside the code is not span-checked.
@@ -273,7 +286,7 @@ def verify(instance: LdcInstance) -> VerificationReport:
     q = instance.q
     coords = []
     for i, mi in enumerate(instance.matchings):
-        flat, lens, bad_size, overlap, outside = _set_faults(mi.sets, q, instance.m)
+        flat, lens, bad_size, overlap, outside = _set_faults(_rule_input(mi), q, instance.m)
         structure = []
         for k in np.flatnonzero(bad_size | overlap | outside):
             s = mi.sets[k]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -190,6 +191,9 @@ class TestOnePassTable:
         assert [r.to_json() for r in reports] == [r.to_json() for r in want]
         assert [r.csv_row() for r in reports] == [r.csv_row() for r in want]
 
+        assert [hash(r) for r in reports] == [hash(r) for r in want]
+        assert [repr(r) for r in reports] == [repr(r) for r in want]
+
         g = fresh_group(closed)
         total = sum(fixed_space(g, pos).dim for pos in range(len(g)))
         report = avg_fixed_space(fresh_group(closed))
@@ -201,6 +205,70 @@ class TestOnePassTable:
             "irreducible": groups.burnside_irreducible(g),
             "applicable": groups.burnside_irreducible(g),
         }
+
+
+    @pytest.mark.parametrize("spec", ["signed_shift(4,3)", "dihedral(5,11)"])
+    def test_clones_are_frozen_reports(self, spec):
+        """The reports after the first of each (order, rank) class are
+        clones; replace() and the frozen fields work on them as on any."""
+        reports = check_rank_separation(parse_fixture(spec))
+        seen = set()
+        for r in reports:
+            key = (r.order, r.actual_rank)
+            if key not in seen:
+                seen.add(key)
+                continue
+            moved = dataclasses.replace(r, h=r.h + 1)
+            fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+            assert moved == BoundReport(**{**fields, "h": r.h + 1})
+            assert moved.to_json() == {**r.to_json(), "h": r.h + 1}
+            assert moved.csv_row() == [r.h + 1] + r.csv_row()[1:]
+            for name in ("h", "satisfied", "bound"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(r, name, None)
+        assert len(seen) < len(reports)
+
+    @pytest.mark.parametrize("spec", ["signed_shift(4,3)", "symmetric(5,7)"])
+    def test_to_json_results_are_independent(self, spec):
+        """Mutating one to_json() result, at the top or inside a bound,
+        changes neither a later to_json() of the same report nor another
+        report of its class."""
+        classes: dict = {}
+        for r in check_rank_separation(parse_fixture(spec)):
+            classes.setdefault((r.order, r.actual_rank), []).append(r)
+        shared = [rs for rs in classes.values() if len(rs) > 1]
+        assert shared
+        for first, second, *_ in shared:
+            for target, other in ((first, second), (second, first)):
+                before = canonical_json([target.to_json(), other.to_json()])
+                doc = target.to_json()
+                doc["h"] = -1
+                doc["gamma"] = "0"
+                doc["extra"] = True
+                doc["bound"]["value"] = -1.0
+                doc["bound"]["numerator"] = "0"
+                doc["uniform_bound"]["coeff"] = 0
+                del doc["uniform_bound"]["log_arg"]
+                assert canonical_json([target.to_json(), other.to_json()]) == before
+
+
+def test_one_report_built_per_order_rank_class(monkeypatch):
+    """check_rank_separation runs BoundReport's __init__ once per distinct
+    (order, rank) pair, not once per non-identity element."""
+    group = parse_fixture("signed_shift(6,5)")
+    built = []
+    init = BoundReport.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["h"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoundReport, "__init__", counting_init)
+    reports = check_rank_separation(group)
+    pairs = {(r.order, r.actual_rank) for r in reports}
+    assert len(reports) == len(group) - 1
+    assert len(built) == len(pairs)
+    assert len(built) != len(group) - 1
 
 
 class TestLambdaBound:

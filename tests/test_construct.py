@@ -838,7 +838,8 @@ def test_rational_lambda_and_general_certificates_pinned(kind, want):
     assert _sha256(_cert_text("signed_shift(4,0)", kind)) == want
 
 
-@pytest.mark.parametrize("fixture", ["signed_shift(4,0)", "symmetric(7,11)"])
+@pytest.mark.parametrize("fixture", ["signed_shift(4,0)", "symmetric(7,11)",
+                                     "signed_shift(10,3)"])
 def test_rank_scan_documents_match_golden(fixture):
     """The rank-scan document (rank bound per element, Burnside verdict,
     average fixed space), assembled as the benchmark's rank_scan job

@@ -400,6 +400,56 @@ class TestQMatchingArrays:
         assert QMatching(3, ()).members.shape == (0, 3)
 
 
+class TestStrictMembers:
+    """Sequence input to the set rule takes int and numpy integer members
+    only; anything else is refused by name, not truncated or parsed."""
+
+    @pytest.mark.parametrize("sets, named", [
+        (((0, 1.5),), "1.5"),
+        ((("0", 1),), "'0'"),
+        (((True, 2),), "True"),
+        (((0, 1), (2, Fraction(3))), "Fraction(3, 1)"),
+        (((0, 1), (2.0, "x")), "2.0"),
+    ])
+    def test_qmatching_refuses(self, sets, named):
+        with pytest.raises(ValueError, match=f"^set member {re.escape(named)} is not an integer$"):
+            QMatching(2, sets)
+
+    def test_match_entropy_check_refuses(self):
+        with pytest.raises(ValueError, match=r"^set member 1\.5 is not an integer$"):
+            match_entropy_check(4, [(0, 1.5)], [0, 1, 2, 3])
+
+    def test_numpy_integers_accepted(self):
+        got = QMatching(2, ((np.int32(3), np.uint8(0)), (2, np.int64(5))))
+        assert got.sets == ((0, 3), (2, 5))
+        assert all(type(j) is int for s in got.sets for j in s)
+
+
+class TestRuleReadsMembers:
+    def test_verify_and_audit_read_the_members_array(self, signed_shift_4_3, monkeypatch):
+        """verify and entropy_audit give the rule each matching's members
+        array; a matching made without one falls back to its sets, with the
+        same reports."""
+        code = build_special_2ldc(signed_shift_4_3, signed_shift_4_3.generators[0]).code
+        smuggled = code
+        for i, mi in enumerate(code.matchings):
+            smuggled = _smuggle(smuggled, i, mi.sets)
+        seen = []
+        original = ldc._set_faults
+
+        def spy(sets, *args):
+            seen.append(type(sets))
+            return original(sets, *args)
+
+        monkeypatch.setattr(ldc, "_set_faults", spy)
+        report, audit = verify(code), entropy_audit(code)
+        assert seen == [np.ndarray] * (2 * code.t)
+        seen.clear()
+        assert verify(smuggled) == report
+        assert entropy_audit(smuggled) == audit
+        assert seen == [tuple] * (2 * code.t)
+
+
 # members around [0, m) for m up to 6, and sets of 0..4 of them: repeats,
 # overlaps, negative and too-large members and ragged sets all come up
 FAMILY = st.lists(st.lists(st.integers(-2, 8), max_size=4).map(tuple), max_size=6)
