@@ -20,7 +20,6 @@ from .bounds import (
     gamma,
     lambda_bound,
     match_entropy_check,
-    theta,
 )
 from .certcheck import CertCheckReport, cert_from_json, verify_cert, verify_cert_json
 from .construct import (
@@ -45,16 +44,13 @@ from .groups import (
     MatrixGroup,
     burnside_irreducible,
     close_group,
-    fixed_space,
     mult_cycles,
-    spin,
 )
 from .ldc import (
     LdcInstance,
     QMatching,
     VerificationReport,
     achieved_delta,
-    greedy_matching_general,
     hadamard,
     max_special_matching,
     verify,
@@ -62,15 +58,10 @@ from .ldc import (
 from .linalg import (
     Matrix,
     Subspace,
-    apply_to_subspace,
-    invert,
     nullspace,
-    orth_complement,
     rank,
     rank_factorize,
     rref,
-    subspace_contains,
-    subspace_sum,
 )
 from .serialize import (
     cert_to_json,
@@ -88,21 +79,19 @@ __all__ = [
     "Field", "GF", "QQ",
     # linalg
     "Matrix", "Subspace", "rref", "rank", "nullspace", "rank_factorize",
-    "orth_complement", "subspace_sum", "subspace_contains", "apply_to_subspace",
-    "invert",
     # groups
     "MatrixGroup", "CycleDecomposition", "close_group", "mult_cycles",
-    "burnside_irreducible", "spin", "fixed_space",
+    "burnside_irreducible",
     # ldc
     "QMatching", "LdcInstance", "VerificationReport", "verify", "achieved_delta",
-    "max_special_matching", "greedy_matching_general", "hadamard",
+    "max_special_matching", "hadamard",
     # construct
     "ConstructionCert", "SpanningFamily", "combine", "minimal_spanning_family",
     "dual_vectors", "beta", "choose_z", "spanning_tuple_identity",
     "check_spanning_identities", "build_q_ldc", "build_special_2ldc",
     "lambda_variant", "orbit_projection_check",
     # bounds
-    "theta", "gamma", "LogBound", "BoundReport", "check_rank_separation",
+    "gamma", "LogBound", "BoundReport", "check_rank_separation",
     "lambda_bound", "entropy", "match_entropy_check", "EntropyAudit",
     "entropy_audit", "AvgFixedSpaceReport", "avg_fixed_space",
     # fixtures

@@ -6,10 +6,9 @@ overflow and in Python ints otherwise, and the eliminations keep every
 product of two residues below (p-1)^2 < 2^62.
 
 Only prime fields come through here.  Apart from the z-scan in
-construct.choose_z and the element-wise reference construct.beta, the
-library reaches them through Field.matmul, linalg.ranks and linalg.rref,
-whose rational branches (integer-numerator products, Fraction
-eliminations) never touch these kernels.
+construct.choose_z, the library reaches them through Field.matmul,
+linalg.ranks and linalg.rref, whose rational branches (integer-numerator
+products, Fraction eliminations) never touch these kernels.
 """
 
 from __future__ import annotations

@@ -24,12 +24,10 @@ from .errors import (
     NotADistribution,
     PairNotSeparated,
 )
-from .fields import Field
 from .groups import MatrixGroup, burnside_irreducible
 from .ldc import LdcInstance, QMatching
 
 __all__ = [
-    "theta",
     "gamma",
     "LogBound",
     "BoundReport",
@@ -43,11 +41,6 @@ __all__ = [
     "AvgFixedSpaceReport",
     "avg_fixed_space",
 ]
-
-
-def theta(field: Field) -> Fraction:
-    """1 for an infinite field, 1 - 1/|F| for GF(p)."""
-    return field.theta
 
 
 def gamma(order: int) -> Fraction:

@@ -240,31 +240,24 @@ def cmd_verify(args) -> int:
         dump_json(payload, args.output)
     else:
         lines = [f"document: {payload['kind']}", f"passed: {payload['passed']}"]
-        failures = payload.get("failures", [])
-        for f in failures:
-            lines.append(f"  failure: {f}")
-        code_rep = payload.get("code_report")
-        if code_rep:
-            lines.append(
-                f"code: m={code_rep['m']} t={code_rep['t']} "
-                f"delta={code_rep['achieved_delta']} "
-                f"(claimed {code_rep['claimed_delta']})"
-            )
-            for c in code_rep["coordinates"]:
-                if c["span_failures"]:
-                    lines.append(
-                        f"  coordinate {c['coordinate']}: bad sets {c['span_failures']}"
-                    )
-        aud = payload.get("entropy_audit")
-        if aud is None:
-            if not payload.get("failures"):
-                lines.append("entropy audit: not applicable (general form)")
-        else:
+        lines += [f"  failure: {f}" for f in payload["failures"]]
+        code_rep = payload["code_report"]
+        lines.append(
+            f"code: m={code_rep['m']} t={code_rep['t']} "
+            f"delta={code_rep['achieved_delta']} "
+            f"(claimed {code_rep['claimed_delta']})"
+        )
+        lines += [f"  coordinate {c['coordinate']}: bad sets {c['span_failures']}"
+                  for c in code_rep["coordinates"] if c["span_failures"]]
+        aud = payload["entropy_audit"]
+        if aud is not None:
             lines.append(
                 f"entropy audit: H(X)={aud['entropy']:.6f}, "
                 f"log2(m) vs 2*delta*t: {aud['code_size_relation']}, "
                 f"passed={aud['passed']}"
             )
+        elif not payload["failures"]:
+            lines.append("entropy audit: not applicable (general form)")
         _emit(args, "\n".join(lines))
     return EXIT_OK if passed else EXIT_VERIFY
 

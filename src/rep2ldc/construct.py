@@ -319,10 +319,7 @@ def beta(cert: ConstructionCert, j: int, s: int, z=None):
     z = cert.z if z is None else (z if isinstance(z, np.ndarray) else field.vector(z))
     c = cert.X.matvec(cert.family.hat_w[j])
     u = cert.group.matrix(s).matvec(z)
-    if field.char:
-        dot = _kernels.matmul_mod(c.reshape(1, -1), u.reshape(-1, 1), field.char)
-        return int(dot[0, 0])
-    return c.dot(u)
+    return field.canon(field.matmul(c, u))
 
 
 def beta_table(cert: ConstructionCert, positions=None) -> np.ndarray:
@@ -536,12 +533,8 @@ def spanning_tuple_identity(cert: ConstructionCert, j: int, s: int) -> np.ndarra
     acc = None
     for h, alpha in zip(cert.hs, cert.alphas):
         pos = int(gj_perm[group.left_perm(h)[s]])
-        term = cert.code.vectors.row(pos) * alpha
-        if field.char:
-            term = term % field.char
-        acc = term if acc is None else acc + term
-        if field.char:
-            acc = acc % field.char
+        term = field.reduce(cert.code.vectors.row(pos) * alpha)
+        acc = term if acc is None else field.reduce(acc + term)
     return acc
 
 

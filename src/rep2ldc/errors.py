@@ -28,7 +28,7 @@ class ZeroVector(Rep2LdcError):
 
 
 class NotInvertible(Rep2LdcError):
-    """A group generator (or matrix to invert) is singular."""
+    """A group generator is singular."""
 
 
 class CapExceeded(Rep2LdcError):

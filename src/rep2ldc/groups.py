@@ -19,9 +19,9 @@ and words.  The table answers group questions with integers: left_perm is
 one gather per BFS level, mul a word walk, inv and element_order walks of
 powers, mult_cycles powers of left_perm, and the conjugacy classes orbits
 of s -> u^-1 s u, whose representatives alone get the batched powers and
-linalg.ranks of orders_and_ranks.  Burnside and spin are each one
-linalg.row_closure under the generators: span(G) is the algebra they
-generate, as g^-1 = g^(ord g - 1).
+linalg.ranks of orders_and_ranks.  Burnside is one linalg.row_closure
+under the generators: span(G) is the algebra they generate, as
+g^-1 = g^(ord g - 1).
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, InternalInconsistency, NotInvertible, ZeroVector
+from .errors import CapExceeded, InternalInconsistency, NotInvertible
 from .fields import Field
-from .linalg import Matrix, Subspace, array_keys, nullspace, rank, ranks, row_closure
+from .linalg import Matrix, array_keys, rank, ranks, row_closure
 
 __all__ = [
     "MatrixGroup",
@@ -41,8 +41,6 @@ __all__ = [
     "close_group",
     "mult_cycles",
     "burnside_irreducible",
-    "spin",
-    "fixed_space",
 ]
 
 DEFAULT_CAP = 200_000
@@ -355,23 +353,3 @@ def burnside_irreducible(group: MatrixGroup) -> bool:
         gens = [group.matrix(u) for u in group.generators]
         group._burnside = row_closure(vec_i, gens).dim == group.dim ** 2
     return group._burnside
-
-
-def spin(v, group: MatrixGroup) -> Subspace:
-    """Smallest group-invariant subspace containing v.
-
-    The row v closed under the transposed generators (g v is the row v g^T);
-    invariance under the generators is invariance under the whole group.
-    """
-    rows = Matrix(group.field, [v])
-    if rows.is_zero():
-        raise ZeroVector("cannot spin the zero vector")
-    if rows.cols != group.dim:
-        raise DimensionMismatch("vector has wrong length")
-    return row_closure(rows, [group.matrix(u).T for u in group.generators])
-
-
-def fixed_space(group: MatrixGroup, h: int) -> Subspace:
-    """Eigenspace {v : h v = v}; its codimension is rank(h - I)."""
-    diff = group.matrix(h) - Matrix.identity(group.field, group.dim)
-    return nullspace(diff)

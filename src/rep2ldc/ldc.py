@@ -10,7 +10,7 @@ One rule, `_set_faults`, decides whether index sets are q distinct,
 pairwise disjoint positions inside the code; QMatching, LdcInstance,
 `verify`, bounds' entropy checks, construct's pre-filter and certcheck all
 take their verdict from it.  One first fit, `_first_fit`, keeps the
-disjoint subfamily for `greedy_disjoint` and construct's general pre-filter.
+disjoint subfamily of construct's general pre-filter.
 
 `verify` also decides the span condition for all sets of a coordinate at
 once, over GF(p) and QQ alike: special2 pairs by one difference array,
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,6 @@ __all__ = [
     "verify",
     "achieved_delta",
     "max_special_matching",
-    "greedy_matching_general",
-    "greedy_disjoint",
     "hadamard",
 ]
 
@@ -62,15 +60,18 @@ def _set_faults(sets, q: int, m: int | None = None) -> _Faults:
     set, pairwise disjoint sets, every member in [0, m).
 
     `sets` is a (k, q) integer array or a sequence of integer sequences,
-    which may differ in length.  In a sequence every member must be an int
-    or a numpy integer; any other member (a bool, a float, a numeric
-    string) raises ValueError.  One sort of the members finds the repeated
-    values; when there are any, a stable sort puts every occurrence of a
-    value after the earlier ones (members come in set order), and an
-    occurrence whose predecessor lies in the same set is a repeat, one
-    whose predecessor lies in an earlier set an overlap.
+    which may differ in length.  Only a 2-D array of signed integers, or
+    of unsigned ones narrower than 64 bits, is cast as a whole; anything
+    else is read as a sequence, where every member must be an int or a
+    numpy integer that fits in int64.  Any other member (a bool, a float,
+    a numeric string) raises ValueError.  One sort of the members finds
+    the repeated values; when there are any, a stable sort puts every
+    occurrence of a value after the earlier ones (members come in set
+    order), and an occurrence whose predecessor lies in the same set is a
+    repeat, one whose predecessor lies in an earlier set an overlap.
     """
-    if isinstance(sets, np.ndarray) and sets.ndim == 2:
+    if isinstance(sets, np.ndarray) and sets.ndim == 2 and (
+            sets.dtype.kind == "i" or sets.dtype.kind == "u" and sets.dtype.itemsize < 8):
         flat = sets.astype(np.int64, copy=False).ravel()
         sizes = np.full(sets.shape[0], sets.shape[1], dtype=np.int64)
     else:
@@ -194,10 +195,6 @@ class LdcInstance:
             outside = _set_faults(mi.members, self.q, self.m).outside
             if outside.any():
                 raise ValueError(f"index out of range in {mi.sets[np.argmax(outside)]}")
-
-    def as_general(self) -> "LdcInstance":
-        """View a special2 instance under the general-form contract."""
-        return replace(self, form="general")
 
     def matching_total(self) -> int:
         return sum(mi.size for mi in self.matchings)
@@ -360,28 +357,6 @@ def max_special_matching(vectors: Matrix, i: int) -> QMatching:
                 heapq.heappush(heap, (n2 + 1, k2, idxs2))
     pairs.sort()
     return QMatching(q=2, sets=tuple(pairs))
-
-
-def greedy_disjoint(candidates: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """First-fit maximal disjoint subfamily, preserving candidate order."""
-    return [tuple(sorted(candidates[k])) for k in _first_fit(candidates)]
-
-
-def greedy_matching_general(vectors: Matrix, i: int, q: int,
-                            candidate_sets: Sequence[Sequence[int]]) -> QMatching:
-    """Greedy disjoint subfamily of spanning q-sets for coordinate i.
-
-    When every index appears in at most q candidates, the kept family has
-    size >= len(candidates)/q**2.  Each candidate is first checked to span
-    e_i.
-    """
-    if len(candidate_sets):
-        members = np.array(candidate_sets, dtype=np.int64).reshape(len(candidate_sets), -1)
-        ok = _spans(vectors.field, vectors.a, "general", i, members)
-        if not ok.all():
-            bad = candidate_sets[int(np.argmin(ok))]
-            raise ValueError(f"candidate {tuple(bad)} does not span e_{i}")
-    return QMatching(q=q, sets=tuple(greedy_disjoint(candidate_sets)))
 
 
 def hadamard(n: int, field: Field) -> LdcInstance:

@@ -3,8 +3,8 @@
 Matrices are immutable wrappers around numpy arrays: int64 residues for
 prime fields (hot paths go through the kernels in _kernels.py), Fraction
 object arrays for the rationals.  Their arithmetic goes through the field's
-`matmul`, `reduce` and `canon`.  Rank, nullspace, factorization and all
-subspace operations (row_closure too) reduce to one deterministic RREF;
+`matmul`, `reduce` and `canon`.  Rank, nullspace, rank factorization and
+the row-space closure row_closure each reduce to one deterministic RREF;
 `ranks` takes the ranks of a whole stack and `array_keys` keys each matrix
 of a stack for dict lookup, on either field.
 """
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, NotInvertible, ZeroMatrix
+from .errors import DimensionMismatch, ZeroMatrix
 from .fields import Field
 
 __all__ = [
@@ -26,12 +26,7 @@ __all__ = [
     "rank",
     "nullspace",
     "rank_factorize",
-    "orth_complement",
-    "subspace_sum",
-    "subspace_contains",
     "row_closure",
-    "apply_to_subspace",
-    "invert",
     "ranks",
     "array_keys",
 ]
@@ -143,11 +138,6 @@ class Matrix:
     def col(self, j: int) -> np.ndarray:
         return self.a[:, j]
 
-    def to_lists(self) -> list[list]:
-        if self.field.char:
-            return [[int(x) for x in row] for row in self.a.tolist()]
-        return [list(row) for row in self.a]
-
     def key(self):
         """Hashable key of the entries, as the group lookup's array_keys."""
         return array_keys(self.field, self.a[None])[0]
@@ -255,19 +245,6 @@ def rank_factorize(d: Matrix) -> tuple[Matrix, Matrix]:
     return y, x
 
 
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square matrix, via Gauss-Jordan on [M | I]."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("inverse of a non-square matrix")
-    n = m.rows
-    aug = np.concatenate([m.a, Matrix.identity(m.field, n).a], axis=1)
-    r, _, piv = rref(Matrix(m.field, aug, _canonical=True))
-    # singular inputs push pivots into the identity block
-    if piv != tuple(range(n)):
-        raise NotInvertible("matrix is singular")
-    return Matrix(m.field, np.ascontiguousarray(r.a[:, n:]), _canonical=True)
-
-
 # -------------------------------------------------------------------------------
 # subspaces
 # -------------------------------------------------------------------------------
@@ -299,29 +276,9 @@ class Subspace:
         m = rows if isinstance(rows, Matrix) else Matrix(field, rows)
         return cls(field, ambient_dim, m)
 
-    @classmethod
-    def zero(cls, field: Field, n: int) -> "Subspace":
-        return cls(field, n, Matrix.zeros(field, 0, n), _trusted=True)
-
-    @classmethod
-    def full(cls, field: Field, n: int) -> "Subspace":
-        return cls(field, n, Matrix.identity(field, n), _trusted=True)
-
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
-    def contains_vector(self, v) -> bool:
-        field = self.field
-        v = v if isinstance(v, np.ndarray) else field.vector(v)
-        if v.shape != (self.ambient_dim,):
-            raise DimensionMismatch("vector has wrong length")
-        stacked = np.concatenate([self.basis.a, v.reshape(1, -1)], axis=0)
-        _, rk, _ = rref(Matrix(field, stacked, _canonical=True))
-        return rk == self.dim
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -337,31 +294,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def subspace_sum(spaces: Sequence[Subspace]) -> Subspace:
-    """Sum of subspaces of a common ambient space."""
-    if not spaces:
-        raise ValueError("empty subspace sum")
-    first = spaces[0]
-    for s in spaces[1:]:
-        if s.field != first.field or s.ambient_dim != first.ambient_dim:
-            raise DimensionMismatch("subspace sum over mismatched spaces")
-    stacked = np.concatenate([s.basis.a for s in spaces], axis=0)
-    return Subspace.from_rows(
-        first.field, first.ambient_dim, Matrix(first.field, stacked, _canonical=True)
-    )
-
-
-def subspace_contains(u: Subspace, v: Subspace) -> bool:
-    """True iff v is contained in u."""
-    if u.field != v.field or u.ambient_dim != v.ambient_dim:
-        raise DimensionMismatch("containment over mismatched spaces")
-    if v.dim > u.dim:
-        return False
-    stacked = np.concatenate([u.basis.a, v.basis.a], axis=0)
-    _, rk, _ = rref(Matrix(u.field, stacked, _canonical=True))
-    return rk == u.dim
 
 
 def row_closure(rows: Matrix, mats: Sequence[Matrix]) -> Subspace:
@@ -382,22 +314,3 @@ def row_closure(rows: Matrix, mats: Sequence[Matrix]) -> Subspace:
         basis = r.a[:rk]
         new = basis[[c not in old for c in piv]]
     return Subspace(field, rows.cols, Matrix(field, basis, _canonical=True), _trusted=True)
-
-
-def orth_complement(u: Subspace) -> Subspace:
-    """All w with <b, w> = 0 for every basis vector b of u.
-
-    Over GF(p) the complement may intersect u; only dim(U) + dim(U^perp)
-    = n and the orthogonality itself are guaranteed.
-    """
-    if u.dim == 0:
-        return Subspace.full(u.field, u.ambient_dim)
-    return nullspace(u.basis)
-
-
-def apply_to_subspace(g: Matrix, u: Subspace) -> Subspace:
-    """Image {g v : v in u}."""
-    if g.field != u.field or g.cols != u.ambient_dim:
-        raise DimensionMismatch("matrix/subspace mismatch")
-    img = u.basis @ g.T
-    return Subspace.from_rows(u.field, g.rows, img)

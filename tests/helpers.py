@@ -159,9 +159,14 @@ def matrix_mul(group, i: int, j: int) -> int:
 
 
 def matrix_inv(group, i: int) -> int:
-    from rep2ldc.linalg import invert
+    """The position of g^(ord g - 1), the last power of g before I."""
+    from rep2ldc.linalg import Matrix
 
-    return group.position_of(invert(group.matrix(i)))
+    ident = Matrix.identity(group.field, group.dim)
+    prev, acc = ident, group.matrix(i)
+    while acc != ident:
+        prev, acc = acc, acc @ group.matrix(i)
+    return group.position_of(prev)
 
 
 def matrix_order(group, i: int) -> int:
@@ -316,24 +321,27 @@ def scan_spans_matrix_algebra(group) -> bool:
 
 
 def vector_spin(v, group):
-    """spin by one vector at a time: each frontier vector times each
-    generator, added by subspace_sum when the space does not contain it."""
-    from rep2ldc.linalg import Subspace, subspace_sum
+    """The smallest invariant subspace holding a nonzero v, one vector at
+    a time: each frontier vector times each generator, kept when it raises
+    the rank of the vectors kept so far."""
+    import numpy as np
+
+    from rep2ldc.linalg import Matrix, Subspace, rank
 
     field, n = group.field, group.dim
     v = field.vector(v)
-    space, frontier = Subspace.from_rows(field, n, v.reshape(1, -1)), [v]
-    gens = [group.elements[g] for g in group.generators]
-    while frontier and space.dim < n:
+    rows, frontier = [v], [v]
+    gens = [group.matrix(g) for g in group.generators]
+    while frontier and len(rows) < n:
         next_frontier = []
         for u in frontier:
             for g in gens:
                 w = g.matvec(u)
-                if not space.contains_vector(w):
-                    space = subspace_sum([space, Subspace.from_rows(field, n, w.reshape(1, -1))])
+                if rank(Matrix.from_array(field, np.stack([*rows, w]))) > len(rows):
+                    rows.append(w)
                     next_frontier.append(w)
         frontier = next_frontier
-    return space
+    return Subspace.from_rows(field, n, Matrix.from_array(field, np.stack(rows)))
 
 
 # Field.matmul over QQ and the rational z search by Fraction arithmetic:
@@ -601,37 +609,45 @@ def reference_cert_from_json(obj):
     return cert
 
 
-# The spanning family one element at a time, through Subspace objects:
-# oracles of construct.minimal_spanning_family and construct.dual_vectors,
-# which work on one stack of translates.
+# The spanning family one element at a time, by one rank or nullspace of
+# the translates kept so far: oracles of construct.minimal_spanning_family
+# and construct.dual_vectors, which work on one stack of translates.
+
+def _span_rank(field, images) -> int:
+    """Rank of the row stack of a list of canonical arrays."""
+    import numpy as np
+
+    from rep2ldc.linalg import Matrix, rank
+
+    return rank(Matrix.from_array(field, np.concatenate(images))) if images else 0
+
 
 def reference_spanning_family(group, u) -> list[int]:
-    """Greedy first fit in BFS order, adding g whenever U^g is not inside
-    the running sum (one apply_to_subspace, subspace_contains and
-    subspace_sum per element), then deleting the first redundant member
-    until none is."""
+    """Greedy first fit in BFS order, adding g whenever the rows of U^g
+    (U's basis times g^T) raise the rank of the translates kept so far,
+    then deleting the first redundant member until none is."""
     from rep2ldc.errors import OrbitDoesNotSpan
-    from rep2ldc.linalg import Subspace, apply_to_subspace, subspace_contains, subspace_sum
 
-    n = group.dim
-    family, images, total = [], [], Subspace.zero(group.field, n)
+    field, n = group.field, group.dim
+    family, images, total = [], [], 0
     for pos in range(len(group)):
-        img = apply_to_subspace(group.matrix(pos), u)
-        if not subspace_contains(total, img):
+        img = (u.basis @ group.matrix(pos).T).a
+        grown = _span_rank(field, [*images, img])
+        if grown > total:
             family.append(pos)
             images.append(img)
-            total = subspace_sum([total, img])
-            if total.is_full():
+            total = grown
+            if total == n:
                 break
-    if not total.is_full():
+    if total < n:
         raise OrbitDoesNotSpan(
-            f"translates of a dim-{u.dim} subspace span only {total.dim} of {n} dimensions"
+            f"translates of a dim-{u.dim} subspace span only {total} of {n} dimensions"
         )
     changed = True
     while changed and len(family) > 1:
         changed = False
         for k in range(len(family)):
-            if subspace_sum(images[:k] + images[k + 1:]).is_full():
+            if _span_rank(field, images[:k] + images[k + 1:]) == n:
                 del family[k]
                 del images[k]
                 changed = True
@@ -641,19 +657,19 @@ def reference_spanning_family(group, u) -> list[int]:
 
 def reference_dual_vectors(group, u, g_refs, y):
     """(W, hat_w): w_i is the first basis row of the orthogonal complement
-    of the other translates' sum with (Y^{g_i})^T w_i != 0, tried one
-    matvec at a time."""
+    of the other translates' sum (the nullspace of their stacked rows)
+    with (Y^{g_i})^T w_i != 0, tried one matvec at a time."""
     import numpy as np
 
     from rep2ldc.errors import InternalInconsistency
-    from rep2ldc.linalg import Matrix, Subspace, apply_to_subspace, orth_complement, subspace_sum
+    from rep2ldc.linalg import Matrix, nullspace
 
     field, n = group.field, group.dim
-    images = [apply_to_subspace(group.matrix(g), u) for g in g_refs]
+    images = [(u.basis @ group.matrix(g).T).a for g in g_refs]
     cols, hats = [], []
     for i, g in enumerate(g_refs):
-        others = images[:i] + images[i + 1:]
-        comp = orth_complement(subspace_sum(others) if others else Subspace.zero(field, n))
+        others = [Matrix.zeros(field, 0, n).a, *images[:i], *images[i + 1:]]
+        comp = nullspace(Matrix.from_array(field, np.concatenate(others)))
         ygi_t = (group.matrix(g) @ y).T
         for r in range(comp.dim):
             if np.any(ygi_t.matvec(comp.basis.row(r)) != 0):
@@ -675,8 +691,6 @@ def reference_nullspace(m):
     n = m.cols
     piv_set = set(piv)
     free = [c for c in range(n) if c not in piv_set]
-    if not free:
-        return Subspace.zero(m.field, n)
     basis = Matrix.zeros(m.field, len(free), n).a.copy()
     for k, f in enumerate(free):
         basis[k, f] = m.field.canon(1)

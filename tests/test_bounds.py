@@ -19,7 +19,6 @@ from rep2ldc.bounds import (
     gamma,
     lambda_bound,
     match_entropy_check,
-    theta,
 )
 from rep2ldc.cli import main
 from rep2ldc.construct import build_special_2ldc, lambda_variant
@@ -30,9 +29,9 @@ from rep2ldc.errors import (
 )
 from rep2ldc.fields import GF, QQ
 from rep2ldc.fixtures import parse_fixture
-from rep2ldc.groups import close_group, fixed_space
+from rep2ldc.groups import close_group
 from rep2ldc.ldc import LdcInstance, QMatching, hadamard, max_special_matching, verify
-from rep2ldc.linalg import Matrix, rank
+from rep2ldc.linalg import Matrix, nullspace, rank
 from rep2ldc.serialize import canonical_json, dump_json, ldc_to_json
 
 F2, F3, F11 = GF(2), GF(3), GF(11)
@@ -40,9 +39,9 @@ F2, F3, F11 = GF(2), GF(3), GF(11)
 
 class TestThetaGamma:
     def test_theta_values(self):
-        assert theta(QQ) == 1
-        assert theta(F2) == Fraction(1, 2)
-        assert theta(F3) == Fraction(2, 3)
+        assert QQ.theta == 1
+        assert F2.theta == Fraction(1, 2)
+        assert F3.theta == Fraction(2, 3)
 
     def test_gamma_values(self):
         assert gamma(2) == 1
@@ -50,7 +49,7 @@ class TestThetaGamma:
         assert gamma(1) == 0
 
     def test_monotonicity(self):
-        thetas = [theta(GF(p)) for p in (2, 3, 5, 7, 11, 13)]
+        thetas = [GF(p).theta for p in (2, 3, 5, 7, 11, 13)]
         assert thetas == sorted(thetas)
         odd_gammas = [gamma(k) for k in (3, 5, 7, 9, 11)]
         assert odd_gammas == sorted(odd_gammas)
@@ -195,7 +194,8 @@ class TestOnePassTable:
         assert [repr(r) for r in reports] == [repr(r) for r in want]
 
         g = fresh_group(closed)
-        total = sum(fixed_space(g, pos).dim for pos in range(len(g)))
+        ident = Matrix.identity(g.field, g.dim)
+        total = sum(nullspace(g.matrix(pos) - ident).dim for pos in range(len(g)))
         report = avg_fixed_space(fresh_group(closed))
         assert report.average == Fraction(total, len(g))
         assert report.to_json() == {
@@ -434,7 +434,7 @@ class TestEntropyAudit:
 
     def test_general_form_not_applicable(self):
         with pytest.raises(ValueError):
-            entropy_audit(hadamard(2, F2).as_general())
+            entropy_audit(dataclasses.replace(hadamard(2, F2), form="general"))
 
     def test_chain_identity_small_random(self):
         rng = np.random.default_rng(123)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -370,7 +371,7 @@ class TestVerifyLdcFiles:
         assert doc["entropy_audit"]["code_size_relation"] == "eq"
 
     def test_general_form_audit_not_applicable(self, tmp_path, capsys):
-        inst = hadamard(2, GF(2)).as_general()
+        inst = dataclasses.replace(hadamard(2, GF(2)), form="general")
         path = tmp_path / "general.json"
         dump_json(ldc_to_json(inst), str(path))
         assert main(["verify", "--input", str(path)]) == 0

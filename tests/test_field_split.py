@@ -11,7 +11,6 @@ SPLIT_MODULES = {"fields.py", "linalg.py", "_kernels.py", "fixtures.py"}
 ALLOWED = {
     "choose_z",                 # exhaustive or seeded scan over GF(p), lattice search over QQ
     "verify_cert",              # the surviving-fraction message differs by field
-    "beta", "spanning_tuple_identity",  # element-wise references of the array checks
 }
 
 

@@ -28,8 +28,6 @@ from rep2ldc.ldc import (
     LdcInstance,
     QMatching,
     achieved_delta,
-    greedy_disjoint,
-    greedy_matching_general,
     hadamard,
     max_special_matching,
     verify,
@@ -51,7 +49,7 @@ class TestHadamard:
 
     def test_n1_single_pair(self):
         inst = hadamard(1, F2)
-        assert inst.vectors.to_lists() == [[0], [1]]
+        assert inst.vectors.a.tolist() == [[0], [1]]
         assert inst.matchings[0].sets == ((0, 1),)
 
     def test_gf5_differences_are_unit_vectors(self):
@@ -63,7 +61,7 @@ class TestHadamard:
 
     def test_special_implies_general(self):
         inst = hadamard(3, F3)
-        assert verify(inst.as_general()).passed
+        assert verify(dataclasses.replace(inst, form="general")).passed
 
 
 class TestVerify:
@@ -177,15 +175,13 @@ class TestMaxSpecialMatching:
 
 
 class TestGreedyMatching:
+    """ldc._first_fit, the first fit of construct's general pre-filter."""
+
     def test_disjoint_candidates_all_kept(self):
-        vectors = hadamard(3, F2).vectors
-        cands = [(0, 1), (2, 3), (4, 5)]
-        got = greedy_matching_general(vectors, 0, 2, cands)
-        assert got.sets == ((0, 1), (2, 3), (4, 5))
+        assert ldc._first_fit([(0, 1), (2, 3), (4, 5)]) == [0, 1, 2]
 
     def test_empty(self):
-        vectors = hadamard(2, F2).vectors
-        assert greedy_matching_general(vectors, 0, 2, []).size == 0
+        assert ldc._first_fit([]) == []
 
     def test_quadratic_loss_bound(self):
         # 12 candidate 3-sets over [12], each index in exactly 3 of them:
@@ -196,15 +192,7 @@ class TestGreedyMatching:
             for x in c:
                 uses[x] = uses.get(x, 0) + 1
         assert max(uses.values()) == 3
-        kept = greedy_matching_general(Matrix(F2, [[1]] * 12), 0, 3, cands)
-        assert kept.size >= 2  # ceil(12 / 3^2)
-
-    def test_span_validation(self):
-        inst = hadamard(2, F2)
-        with pytest.raises(ValueError):
-            greedy_matching_general(inst.vectors, 0, 2, [(0, 0b10)])  # differ at i=1
-        ok = greedy_matching_general(inst.vectors, 0, 2, [(0, 1)])
-        assert ok.size == 1
+        assert len(ldc._first_fit(cands)) >= 2  # ceil(12 / 3^2)
 
 
 class TestQMatchingInvariants:
@@ -361,15 +349,16 @@ def test_prime_field_verify_does_no_elimination(form, monkeypatch):
         monkeypatch.setattr(linalg, name, boom)
     monkeypatch.setattr(_kernels, "rref_mod", boom)
     inst = hadamard(4, F5)
-    report = verify(inst if form == "special2" else inst.as_general())
+    report = verify(dataclasses.replace(inst, form=form))
     assert report.passed and report.sigma == 32
 
 
 class TestQMatchingArrays:
     def test_array_input_sorted_to_int_tuples(self):
-        got = QMatching(2, np.array([[3, 0], [2, 5]]))
-        assert got.sets == ((0, 3), (2, 5))
-        assert all(type(j) is int for s in got.sets for j in s)
+        for dtype in (np.int64, np.int8, np.uint32, np.uint64, object):
+            got = QMatching(2, np.array([[3, 0], [2, 5]], dtype=dtype))
+            assert got.sets == ((0, 3), (2, 5))
+            assert all(type(j) is int for s in got.sets for j in s)
 
     @pytest.mark.parametrize("sets, message", [
         ([[0, 1], [1, 2]], "set (1, 2) overlaps an earlier set"),
@@ -401,8 +390,9 @@ class TestQMatchingArrays:
 
 
 class TestStrictMembers:
-    """Sequence input to the set rule takes int and numpy integer members
-    only; anything else is refused by name, not truncated or parsed."""
+    """The set rule takes int and numpy integer members only, from a
+    sequence or from an array of any dtype; anything else is refused by
+    name, not truncated or parsed."""
 
     @pytest.mark.parametrize("sets, named", [
         (((0, 1.5),), "1.5"),
@@ -414,6 +404,23 @@ class TestStrictMembers:
     def test_qmatching_refuses(self, sets, named):
         with pytest.raises(ValueError, match=f"^set member {re.escape(named)} is not an integer$"):
             QMatching(2, sets)
+
+    @pytest.mark.parametrize("sets", [
+        np.array([[0, 1.9], [2.2, 3]]),
+        np.array([["0", "1"]]),
+        np.array([[True, False]]),
+        np.array([[0.0, 1.0]], dtype=object),
+    ], ids=["float", "str", "bool", "object-float"])
+    def test_arrays_refused_as_sequences(self, sets):
+        """An array that is not of a machine integer type goes through the
+        sequence checks: its first member is named, not cast."""
+        named = re.escape(repr(sets.flat[0]))
+        with pytest.raises(ValueError, match=f"^set member {named} is not an integer$"):
+            QMatching(2, sets)
+
+    def test_uint64_beyond_int64_refused(self):
+        with pytest.raises(ValueError, match="^set member does not fit in int64"):
+            QMatching(2, np.array([[0, 2**63]], dtype=np.uint64))
 
     def test_match_entropy_check_refuses(self):
         with pytest.raises(ValueError, match=r"^set member 1\.5 is not an integer$"):
@@ -505,10 +512,10 @@ class TestSetFamilyRule:
         q = 2 if form == "special2" else q
         inst = hadamard(3, F3)
         if form == "general":
-            inst = dataclasses.replace(inst.as_general(), q=q, matchings=(QMatching(q, ()),) * 3)
+            inst = dataclasses.replace(inst, form=form, q=q, matchings=(QMatching(q, ()),) * 3)
         inst = _smuggle(inst, 1, sets)
         got = [(c.span_failures, c.structure_failures) for c in verify(inst).coordinates]
-        rows = inst.vectors.to_lists()
+        rows = inst.vectors.a.tolist()
         want = reference_verify(rows, form, q, inst.m,
                                 [mi.sets for mi in inst.matchings], 3)
         assert got == want
@@ -578,9 +585,7 @@ class TestSetFamilyRule:
     @given(candidates=st.lists(st.lists(st.integers(0, 9), max_size=4).map(tuple),
                                max_size=10))
     def test_greedy_disjoint(self, candidates):
-        kept = reference_first_fit(candidates)
-        assert ldc._first_fit(candidates) == kept
-        assert greedy_disjoint(candidates) == [tuple(sorted(candidates[k])) for k in kept]
+        assert ldc._first_fit(candidates) == reference_first_fit(candidates)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(hs=st.lists(st.integers(0, 23), min_size=1, max_size=4))
@@ -643,7 +648,6 @@ class TestSetFamilyRule:
              lambda: build_q_ldc(group, [group.generators[0], group.identity_pos], [1, -1])),
             ("_first_fit", "_greedy_kept_s",
              lambda: build_q_ldc(group, [group.generators[0], group.identity_pos], [1, -1])),
-            ("_first_fit", "greedy_disjoint", lambda: greedy_disjoint([(0, 1), (1, 2)])),
         ]
         for name, caller, call in sites:
             callers[name].clear()
