@@ -50,7 +50,6 @@ from .ldc import (
     LdcInstance,
     QMatching,
     VerificationReport,
-    achieved_delta,
     hadamard,
     max_special_matching,
     verify,
@@ -83,7 +82,7 @@ __all__ = [
     "MatrixGroup", "CycleDecomposition", "close_group", "mult_cycles",
     "burnside_irreducible",
     # ldc
-    "QMatching", "LdcInstance", "VerificationReport", "verify", "achieved_delta",
+    "QMatching", "LdcInstance", "VerificationReport", "verify",
     "max_special_matching", "hadamard",
     # construct
     "ConstructionCert", "SpanningFamily", "combine", "minimal_spanning_family",

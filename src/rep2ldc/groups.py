@@ -8,14 +8,17 @@ as one read-only (m, n, n) array (int64 residues over GF(p), Fractions over
 QQ); index maps the linalg.array_keys key of each to its position.
 
 One BFS pass fixes that numbering and is the int64 Cayley table, right[s, k]
-= position of elements[s] @ gen_k over the distinct generators: a chunk of
-positions times every generator is one Field.matmul, its products keyed by
-one linalg.array_keys call.  A product first met is the next element, its
-word its parent's plus the generator's letter; any other is a table entry.
-So the pass is the closure proof: every row filled means the set, holding
-I, is closed, and every element is a generator word in BFS order.  A copy
-made with the constructor replays the pass against its own array, index
-and words.  The table answers group questions with integers: left_perm is
+= position of elements[s] @ gen_k over the distinct generators.  It runs on
+points, the orbit of the rows of I (row i of g @ u is (row i of g) @ u):
+at most n per element, often far fewer, and the only rows multiplied and
+keyed.  An element is its n point ids and act[k, p] the id of point p @
+gen_k, so a chunk times every generator is one integer gather.  A product
+first met is the next element, its word its parent's plus the generator's
+letter; any other is a table entry.  So the pass is the closure proof:
+every row filled means the set, holding I, is closed, and every element is
+a generator word in BFS order.  A copy made with the constructor replays
+the pass and compares it, a chunk at a time, with its array, index and words.
+The table answers group questions with integers: left_perm is
 one gather per BFS level, mul a word walk, inv and element_order walks of
 powers, mult_cycles powers of left_perm, and the conjugacy classes orbits
 of s -> u^-1 s u, whose representatives alone get the batched powers and
@@ -110,15 +113,28 @@ class MatrixGroup:
 
     def _cayley(self):
         """(right, parent, last, levels) of the BFS pass, which a copy replays on
-        first use: each element's key must lead back to it, its word be derived."""
+        first use and compares with its elements, index and words block by block."""
         if self._table is None:
+            field, stack = self.field, self._stack
+            if not (stack[0] == Matrix.identity(field, self.dim).a).all():
+                raise InternalInconsistency("elements[0] is not I")
             gens = [(self.generators.index(u), self.matrix(u))
                     for u in dict.fromkeys(self.generators)]
-            _, words, table = _bfs(self.field, self._stack, self.index, gens, None)
-            held = list(map(self.index.get, array_keys(self.field, self._stack)))
-            if held != list(range(len(held))):
-                t = next(t for t, pos in enumerate(held) if pos != t)
-                raise InternalInconsistency(f"element {t} is numbered out of BFS order")
+            step = max(1, CLOSURE_CHUNK // self.dim)  # blocks of CLOSURE_CHUNK rows
+            try:
+                points, ids, words, table = _bfs(field, gens, len(stack))
+                for s in range(0, len(ids), step):
+                    block, own = points[ids[s:s + step]], stack[s:s + step]
+                    pairs = zip(array_keys(field, block), array_keys(field, own))
+                    held = [self.index[k] if k == w else -1 for k, w in pairs]  # no Fraction ==
+                    bad = np.flatnonzero(np.array(held) != np.arange(s, s + len(held)))
+                    if bad.size:
+                        raise InternalInconsistency(
+                            f"element {s + bad[0]} is numbered out of BFS order")
+            except (CapExceeded, KeyError):  # more elements than the copy, or one not in it
+                raise InternalInconsistency("BFS closure is not closed") from None
+            if len(stack) != len(ids) or len(self.index) != len(ids):
+                raise InternalInconsistency("elements and index are not the BFS numbering")
             if words != self.words:
                 t = next(t for t, (w, v) in enumerate(zip_longest(words, self.words)) if w != v)
                 raise InternalInconsistency(f"BFS word of element {t} has no parent")
@@ -235,7 +251,7 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
     The identity sits at position 0; products explore cur @ gen in
     generator order, so positions are reproducible.  The one BFS pass
     numbers the elements, builds the Cayley table and proves the result
-    closed.  Raises CapExceeded if the closure grows past `cap`,
+    closed.  Raises CapExceeded past `cap` elements or n * cap points,
     ValueError for a cap below 1, NotInvertible for singular input.
     """
     if not generators:
@@ -251,76 +267,76 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
         if rank(g) != n:
             raise NotInvertible("generator is singular")
 
-    ident = Matrix.identity(field, n)
-    index = {ident.key(): 0}
     gens = [(generators.index(g), g) for g in dict.fromkeys(generators)]  # letters: first indices
-    stack, words, table = _bfs(field, np.array([ident.a]), index, gens, cap)
+    points, ids, words, table = _bfs(field, gens, cap)
+    stack = points[ids]
+    index = dict(zip(array_keys(field, stack), range(len(stack))))
     group = MatrixGroup(field, n, stack, index, tuple(index[g.key()] for g in generators), words)
     group._table = table
     return group
 
 
-def _bfs(field: Field, stack: np.ndarray, index: dict, gens: list, cap: int | None):
-    """The BFS pass (see the module docstring): (stack, words, (right, parent,
-    last, levels)), last(s) as a table column and levels as (positions,
-    parents, lasts) per BFS level from depth 1.
+def _bfs(field: Field, gens: list, cap: int):
+    """The BFS pass (see the module docstring): (points, ids, words, (right,
+    parent, last, levels)), element s being points[ids[s]], last(s) a table
+    column and levels (positions, parents, lasts) per BFS level from depth 1.
 
-    Positions are taken CLOSURE_CHUNK at a time, their rows of `stack` times
-    every (letter, Matrix) of `gens` side by side in one field.matmul, the
-    products keyed in one linalg.array_keys call.  A product missing from
-    `index` is the next element, added to index and to `stack` (resized in
-    place) up to `cap` elements.  cap None is a replay of a full stack,
-    where that is an error, as is an element first met out of order.
-    """
-    n, nk = stack.shape[1], len(gens)
-    if not (stack[0] == Matrix.identity(field, n).a).all():
-        raise InternalInconsistency("elements[0] is not I")
+    Positions are taken CLOSURE_CHUNK at a time.  The points met since the
+    last chunk (the rows of I at first) times every (letter, Matrix) of `gens`
+    side by side is one field.matmul, its rows numbered into act by one
+    linalg.array_keys call; the chunk times every generator is then
+    act[:, ids].  Past `cap` elements or n * cap points (each is a row of an
+    element), CapExceeded."""
+    n, nk = gens[0][1].rows, len(gens)
     side_by_side = np.concatenate([g.a for _, g in gens], axis=1)
-    m, right, parent, last = len(stack), [], [0], [0]
-    s = 0
+    fresh = Matrix.identity(field, n).a  # the points not yet in act
+    blocks, points = [fresh], dict(zip(array_keys(field, fresh[:, None]), range(n)))
+    dt = np.min_scalar_type(n * cap)  # holds every id: more points raise CapExceeded first
+    act, as_key = np.empty((nk, n), dtype=dt), np.dtype((np.void, dt.itemsize * n))
+    keys = [np.arange(n, dtype=dt).tobytes()]  # of the elements, in BFS order
+    index, right, parent, last = {keys[0]: 0}, [], [0], [0]
+    s = done = 0
     while s < len(parent):
         e = min(s + CLOSURE_CHUNK, len(parent))  # only rows already met
-        prods = field.matmul(stack[s:e].reshape(-1, n), side_by_side)
-        prods = prods.reshape(e - s, n, nk, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
-        keys = array_keys(field, prods)
-        found = list(map(index.get, keys))
-        if None in found:
-            if cap is None:
-                raise InternalInconsistency("BFS closure is not closed")
-            for j in [j for j, t in enumerate(found) if t is None]:  # numbered as met, once
-                found[j] = index.setdefault(keys[j], len(index))
-            if len(index) > cap:
+        if done < len(points):
+            images = field.matmul(fresh, side_by_side).reshape(-1, n)
+            to, new = _number(points, array_keys(field, images[:, None]))
+            if len(points) > n * cap:
                 raise CapExceeded(cap)
-        found = np.array(found, dtype=np.int64)
-        seen = np.maximum.accumulate(np.concatenate([[len(parent) - 1], found[:-1]]))
-        first = np.flatnonzero(found > seen)  # first met: each the next element
-        met = found[first]
-        if cap is not None:  # closing: the products first met are the new elements
-            if m + len(met) > len(stack):  # in place: no view of it outlives a statement
-                stack.resize(((m + len(met)) * 5 // 4, n, n), refcheck=False)
-            stack[m:m + len(met)] = prods[first]
-            m += len(met)
-        bad = (met != np.arange(len(parent), len(parent) + len(met))) | (met >= m)
-        if bad.any():
-            raise InternalInconsistency(f"element {met[bad][0]} is numbered out of BFS order")
-        parent.extend((s + first // nk).tolist())
-        last.extend((first % nk).tolist())
-        right.append(found)
+            if len(points) > act.shape[1]:  # capacity doubles
+                act = np.concatenate([act, np.empty((nk, len(points)), dtype=dt)], axis=1)
+            act[:, done:done + len(fresh)] = np.array(to).reshape(-1, nk).T
+            done, fresh = done + len(fresh), images[new]
+            blocks.append(fresh)
+        ids = np.frombuffer(b"".join(keys[s:e]), dtype=dt).reshape(-1, n)
+        prods = np.ascontiguousarray(act[:, ids].swapaxes(0, 1)).view(as_key).ravel().tolist()
+        found, first = _number(index, prods)
+        if len(index) > cap:
+            raise CapExceeded(cap)
+        keys.extend([prods[j] for j in first])
+        parent.extend([s + j // nk for j in first])
+        last.extend([j % nk for j in first])
+        right.extend(found)
         s = e
-    if len(parent) != m or len(index) != m:
-        raise InternalInconsistency("elements and index are not the BFS numbering")
-    letters = [letter for letter, _ in gens]
     words = [()]
     for row, k in zip(parent[1:], last[1:]):
-        words.append(words[row] + (letters[k],))
-    right = np.concatenate(right).reshape(-1, nk)
-    parent, last = np.array(parent), np.array(last)
-    depth = np.fromiter(map(len, words), dtype=np.int64, count=m)
+        words.append(words[row] + (gens[k][0],))
+    right, parent, last = np.array(right).reshape(-1, nk), np.array(parent), np.array(last)
+    depth = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
     levels = [(pos, parent[pos], last[pos])
-              for pos in np.split(np.arange(m), np.flatnonzero(np.diff(depth)) + 1)[1:]]
-    if len(stack) > m:
-        stack.resize((m, n, n), refcheck=False)
-    return stack, tuple(words), (right, parent, last, levels)
+              for pos in np.split(np.arange(len(words)), np.flatnonzero(np.diff(depth)) + 1)[1:]]
+    ids = np.frombuffer(b"".join(keys), dtype=dt).reshape(-1, n)
+    return np.concatenate(blocks), ids, tuple(words), (right, parent, last, levels)
+
+
+def _number(index: dict, keys: list) -> tuple[list, list]:
+    """(positions of keys in index, numbering new keys as met; where those first occur)."""
+    found, first, size = list(map(index.get, keys)), [], len(index)
+    for j in [j for j, t in enumerate(found) if t is None]:
+        found[j] = index.setdefault(keys[j], len(index))
+        if found[j] == size + len(first):
+            first.append(j)
+    return found, first
 
 
 def mult_cycles(group: MatrixGroup, h: int) -> CycleDecomposition:

@@ -39,7 +39,6 @@ __all__ = [
     "VerificationReport",
     "CoordinateReport",
     "verify",
-    "achieved_delta",
     "max_special_matching",
     "hadamard",
 ]
@@ -317,11 +316,6 @@ def verify(instance: LdcInstance) -> VerificationReport:
         claimed_delta=instance.claimed_delta,
         delta_ok=delta >= instance.claimed_delta,
     )
-
-
-def achieved_delta(instance: LdcInstance) -> Fraction:
-    """Exact sum of matching sizes over m*t."""
-    return Fraction(instance.matching_total(), instance.m * instance.t)
 
 
 def max_special_matching(vectors: Matrix, i: int) -> QMatching:

@@ -27,6 +27,8 @@ from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
+
 from .errors import NotInvertible, ParseError
 from .fields import Field, rational_from_json
 from .groups import MatrixGroup, close_group
@@ -97,6 +99,16 @@ def json_int_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
             json_int(value, name)
         raise
     return out
+
+
+def _int64_rows(rows: tuple):
+    """Checked int rows as one (k, c) int64 array; none, ragged or beyond int64: as given."""
+    if len(set(map(len, rows))) != 1:
+        return rows
+    try:
+        return np.fromiter(chain.from_iterable(rows), np.int64).reshape(len(rows), len(rows[0]))
+    except OverflowError:
+        return rows
 
 
 def json_fraction(value, name: str) -> Fraction:
@@ -195,9 +207,8 @@ def ldc_from_json(obj) -> LdcInstance:
         q = json_int(obj["q"], "q")
         if q > m:  # a set of q distinct positions needs q <= m
             raise ParseError(f"q must be at most m = {m}, got {q}")
-        matchings = tuple(
-            QMatching(q=q, sets=json_int_rows(mi, "matchings")) for mi in obj["matchings"]
-        )
+        rows = [_int64_rows(json_int_rows(mi, "matchings")) for mi in obj["matchings"]]
+        matchings = tuple(QMatching(q=q, sets=sets) for sets in rows)
         form = str(obj["form"])
         claimed = json_fraction(obj["claimed_delta"], "claimed_delta")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -208,6 +208,21 @@ class TestCloseGroup:
         with pytest.raises(InternalInconsistency, match=message):
             damaged._cayley()
 
+    @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
+    @pytest.mark.parametrize("reindexed", [True, False])  # the index follows the swap, or not
+    def test_non_element_swapped_in_detected(self, request, fixture, reindexed):
+        g = request.getfixturevalue(fixture)
+        elements, index = list(g.elements), dict(g.index)
+        rows = [[int(i == j or (i, j) == (0, 1)) for j in range(g.dim)] for i in range(g.dim)]
+        outsider = Matrix(g.field, rows)  # same shape, not monomial, so not in the group
+        if reindexed:
+            del index[elements[37].key()]
+            index[outsider.key()] = 37
+        elements[37] = outsider
+        damaged = MatrixGroup(g.field, g.dim, elements, index, g.generators, g.words)
+        with pytest.raises(InternalInconsistency, match="element 37 is numbered out of BFS order"):
+            damaged._cayley()
+
     def test_position_of_rejects_another_field_or_shape(self, signed_shift_4_3):
         g = signed_shift_4_3
         s = g.generators[1]
@@ -246,8 +261,8 @@ class TestLeftPerm:
 
     def test_large_prime_falls_back_exactly(self):
         # n (p-1)^2 overflows int64: the BFS pass takes _kernels.matmul_mod's
-        # one object-dtype product over each chunk, when closing the group
-        # and when a copy replays it
+        # one object-dtype product over each chunk's new points, when closing
+        # the group and when a copy replays it
         from rep2ldc.fixtures import signed_shift_group
 
         g = fresh_group(signed_shift_group(4, 2147483647))
@@ -337,17 +352,19 @@ def test_numbering_is_pinned(spec):
 
 @st.composite
 def generator_sets(draw):
-    """1-3 generators, drawn with repeats from up to 3 invertible 2x2 or 3x3
-    matrices and I, with a small cap and a BFS chunk size."""
-    field = draw(st.sampled_from([GF(2), GF(3), GF(5), QQ]))
-    n = draw(st.sampled_from([2, 3]))
+    """1-3 generators, drawn with repeats from up to 3 invertible n x n
+    matrices (n = 2, 3, 4) and I, with a small cap and a BFS chunk size: the
+    orbit of the rows of I reaches up to n * |G| points, and n * cap ones
+    past the cap."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(5), GF(7), QQ]))
+    n = draw(st.sampled_from([2, 3, 4]))
     entry = st.integers(0, field.char - 1) if field.char else st.integers(-1, 1)
     matrix = st.lists(entry, min_size=n * n, max_size=n * n).map(
         lambda v: Matrix(field, [v[i:i + n] for i in range(0, n * n, n)])
     ).filter(lambda m: rank(m) == n)
     pool = draw(st.lists(matrix, min_size=1, max_size=3)) + [Matrix.identity(field, n)]
     gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-    return gens, draw(st.integers(1, 200)), draw(st.sampled_from([1024, 7]))
+    return gens, draw(st.integers(1, 200)), draw(st.sampled_from([1024, 7, 1]))
 
 
 class TestAgainstPerElementBfs:
@@ -393,29 +410,35 @@ class TestAgainstPerElementBfs:
 
 
 class TestOneProductPass:
-    """|G| x #distinct generators products, for close_group and for a copy's
-    replay, counted as n x n blocks out of Field.matmul over both fields."""
+    """|Omega| x #distinct generators row products, for close_group and for a
+    copy's replay, counted as rows out of Field.matmul over both fields;
+    Omega, the orbit of the rows of I, is counted as the distinct rows of
+    the elements."""
 
     @pytest.mark.parametrize("spec", ["signed_shift(4,3)", "dihedral(5,11)", "symmetric(5,7)",
-                                      "signed_shift(4,0)"])
+                                      "signed_shift(4,0)", "signed_shift(10,3)"])
     def test_each_product_once(self, monkeypatch, spec):
         closed = parse_fixture(spec)
         gens = [closed.matrix(u) for u in closed.generators]
+        rows = closed.stacked().reshape(-1, closed.dim)
+        orbit = len(set(map(tuple, rows.tolist())))
         count = []
         matmul = Field.matmul
 
         def counted(field, a, b):
             out = matmul(field, a, b)
-            count.append(out.size // closed.dim ** 2)  # n x n products
+            count.append(out.size // closed.dim)  # rows times one generator
             return out
 
         monkeypatch.setattr(Field, "matmul", counted)
         g = close_group(gens)
-        expected = len(g) * len(set(g.generators))
-        assert sum(count) == expected
+        expected = orbit * len(set(g.generators))
+        assert sum(count) == expected <= len(g) * len(set(g.generators))
         count.clear()
         fresh_group(g)._cayley()
         assert sum(count) == expected
+        if spec == "signed_shift(10,3)":
+            assert orbit == 20 and expected == 40 and len(g) == 10_240
 
 
 class TestOrdersAndRanks:

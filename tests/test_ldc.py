@@ -27,7 +27,6 @@ from rep2ldc.fields import GF, QQ
 from rep2ldc.ldc import (
     LdcInstance,
     QMatching,
-    achieved_delta,
     hadamard,
     max_special_matching,
     verify,
@@ -45,7 +44,7 @@ class TestHadamard:
         assert inst.m == 2**n and inst.t == n
         report = verify(inst)
         assert report.passed
-        assert achieved_delta(inst) == Fraction(1, 2)
+        assert report.achieved_delta == Fraction(1, 2)
 
     def test_n1_single_pair(self):
         inst = hadamard(1, F2)
@@ -68,7 +67,7 @@ class TestVerify:
     def test_achieved_delta_hadamard4(self):
         inst = hadamard(4, F2)
         assert inst.matching_total() == 32
-        assert achieved_delta(inst) == Fraction(32, 64)
+        assert verify(inst).achieved_delta == Fraction(32, 64)
 
     def test_empty_matchings(self):
         inst = LdcInstance(
@@ -77,8 +76,8 @@ class TestVerify:
             matchings=(QMatching(2, ()), QMatching(2, ())),
             form="special2", q=2, claimed_delta=Fraction(0),
         )
-        assert achieved_delta(inst) == 0
-        assert verify(inst).passed
+        report = verify(inst)
+        assert report.achieved_delta == 0 and report.passed
 
     def test_span_violation_pinpointed(self):
         # pair differing in two coordinates cannot span e_i as a difference
@@ -131,7 +130,7 @@ class TestVerify:
                 field=F3, t=t, m=m, vectors=vectors, matchings=matchings,
                 form="special2", q=2, claimed_delta=Fraction(0),
             )
-            assert 0 <= achieved_delta(inst) <= Fraction(1, 2)
+            assert 0 <= verify(inst).achieved_delta <= Fraction(1, 2)
 
 
 class TestMaxSpecialMatching:
