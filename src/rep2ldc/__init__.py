@@ -15,7 +15,6 @@ from .bounds import (
     LogBound,
     avg_fixed_space,
     check_rank_separation,
-    entropy,
     entropy_audit,
     gamma,
     lambda_bound,
@@ -91,7 +90,7 @@ __all__ = [
     "lambda_variant", "orbit_projection_check",
     # bounds
     "gamma", "LogBound", "BoundReport", "check_rank_separation",
-    "lambda_bound", "entropy", "match_entropy_check", "EntropyAudit",
+    "lambda_bound", "match_entropy_check", "EntropyAudit",
     "entropy_audit", "AvgFixedSpaceReport", "avg_fixed_space",
     # fixtures
     "signed_shift_group", "dihedral_rep", "symmetric_standard_rep", "parse_fixture",

@@ -19,11 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ldc
-from .errors import (
-    MatchingCrossesPrefixClass,
-    NotADistribution,
-    PairNotSeparated,
-)
+from .errors import MatchingCrossesPrefixClass, PairNotSeparated
 from .groups import MatrixGroup, burnside_irreducible
 from .ldc import LdcInstance, QMatching
 
@@ -33,7 +29,6 @@ __all__ = [
     "BoundReport",
     "check_rank_separation",
     "lambda_bound",
-    "entropy",
     "match_entropy_check",
     "MatchEntropyResult",
     "EntropyAudit",
@@ -223,14 +218,6 @@ def check_rank_separation(group: MatrixGroup) -> list[BoundReport]:
 def lambda_bound(n: int, group_size: int, th: Fraction, gm: Fraction) -> LogBound:
     """Bound theta*gamma*n / (2 log2(2|G|)) for rank(rho(h) - lambda*I)."""
     return LogBound(numerator=th * gm * n, log_arg=2 * group_size, coeff=2)
-
-
-def entropy(weights) -> float:
-    """Shannon entropy of an exact distribution, with 0 log(1/0) = 0."""
-    weights = [Fraction(w) for w in weights]
-    if any(w < 0 for w in weights) or sum(weights) != 1:
-        raise NotADistribution("weights must be nonnegative and sum to 1")
-    return float(sum(-float(w) * math.log2(float(w)) for w in weights if w != 0))
 
 
 def _entropy_of_counts(counts) -> float:

@@ -22,6 +22,7 @@ from .bounds import EntropyAudit, entropy_audit
 from .construct import (
     ConstructionCert,
     SpanningFamily,
+    _tuple_positions,
     beta_table,
     check_spanning_identities,
     code_shape,
@@ -224,8 +225,7 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     # pre-filter matching structure at the s-level
     check(len(cert.kept_s) == cert.prefilter_size,
           "prefilter size differs from kept_s length")
-    kept = np.asarray(cert.kept_s, dtype=np.int64)
-    tuples = np.stack([group.left_perm(h)[kept] for h in cert.hs], axis=1)
+    tuples = _tuple_positions(group, cert.hs, [group.identity_pos], cert.kept_s)[0].T
     faults = ldc._set_faults(tuples, len(cert.hs))
     check(not (faults.bad_size | faults.overlap).any(), "pre-filter tuples are not disjoint")
     check(prefilter_holds(group, cert.kind, cert.hs, len(cert.kept_s)),

@@ -7,8 +7,8 @@ flag, a bad flag value; a fixture whose field does not suit it: even p, no
 root of unity, p dividing k; a singular generator; a cap below 1; an
 element position outside [0, |G|); a scalar flag that is not a field
 element), 2 cap exceeded, 3 verification or bound failure, 4 degenerate
-input (zero combination / identity element / scalar multiple of identity /
-zero vector), 5 spanning failure, 6 internal inconsistency (a bug),
+input (zero combination / identity element / scalar multiple of identity),
+5 spanning failure, 6 internal inconsistency (a bug),
 7 randomized search budget exhausted, 141 the reader closed stdout early
 (128 + SIGPIPE, quietly).  --help and --version exit 0.  EXIT_CODES gives
 the code of every error class.  All randomness flows from --seed through
@@ -37,7 +37,6 @@ from .errors import (
     InternalInconsistency,
     MatchingCrossesPrefixClass,
     NoRootOfUnity,
-    NotADistribution,
     NotInvertible,
     OrbitDoesNotSpan,
     PairNotSeparated,
@@ -45,7 +44,6 @@ from .errors import (
     Rep2LdcError,
     ScalarMultipleOfIdentity,
     ZeroMatrix,
-    ZeroVector,
 )
 from .fields import Field, rational_from_json
 from .fixtures import FIXTURES, parse_fixture, signed_shift_group
@@ -81,11 +79,9 @@ EXIT_CODES = {
     NoRootOfUnity: EXIT_PARSE,
     BadCharacteristic: EXIT_PARSE,
     CapExceeded: EXIT_CAP,
-    NotADistribution: EXIT_VERIFY,
     PairNotSeparated: EXIT_VERIFY,
     MatchingCrossesPrefixClass: EXIT_VERIFY,
     ZeroMatrix: EXIT_DEGENERATE,
-    ZeroVector: EXIT_DEGENERATE,
     IdentityElement: EXIT_DEGENERATE,
     ScalarMultipleOfIdentity: EXIT_DEGENERATE,
     OrbitDoesNotSpan: EXIT_SPANNING,

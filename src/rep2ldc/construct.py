@@ -264,10 +264,14 @@ def choose_z(field: Field, normals: np.ndarray, seed: int = 0):
     product (int64 under the overflow guard of Field.matmul, Python ints
     beyond it), split only where it would exceed LATTICE_PRODUCT_ENTRIES.
 
-    Returns (z, mask) with mask[r] true iff row r survives.
+    Returns (z, mask) with mask[r] true iff row r survives, from one
+    product of the normals with z on either field.
     """
     k, n = normals.shape
-    if field.char == 0:
+    p = field.char
+    if p:
+        normals = np.ascontiguousarray(normals, dtype=np.int64)
+    if p == 0:
         rows = [scaled_numerators(row)[0] for row in normals]
         top = max((abs(x) for row in rows for x in row), default=0)
         dtype = np.int64 if top * (k + 1) * n < 2**63 - 1 else object
@@ -276,41 +280,34 @@ def choose_z(field: Field, normals: np.ndarray, seed: int = 0):
         for bound in range(1, k + 2):
             shell = (z for z in itertools.product(range(bound + 1), repeat=n)
                      if bound == 1 or max(z) == bound)
-            while chunk := list(itertools.islice(shell, per_product)):
+            hit = None
+            while hit is None and (chunk := list(itertools.islice(shell, per_product))):
                 dots = ints @ np.array(chunk, dtype=dtype).reshape(-1, n).T
                 hits = np.flatnonzero((dots != 0).all(axis=0))
-                if hits.size:
-                    return field.vector(chunk[hits[0]]), np.ones(k, dtype=bool)
-        raise InternalInconsistency("no lattice point avoids the hyperplanes")
-
-    p = field.char
-    normals = np.ascontiguousarray(normals, dtype=np.int64)
-    if p**n <= EXHAUSTIVE_Z_LIMIT:
+                hit = chunk[hits[0]] if hits.size else None
+            if hit is not None:
+                z = field.vector(hit)
+                break
+        else:
+            raise InternalInconsistency("no lattice point avoids the hyperplanes")
+    elif p**n <= EXHAUSTIVE_Z_LIMIT:
         z, count = _kernels.best_z_exhaustive(normals, p, n)
         if not survivors_suffice(field, count, k):
             raise InternalInconsistency("exhaustive scan fell below the mean")
         z = np.asarray(z, dtype=np.int64)
-        mask = np.asarray(
-            _kernels.matmul_mod(normals, z.reshape(-1, 1), p).ravel() != 0
-        )
-        return z, mask
-    rng = np.random.default_rng(seed)
-    best_z = None
-    best_count = -1
-    for trial in range(100 * Z_TRIALS):
-        z = rng.integers(0, p, size=n, dtype=np.int64)
-        count = _kernels.count_nonzero_dots(normals, z, p)
-        if count > best_count:
-            best_count = count
-            best_z = z
-        if trial + 1 >= Z_TRIALS and survivors_suffice(field, best_count, k):
-            break
-    else:  # the best count only grows, so it never met the bound
-        raise BudgetExhausted(f"no z met the surviving fraction in {100 * Z_TRIALS} draws")
-    mask = np.asarray(
-        _kernels.matmul_mod(normals, best_z.reshape(-1, 1), p).ravel() != 0
-    )
-    return best_z, mask
+    else:
+        rng = np.random.default_rng(seed)
+        z, best_count = None, -1
+        for trial in range(100 * Z_TRIALS):
+            draw = rng.integers(0, p, size=n, dtype=np.int64)
+            count = _kernels.count_nonzero_dots(normals, draw, p)
+            if count > best_count:
+                z, best_count = draw, count
+            if trial + 1 >= Z_TRIALS and survivors_suffice(field, best_count, k):
+                break
+        else:  # the best count only grows, so it never met the bound
+            raise BudgetExhausted(f"no z met the surviving fraction in {100 * Z_TRIALS} draws")
+    return z, field.matmul(normals, z) != 0
 
 
 def beta(cert: ConstructionCert, j: int, s: int, z=None):
@@ -351,13 +348,19 @@ def _cycle_kept_s(group: MatrixGroup, h: int) -> list[int]:
     return np.asarray(mult_cycles(group, h).cycles)[:, :-1:2].ravel().tolist()
 
 
-def _greedy_kept_s(group: MatrixGroup, hs) -> list[int]:
-    """Greedy disjoint q-tuples {h_1 s, ..., h_q s} over s in canonical order.
+def _tuple_positions(group: MatrixGroup, hs, gs, ss) -> np.ndarray:
+    """(len(gs), q, len(ss)) int64 array: entry [j, l, i] is the position
+    of g_j h_l s_i, two gathers through the cached left permutations."""
+    ss = np.asarray(ss, dtype=np.int64)
+    hs_s = np.stack([group.left_perm(h)[ss] for h in hs])
+    g_perms = np.array([group.left_perm(g) for g in gs], dtype=np.int64).reshape(-1, len(group))
+    return g_perms[:, hs_s]
 
-    Row s of the (|G|, q) stack of left_perm(h) columns is the tuple of s;
-    the first fit of ldc keeps s when none of its members is used yet.
-    """
-    tuples = np.stack([group.left_perm(h) for h in hs], axis=1)
+
+def _greedy_kept_s(group: MatrixGroup, hs) -> list[int]:
+    """Greedy disjoint q-tuples {h_1 s, ..., h_q s} over s in canonical order;
+    the first fit of ldc keeps s when none of its members is used yet."""
+    tuples = _tuple_positions(group, hs, [group.identity_pos], np.arange(len(group)))[0].T
     if ldc._set_faults(tuples, len(hs)).bad_size.any():
         raise InternalInconsistency("tuple members collide; hs not distinct?")
     return ldc._first_fit(tuples.tolist())
@@ -371,13 +374,11 @@ def matching_index(group: MatrixGroup, kind: str, hs, g_refs, kept_s) -> np.ndar
 
     Matching j of the code is slice j restricted to the surviving s.
     """
-    kept = np.asarray(kept_s, dtype=np.int64)
-    m = len(group)
-    g_perms = np.array([group.left_perm(g) for g in g_refs], dtype=np.int64).reshape(-1, m)
-    tuples = np.stack([group.left_perm(h)[kept] for h in hs])
-    if kind == "lambda":
-        return np.stack([g_perms[:, tuples[0]], m + g_perms[:, kept]], axis=1)
-    return g_perms[:, tuples]
+    if kind != "lambda":
+        return _tuple_positions(group, hs, g_refs, kept_s)
+    idx = _tuple_positions(group, [hs[0], group.identity_pos], g_refs, kept_s)
+    idx[:, 1] += len(group)
+    return idx
 
 
 def _prepare(group: MatrixGroup, hs, alphas):
@@ -542,12 +543,14 @@ def check_spanning_identities(cert: ConstructionCert) -> int:
     """Verify the tuple identity entrywise for every (j, s); returns the
     number of identities checked.
 
-    Each j is one array comparison over all s, on either field; a failure
-    names the first failing (j, s) in j-major, then s order.
+    Coordinate j's left sides over all s are one combination
+    field.matmul(alphas, rows), as in `combine`, where row l holds a_{g_j h_l s}
+    of every s; each j is one array comparison with the beta table, and a
+    failure names the first failing (j, s) in j-major, then s order.
     """
     group = cert.group
     field = group.field
-    t = cert.family.t
+    t, q = cert.family.t, cert.q
     m = len(group)
     vectors = cert.code.vectors.a
     if vectors.shape[0] < m or vectors.shape[1] != t:
@@ -555,13 +558,10 @@ def check_spanning_identities(cert: ConstructionCert) -> int:
             f"code vectors have shape {vectors.shape}, need at least {m} rows of length {t}"
         )
     betas = beta_table(cert)
-    h_perms = [group.left_perm(h) for h in cert.hs]
-    for j, g in enumerate(cert.family.g_refs):
-        gj_perm = group.left_perm(g)
-        lhs = None
-        for h_perm, alpha in zip(h_perms, cert.alphas):
-            term = field.reduce(vectors[gj_perm[h_perm]] * alpha)
-            lhs = term if lhs is None else field.reduce(lhs + term)
+    alphas = field.vector(cert.alphas)
+    pos = _tuple_positions(group, cert.hs, cert.family.g_refs, np.arange(m))
+    for j in range(t):
+        lhs = field.matmul(alphas, vectors[pos[j]].reshape(q, -1)).reshape(m, t)
         expected = np.zeros_like(betas)
         expected[:, j] = betas[:, j]
         bad = np.flatnonzero(np.any(lhs != expected, axis=1))

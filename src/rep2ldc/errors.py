@@ -23,10 +23,6 @@ class ZeroMatrix(Rep2LdcError):
     """An operation that needs rank >= 1 received the zero matrix."""
 
 
-class ZeroVector(Rep2LdcError):
-    """An operation that needs a nonzero vector received zero."""
-
-
 class NotInvertible(Rep2LdcError):
     """A group generator is singular."""
 
@@ -57,10 +53,6 @@ class InternalInconsistency(Rep2LdcError):
 
 class BudgetExhausted(Rep2LdcError):
     """Randomized search failed to meet a bound that provably holds."""
-
-
-class NotADistribution(Rep2LdcError):
-    """Entropy input weights are negative or do not sum to one."""
 
 
 class PairNotSeparated(Rep2LdcError):

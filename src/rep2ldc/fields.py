@@ -9,7 +9,10 @@ rationals.  The field owns the one arithmetic split of the array code:
 `matmul` and `reduce` are exact mod-p kernels over GF(p); over QQ `matmul`
 multiplies integer numerators (each operand scaled by the lcm of its
 denominators) and `reduce` is the identity, so every array path above runs
-unchanged on both fields and no product multiplies Fractions.  The JSON
+unchanged on both fields.  Fractions are still multiplied entry by entry
+in linalg's eliminations, the reference construct.spanning_tuple_identity,
+the lambda block of construct._code_vectors, Matrix.scale and the 0/1
+table of construct.validate_family.  The JSON
 wire form is split here too: `array_from_json` and `array_to_json` read and
 write a whole array at a time (JSON integers taken mod p over GF(p), "a/b"
 strings over QQ).  A rational string on the wire has one grammar,

@@ -14,7 +14,6 @@ from rep2ldc.bounds import (
     LogBound,
     avg_fixed_space,
     check_rank_separation,
-    entropy,
     entropy_audit,
     gamma,
     lambda_bound,
@@ -22,11 +21,7 @@ from rep2ldc.bounds import (
 )
 from rep2ldc.cli import main
 from rep2ldc.construct import build_special_2ldc, lambda_variant
-from rep2ldc.errors import (
-    MatchingCrossesPrefixClass,
-    NotADistribution,
-    PairNotSeparated,
-)
+from rep2ldc.errors import MatchingCrossesPrefixClass, PairNotSeparated
 from rep2ldc.fields import GF, QQ
 from rep2ldc.fixtures import parse_fixture
 from rep2ldc.groups import close_group
@@ -286,23 +281,6 @@ class TestLambdaBound:
 
     def test_degenerate_dimension(self):
         assert lambda_bound(0, 10, Fraction(1, 2), Fraction(1)).value == 0.0
-
-
-class TestEntropy:
-    def test_fair_coin(self):
-        assert entropy([Fraction(1, 2), Fraction(1, 2)]) == 1.0
-
-    def test_point_mass(self):
-        assert entropy([1, 0, 0]) == 0.0
-
-    def test_uniform_eight(self):
-        assert abs(entropy([Fraction(1, 8)] * 8) - 3.0) < 1e-12
-
-    def test_not_a_distribution(self):
-        with pytest.raises(NotADistribution):
-            entropy([Fraction(1, 2), Fraction(1, 3)])
-        with pytest.raises(NotADistribution):
-            entropy([Fraction(3, 2), Fraction(-1, 2)])
 
 
 class TestMatchEntropy:

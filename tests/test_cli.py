@@ -208,8 +208,8 @@ def _error_classes(cls=Rep2LdcError):
 # The documented exit code of every error class.
 EXPECTED_EXIT = {
     "ParseError": 1, "DimensionMismatch": 1, "NotInvertible": 1, "CharTwo": 1,
-    "NoRootOfUnity": 1, "BadCharacteristic": 1, "CapExceeded": 2, "NotADistribution": 3,
-    "PairNotSeparated": 3, "MatchingCrossesPrefixClass": 3, "ZeroMatrix": 4, "ZeroVector": 4,
+    "NoRootOfUnity": 1, "BadCharacteristic": 1, "CapExceeded": 2,
+    "PairNotSeparated": 3, "MatchingCrossesPrefixClass": 3, "ZeroMatrix": 4,
     "IdentityElement": 4, "ScalarMultipleOfIdentity": 4, "OrbitDoesNotSpan": 5,
     "InternalInconsistency": 6, "BudgetExhausted": 7,
 }
