@@ -242,11 +242,13 @@ def match_entropy_check(t: int, matching, f) -> MatchEntropyResult:
 
     `matching` is a QMatching or an iterable of disjoint pairs over
     range(t); `f` is an indexable table of length t.  Raises ValueError
-    unless the pairs are disjoint and in range, and PairNotSeparated when f
-    collides on a matched pair (the hypotheses of the inequality).  Once
-    they hold, the verdict holds by proof: `entropy_audit`'s lemma on one
-    class of J = t rows gives t H(f(X)) >= 2s.
+    when f has another length or the pairs are not disjoint and in range,
+    and PairNotSeparated when f collides on a matched pair (the hypotheses
+    of the inequality).  Once they hold, the verdict holds by proof:
+    `entropy_audit`'s lemma on one class of J = t rows gives t H(f(X)) >= 2s.
     """
+    if len(f) != t:
+        raise ValueError(f"f has length {len(f)}, expected t = {t}")
     pairs = matching.sets if isinstance(matching, QMatching) else [tuple(p) for p in matching]
     faults = ldc._set_faults(pairs, 2, t)
     for k, pair in enumerate(pairs):

@@ -545,8 +545,9 @@ def check_spanning_identities(cert: ConstructionCert) -> int:
 
     Coordinate j's left sides over all s are one combination
     field.matmul(alphas, rows), as in `combine`, where row l holds a_{g_j h_l s}
-    of every s; each j is one array comparison with the beta table, and a
-    failure names the first failing (j, s) in j-major, then s order.
+    of every s; each j gathers its own (q, |G|) tuple positions and is one
+    array comparison with the beta table, and a failure names the first
+    failing (j, s) in j-major, then s order.
     """
     group = cert.group
     field = group.field
@@ -559,9 +560,9 @@ def check_spanning_identities(cert: ConstructionCert) -> int:
         )
     betas = beta_table(cert)
     alphas = field.vector(cert.alphas)
-    pos = _tuple_positions(group, cert.hs, cert.family.g_refs, np.arange(m))
-    for j in range(t):
-        lhs = field.matmul(alphas, vectors[pos[j]].reshape(q, -1)).reshape(m, t)
+    for j, g in enumerate(cert.family.g_refs):
+        pos = _tuple_positions(group, cert.hs, [g], np.arange(m))[0]
+        lhs = field.matmul(alphas, vectors[pos].reshape(q, -1)).reshape(m, t)
         expected = np.zeros_like(betas)
         expected[:, j] = betas[:, j]
         bad = np.flatnonzero(np.any(lhs != expected, axis=1))

@@ -5,7 +5,10 @@ the action on F^n is plain matrix-vector multiplication.  BFS order over
 generator words numbers the elements, the coordinate system of every
 downstream certificate, with position 0 the identity.  They are stored once,
 as one read-only (m, n, n) array (int64 residues over GF(p), Fractions over
-QQ); index maps the linalg.array_keys key of each to its position.
+QQ).  Two per-element values are built only when read, as no check and no
+certificate needs them: index, the linalg.array_keys key of each element
+to its position (position_of reads it), and words, each element's
+generator word (the group export writes them).
 
 One BFS pass fixes that numbering and is the int64 Cayley table, right[s, k]
 = position of elements[s] @ gen_k over the distinct generators.  It runs on
@@ -13,11 +16,12 @@ points, the orbit of the rows of I (row i of g @ u is (row i of g) @ u):
 at most n per element, often far fewer, and the only rows multiplied and
 keyed.  An element is its n point ids and act[k, p] the id of point p @
 gen_k, so a chunk times every generator is one integer gather.  A product
-first met is the next element, its word its parent's plus the generator's
-letter; any other is a table entry.  So the pass is the closure proof:
-every row filled means the set, holding I, is closed, and every element is
-a generator word in BFS order.  A copy made with the constructor replays
-the pass and compares it, a chunk at a time, with its array, index and words.
+first met is the next element, its parent and generator kept (its word is
+its parent's plus the generator's letter); any other is a table entry.  So
+the pass is the closure proof: every row filled means the set, holding I,
+is closed, and every element is a generator word in BFS order.  A copy made
+with the constructor replays the pass and compares it, a chunk at a time,
+with its array, index and words.
 The table answers group questions with integers: left_perm is
 one gather per BFS level, mul a word walk, inv and element_order walks of
 powers, mult_cycles powers of left_perm, and the conjugacy classes orbits
@@ -57,15 +61,17 @@ class MatrixGroup:
 
     Built through close_group; immutable afterwards.  ``words[i]`` is the
     BFS generator word (tuple of generator indices, product left to
-    right) reaching element i.  The constructor also copies a closed group.
+    right) reaching element i.  The constructor also copies a closed group;
+    close_group passes None for index and words, which are then derived
+    on first read, from the elements' keys and from the BFS table.
     """
 
     __slots__ = (
         "field",
         "dim",
-        "index",
+        "_index",
         "generators",
-        "words",
+        "_words",
         "_stack",
         "_elements",
         "_table",
@@ -75,17 +81,17 @@ class MatrixGroup:
     )
     identity_pos = 0
 
-    def __init__(self, field: Field, dim: int, elements, index: dict,
-                 generators: tuple[int, ...], words: tuple[tuple[int, ...], ...]):
+    def __init__(self, field: Field, dim: int, elements, index: dict | None,
+                 generators: tuple[int, ...], words: tuple[tuple[int, ...], ...] | None):
         if not isinstance(elements, np.ndarray):
             elements = np.concatenate([e.a for e in elements]).reshape(-1, dim, dim)
         elements.flags.writeable = False
         self.field = field
         self.dim = dim
         self._stack = elements
-        self.index = index
+        self._index = index
         self.generators = generators
-        self.words = tuple(words)
+        self._words = None if words is None else tuple(words)
         self._elements = None
         self._table = None
         self._left_perms = {}
@@ -101,6 +107,22 @@ class MatrixGroup:
         if self._elements is None:
             self._elements = tuple(Matrix(self.field, a, _canonical=True) for a in self._stack)
         return self._elements
+
+    @property
+    def index(self) -> dict:
+        """The linalg.array_keys key of each element -> its position."""
+        if self._index is None:
+            self._index = dict(zip(array_keys(self.field, self._stack), range(len(self))))
+        return self._index
+
+    @property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """The BFS generator word of each element, in position order."""
+        if self._words is None:
+            _, parent, last, _ = self._cayley()
+            letters = [self.generators.index(u) for u in dict.fromkeys(self.generators)]
+            self._words = _words(parent, last, letters)
+        return self._words
 
     def matrix(self, pos: int) -> Matrix:
         return Matrix(self.field, self._stack[pos], _canonical=True)
@@ -122,7 +144,7 @@ class MatrixGroup:
                     for u in dict.fromkeys(self.generators)]
             step = max(1, CLOSURE_CHUNK // self.dim)  # blocks of CLOSURE_CHUNK rows
             try:
-                points, ids, words, table = _bfs(field, gens, len(stack))
+                points, ids, letters, table = _bfs(field, gens, len(stack))
                 for s in range(0, len(ids), step):
                     block, own = points[ids[s:s + step]], stack[s:s + step]
                     pairs = zip(array_keys(field, block), array_keys(field, own))
@@ -135,8 +157,9 @@ class MatrixGroup:
                 raise InternalInconsistency("BFS closure is not closed") from None
             if len(stack) != len(ids) or len(self.index) != len(ids):
                 raise InternalInconsistency("elements and index are not the BFS numbering")
-            if words != self.words:
-                t = next(t for t, (w, v) in enumerate(zip_longest(words, self.words)) if w != v)
+            words = None if self._words is None else _words(table[1], table[2], letters)
+            if words != self._words:
+                t = next(t for t, (w, v) in enumerate(zip_longest(words, self._words)) if w != v)
                 raise InternalInconsistency(f"BFS word of element {t} has no parent")
             self._table = table
         return self._table
@@ -251,8 +274,10 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
     The identity sits at position 0; products explore cur @ gen in
     generator order, so positions are reproducible.  The one BFS pass
     numbers the elements, builds the Cayley table and proves the result
-    closed.  Raises CapExceeded past `cap` elements or n * cap points,
-    ValueError for a cap below 1, NotInvertible for singular input.
+    closed; generator u's position is right[0, column of u].  The group's
+    index and words are built when first read.  Raises CapExceeded past
+    `cap` elements or n * cap points, ValueError for a cap below 1,
+    NotInvertible for singular input.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -267,19 +292,20 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
         if rank(g) != n:
             raise NotInvertible("generator is singular")
 
-    gens = [(generators.index(g), g) for g in dict.fromkeys(generators)]  # letters: first indices
-    points, ids, words, table = _bfs(field, gens, cap)
-    stack = points[ids]
-    index = dict(zip(array_keys(field, stack), range(len(stack))))
-    group = MatrixGroup(field, n, stack, index, tuple(index[g.key()] for g in generators), words)
+    column = {g: k for k, g in enumerate(dict.fromkeys(generators))}
+    gens = [(generators.index(g), g) for g in column]  # letters: first indices
+    points, ids, _, table = _bfs(field, gens, cap)
+    positions = tuple(int(table[0][0, column[g]]) for g in generators)
+    group = MatrixGroup(field, n, points[ids], None, positions, None)
     group._table = table
     return group
 
 
 def _bfs(field: Field, gens: list, cap: int):
-    """The BFS pass (see the module docstring): (points, ids, words, (right,
-    parent, last, levels)), element s being points[ids[s]], last(s) a table
-    column and levels (positions, parents, lasts) per BFS level from depth 1.
+    """The BFS pass (see the module docstring): (points, ids, letters,
+    (right, parent, last, levels)), element s being points[ids[s]], last(s)
+    a table column, letters[k] the letter of column k (see `_words`) and
+    levels (positions, parents, lasts) per BFS level from depth 1.
 
     Positions are taken CLOSURE_CHUNK at a time.  The points met since the
     last chunk (the rows of I at first) times every (letter, Matrix) of `gens`
@@ -318,15 +344,22 @@ def _bfs(field: Field, gens: list, cap: int):
         last.extend([j % nk for j in first])
         right.extend(found)
         s = e
-    words = [()]
-    for row, k in zip(parent[1:], last[1:]):
-        words.append(words[row] + (gens[k][0],))
     right, parent, last = np.array(right).reshape(-1, nk), np.array(parent), np.array(last)
-    depth = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    ends = [1]  # parents never decrease: level d + 1 ends where parents reach level d's end
+    while ends[-1] < len(parent):
+        ends.append(int(np.searchsorted(parent, ends[-1])))
     levels = [(pos, parent[pos], last[pos])
-              for pos in np.split(np.arange(len(words)), np.flatnonzero(np.diff(depth)) + 1)[1:]]
+              for pos in map(np.arange, ends[:-1], ends[1:])]
     ids = np.frombuffer(b"".join(keys), dtype=dt).reshape(-1, n)
-    return np.concatenate(blocks), ids, tuple(words), (right, parent, last, levels)
+    return np.concatenate(blocks), ids, [k for k, _ in gens], (right, parent, last, levels)
+
+
+def _words(parent: np.ndarray, last: np.ndarray, letters: list[int]) -> tuple:
+    """Each element's word: its parent's plus the letter of its table column."""
+    words = [()]
+    for row, k in zip(parent[1:].tolist(), last[1:].tolist()):
+        words.append(words[row] + (letters[k],))
+    return tuple(words)
 
 
 def _number(index: dict, keys: list) -> tuple[list, list]:

@@ -104,7 +104,8 @@ def _rule_input(mi: "QMatching"):
     """What `_set_faults` reads for a matching: the (k, q) `members` array
     when the matching holds one (every QMatching built through
     `__post_init__` does), else `sets`, which may be ragged."""
-    return vars(mi).get("members", mi.sets)
+    held = vars(mi)
+    return held["members"] if "members" in held else mi.sets
 
 
 def _first_fit(candidates) -> list[int]:
@@ -124,8 +125,11 @@ class QMatching:
     """Family of pairwise disjoint q-subsets of code positions.
 
     `sets` may be given as a (k, q) integer array or as integer
-    sequences; it is stored as a tuple of sorted int tuples, and
-    `members` holds the same sets as a read-only (k, q) int64 array.
+    sequences.  The matching holds the sets as `members`, a read-only
+    (k, q) int64 array with each row sorted, and `size` counts its rows.
+    `sets`, the same sets as a tuple of sorted int tuples, is built from
+    `members` only when read (a failure message, `match_entropy_check`,
+    `==`, `hash`, `repr`); no passing check or writer reads it.
     """
 
     q: int
@@ -146,8 +150,8 @@ class QMatching:
             raise ValueError(f"set {s} overlaps an earlier set")
         rows = np.sort(faults.members.reshape(faults.sizes.size, self.q), axis=1)
         rows.flags.writeable = False
-        object.__setattr__(self, "sets", tuple(map(tuple, rows.tolist())))
         object.__setattr__(self, "members", rows)
+        del vars(self)["sets"]  # read back from members
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -157,7 +161,17 @@ class QMatching:
 
     @property
     def size(self) -> int:
-        return len(self.sets)
+        return len(_rule_input(self))
+
+
+def _matching_sets(mi: QMatching) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, mi.members.tolist()))
+
+
+# `sets` is a dataclass field, so its lazy read is attached after the class:
+# a non-data descriptor, it answers only while the instance holds no `sets`.
+QMatching.sets = cached_property(_matching_sets)
+QMatching.sets.__set_name__(QMatching, "sets")
 
 
 def _scalar_sort_key(x):
@@ -318,39 +332,121 @@ def verify(instance: LdcInstance) -> VerificationReport:
     )
 
 
+# Buckets of at most _LOCKSTEP_PARTS parts take their runs in lockstep while at
+# least _LOCKSTEP_MIN of them are left; the rest are walked one at a time.  A
+# lockstep round costs a dozen array calls over a (buckets, parts) table, so
+# wide buckets and the last few long ones are cheaper on the heap.
+_LOCKSTEP_PARTS = 16
+_LOCKSTEP_MIN = 32
+
+
+def _value_codes(a: np.ndarray) -> np.ndarray:
+    """int64 codes of the entries of `a`, in the order _scalar_sort_key
+    gives their values: integer entries (GF(p) residues) are their own."""
+    if a.dtype.kind == "i":
+        return a
+    flat = a.ravel().tolist()
+    rank = {x: r for r, x in enumerate(sorted(set(flat), key=_scalar_sort_key))}
+    return np.fromiter(map(rank.__getitem__, flat), np.int64, len(flat)).reshape(a.shape)
+
+
+def _walk(left, taken):
+    """Runs (a, b, taken[a], taken[b], run) of the two-largest pairing of
+    one bucket, from its parts' remaining sizes `left` (in value order) and
+    rows already `taken`; updates `taken`."""
+    heap = [(-c, k) for k, c in enumerate(left) if c]
+    heapq.heapify(heap)
+    while len(heap) >= 2:
+        na, a = heapq.heappop(heap)
+        nb, b = heapq.heappop(heap)
+        run = -nb if not heap else heap[0][0] - nb + (b < heap[0][1])
+        yield a, b, taken[a], taken[b], run
+        taken[a] += run
+        taken[b] += run
+        for n, k in ((na + run, a), (nb + run, b)):
+            if n:
+                heapq.heappush(heap, (n, k))
+
+
 def max_special_matching(vectors: Matrix, i: int) -> QMatching:
     """Maximum-size family of disjoint pairs differing exactly at coordinate i.
 
     Vectors that agree off coordinate i form a bucket; within a bucket the
     agreement graph is complete multipartite (parts = value at i), whose
     maximum matching has size min(floor(B/2), B - largest part).  Pairing
-    the two currently largest parts achieves it.
-    """
-    field = vectors.field
-    buckets: dict = {}
-    for j in range(vectors.rows):
-        row = vectors.row(j)
-        punctured = tuple(row[k] for k in range(vectors.cols) if k != i)
-        buckets.setdefault(punctured, {}).setdefault(row[i], []).append(j)
+    the two currently largest parts, the smaller value first among equal
+    sizes, achieves it; a part gives its rows in increasing order.
 
-    pairs = []
-    for punctured in sorted(buckets, key=lambda t: tuple(map(_scalar_sort_key, t))):
-        parts = buckets[punctured]
-        heap = [
-            (-len(idxs), _scalar_sort_key(val), idxs)
-            for val, idxs in parts.items()
-        ]
-        heapq.heapify(heap)
-        while len(heap) >= 2:
-            n1, k1, idxs1 = heapq.heappop(heap)
-            n2, k2, idxs2 = heapq.heappop(heap)
-            pairs.append(tuple(sorted((idxs1.pop(0), idxs2.pop(0)))))
-            if idxs1:
-                heapq.heappush(heap, (n1 + 1, k1, idxs1))
-            if idxs2:
-                heapq.heappush(heap, (n2 + 1, k2, idxs2))
-    pairs.sort()
-    return QMatching(q=2, sets=tuple(pairs))
+    One stable sort by (punctured row, value at i) lays out the buckets,
+    each part's rows side by side: an argsort of one int64 key when a row,
+    read in base (largest code + 1), fits in one, else a lexsort.  The
+    same two parts stay on top until the second falls to the size of the
+    third, so the pairing goes in runs of row pairs.  Buckets of at most
+    _LOCKSTEP_PARTS parts take their runs in lockstep, one argmax per rank
+    over all of them, until fewer than _LOCKSTEP_MIN are left; `_walk`
+    takes the rest one bucket at a time.  The pairs come out sorted.
+    """
+    if not vectors.rows:
+        return QMatching(q=2, sets=())
+    codes = _value_codes(vectors.a)
+    (m, t), base = codes.shape, int(codes.max()) + 1
+    value = codes[:, i]
+    rest = codes[:, [k for k in range(t) if k != i]]
+    new_bucket = np.ones(m, dtype=bool)
+    if base ** t < 2**63:  # a row is one base-`base` number, its value at i the last digit
+        punctured = rest @ base ** np.arange(t - 1, dtype=np.int64)
+        order = np.argsort(punctured * base + value, kind="stable")
+        punctured = punctured[order]
+        new_bucket[1:] = punctured[1:] != punctured[:-1]
+    else:
+        order = np.lexsort((value,) + tuple(rest.T[::-1]))
+        rest = rest[order]
+        new_bucket[1:] = (rest[1:] != rest[:-1]).any(axis=1)
+    value = value[order]
+    start = np.flatnonzero(new_bucket | np.r_[True, value[1:] != value[:-1]])
+    size = np.diff(np.r_[start, m])
+    first = np.flatnonzero(new_bucket[start])  # each bucket's first part
+    parts = np.diff(np.r_[first, len(start)])
+
+    runs = []  # (first part, a, b, rows of a taken, rows of b taken, run) arrays
+    dense = np.flatnonzero((parts >= 2) & (parts <= _LOCKSTEP_PARTS))
+    left = np.zeros((len(dense), parts[dense].max(initial=0)), dtype=np.int64)
+    for col in range(left.shape[1]):
+        has = parts[dense] > col
+        left[has, col] = size[first[dense[has]] + col]
+    full = left.copy()
+    act = np.arange(len(dense))
+    while act.size:
+        s, rows = left[act], np.arange(act.size)
+        rank = []
+        for _ in range(3):  # the top three parts, the smaller value first among equal sizes
+            k = s.argmax(axis=1)
+            rank.append((k, np.maximum(s[rows, k], 0)))
+            s[rows, k] = -1
+        (a, _), (b, sb), (c, sc) = rank
+        live = sb > 0
+        act, a, b, c, sb, sc = act[live], a[live], b[live], c[live], sb[live], sc[live]
+        if act.size < _LOCKSTEP_MIN:
+            break
+        run = np.where(sc > 0, sb - sc + (b < c), sb)
+        runs.append((first[dense[act]], a, b, full[act, a] - left[act, a],
+                     full[act, b] - left[act, b], run))
+        left[act, a] -= run
+        left[act, b] -= run
+    walked = [(first[dense[j]], left[j].tolist(), (full[j] - left[j]).tolist()) for j in act]
+    walked += [(first[j], size[first[j]:first[j] + parts[j]].tolist(), [0] * parts[j])
+               for j in np.flatnonzero(parts > _LOCKSTEP_PARTS)]
+    for f, sizes, taken in walked:
+        for a, b, ta, tb, run in _walk(sizes, taken):
+            runs.append(([f], [a], [b], [ta], [tb], [run]))
+    if not runs:
+        return QMatching(q=2, sets=np.empty((0, 2), dtype=np.int64))
+    f, a, b, ta, tb, run = (np.concatenate(x).astype(np.int64) for x in zip(*runs))
+    step = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run, run)
+    pairs = np.stack([order[np.repeat(start[f + a] + ta, run) + step],
+                      order[np.repeat(start[f + b] + tb, run) + step]], axis=1)
+    pairs.sort(axis=1)
+    return QMatching(q=2, sets=pairs[np.argsort(pairs[:, 0] * m + pairs[:, 1])])
 
 
 def hadamard(n: int, field: Field) -> LdcInstance:

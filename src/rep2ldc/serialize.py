@@ -12,10 +12,12 @@ Formats (all indices 0-based, rationals as "a/b" strings):
 
 Scalars cross the wire a whole array at a time: every matrix, code
 vector block, `alphas`, `hat_w` and `z` goes through the field's
-`array_from_json` and `array_to_json`, and every integer list (indices,
-counts, matching sets) through `json_int_rows`, each one type pass over all
-entries.  Serialization is canonical (sorted keys, fixed separators), so
-identical inputs and seeds give byte-identical files.
+`array_from_json` and `array_to_json`, every integer list (indices,
+counts) through `json_int_rows`, and each coordinate's matching rows into
+one (k, q) int64 array, written back by `members.tolist()`: each one type
+pass over all entries, with no tuple per set.  Serialization is canonical
+(sorted keys, fixed separators), so identical inputs and seeds give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -101,14 +103,19 @@ def json_int_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
     return out
 
 
-def _int64_rows(rows: tuple):
-    """Checked int rows as one (k, c) int64 array; none, ragged or beyond int64: as given."""
-    if len(set(map(len, rows))) != 1:
-        return rows
-    try:
-        return np.fromiter(chain.from_iterable(rows), np.int64).reshape(len(rows), len(rows[0]))
-    except OverflowError:
-        return rows
+def _matching_rows(rows):
+    """One coordinate's matching rows: a (k, c) int64 array, from one type
+    pass and one np.fromiter, when they are k >= 1 lists of c JSON integers
+    that fit in int64; otherwise json_int_rows' int tuples, or its error."""
+    if type(rows) is list and set(map(type, rows)) == {list} and len(set(map(len, rows))) == 1:
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            try:
+                flat = np.fromiter(chain.from_iterable(rows), np.int64)
+            except OverflowError:
+                pass
+            else:
+                return flat.reshape(len(rows), len(rows[0]))
+    return json_int_rows(rows, "matchings")
 
 
 def json_fraction(value, name: str) -> Fraction:
@@ -189,7 +196,7 @@ def ldc_to_json(instance: LdcInstance) -> dict:
         "t": instance.t,
         "m": instance.m,
         "vectors": instance.field.array_to_json(instance.vectors.a),
-        "matchings": [list(map(list, mi.sets)) for mi in instance.matchings],
+        "matchings": [mi.members.tolist() for mi in instance.matchings],
         "form": instance.form,
         "q": instance.q,
         "claimed_delta": str(instance.claimed_delta),
@@ -207,7 +214,7 @@ def ldc_from_json(obj) -> LdcInstance:
         q = json_int(obj["q"], "q")
         if q > m:  # a set of q distinct positions needs q <= m
             raise ParseError(f"q must be at most m = {m}, got {q}")
-        rows = [_int64_rows(json_int_rows(mi, "matchings")) for mi in obj["matchings"]]
+        rows = [_matching_rows(mi) for mi in obj["matchings"]]
         matchings = tuple(QMatching(q=q, sets=sets) for sets in rows)
         form = str(obj["form"])
         claimed = json_fraction(obj["claimed_delta"], "claimed_delta")

@@ -130,6 +130,36 @@ def brute_max_matching(pairs_ok, m: int) -> int:
     return rec(tuple(range(m)))
 
 
+def reference_max_special_matching(vectors, i: int) -> tuple[tuple[int, int], ...]:
+    """ldc.max_special_matching's pairs by its former heap walk: rows
+    bucketed on their other coordinates, each bucket's parts (by the value
+    at i) in a heap of (-size, (numerator, denominator) of the value), the
+    two on top paired by their first unused rows, then every pair sorted."""
+    import heapq
+
+    def key(x):
+        return (x.numerator, x.denominator) if isinstance(x, Fraction) else (int(x), 1)
+
+    buckets: dict = {}
+    for j in range(vectors.rows):
+        row = vectors.row(j)
+        punctured = tuple(row[k] for k in range(vectors.cols) if k != i)
+        buckets.setdefault(punctured, {}).setdefault(row[i], []).append(j)
+    pairs = []
+    for parts in buckets.values():
+        heap = [(-len(idxs), key(val), idxs) for val, idxs in parts.items()]
+        heapq.heapify(heap)
+        while len(heap) >= 2:
+            n1, k1, idxs1 = heapq.heappop(heap)
+            n2, k2, idxs2 = heapq.heappop(heap)
+            pairs.append(tuple(sorted((idxs1.pop(0), idxs2.pop(0)))))
+            if idxs1:
+                heapq.heappush(heap, (n1 + 1, k1, idxs1))
+            if idxs2:
+                heapq.heappush(heap, (n2 + 1, k2, idxs2))
+    return tuple(sorted(pairs))
+
+
 def brute_entropy(counts) -> float:
     total = sum(counts)
     h = 0.0

@@ -301,6 +301,15 @@ class TestMatchEntropy:
         with pytest.raises(PairNotSeparated):
             match_entropy_check(4, [(0, 1)], [7, 7, 1, 2])
 
+    @pytest.mark.parametrize("f", [[0, 1, 2], [0, 1, 2, 3, 4], []], ids=["short", "long", "empty"])
+    def test_f_of_another_length_refused(self, f):
+        """A short f used to die on an IndexError after the pair checks, and
+        a long one's extra entries went unread."""
+        with pytest.raises(ValueError, match=rf"^f has length {len(f)}, expected t = 4$"):
+            match_entropy_check(4, [(0, 1)], f)
+        with pytest.raises(ValueError, match=rf"^f has length {len(f)}, expected t = 4$"):
+            match_entropy_check(4, QMatching(2, ((0, 1),)), f)
+
     @pytest.mark.parametrize("trial", range(300))
     def test_random_against_brute_force(self, trial):
         rng = np.random.default_rng(1000 + trial)

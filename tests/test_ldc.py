@@ -2,6 +2,7 @@ import dataclasses
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     reference_first_fit,
     reference_greedy_kept_s,
     reference_match_entropy_check,
+    reference_max_special_matching,
     reference_set_faults,
     reference_verify,
 )
@@ -171,6 +173,69 @@ class TestMaxSpecialMatching:
                 return d[_i] != 0 and np.count_nonzero(d) == 1
 
             assert max_special_matching(vectors, i).size == brute_max_matching(edge, m)
+
+
+# (_LOCKSTEP_PARTS, _LOCKSTEP_MIN): every bucket in lockstep to the end, every
+# bucket walked one at a time, and the shipped split
+WALKS = {"lockstep": (10**9, 1), "one at a time": (1, 10**9),
+         "shipped": (ldc._LOCKSTEP_PARTS, ldc._LOCKSTEP_MIN)}
+
+
+def _pairs_by_each_walk(vectors, i):
+    out = []
+    for parts, least in WALKS.values():
+        with mock.patch.object(ldc, "_LOCKSTEP_PARTS", parts), \
+                mock.patch.object(ldc, "_LOCKSTEP_MIN", least):
+            out.append(max_special_matching(vectors, i).sets)
+    return out
+
+
+class TestMaxSpecialMatchingMatchesTheHeapWalk:
+    """max_special_matching gives the former heap walk's pairs, pair for
+    pair, whichever way its runs are taken."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_small_codes(self, data):
+        field = data.draw(st.sampled_from([F2, F3, GF(7), QQ]))
+        values = (st.fractions(-2, 2, max_denominator=3) if field is QQ
+                  else st.integers(0, field.char - 1))
+        t = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(st.lists(values, min_size=t, max_size=t),
+                                  min_size=1, max_size=60))
+        vectors = Matrix(field, rows)
+        i = data.draw(st.integers(0, t - 1))
+        want = reference_max_special_matching(vectors, i)
+        assert _pairs_by_each_walk(vectors, i) == [want] * len(WALKS)
+
+    @pytest.mark.parametrize("p, m, t, spread", [
+        (3, 3000, 2, 3),       # about 1000 rows per bucket in three parts
+        (7, 3000, 4, 7),       # 343 buckets of about 9 rows
+        (101, 3000, 2, 101),   # buckets of up to 101 parts: one at a time
+        (101, 3000, 2, 40),
+        (5, 1000, 3, 2),       # two values per coordinate only
+        (2**31 - 1, 2000, 3, 4),  # rows too wide for one int64 key: the lexsort
+        (0, 400, 2, 5),        # QQ
+    ])
+    def test_larger_codes(self, p, m, t, spread):
+        rng = np.random.default_rng([p, m, t, spread])
+        if p:  # spread values, spaced across GF(p)
+            values = rng.integers(0, spread, size=(m, t)) * (p // spread)
+            vectors = Matrix(GF(p), values.tolist())
+        else:
+            num, den = rng.integers(-spread, spread + 1, size=(2, m, t))
+            rows = [[Fraction(int(a), int(b) or 1) for a, b in zip(r, s)] for r, s in zip(num, den)]
+            vectors = Matrix(QQ, rows)
+        for i in range(t):
+            want = reference_max_special_matching(vectors, i)
+            assert _pairs_by_each_walk(vectors, i) == [want] * len(WALKS)
+            assert max_special_matching(vectors, i).members.dtype == np.int64
+
+    def test_no_pairs(self):
+        got = max_special_matching(Matrix(F2, [[1, 0], [1, 0]]), 0)
+        assert got.sets == () and got.members.shape == (0, 2)
+        no_rows = Matrix.from_array(F2, np.zeros((0, 2), dtype=np.int64))
+        assert max_special_matching(no_rows, 1).sets == ()
 
 
 class TestGreedyMatching:
@@ -380,6 +445,18 @@ class TestQMatchingArrays:
                 matchings=(QMatching(2, ((0, 2), (1, 4))),),
                 form="special2", q=2, claimed_delta=Fraction(0),
             )
+
+    def test_sets_built_from_members_when_read(self):
+        """A matching holds only its members array; `sets`, and with it
+        ==, hash and repr, read the tuples off it on first use."""
+        got = QMatching(2, np.array([[3, 0], [2, 5]]))
+        assert "sets" not in vars(got) and got.size == 2
+        assert got.sets == ((0, 3), (2, 5)) and vars(got)["sets"] is got.sets
+        same = QMatching(2, ((0, 3), (5, 2)))
+        assert same == got and hash(same) == hash(got)
+        assert repr(same) == "QMatching(q=2, sets=((0, 3), (2, 5)))"
+        assert dataclasses.replace(same, q=2) == got
+        assert dataclasses.replace(same, sets=()).size == 0
 
     def test_members_array_kept(self):
         got = QMatching(2, ((3, 0), (2, 5)))

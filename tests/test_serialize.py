@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from rep2ldc import groups
@@ -149,6 +150,42 @@ class TestLdcFormat:
     def test_hostile_fields_rejected(self, change, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
             ldc_from_json({**ldc_to_json(hadamard(2, F3)), **change})
+
+    def test_matching_rows_read_into_int64_arrays(self):
+        """Each coordinate's rows become one (k, q) int64 array, and the
+        reader builds no set tuple."""
+        doc = ldc_to_json(hadamard(3, F3))
+        for mi, rows in zip(ldc_from_json(doc).matchings, doc["matchings"]):
+            assert "sets" not in vars(mi)
+            assert mi.members.dtype == np.int64 and mi.members.tolist() == rows
+
+    # the texts the reader gave when every coordinate's rows went through
+    # json_int_rows first; rows off the array path still do
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 1], [2, 3, 4]], "bad ldc object: set (2, 3, 4) does not have exactly q=2 members"),
+        ([[0, 1], [2, 1.5]], "matchings must be an integer, got 1.5"),
+        ([[0, 1], [2, True]], "matchings must be an integer, got True"),
+        ([[0, 1], [2, "3"]], "matchings must be an integer, got '3'"),
+        ([[0, 1], "23"], "matchings must be an integer, got '2'"),
+        ({"a": 1}, "matchings must be an integer, got 'a'"),
+        ([[0, 1], 5], "bad ldc object: 'int' object is not iterable"),
+        ([[0, 1], None], "bad ldc object: 'NoneType' object is not iterable"),
+        ([[0, 1], [2, 2**63]], "bad ldc object: set member does not fit in int64"),
+        ([[0, 1], [-2**63 - 1, 3]], "bad ldc object: set member does not fit in int64"),
+        ([[3, 0], [2, 2]], "bad ldc object: set (2, 2) does not have exactly q=2 members"),
+    ], ids=["ragged", "float", "bool", "string-member", "string-row", "object", "int-row",
+            "null-row", "past-int64", "below-int64", "repeat"])
+    def test_rows_off_the_array_path_keep_their_messages(self, rows, message):
+        doc = ldc_to_json(hadamard(2, F3))
+        doc["matchings"][0] = rows
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+            ldc_from_json(doc)
+
+    def test_no_rows_read_as_an_empty_matching(self):
+        doc = ldc_to_json(hadamard(2, F3))
+        doc["matchings"][0] = []
+        back = ldc_from_json(doc).matchings[0]
+        assert back.size == 0 and back.sets == () and back.members.shape == (0, 2)
 
     def test_detect_kind(self):
         assert detect_kind(ldc_to_json(hadamard(2, F3))) == "ldc"
