@@ -114,19 +114,12 @@ class Field:
         return int(x) % self.char
 
     def array(self, rows) -> np.ndarray:
-        """Canonical 2-D array from nested sequences of scalars.  Over GF(p),
-        rows of Python ints within int64 are reduced as one array."""
-        data = list(map(list, rows))
-        ncols = set(map(len, data))
-        shape = (len(data), max(ncols, default=0))
-        if self.char and len(ncols) <= 1 and set(map(type, chain.from_iterable(data))) <= {int}:
-            try:
-                return np.array(data, dtype=np.int64).reshape(shape) % self.char
-            except OverflowError:
-                pass
-        data = [[self.canon(x) for x in row] for row in data]
+        """Canonical 2-D array from nested sequences of scalars."""
+        data = [[self.canon(x) for x in row] for row in rows]
+        ncols = {len(row) for row in data}
         if len(ncols) > 1:
             raise ValueError("ragged rows")
+        shape = (len(data), ncols.pop() if ncols else 0)
         return np.array(data, dtype=np.int64 if self.char else object).reshape(shape)
 
     def vector(self, seq) -> np.ndarray:

@@ -120,9 +120,13 @@ class MatrixGroup:
         """The BFS generator word of each element, in position order."""
         if self._words is None:
             _, parent, last, _ = self._cayley()
-            letters = [self.generators.index(u) for u in dict.fromkeys(self.generators)]
-            self._words = _words(parent, last, letters)
+            self._words = _words(parent, last, self._letters())
         return self._words
+
+    def _letters(self) -> list[int]:
+        """The letter of each Cayley table column: the first index in
+        generators of that column's generator."""
+        return [self.generators.index(u) for u in dict.fromkeys(self.generators)]
 
     def matrix(self, pos: int) -> Matrix:
         return Matrix(self.field, self._stack[pos], _canonical=True)
@@ -140,11 +144,10 @@ class MatrixGroup:
             field, stack = self.field, self._stack
             if not (stack[0] == Matrix.identity(field, self.dim).a).all():
                 raise InternalInconsistency("elements[0] is not I")
-            gens = [(self.generators.index(u), self.matrix(u))
-                    for u in dict.fromkeys(self.generators)]
+            gens = [self.matrix(u) for u in dict.fromkeys(self.generators)]
             step = max(1, CLOSURE_CHUNK // self.dim)  # blocks of CLOSURE_CHUNK rows
             try:
-                points, ids, letters, table = _bfs(field, gens, len(stack))
+                points, ids, table = _bfs(field, gens, len(stack))
                 for s in range(0, len(ids), step):
                     block, own = points[ids[s:s + step]], stack[s:s + step]
                     pairs = zip(array_keys(field, block), array_keys(field, own))
@@ -157,7 +160,7 @@ class MatrixGroup:
                 raise InternalInconsistency("BFS closure is not closed") from None
             if len(stack) != len(ids) or len(self.index) != len(ids):
                 raise InternalInconsistency("elements and index are not the BFS numbering")
-            words = None if self._words is None else _words(table[1], table[2], letters)
+            words = None if self._words is None else _words(table[1], table[2], self._letters())
             if words != self._words:
                 t = next(t for t, (w, v) in enumerate(zip_longest(words, self._words)) if w != v)
                 raise InternalInconsistency(f"BFS word of element {t} has no parent")
@@ -293,8 +296,7 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
             raise NotInvertible("generator is singular")
 
     column = {g: k for k, g in enumerate(dict.fromkeys(generators))}
-    gens = [(generators.index(g), g) for g in column]  # letters: first indices
-    points, ids, _, table = _bfs(field, gens, cap)
+    points, ids, table = _bfs(field, list(column), cap)
     positions = tuple(int(table[0][0, column[g]]) for g in generators)
     group = MatrixGroup(field, n, points[ids], None, positions, None)
     group._table = table
@@ -302,19 +304,18 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
 
 
 def _bfs(field: Field, gens: list, cap: int):
-    """The BFS pass (see the module docstring): (points, ids, letters,
-    (right, parent, last, levels)), element s being points[ids[s]], last(s)
-    a table column, letters[k] the letter of column k (see `_words`) and
-    levels (positions, parents, lasts) per BFS level from depth 1.
+    """The BFS pass (see the module docstring): (points, ids, (right,
+    parent, last, levels)), element s being points[ids[s]], last(s) a table
+    column and levels (positions, parents, lasts) per BFS level from depth 1.
 
     Positions are taken CLOSURE_CHUNK at a time.  The points met since the
-    last chunk (the rows of I at first) times every (letter, Matrix) of `gens`
-    side by side is one field.matmul, its rows numbered into act by one
-    linalg.array_keys call; the chunk times every generator is then
+    last chunk (the rows of I at first) times every distinct generator
+    Matrix of `gens` side by side is one field.matmul, its rows numbered
+    into act by one linalg.array_keys call; the chunk times every generator is then
     act[:, ids].  Past `cap` elements or n * cap points (each is a row of an
     element), CapExceeded."""
-    n, nk = gens[0][1].rows, len(gens)
-    side_by_side = np.concatenate([g.a for _, g in gens], axis=1)
+    n, nk = gens[0].rows, len(gens)
+    side_by_side = np.concatenate([g.a for g in gens], axis=1)
     fresh = Matrix.identity(field, n).a  # the points not yet in act
     blocks, points = [fresh], dict(zip(array_keys(field, fresh[:, None]), range(n)))
     dt = np.min_scalar_type(n * cap)  # holds every id: more points raise CapExceeded first
@@ -351,7 +352,7 @@ def _bfs(field: Field, gens: list, cap: int):
     levels = [(pos, parent[pos], last[pos])
               for pos in map(np.arange, ends[:-1], ends[1:])]
     ids = np.frombuffer(b"".join(keys), dtype=dt).reshape(-1, n)
-    return np.concatenate(blocks), ids, [k for k, _ in gens], (right, parent, last, levels)
+    return np.concatenate(blocks), ids, (right, parent, last, levels)
 
 
 def _words(parent: np.ndarray, last: np.ndarray, letters: list[int]) -> tuple:

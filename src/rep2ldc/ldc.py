@@ -332,14 +332,6 @@ def verify(instance: LdcInstance) -> VerificationReport:
     )
 
 
-# Buckets of at most _LOCKSTEP_PARTS parts take their runs in lockstep while at
-# least _LOCKSTEP_MIN of them are left; the rest are walked one at a time.  A
-# lockstep round costs a dozen array calls over a (buckets, parts) table, so
-# wide buckets and the last few long ones are cheaper on the heap.
-_LOCKSTEP_PARTS = 16
-_LOCKSTEP_MIN = 32
-
-
 def _value_codes(a: np.ndarray) -> np.ndarray:
     """int64 codes of the entries of `a`, in the order _scalar_sort_key
     gives their values: integer entries (GF(p) residues) are their own."""
@@ -350,11 +342,12 @@ def _value_codes(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(rank.__getitem__, flat), np.int64, len(flat)).reshape(a.shape)
 
 
-def _walk(left, taken):
-    """Runs (a, b, taken[a], taken[b], run) of the two-largest pairing of
-    one bucket, from its parts' remaining sizes `left` (in value order) and
-    rows already `taken`; updates `taken`."""
-    heap = [(-c, k) for k, c in enumerate(left) if c]
+def _walk(sizes):
+    """Runs (a, b, rows of a taken, rows of b taken, run) of the
+    two-largest pairing of one bucket, from its parts' sizes in value
+    order: parts a and b pair their next `run` rows side by side."""
+    taken = [0] * len(sizes)
+    heap = [(-c, k) for k, c in enumerate(sizes)]
     heapq.heapify(heap)
     while len(heap) >= 2:
         na, a = heapq.heappop(heap)
@@ -377,76 +370,31 @@ def max_special_matching(vectors: Matrix, i: int) -> QMatching:
     the two currently largest parts, the smaller value first among equal
     sizes, achieves it; a part gives its rows in increasing order.
 
-    One stable sort by (punctured row, value at i) lays out the buckets,
-    each part's rows side by side: an argsort of one int64 key when a row,
-    read in base (largest code + 1), fits in one, else a lexsort.  The
-    same two parts stay on top until the second falls to the size of the
-    third, so the pairing goes in runs of row pairs.  Buckets of at most
-    _LOCKSTEP_PARTS parts take their runs in lockstep, one argmax per rank
-    over all of them, until fewer than _LOCKSTEP_MIN are left; `_walk`
-    takes the rest one bucket at a time.  The pairs come out sorted.
+    One stable lexsort by (punctured row, value at i) lays out the
+    buckets, each part's rows side by side.  The same two parts stay on
+    top until the second falls to the size of the third, so `_walk` pairs
+    each bucket in runs of rows, and the pairs are built from the runs as
+    one int64 array, sorted.
     """
-    if not vectors.rows:
-        return QMatching(q=2, sets=())
     codes = _value_codes(vectors.a)
-    (m, t), base = codes.shape, int(codes.max()) + 1
-    value = codes[:, i]
+    m, t = codes.shape
     rest = codes[:, [k for k in range(t) if k != i]]
+    order = np.lexsort((codes[:, i],) + tuple(rest.T[::-1]))
+    rest, value = rest[order], codes[order, i]
     new_bucket = np.ones(m, dtype=bool)
-    if base ** t < 2**63:  # a row is one base-`base` number, its value at i the last digit
-        punctured = rest @ base ** np.arange(t - 1, dtype=np.int64)
-        order = np.argsort(punctured * base + value, kind="stable")
-        punctured = punctured[order]
-        new_bucket[1:] = punctured[1:] != punctured[:-1]
-    else:
-        order = np.lexsort((value,) + tuple(rest.T[::-1]))
-        rest = rest[order]
-        new_bucket[1:] = (rest[1:] != rest[:-1]).any(axis=1)
-    value = value[order]
+    new_bucket[1:] = (rest[1:] != rest[:-1]).any(axis=1)
     start = np.flatnonzero(new_bucket | np.r_[True, value[1:] != value[:-1]])
-    size = np.diff(np.r_[start, m])
-    first = np.flatnonzero(new_bucket[start])  # each bucket's first part
-    parts = np.diff(np.r_[first, len(start)])
-
-    runs = []  # (first part, a, b, rows of a taken, rows of b taken, run) arrays
-    dense = np.flatnonzero((parts >= 2) & (parts <= _LOCKSTEP_PARTS))
-    left = np.zeros((len(dense), parts[dense].max(initial=0)), dtype=np.int64)
-    for col in range(left.shape[1]):
-        has = parts[dense] > col
-        left[has, col] = size[first[dense[has]] + col]
-    full = left.copy()
-    act = np.arange(len(dense))
-    while act.size:
-        s, rows = left[act], np.arange(act.size)
-        rank = []
-        for _ in range(3):  # the top three parts, the smaller value first among equal sizes
-            k = s.argmax(axis=1)
-            rank.append((k, np.maximum(s[rows, k], 0)))
-            s[rows, k] = -1
-        (a, _), (b, sb), (c, sc) = rank
-        live = sb > 0
-        act, a, b, c, sb, sc = act[live], a[live], b[live], c[live], sb[live], sc[live]
-        if act.size < _LOCKSTEP_MIN:
-            break
-        run = np.where(sc > 0, sb - sc + (b < c), sb)
-        runs.append((first[dense[act]], a, b, full[act, a] - left[act, a],
-                     full[act, b] - left[act, b], run))
-        left[act, a] -= run
-        left[act, b] -= run
-    walked = [(first[dense[j]], left[j].tolist(), (full[j] - left[j]).tolist()) for j in act]
-    walked += [(first[j], size[first[j]:first[j] + parts[j]].tolist(), [0] * parts[j])
-               for j in np.flatnonzero(parts > _LOCKSTEP_PARTS)]
-    for f, sizes, taken in walked:
-        for a, b, ta, tb, run in _walk(sizes, taken):
-            runs.append(([f], [a], [b], [ta], [tb], [run]))
-    if not runs:
-        return QMatching(q=2, sets=np.empty((0, 2), dtype=np.int64))
-    f, a, b, ta, tb, run = (np.concatenate(x).astype(np.int64) for x in zip(*runs))
+    size = np.diff(np.r_[start, m]).tolist()
+    ends = np.r_[np.flatnonzero(new_bucket[start]), len(start)].tolist()  # parts per bucket
+    runs = [(f + a, f + b, ta, tb, run)
+            for f, e in zip(ends[:-1], ends[1:]) if e - f > 1
+            for a, b, ta, tb, run in _walk(size[f:e])]
+    a, b, ta, tb, run = np.array(runs, dtype=np.int64).reshape(-1, 5).T
     step = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run, run)
-    pairs = np.stack([order[np.repeat(start[f + a] + ta, run) + step],
-                      order[np.repeat(start[f + b] + tb, run) + step]], axis=1)
+    pairs = np.stack([order[np.repeat(start[a] + ta, run) + step],
+                      order[np.repeat(start[b] + tb, run) + step]], axis=1)
     pairs.sort(axis=1)
-    return QMatching(q=2, sets=pairs[np.argsort(pairs[:, 0] * m + pairs[:, 1])])
+    return QMatching(q=2, sets=pairs[np.argsort(pairs[:, 0])])  # disjoint: first members differ
 
 
 def hadamard(n: int, field: Field) -> LdcInstance:

@@ -91,7 +91,7 @@ class TestRationalMatmul:
                 return _original(x, y)
 
             monkeypatch.setattr(Fraction, name, counted)
-        _, ids, _, _ = groups._bfs(QQ, list(enumerate(gens)), 1000)
+        _, ids, _ = groups._bfs(QQ, gens, 1000)
         assert len(ids) == 64 and calls == []
         fraction_matmul(gens[0].a, gens[1].a)
         assert calls

@@ -2,7 +2,6 @@ import dataclasses
 import re
 import sys
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -175,24 +174,9 @@ class TestMaxSpecialMatching:
             assert max_special_matching(vectors, i).size == brute_max_matching(edge, m)
 
 
-# (_LOCKSTEP_PARTS, _LOCKSTEP_MIN): every bucket in lockstep to the end, every
-# bucket walked one at a time, and the shipped split
-WALKS = {"lockstep": (10**9, 1), "one at a time": (1, 10**9),
-         "shipped": (ldc._LOCKSTEP_PARTS, ldc._LOCKSTEP_MIN)}
-
-
-def _pairs_by_each_walk(vectors, i):
-    out = []
-    for parts, least in WALKS.values():
-        with mock.patch.object(ldc, "_LOCKSTEP_PARTS", parts), \
-                mock.patch.object(ldc, "_LOCKSTEP_MIN", least):
-            out.append(max_special_matching(vectors, i).sets)
-    return out
-
-
 class TestMaxSpecialMatchingMatchesTheHeapWalk:
     """max_special_matching gives the former heap walk's pairs, pair for
-    pair, whichever way its runs are taken."""
+    pair."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -206,15 +190,15 @@ class TestMaxSpecialMatchingMatchesTheHeapWalk:
         vectors = Matrix(field, rows)
         i = data.draw(st.integers(0, t - 1))
         want = reference_max_special_matching(vectors, i)
-        assert _pairs_by_each_walk(vectors, i) == [want] * len(WALKS)
+        assert max_special_matching(vectors, i).sets == want
 
     @pytest.mark.parametrize("p, m, t, spread", [
         (3, 3000, 2, 3),       # about 1000 rows per bucket in three parts
         (7, 3000, 4, 7),       # 343 buckets of about 9 rows
-        (101, 3000, 2, 101),   # buckets of up to 101 parts: one at a time
+        (101, 3000, 2, 101),   # buckets of up to 101 parts
         (101, 3000, 2, 40),
         (5, 1000, 3, 2),       # two values per coordinate only
-        (2**31 - 1, 2000, 3, 4),  # rows too wide for one int64 key: the lexsort
+        (2**31 - 1, 2000, 3, 4),  # values far apart
         (0, 400, 2, 5),        # QQ
     ])
     def test_larger_codes(self, p, m, t, spread):
@@ -228,7 +212,7 @@ class TestMaxSpecialMatchingMatchesTheHeapWalk:
             vectors = Matrix(QQ, rows)
         for i in range(t):
             want = reference_max_special_matching(vectors, i)
-            assert _pairs_by_each_walk(vectors, i) == [want] * len(WALKS)
+            assert max_special_matching(vectors, i).sets == want
             assert max_special_matching(vectors, i).members.dtype == np.int64
 
     def test_no_pairs(self):
