@@ -35,7 +35,7 @@ from .errors import (
     ScalarMultipleOfIdentity,
     ZeroMatrix,
 )
-from .fields import Field, scaled_numerators
+from .fields import Field, scaled_numerators, strict_int
 from .groups import CLOSURE_CHUNK, MatrixGroup, mult_cycles
 from .ldc import LdcInstance, QMatching, verify
 from .linalg import Matrix, Subspace, nullspace, rank_factorize, ranks, rref
@@ -406,14 +406,12 @@ def _code_vectors(group: MatrixGroup, w: Matrix, z: np.ndarray, lam=None) -> np.
     return np.concatenate([rows, field.reduce(rows * lam)], axis=0)
 
 
-def _positions(group: MatrixGroup, hs) -> list[int]:
-    """hs as ints, each an element position in [0, |G|)."""
-    hs = [int(h) for h in hs]
-    m = len(group)
-    for h in hs:
-        if not 0 <= h < m:
-            raise ValueError(f"element position {h} outside [0, {m})")
-    return hs
+def _position(group: MatrixGroup, h, name: str) -> int:
+    """h as an int, an element position in [0, |G|); `name` names it in errors."""
+    h, m = strict_int(h, name), len(group)
+    if not 0 <= h < m:
+        raise ValueError(f"element position {h} outside [0, {m})")
+    return h
 
 
 # -- the certificate contract: each rule of a kind is decided here alone, for
@@ -482,7 +480,7 @@ def _build(group: MatrixGroup, kind: str, hs, alphas, lam, seed: int) -> Constru
 def build_q_ldc(group: MatrixGroup, hs, alphas, seed: int = 0) -> ConstructionCert:
     """General (q, >= theta/q^2)-LDC from q elements spanning a low-rank
     combination.  m = |G|, t >= ceil(n/R)."""
-    hs = _positions(group, hs)
+    hs = [_position(group, h, f"hs[{i}]") for i, h in enumerate(hs)]
     if len(set(hs)) != len(hs):
         raise ValueError("hs must be distinct group elements")
     return _build(group, "general", hs, alphas, None, seed)
@@ -496,7 +494,7 @@ def build_special_2ldc(group: MatrixGroup, h: int, seed: int = 0) -> Constructio
     density is exactly gamma_h/2 and the certified density is at least
     theta * gamma_h / 2.
     """
-    (h,) = _positions(group, [h])
+    h = _position(group, h, "h")
     if group.matrix(h) == Matrix.identity(group.field, group.dim):
         raise IdentityElement("h acts as the identity")
     return _build(group, "special2", [h, group.identity_pos], [1, -1], None, seed)
@@ -510,7 +508,7 @@ def lambda_variant(group: MatrixGroup, h: int, lam, seed: int = 0) -> Constructi
     matching sizes stay those of the h-cycles, halving the density to at
     least theta * gamma_h / 4.
     """
-    (h,) = _positions(group, [h])
+    h = _position(group, h, "h")
     field = group.field
     lam = field.canon(lam)
     if lam == 0:

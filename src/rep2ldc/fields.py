@@ -32,7 +32,7 @@ from . import _kernels
 from ._kernels import MAX_PRIME
 from .errors import ParseError
 
-__all__ = ["Field", "GF", "QQ", "is_prime", "rational_from_json"]
+__all__ = ["Field", "GF", "QQ", "is_prime", "rational_from_json", "strict_int"]
 
 _to_str = np.frompyfunc(str, 1, 1)  # "a/b" of each Fraction of an object array
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -54,6 +54,14 @@ def rational_from_json(x) -> Fraction:
         raise ValueError(f"not a rational -?[0-9]+(/[0-9]+)?: {x!r}")
     num, den = match.groups()
     return Fraction(int(num), int(den) if den else 1)
+
+
+def strict_int(value, name: str) -> int:
+    """value as an int if a Python or numpy integer (not a bool), else ValueError
+    naming `name`: int() would truncate a float or parse a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def is_prime(n: int) -> bool:
@@ -87,7 +95,7 @@ class Field:
     __slots__ = ("char",)
 
     def __init__(self, char: int):
-        char = int(char)
+        char = strict_int(char, "char")
         if char > MAX_PRIME:
             raise ValueError(f"field characteristic {char} exceeds machine-word limit {MAX_PRIME}")
         if char != 0 and not is_prime(char):

@@ -47,10 +47,7 @@ def _size_within_cap(factors, cap: int | None) -> int:
     Multiplying stops at the first partial product above the cap, so a
     huge size such as n * 2^n or k! is never formed.
     """
-    cap = groups.DEFAULT_CAP if cap is None else int(cap)
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
-    size = 1
+    cap, size = groups._resolve_cap(cap), 1
     for f in factors:
         size *= f
         if size > cap:

@@ -20,8 +20,7 @@ first met is the next element, its parent and generator kept (its word is
 its parent's plus the generator's letter); any other is a table entry.  So
 the pass is the closure proof: every row filled means the set, holding I,
 is closed, and every element is a generator word in BFS order.  A copy made
-with the constructor replays the pass and compares it, a chunk at a time,
-with its array, index and words.
+with the constructor must be the BFS closure of its generators (_cayley).
 The table answers group questions with integers: left_perm is
 one gather per BFS level, mul a word walk, inv and element_order walks of
 powers, mult_cycles powers of left_perm, and the conjugacy classes orbits
@@ -34,12 +33,11 @@ g^-1 = g^(ord g - 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
 from .errors import CapExceeded, InternalInconsistency, NotInvertible
-from .fields import Field
+from .fields import Field, strict_int
 from .linalg import Matrix, array_keys, rank, ranks, row_closure
 
 __all__ = [
@@ -61,9 +59,9 @@ class MatrixGroup:
 
     Built through close_group; immutable afterwards.  ``words[i]`` is the
     BFS generator word (tuple of generator indices, product left to
-    right) reaching element i.  The constructor also copies a closed group;
-    close_group passes None for index and words, which are then derived
-    on first read, from the elements' keys and from the BFS table.
+    right) reaching element i.  The constructor also copies a closed group,
+    taken on first use only if it is the BFS closure of its generators;
+    close_group passes None for index and words, derived when first read.
     """
 
     __slots__ = (
@@ -120,13 +118,8 @@ class MatrixGroup:
         """The BFS generator word of each element, in position order."""
         if self._words is None:
             _, parent, last, _ = self._cayley()
-            self._words = _words(parent, last, self._letters())
+            self._words = _words(parent, last, self.generators)
         return self._words
-
-    def _letters(self) -> list[int]:
-        """The letter of each Cayley table column: the first index in
-        generators of that column's generator."""
-        return [self.generators.index(u) for u in dict.fromkeys(self.generators)]
 
     def matrix(self, pos: int) -> Matrix:
         return Matrix(self.field, self._stack[pos], _canonical=True)
@@ -138,32 +131,27 @@ class MatrixGroup:
         return self.index[m.key()]
 
     def _cayley(self):
-        """(right, parent, last, levels) of the BFS pass, which a copy replays on
-        first use and compares with its elements, index and words block by block."""
+        """(right, parent, last, levels) of the BFS pass.  A copy runs it on first
+        use, with cap |copy|, and is taken only if the pass closes, its keys are
+        the copy's and the index's block by block, and any given words are its."""
         if self._table is None:
-            field, stack = self.field, self._stack
-            if not (stack[0] == Matrix.identity(field, self.dim).a).all():
-                raise InternalInconsistency("elements[0] is not I")
+            field, stack, index = self.field, self._stack, self.index
             gens = [self.matrix(u) for u in dict.fromkeys(self.generators)]
             step = max(1, CLOSURE_CHUNK // self.dim)  # blocks of CLOSURE_CHUNK rows
             try:
                 points, ids, table = _bfs(field, gens, len(stack))
-                for s in range(0, len(ids), step):
-                    block, own = points[ids[s:s + step]], stack[s:s + step]
-                    pairs = zip(array_keys(field, block), array_keys(field, own))
-                    held = [self.index[k] if k == w else -1 for k, w in pairs]  # no Fraction ==
-                    bad = np.flatnonzero(np.array(held) != np.arange(s, s + len(held)))
-                    if bad.size:
-                        raise InternalInconsistency(
-                            f"element {s + bad[0]} is numbered out of BFS order")
-            except (CapExceeded, KeyError):  # more elements than the copy, or one not in it
-                raise InternalInconsistency("BFS closure is not closed") from None
-            if len(stack) != len(ids) or len(self.index) != len(ids):
-                raise InternalInconsistency("elements and index are not the BFS numbering")
-            words = None if self._words is None else _words(table[1], table[2], self._letters())
-            if words != self._words:
-                t = next(t for t, (w, v) in enumerate(zip_longest(words, self._words)) if w != v)
-                raise InternalInconsistency(f"BFS word of element {t} has no parent")
+                closed = len(ids) == len(stack) == len(index)
+            except CapExceeded:  # more elements than the copy holds
+                closed = False
+            for s in range(0, len(stack) if closed else 0, step):
+                keys = array_keys(field, points[ids[s:s + step]])
+                closed = (keys == array_keys(field, stack[s:s + step])
+                          and list(map(index.get, keys)) == list(range(s, s + len(keys))))
+                if not closed:
+                    break
+            if not closed or self._words is not None and self._words != _words(
+                    table[1], table[2], self.generators):
+                raise InternalInconsistency("group copy is not the BFS closure of its generators")
             self._table = table
         return self._table
 
@@ -279,14 +267,12 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
     numbers the elements, builds the Cayley table and proves the result
     closed; generator u's position is right[0, column of u].  The group's
     index and words are built when first read.  Raises CapExceeded past
-    `cap` elements or n * cap points, ValueError for a cap below 1,
-    NotInvertible for singular input.
+    `cap` elements or n * cap points, ValueError for a cap that is not a
+    positive integer, NotInvertible for singular input.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    cap = DEFAULT_CAP if cap is None else int(cap)
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
+    cap = _resolve_cap(cap)
     field = generators[0].field
     n = generators[0].rows
     for g in generators:
@@ -301,6 +287,14 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
     group = MatrixGroup(field, n, points[ids], None, positions, None)
     group._table = table
     return group
+
+
+def _resolve_cap(cap) -> int:
+    """DEFAULT_CAP for None, else cap if it is a positive integer; ValueError otherwise."""
+    cap = DEFAULT_CAP if cap is None else strict_int(cap, "cap")
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    return cap
 
 
 def _bfs(field: Field, gens: list, cap: int):
@@ -355,8 +349,10 @@ def _bfs(field: Field, gens: list, cap: int):
     return np.concatenate(blocks), ids, (right, parent, last, levels)
 
 
-def _words(parent: np.ndarray, last: np.ndarray, letters: list[int]) -> tuple:
-    """Each element's word: its parent's plus the letter of its table column."""
+def _words(parent: np.ndarray, last: np.ndarray, generators: tuple[int, ...]) -> tuple:
+    """Each element's word: its parent's plus the letter of its table column,
+    the first index in generators of that column's generator."""
+    letters = [generators.index(u) for u in dict.fromkeys(generators)]
     words = [()]
     for row, k in zip(parent[1:].tolist(), last[1:].tolist()):
         words.append(words[row] + (letters[k],))

@@ -7,6 +7,10 @@ import itertools
 import math
 from fractions import Fraction
 
+# the fixture ladder of the benchmark's baseline table, over GF(p) and QQ
+LADDER = ("signed_shift(4,3)", "signed_shift(4,0)", "signed_shift(6,5)", "symmetric(6,7)",
+          "signed_shift(8,3)", "signed_shift(10,3)")
+
 
 def brute_rank(rows, p) -> int:
     """Rank over GF(p) or the rationals (p == 0) by enumerating the row

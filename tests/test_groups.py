@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import (
+    LADDER,
     fresh_group,
     matrix_cycles,
     matrix_inv,
@@ -104,17 +105,30 @@ class TestCloseGroup:
                 assert 0 <= g.mul(i, j) < 6
             assert g.mul(i, g.inv(i)) == g.identity_pos
 
-    def test_closure_sampled_above_threshold(self):
-        # 2048 elements: the closure proof covers every element times every
-        # generator; spot-check the product table it implies
-        from rep2ldc.fixtures import signed_shift_group
+    @pytest.mark.parametrize("spec", LADDER)
+    def test_table_is_every_product(self, spec):
+        # column k of the table is elements @ gen_k, one batched product per
+        # distinct generator: every entry, and so every mul, is checked
+        g = parse_fixture(spec)
+        stack, right = g.stacked(), g._cayley()[0]
+        for k, u in enumerate(dict.fromkeys(g.generators)):
+            assert np.array_equal(g.field.matmul(stack, g.matrix(u).a), stack[right[:, k]])
 
-        g = signed_shift_group(8, 3)
-        assert len(g) == 2048
-        rng = np.random.default_rng(1)
-        for i, j in rng.integers(0, 2048, size=(32, 2)):
-            k = g.mul(int(i), int(j))
-            assert g.matrix(int(i)) @ g.matrix(int(j)) == g.matrix(k)
+    @staticmethod
+    def _refused(g, elements=None, index=None, words=None):
+        """A copy of g with the given parts in place of its own gets the one
+        verdict: it is not the BFS closure of its generators."""
+        damaged = MatrixGroup(g.field, g.dim, list(g.elements) if elements is None else elements,
+                              g.index if index is None else index, g.generators,
+                              g.words if words is None else tuple(words))
+        with pytest.raises(InternalInconsistency,
+                           match="^group copy is not the BFS closure of its generators$"):
+            damaged._cayley()
+
+    @staticmethod
+    def _outsider(g):
+        rows = [[int(i == j or (i, j) == (0, 1)) for j in range(g.dim)] for i in range(g.dim)]
+        return Matrix(g.field, rows)  # same shape, not monomial, so not in the group
 
     @pytest.mark.parametrize("fixture, chunk", [
         ("signed_shift_4_3", groups.CLOSURE_CHUNK),
@@ -129,41 +143,33 @@ class TestCloseGroup:
         g = request.getfixturevalue(fixture)
         index = dict(g.index)
         del index[g.matrix(drop).key()]
-        damaged = MatrixGroup(g.field, g.dim, list(g.elements), index, g.generators, g.words)
-        with pytest.raises(InternalInconsistency, match="not closed"):
-            damaged._cayley()
+        self._refused(g, index=index)
         fresh_group(g)._cayley()
-
-    @staticmethod
-    def _with_word(g, s, word):
-        words = list(g.words)
-        words[s] = word
-        return MatrixGroup(g.field, g.dim, list(g.elements), g.index, g.generators, tuple(words))
 
     @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
     @pytest.mark.parametrize("s", [1, 2, 37])
     def test_wrong_last_letter_detected(self, request, fixture, s):
         # every word must be its BFS parent's word plus the generator letter
         g = request.getfixturevalue(fixture)
-        word = g.words[s][:-1] + (1 - g.words[s][-1],)
-        with pytest.raises(InternalInconsistency, match="no parent"):
-            self._with_word(g, s, word)._cayley()
+        words = list(g.words)
+        words[s] = words[s][:-1] + (1 - words[s][-1],)
+        self._refused(g, words=words)
 
     @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
     @pytest.mark.parametrize("s", [1, 37, 63])
     @pytest.mark.parametrize("change", ["longer", "shorter", "empty"])
     def test_wrong_word_length_detected(self, request, fixture, s, change):
         g = request.getfixturevalue(fixture)
-        word = {"longer": (0,) + g.words[s], "shorter": g.words[s][1:], "empty": ()}[change]
-        with pytest.raises(InternalInconsistency, match="no parent"):
-            self._with_word(g, s, word)._cayley()
+        words = list(g.words)
+        words[s] = {"longer": (0,) + words[s], "shorter": words[s][1:], "empty": ()}[change]
+        self._refused(g, words=words)
 
     @pytest.mark.parametrize("letter", [-1, 2])
     def test_letter_outside_generators_detected(self, signed_shift_4_3, letter):
         g = signed_shift_4_3
-        damaged = self._with_word(g, 37, g.words[37][:-1] + (letter,))
-        with pytest.raises(InternalInconsistency, match="no parent"):
-            damaged._cayley()
+        words = list(g.words)
+        words[37] = words[37][:-1] + (letter,)
+        self._refused(g, words=words)
 
     @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
     @pytest.mark.parametrize("depth", [2, 3])
@@ -176,22 +182,20 @@ class TestCloseGroup:
         elements[a], elements[b] = elements[b], elements[a]
         words[a], words[b] = words[b], words[a]
         index[elements[a].key()], index[elements[b].key()] = a, b
-        damaged = MatrixGroup(g.field, g.dim, elements, index, g.generators, tuple(words))
-        with pytest.raises(InternalInconsistency, match="out of BFS order"):
-            damaged._cayley()
+        self._refused(g, elements, index, words)
 
     @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
-    @pytest.mark.parametrize("damage, message", [
-        ("elements_swapped", "out of BFS order"),  # index and words left as they are
-        ("identity_moved", "is not I"),
-        ("extra_element", "not the BFS numbering"),
-        ("extra_index_key", "not the BFS numbering"),
+    @pytest.mark.parametrize("damage", [
+        "elements_swapped",  # index and words left as they are
+        "identity_moved",
+        "extra_element",
+        "extra_index_key",
+        "index_swapped",  # elements and words left as they are
     ])
-    def test_numbering_damage_detected(self, request, fixture, damage, message):
+    def test_numbering_damage_detected(self, request, fixture, damage):
         g = request.getfixturevalue(fixture)
         elements, index, words = list(g.elements), dict(g.index), list(g.words)
-        rows = [[int(i == j or (i, j) == (0, 1)) for j in range(g.dim)] for i in range(g.dim)]
-        outsider = Matrix(g.field, rows)  # not monomial, so not in the group
+        outsider = self._outsider(g)
         if damage == "elements_swapped":
             elements[-2], elements[-1] = elements[-1], elements[-2]
         elif damage == "identity_moved":
@@ -202,26 +206,23 @@ class TestCloseGroup:
             index[outsider.key()] = len(elements)
             elements.append(outsider)
             words.append((0,))
+        elif damage == "index_swapped":
+            index[elements[1].key()], index[elements[2].key()] = 2, 1
         else:
             index[outsider.key()] = 5
-        damaged = MatrixGroup(g.field, g.dim, elements, index, g.generators, tuple(words))
-        with pytest.raises(InternalInconsistency, match=message):
-            damaged._cayley()
+        self._refused(g, elements, index, words)
 
     @pytest.mark.parametrize("fixture", ["signed_shift_4_3", "signed_shift_4_q"])
     @pytest.mark.parametrize("reindexed", [True, False])  # the index follows the swap, or not
     def test_non_element_swapped_in_detected(self, request, fixture, reindexed):
         g = request.getfixturevalue(fixture)
         elements, index = list(g.elements), dict(g.index)
-        rows = [[int(i == j or (i, j) == (0, 1)) for j in range(g.dim)] for i in range(g.dim)]
-        outsider = Matrix(g.field, rows)  # same shape, not monomial, so not in the group
+        outsider = self._outsider(g)
         if reindexed:
             del index[elements[37].key()]
             index[outsider.key()] = 37
         elements[37] = outsider
-        damaged = MatrixGroup(g.field, g.dim, elements, index, g.generators, g.words)
-        with pytest.raises(InternalInconsistency, match="element 37 is numbered out of BFS order"):
-            damaged._cayley()
+        self._refused(g, elements, index)
 
     def test_position_of_rejects_another_field_or_shape(self, signed_shift_4_3):
         g = signed_shift_4_3

@@ -7,6 +7,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from helpers import LADDER
 
 from rep2ldc import groups
 from rep2ldc.certcheck import cert_from_json, verify_cert
@@ -16,9 +17,6 @@ from rep2ldc.groups import MatrixGroup, close_group
 from rep2ldc.ldc import QMatching
 from rep2ldc.serialize import canonical_json, cert_to_json
 
-# the fixture ladder of the benchmark's baseline table
-LADDER = ("signed_shift(4,3)", "signed_shift(4,0)", "signed_shift(6,5)", "symmetric(6,7)",
-          "signed_shift(8,3)", "signed_shift(10,3)")
 # signed_shift(10,3) gets no certificate here, as in the baseline table
 # (BUILD_NOT_RUN in perfbench/harness.py)
 CERT_LADDER = LADDER[:-1]
