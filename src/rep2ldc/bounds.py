@@ -5,7 +5,9 @@ rational through integer powers (`_pow_ge_pow2`).  The verdicts of
 `match_entropy_check` and of the entropy audit follow by proof from their
 exact pair checks (the lemma in `entropy_audit`), so neither forms a big
 integer.  Floats are attached for reporting only.  Whether matched pairs
-are distinct, disjoint and in range is ldc's one set-family rule.
+are distinct, disjoint and in range is ldc's one set-family rule, which
+`match_entropy_check` runs on its pairs and which every QMatching of an
+LdcInstance has passed when made.
 """
 
 from __future__ import annotations
@@ -316,7 +318,8 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
     """Walk the chain rule over the code coordinates.
 
     X is a uniform row, X_i its value at coordinate i and X_<i its prefix.
-    The pairs of M_i must be disjoint (ValueError), share their prefix
+    The pairs of M_i are disjoint rows of the code, as QMatching and
+    LdcInstance decided when they were made; each must share its prefix
     (MatchingCrossesPrefixClass) and differ at i (PairNotSeparated).
     Once they do, every verdict holds by proof:
 
@@ -356,18 +359,11 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
         child = np.argsort(order)[inverse]
 
         matching = instance.matchings[i]
-        faults = ldc._set_faults(ldc._rule_input(matching), 2, m)
-        broken = np.flatnonzero(faults.bad_size | faults.overlap | faults.outside)
-        if broken.size:
-            if faults.sizes[broken[0]] != 2:
-                raise ValueError(f"set {matching.sets[broken[0]]} does not have 2 distinct "
-                                 f"members at coordinate {i}")
-            raise ValueError(f"matching pairs at coordinate {i} must be disjoint rows of the code")
-        a, b = faults.members.reshape(-1, 2).T
+        a, b = matching.members.T
         crosses = label[a] != label[b]
         bad = np.flatnonzero(crosses | (value[a] == value[b]))
         if bad.size:
-            j1, j2 = matching.sets[bad[0]]
+            j1, j2 = matching.members[bad[0]].tolist()
             if crosses[bad[0]]:
                 raise MatchingCrossesPrefixClass(
                     f"pair ({j1}, {j2}) crosses prefix classes at coordinate {i}")

@@ -265,8 +265,10 @@ def choose_z(field: Field, normals: np.ndarray, seed: int = 0):
     beyond it), split only where it would exceed LATTICE_PRODUCT_ENTRIES.
 
     Returns (z, mask) with mask[r] true iff row r survives, from one
-    product of the normals with z on either field.
+    product of the normals with z on either field.  seed is a Python or
+    numpy integer.
     """
+    seed = strict_int(seed, "seed")
     k, n = normals.shape
     p = field.char
     if p:
@@ -316,7 +318,7 @@ def beta(cert: ConstructionCert, j: int, s: int, z=None):
     z = cert.z if z is None else (z if isinstance(z, np.ndarray) else field.vector(z))
     c = cert.X.matvec(cert.family.hat_w[j])
     u = cert.group.matrix(s).matvec(z)
-    return field.canon(field.matmul(c, u))
+    return np.asarray(field.matmul(c, u)).item()  # a canonical Python int or Fraction
 
 
 def beta_table(cert: ConstructionCert, positions=None) -> np.ndarray:
@@ -448,7 +450,9 @@ def code_shape(kind: str, m: int) -> tuple[str, int]:
 def _build(group: MatrixGroup, kind: str, hs, alphas, lam, seed: int) -> ConstructionCert:
     """The pipeline of every kind: the combination of hs and alphas, its
     spanning family, the pre-filter tuples, z and the code, each checked
-    against the kind's contract; lam scales the lambda kind's second block."""
+    against the kind's contract; lam scales the lambda kind's second block.
+    seed is a Python or numpy integer, kept as int in the certificate."""
+    seed = strict_int(seed, "seed")
     field, q = group.field, len(hs)
     d, r, y, x, family = _prepare(group, hs, alphas)
     kept_s = _greedy_kept_s(group, hs) if kind == "general" else _cycle_kept_s(group, hs[0])

@@ -112,14 +112,19 @@ class Field:
     # -- scalar plumbing ----------------------------------------------------
 
     def canon(self, x) -> int | Fraction:
-        """Canonical representative of a scalar in this field."""
-        if self.char == 0:
-            return Fraction(x)
+        """Canonical representative of a scalar in this field: an int (not
+        a bool), a numpy integer or a Fraction.  Anything else raises
+        ValueError naming it, where int() would truncate a float or parse
+        a string and Fraction() would take a float's binary expansion."""
         if isinstance(x, Fraction):
+            if not self.char:
+                return x
             if x.denominator % self.char == 0:
                 raise ZeroDivisionError(f"denominator not a unit mod {self.char}")
             return x.numerator * pow(x.denominator, -1, self.char) % self.char
-        return int(x) % self.char
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise ValueError(f"scalar {x!r} is not an integer or a Fraction")
+        return int(x) % self.char if self.char else Fraction(int(x))
 
     def array(self, rows) -> np.ndarray:
         """Canonical 2-D array from nested sequences of scalars."""

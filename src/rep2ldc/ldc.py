@@ -7,12 +7,15 @@ sets are pairs whose difference is a nonzero multiple of it.  Indices into
 the vector list are 0-based throughout.
 
 One rule, `_set_faults`, decides whether index sets are q distinct,
-pairwise disjoint positions inside the code; QMatching, LdcInstance,
-`verify`, bounds' entropy checks, construct's pre-filter and certcheck all
-take their verdict from it.  One first fit, `_first_fit`, keeps the
-disjoint subfamily of construct's general pre-filter.
+pairwise disjoint positions inside the code.  It runs where sets are made:
+in QMatching's constructor (sizes and disjointness), in LdcInstance's (the
+range [0, m), which only it knows), in bounds.match_entropy_check and in
+the pre-filters of construct and certcheck.  `verify` and
+bounds.entropy_audit read a QMatching's members without asking again.
+One first fit, `_first_fit`, keeps the disjoint subfamily of construct's
+general pre-filter.
 
-`verify` also decides the span condition for all sets of a coordinate at
+`verify` decides the span condition for all sets of a coordinate at
 once, over GF(p) and QQ alike: special2 pairs by one difference array,
 general q-sets by comparing batched ranks (linalg.ranks) with and without
 e_i.
@@ -22,15 +25,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fields import Field
+from .fields import Field, strict_int
 from .linalg import Matrix, ranks
 
 __all__ = [
@@ -100,14 +102,6 @@ def _set_faults(sets, q: int, m: int | None = None) -> _Faults:
     return _Faults(flat, sizes, (sizes != q) | repeat, overlap, outside)
 
 
-def _rule_input(mi: "QMatching"):
-    """What `_set_faults` reads for a matching: the (k, q) `members` array
-    when the matching holds one (every QMatching built through
-    `__post_init__` does), else `sets`, which may be ragged."""
-    held = vars(mi)
-    return held["members"] if "members" in held else mi.sets
-
-
 def _first_fit(candidates) -> list[int]:
     """Indices of the first-fit maximal disjoint subfamily: a candidate is
     kept when it shares no member with an earlier kept one."""
@@ -120,58 +114,58 @@ def _first_fit(candidates) -> list[int]:
     return kept
 
 
-@dataclass(frozen=True)
 class QMatching:
     """Family of pairwise disjoint q-subsets of code positions.
 
-    `sets` may be given as a (k, q) integer array or as integer
-    sequences.  The matching holds the sets as `members`, a read-only
-    (k, q) int64 array with each row sorted, and `size` counts its rows.
-    `sets`, the same sets as a tuple of sorted int tuples, is built from
-    `members` only when read (a failure message, `match_entropy_check`,
-    `==`, `hash`, `repr`); no passing check or writer reads it.
+    `sets` is a (k, q) integer array or integer sequences, decided here,
+    once, by the set rule.  The matching holds only `q` and `members`, a
+    read-only (k, q) int64 array with each row sorted; `sets` (the rows as
+    int tuples) and `size` are read off it.  It cannot be changed, and `==`
+    and `hash` go by (q, members).
     """
 
-    q: int
-    sets: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "members")
 
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"matching arity q={self.q} is below 1")
-        faults = _set_faults(self.sets, self.q)
+    def __init__(self, q: int, sets):
+        if q < 1:
+            raise ValueError(f"matching arity q={q} is below 1")
+        faults = _set_faults(sets, q)
         bad = np.flatnonzero(faults.bad_size | faults.overlap)
         if bad.size:
             k = int(bad[0])
-            s = self.sets[k]
-            if isinstance(s, np.ndarray):
-                s = tuple(s.tolist())
+            start = int(faults.sizes[:k].sum())
+            s = tuple(faults.members[start:start + faults.sizes[k]].tolist())
             if faults.bad_size[k]:
-                raise ValueError(f"set {s} does not have exactly q={self.q} members")
+                raise ValueError(f"set {s} does not have exactly q={q} members")
             raise ValueError(f"set {s} overlaps an earlier set")
-        rows = np.sort(faults.members.reshape(faults.sizes.size, self.q), axis=1)
-        rows.flags.writeable = False
-        object.__setattr__(self, "members", rows)
-        del vars(self)["sets"]  # read back from members
+        members = np.sort(faults.members.reshape(faults.sizes.size, q), axis=1)
+        members.flags.writeable = False
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "members", members)
 
-    @cached_property
-    def members(self) -> np.ndarray:
-        """The (k, q) int64 array of `sets`.  Set at construction; derived
-        from `sets` only for an instance made without `__post_init__`."""
-        return np.array(self.sets, dtype=np.int64).reshape(len(self.sets), self.q)
+    def __setattr__(self, *_):
+        raise AttributeError("a QMatching cannot be changed")
+
+    __delattr__ = __setattr__
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.members.tolist()))
 
     @property
     def size(self) -> int:
-        return len(_rule_input(self))
+        return len(self.members)
 
+    def __eq__(self, other):
+        if not isinstance(other, QMatching):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.members, other.members)
 
-def _matching_sets(mi: QMatching) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, mi.members.tolist()))
+    def __hash__(self) -> int:
+        return hash((self.q, self.members.tobytes()))
 
-
-# `sets` is a dataclass field, so its lazy read is attached after the class:
-# a non-data descriptor, it answers only while the instance holds no `sets`.
-QMatching.sets = cached_property(_matching_sets)
-QMatching.sets.__set_name__(QMatching, "sets")
+    def __repr__(self) -> str:
+        return f"QMatching(q={self.q}, sets={self.sets})"
 
 
 def _scalar_sort_key(x):
@@ -182,7 +176,9 @@ def _scalar_sort_key(x):
 
 @dataclass(frozen=True)
 class LdcInstance:
-    """Code vectors a_0..a_{m-1} in F^t plus per-coordinate matchings."""
+    """Code vectors a_0..a_{m-1} in F^t plus per-coordinate matchings, whose
+    sets must lie in [0, m).  t, m and q are integers, kept as int, and
+    claimed_delta is an int or a Fraction."""
 
     field: Field
     t: int
@@ -194,6 +190,11 @@ class LdcInstance:
     claimed_delta: Fraction
 
     def __post_init__(self):
+        for name in ("t", "m", "q"):
+            object.__setattr__(self, name, strict_int(getattr(self, name), name))
+        if type(self.claimed_delta) not in (int, Fraction):
+            raise ValueError(f"claimed_delta must be an int or a Fraction, "
+                             f"got {self.claimed_delta!r}")
         if self.form not in ("special2", "general"):
             raise ValueError(f"unknown form {self.form!r}")
         if self.form == "special2" and self.q != 2:
@@ -218,11 +219,10 @@ class CoordinateReport:
     coordinate: int
     matching_size: int
     span_failures: tuple[tuple[int, ...], ...]
-    structure_failures: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return not self.span_failures and not self.structure_failures
+        return not self.span_failures
 
 
 @dataclass(frozen=True)
@@ -235,15 +235,14 @@ class VerificationReport:
     achieved_delta: Fraction
     claimed_delta: Fraction
     delta_ok: bool
-    structure_errors: tuple[str, ...] = dc_field(default_factory=tuple)
 
     @property
     def passed(self) -> bool:
-        return self.delta_ok and not self.structure_errors and all(
-            c.ok for c in self.coordinates
-        )
+        return self.delta_ok and all(c.ok for c in self.coordinates)
 
     def to_json(self) -> dict:
+        """The report as JSON; the `structure_errors` and `structure_failures`
+        keys are always empty, since a QMatching is checked when made."""
         return {
             "form": self.form,
             "m": self.m,
@@ -253,13 +252,13 @@ class VerificationReport:
             "claimed_delta": str(self.claimed_delta),
             "delta_ok": self.delta_ok,
             "passed": self.passed,
-            "structure_errors": list(self.structure_errors),
+            "structure_errors": [],
             "coordinates": [
                 {
                     "coordinate": c.coordinate,
                     "matching_size": c.matching_size,
                     "span_failures": [list(s) for s in c.span_failures],
-                    "structure_failures": list(c.structure_failures),
+                    "structure_failures": [],
                 }
                 for c in self.coordinates
             ],
@@ -286,38 +285,17 @@ def _spans(field: Field, vectors: np.ndarray, form: str, i: int,
 
 def verify(instance: LdcInstance) -> VerificationReport:
     """Check every matching set against the instance's form and the
-    claimed density.  Failures are report entries, never exceptions;
-    set sizes and disjointness are re-checked here, from each matching's
-    `members` array, even though QMatching enforces them at construction.
+    claimed density.  Failures are report entries, never exceptions.
 
-    Structure messages name each flagged set in set order; a set with
-    the wrong size or outside the code is not span-checked.
+    Sizes, disjointness and range were decided when the matchings and the
+    instance were made, so each coordinate's `members` array goes to the
+    span test as it is; the sets that fail it are named in set order.
     """
-    q = instance.q
     coords = []
     for i, mi in enumerate(instance.matchings):
-        flat, lens, bad_size, overlap, outside = _set_faults(_rule_input(mi), q, instance.m)
-        structure = []
-        for k in np.flatnonzero(bad_size | overlap | outside):
-            s = mi.sets[k]
-            if bad_size[k]:
-                structure.append(f"set {s} does not have {q} distinct members")
-            if overlap[k]:
-                structure.append(f"set {s} overlaps an earlier set")
-            if outside[k]:
-                structure.append(f"set {s} indexes outside the code")
-        checked = np.flatnonzero(~bad_size & ~outside)
-        starts = np.cumsum(lens) - lens
-        members = flat[starts[checked, None] + np.arange(q)]
-        ok = _spans(instance.field, instance.vectors.a, instance.form, i, members)
-        coords.append(
-            CoordinateReport(
-                coordinate=i,
-                matching_size=mi.size,
-                span_failures=tuple(mi.sets[k] for k in checked[~ok]),
-                structure_failures=tuple(structure),
-            )
-        )
+        ok = _spans(instance.field, instance.vectors.a, instance.form, i, mi.members)
+        coords.append(CoordinateReport(coordinate=i, matching_size=mi.size,
+                                       span_failures=tuple(map(tuple, mi.members[~ok].tolist()))))
     sigma = instance.matching_total()
     delta = Fraction(sigma, instance.m * instance.t)
     return VerificationReport(
@@ -374,10 +352,13 @@ def max_special_matching(vectors: Matrix, i: int) -> QMatching:
     buckets, each part's rows side by side.  The same two parts stay on
     top until the second falls to the size of the third, so `_walk` pairs
     each bucket in runs of rows, and the pairs are built from the runs as
-    one int64 array, sorted.
+    one int64 array, sorted.  i must be an integer in [0, t).
     """
+    i, t = strict_int(i, "i"), vectors.cols
+    if not 0 <= i < t:
+        raise ValueError(f"coordinate {i} outside [0, {t})")
     codes = _value_codes(vectors.a)
-    m, t = codes.shape
+    m = codes.shape[0]
     rest = codes[:, [k for k in range(t) if k != i]]
     order = np.lexsort((codes[:, i],) + tuple(rest.T[::-1]))
     rest, value = rest[order], codes[order, i]
@@ -407,20 +388,8 @@ def hadamard(n: int, field: Field) -> LdcInstance:
     if n < 1:
         raise ValueError("hadamard needs n >= 1")
     m = 2**n
-    rows = [[(k >> i) & 1 for i in range(n)] for k in range(m)]
-    vectors = Matrix(field, rows)
-    matchings = []
-    for i in range(n):
-        bit = 1 << i
-        sets = tuple((k, k | bit) for k in range(m) if not k & bit)
-        matchings.append(QMatching(q=2, sets=sets))
-    return LdcInstance(
-        field=field,
-        t=n,
-        m=m,
-        vectors=vectors,
-        matchings=tuple(matchings),
-        form="special2",
-        q=2,
-        claimed_delta=Fraction(1, 2),
-    )
+    vectors = Matrix(field, [[(k >> i) & 1 for i in range(n)] for k in range(m)])
+    matchings = tuple(QMatching(2, [(k, k | 1 << i) for k in range(m) if not k >> i & 1])
+                      for i in range(n))
+    return LdcInstance(field=field, t=n, m=m, vectors=vectors, matchings=matchings,
+                       form="special2", q=2, claimed_delta=Fraction(1, 2))

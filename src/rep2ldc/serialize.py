@@ -13,11 +13,12 @@ Formats (all indices 0-based, rationals as "a/b" strings):
 Scalars cross the wire a whole array at a time: every matrix, code
 vector block, `alphas`, `hat_w` and `z` goes through the field's
 `array_from_json` and `array_to_json`, every integer list (indices,
-counts) through `json_int_rows`, and each coordinate's matching rows into
-one (k, q) int64 array, written back by `members.tolist()`: each one type
-pass over all entries, with no tuple per set.  Serialization is canonical
-(sorted keys, fixed separators), so identical inputs and seeds give
-byte-identical files.
+counts) through `json_int_rows`, and each coordinate's matching rows
+straight into QMatching, whose set rule reads them into one (k, q) int64
+array (one type pass and one np.fromiter) and refuses a member that is
+not an integer; `members.tolist()` writes them back, with no tuple per
+set.  Serialization is canonical (sorted keys, fixed separators), so
+identical inputs and seeds give byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
-
-import numpy as np
 
 from .errors import NotInvertible, ParseError
 from .fields import Field, rational_from_json
@@ -101,21 +100,6 @@ def json_int_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
             json_int(value, name)
         raise
     return out
-
-
-def _matching_rows(rows):
-    """One coordinate's matching rows: a (k, c) int64 array, from one type
-    pass and one np.fromiter, when they are k >= 1 lists of c JSON integers
-    that fit in int64; otherwise json_int_rows' int tuples, or its error."""
-    if type(rows) is list and set(map(type, rows)) == {list} and len(set(map(len, rows))) == 1:
-        if set(map(type, chain.from_iterable(rows))) <= {int}:
-            try:
-                flat = np.fromiter(chain.from_iterable(rows), np.int64)
-            except OverflowError:
-                pass
-            else:
-                return flat.reshape(len(rows), len(rows[0]))
-    return json_int_rows(rows, "matchings")
 
 
 def json_fraction(value, name: str) -> Fraction:
@@ -214,8 +198,7 @@ def ldc_from_json(obj) -> LdcInstance:
         q = json_int(obj["q"], "q")
         if q > m:  # a set of q distinct positions needs q <= m
             raise ParseError(f"q must be at most m = {m}, got {q}")
-        rows = [_matching_rows(mi) for mi in obj["matchings"]]
-        matchings = tuple(QMatching(q=q, sets=sets) for sets in rows)
+        matchings = tuple(QMatching(q=q, sets=rows) for rows in obj["matchings"])
         form = str(obj["form"])
         claimed = json_fraction(obj["claimed_delta"], "claimed_delta")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

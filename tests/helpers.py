@@ -79,28 +79,17 @@ def rank_mod(rows, p) -> int:
     return rank
 
 
-def reference_verify(vectors, form, q, m, matchings, p):
-    """Per coordinate (span_failures, structure_failures) of an LDC over
-    GF(p), walking the sets one at a time in Python ints.
+def reference_verify(vectors, form, matchings, p):
+    """Per coordinate the span failures of an LDC over GF(p), walking the
+    sets one at a time in Python ints.
 
-    `vectors` is a list of rows and `matchings` a list of set lists; the
-    messages are the ones ldc.verify gives.
+    `vectors` is a list of rows and `matchings` a list of set lists, each
+    set q distinct positions in range, as QMatching and LdcInstance decide.
     """
     out = []
     for i, sets in enumerate(matchings):
-        failures, structure, used = [], [], set()
+        failures = []
         for s in sets:
-            bad_size = len(set(s)) != q or len(s) != q
-            if bad_size:
-                structure.append(f"set {s} does not have {q} distinct members")
-            if used.intersection(s):
-                structure.append(f"set {s} overlaps an earlier set")
-            used.update(s)
-            if any(not 0 <= j < m for j in s):
-                structure.append(f"set {s} indexes outside the code")
-                continue
-            if bad_size:
-                continue
             rows = [list(vectors[j]) for j in s]
             if form == "special2":
                 d = [(x - y) % p for x, y in zip(*rows)]
@@ -110,7 +99,7 @@ def reference_verify(vectors, form, q, m, matchings, p):
                 ok = rank_mod(rows + [e], p) == rank_mod(rows, p)
             if not ok:
                 failures.append(s)
-        out.append((tuple(failures), tuple(structure)))
+        out.append(tuple(failures))
     return out
 
 
@@ -503,6 +492,20 @@ def reference_ldc_to_json(instance) -> dict:
     }
 
 
+def _reference_rows(sets):
+    """One coordinate's JSON matching rows as int tuples, read one member
+    at a time in the set rule's order: each set's size, then each member
+    in row-major order, where one that is not an int raises the rule's
+    text."""
+    for s in sets:
+        len(s)  # a row without a length raises here, as in the rule
+    for s in sets:
+        for j in s:
+            if type(j) is not int:
+                raise ValueError(f"set member {j!r} is not an integer")
+    return tuple(tuple(s) for s in sets)
+
+
 def reference_ldc_from_json(obj):
     from rep2ldc.errors import ParseError
     from rep2ldc.fields import Field
@@ -520,10 +523,7 @@ def reference_ldc_from_json(obj):
             field, [[field.scalar_from_json(x) for x in row] for row in obj["vectors"]]
         )
         q = json_int(obj["q"], "q")
-        matchings = tuple(
-            QMatching(q=q, sets=tuple(tuple(json_int(j, "matchings") for j in s) for s in mi))
-            for mi in obj["matchings"]
-        )
+        matchings = tuple(QMatching(q=q, sets=_reference_rows(mi)) for mi in obj["matchings"])
         form = str(obj["form"])
         claimed = json_fraction(obj["claimed_delta"], "claimed_delta")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -456,17 +457,21 @@ class TestEntropyAudit:
         dump_json(ldc_to_json(inst), path)
         assert main(["verify", "--input", path]) == 0
 
-    @pytest.mark.parametrize("sets", [((0, 1), (1, 2)), ((1, 1),), ((0, 1), (2, 3))],
-                             ids=["overlap", "repeat", "outside"])
-    def test_smuggled_pairs_rejected(self, sets):
-        """Pairs that QMatching would refuse get no verdict: the
-        overlapping pairs here pass both pair checks, yet 3 H(X_0) < 4."""
+    @pytest.mark.parametrize("sets, message", [
+        (((0, 1), (1, 2)), "set (1, 2) overlaps an earlier set"),
+        (((1, 1),), "set (1, 1) does not have exactly q=2 members"),
+        (((0, 1), (2, 3)), "index out of range in (2, 3)"),
+    ], ids=["overlap", "repeat", "outside"])
+    def test_smuggled_pairs_rejected(self, sets, message):
+        """Pairs that would get a wrong verdict (the overlapping pairs here
+        pass both pair checks, yet 3 H(X_0) < 4) never reach the audit:
+        QMatching or LdcInstance refuses them, and a matching made without
+        its constructor fails on first use."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _special2(F3, [[0], [1], [0]], [sets])
         inst = _special2(F3, [[0], [1], [0]], [()])
-        bad = object.__new__(QMatching)
-        object.__setattr__(bad, "q", 2)
-        object.__setattr__(bad, "sets", sets)
-        object.__setattr__(inst, "matchings", (bad,))
-        with pytest.raises(ValueError, match="^matching pairs at coordinate 0 must be disjoint"):
+        object.__setattr__(inst, "matchings", (object.__new__(QMatching),))
+        with pytest.raises(AttributeError):
             entropy_audit(inst)
 
     def test_first_failing_pair_in_set_order(self):

@@ -8,6 +8,7 @@ import copy
 import dataclasses
 import functools
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from rep2ldc.errors import ParseError
 from rep2ldc.fields import GF, QQ, Field
 from rep2ldc.fixtures import parse_fixture
 from rep2ldc.groups import MatrixGroup
+from rep2ldc.ldc import QMatching
 from rep2ldc.linalg import Matrix, Subspace
 from rep2ldc.serialize import (
     canonical_json,
@@ -79,7 +81,7 @@ def test_writer_bytes_match_the_scalar_writer(fixture, kind):
 
 def test_writer_on_empty_and_wide_arrays():
     assert GF(3).array_to_json(np.zeros((2, 0), dtype=np.int64)) == [[], []]
-    assert QQ.array_to_json(Matrix(QQ, [[1, "-1/2"]]).a) == [["1", "-1/2"]]
+    assert QQ.array_to_json(Matrix(QQ, [[1, Fraction(-1, 2)]]).a) == [["1", "-1/2"]]
     assert GF(2147483647).array_to_json(np.array([2147483646])) == [2147483646]
 
 
@@ -288,8 +290,8 @@ def test_code_form_must_match_the_kind(kind):
 def test_code_form_of_a_general_certificate():
     cert = _cert("dihedral(5,11)", "general")
     assert verify_cert(cert).passed
-    code = dataclasses.replace(cert.code, form="special2", q=2, matchings=tuple(
-        dataclasses.replace(mi, q=2, sets=()) for mi in cert.code.matchings))
+    code = dataclasses.replace(cert.code, form="special2", q=2,
+                               matchings=(QMatching(2, ()),) * cert.code.t)
     report = verify_cert(dataclasses.replace(cert, code=code))
     assert "code form 'special2' differs from 'general', the form of a general certificate" \
         in report.failures

@@ -46,7 +46,7 @@ from rep2ldc.errors import (
 from rep2ldc.fields import GF, QQ
 from rep2ldc.fixtures import parse_fixture, signed_shift_group
 from rep2ldc.groups import burnside_irreducible, close_group
-from rep2ldc.ldc import verify
+from rep2ldc.ldc import QMatching, verify
 from rep2ldc.linalg import Matrix, Subspace, rank, rank_factorize, ranks
 from rep2ldc.serialize import canonical_json, cert_to_json
 
@@ -587,7 +587,7 @@ class TestIdentityFailureLocation:
         a = cert.code.vectors.a[:32]
         code = dataclasses.replace(
             cert.code, m=32, vectors=Matrix.from_array(g.field, a),
-            matchings=tuple(dataclasses.replace(mi, sets=()) for mi in cert.code.matchings),
+            matchings=(QMatching(2, ()),) * cert.code.t,
         )
         with pytest.raises(InternalInconsistency, match="code vectors have shape"):
             check_spanning_identities(dataclasses.replace(cert, code=code))

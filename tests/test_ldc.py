@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from rep2ldc import _kernels, ldc, linalg
 from rep2ldc.bounds import entropy_audit, match_entropy_check
-from rep2ldc.certcheck import verify_cert
+from rep2ldc.certcheck import cert_from_json, verify_cert
 from rep2ldc.construct import _cycle_kept_s, _greedy_kept_s, build_q_ldc, build_special_2ldc
 from rep2ldc.fields import GF, QQ
 from rep2ldc.ldc import (
@@ -33,6 +35,7 @@ from rep2ldc.ldc import (
     verify,
 )
 from rep2ldc.linalg import Matrix
+from rep2ldc.serialize import canonical_json, cert_to_json
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -94,20 +97,18 @@ class TestVerify:
         assert report.coordinates[1].span_failures == ((2, 3),)
 
     def test_overlapping_pair_reported(self):
-        # QMatching rejects overlaps at construction; verify must still
-        # report them for instances smuggled in from outside
-        bad = object.__new__(QMatching)
-        object.__setattr__(bad, "q", 2)
-        object.__setattr__(bad, "sets", ((0, 1), (1, 2)))
-        inst = LdcInstance(
-            field=F2, t=1, m=4,
-            vectors=Matrix(F2, [[0], [1], [0], [1]]),
-            matchings=(bad,),
-            form="special2", q=2, claimed_delta=Fraction(0),
-        )
-        report = verify(inst)
-        assert not report.passed
-        assert any("overlaps" in s for s in report.coordinates[0].structure_failures)
+        """An overlapping pair is refused where the matching is made, by
+        name; a matching made without the constructor holds no members,
+        so no instance takes it."""
+        with pytest.raises(ValueError, match=r"^set \(1, 2\) overlaps an earlier set$"):
+            QMatching(2, ((0, 1), (1, 2)))
+        with pytest.raises(AttributeError):
+            LdcInstance(
+                field=F2, t=1, m=4,
+                vectors=Matrix(F2, [[0], [1], [0], [1]]),
+                matchings=(object.__new__(QMatching),),
+                form="special2", q=2, claimed_delta=Fraction(0),
+            )
 
     def test_claimed_delta_enforced(self):
         inst = hadamard(2, F2)
@@ -215,6 +216,21 @@ class TestMaxSpecialMatchingMatchesTheHeapWalk:
             assert max_special_matching(vectors, i).sets == want
             assert max_special_matching(vectors, i).members.dtype == np.int64
 
+    def test_bad_coordinate_refused(self):
+        """A coordinate outside [0, t), or one that is not an integer, is
+        refused rather than read as an empty matching or an IndexError."""
+        vectors = Matrix(F3, [[0, 0], [1, 0], [0, 1], [1, 1]])
+        assert max_special_matching(vectors, 0).sets == ((0, 1), (2, 3))
+        assert max_special_matching(vectors, np.int64(1)).sets == ((0, 2), (1, 3))
+        for i, message in [(-1, "coordinate -1 outside [0, 2)"),
+                           (-2, "coordinate -2 outside [0, 2)"),
+                           (2, "coordinate 2 outside [0, 2)"),
+                           (5, "coordinate 5 outside [0, 2)"),
+                           (1.0, "i must be an integer, got 1.0"),
+                           (True, "i must be an integer, got True")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                max_special_matching(vectors, i)
+
     def test_no_pairs(self):
         got = max_special_matching(Matrix(F2, [[1, 0], [1, 0]]), 0)
         assert got.sets == () and got.members.shape == (0, 2)
@@ -283,32 +299,35 @@ def _random_instance(rng, p, form):
 
 def _assert_matches_reference(inst):
     report = verify(inst)
-    want = reference_verify(
-        inst.vectors.a.tolist(), inst.form, inst.q, inst.m,
-        [mi.sets for mi in inst.matchings], inst.field.char,
-    )
-    got = [(c.span_failures, c.structure_failures) for c in report.coordinates]
-    assert got == want
+    want = reference_verify(inst.vectors.a.tolist(), inst.form,
+                            [mi.sets for mi in inst.matchings], inst.field.char)
+    assert [c.span_failures for c in report.coordinates] == want
     return report
 
 
-def _smuggle(inst, i, sets):
-    """inst with matching i replaced by `sets`, bypassing QMatching's checks."""
-    bad = object.__new__(QMatching)
-    object.__setattr__(bad, "q", inst.q)
-    object.__setattr__(bad, "sets", tuple(sets))
+def _replaced(inst, i, sets):
+    """inst with matching i made from `sets`, through QMatching and
+    LdcInstance."""
     matchings = list(inst.matchings)
-    matchings[i] = bad
-    out = object.__new__(LdcInstance)
-    for name in ("field", "t", "m", "vectors", "form", "q", "claimed_delta"):
-        object.__setattr__(out, name, getattr(inst, name))
-    object.__setattr__(out, "matchings", tuple(matchings))
-    return out
+    matchings[i] = QMatching(inst.q, sets)
+    return dataclasses.replace(inst, matchings=tuple(matchings))
+
+
+def _refusal(sets, q, m):
+    """The message QMatching (`_qmatching_oracle`) or else LdcInstance
+    refuses `sets` with, by the reference walk, or None: LdcInstance names
+    the first set with a member outside [0, m), sorted."""
+    verdict, detail = _qmatching_oracle(sets, q)
+    if verdict != "ok":
+        return detail
+    outside = [s for s, (_, _, out) in zip(sets, reference_set_faults(sets, q, m)) if out]
+    return f"index out of range in {tuple(sorted(outside[0]))}" if outside else None
 
 
 class TestArrayPathParity:
-    """The GF(p) array path of verify gives the set-by-set reference's
-    span failures and structure messages, in the same order."""
+    """The array path of verify gives the set-by-set reference's span
+    failures, in the same order; a faulty set is refused where the
+    matching or the instance is made, with the reference's first fault."""
 
     @pytest.mark.parametrize("form", ["special2", "general"])
     @pytest.mark.parametrize("p", PARITY_PRIMES)
@@ -326,13 +345,14 @@ class TestArrayPathParity:
     @pytest.mark.parametrize("p", PARITY_PRIMES)
     def test_structure_messages_match_reference(self, p, form):
         rng = np.random.default_rng([p % 1000, len(form), 1])
+        refused = 0
         for _ in range(10):
             inst = _random_instance(rng, p, form)
             i = int(rng.integers(inst.t))
             sets = list(inst.matchings[i].sets)
             m, q = inst.m, inst.q
             first = sets[0] if sets else tuple(range(q))
-            sets += [
+            for extra in [
                 first,                           # overlaps an earlier set
                 (m,) + tuple(range(1, q)),       # past the end
                 (-1,) + tuple(range(m - q + 1, m)),
@@ -340,15 +360,20 @@ class TestArrayPathParity:
                 (0,) * q,                        # repeated member
                 (m + 1,) * q,                    # repeated and outside
                 (),
-            ]
-            report = _assert_matches_reference(_smuggle(inst, i, sets))
-            assert not report.passed
+            ]:
+                want = _refusal(sets + [extra], q, m)
+                if want is None:  # `first` on an empty family is a valid set
+                    _assert_matches_reference(_replaced(inst, i, sets + [extra]))
+                    continue
+                with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                    _replaced(inst, i, sets + [extra])
+                refused += 1
+        assert refused >= 60
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rational_general_span_failures_match_brute_rank(self, seed):
         """Over QQ, a general-form set fails iff appending e_i raises the
-        rank, by helpers.brute_rank; vectors have tampered entries and the
-        matching smuggled extra sets."""
+        rank, by helpers.brute_rank; vectors have tampered entries."""
         rng = np.random.default_rng([seed, 0])
         values = [Fraction(1), Fraction(-1), Fraction(0), Fraction(2), Fraction(1, 2)]
         m, t, q = 10, 3, int(rng.integers(2, 4))
@@ -359,8 +384,6 @@ class TestArrayPathParity:
         matchings = tuple(QMatching(q, sets) for _ in range(t))
         inst = LdcInstance(field=QQ, t=t, m=m, vectors=Matrix(QQ, rows), matchings=matchings,
                            form="general", q=q, claimed_delta=Fraction(0))
-        i = int(rng.integers(t))
-        inst = _smuggle(inst, i, sets + [sets[0], tuple(range(m - q, m))])
         failed = 0
         for c, mi in zip(verify(inst).coordinates, inst.matchings):
             e = [int(k == c.coordinate) for k in range(t)]
@@ -373,17 +396,23 @@ class TestArrayPathParity:
         assert 0 < failed < sum(mi.size for mi in inst.matchings)
 
     def test_known_structure_texts(self):
-        inst = _smuggle(hadamard(2, F3), 0, [(0, 1), (1, 2, 3), (2, 2), (4, 9), (1, 3)])
-        report = verify(inst)
-        assert report.coordinates[0].structure_failures == (
-            "set (1, 2, 3) does not have 2 distinct members",
-            "set (1, 2, 3) overlaps an earlier set",
-            "set (2, 2) does not have 2 distinct members",
-            "set (2, 2) overlaps an earlier set",
-            "set (4, 9) indexes outside the code",
-            "set (1, 3) overlaps an earlier set",
-        )
-        assert report.coordinates[0].span_failures == ((1, 3),)
+        """Sizes and overlaps are named by QMatching, the first faulty set
+        in set order; the range by LdcInstance.  The report of a made code
+        keeps its empty structure keys."""
+        for sets, message in [
+            ([(0, 1), (1, 2, 3), (2, 2), (9, 4), (1, 3)],
+             "set (1, 2, 3) does not have exactly q=2 members"),
+            ([(0, 1), (2, 2), (9, 4), (1, 3)], "set (2, 2) does not have exactly q=2 members"),
+            ([(0, 1), (9, 4), (1, 3)], "set (1, 3) overlaps an earlier set"),
+            ([(0, 1), (9, 4)], "index out of range in (4, 9)"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _replaced(hadamard(2, F3), 0, sets)
+        report = verify(_replaced(hadamard(2, F3), 0, [(2, 0), (1, 3)]))
+        assert report.coordinates[0].span_failures == ((0, 2), (1, 3))
+        doc = report.to_json()
+        assert doc["structure_errors"] == [] and not doc["passed"]
+        assert [c["structure_failures"] for c in doc["coordinates"]] == [[], []]
 
 
 @pytest.mark.parametrize("form", ["special2", "general"])
@@ -431,16 +460,42 @@ class TestQMatchingArrays:
             )
 
     def test_sets_built_from_members_when_read(self):
-        """A matching holds only its members array; `sets`, and with it
-        ==, hash and repr, read the tuples off it on first use."""
+        """A matching holds only q and its members array; `sets` and `size`
+        are read off it, and ==, hash and repr go by that content."""
         got = QMatching(2, np.array([[3, 0], [2, 5]]))
-        assert "sets" not in vars(got) and got.size == 2
-        assert got.sets == ((0, 3), (2, 5)) and vars(got)["sets"] is got.sets
+        assert got.size == 2 and got.sets == ((0, 3), (2, 5))
         same = QMatching(2, ((0, 3), (5, 2)))
-        assert same == got and hash(same) == hash(got)
+        assert same == got and hash(same) == hash(got) and same is not got
         assert repr(same) == "QMatching(q=2, sets=((0, 3), (2, 5)))"
-        assert dataclasses.replace(same, q=2) == got
-        assert dataclasses.replace(same, sets=()).size == 0
+        assert got != QMatching(2, ((0, 3),)) and got != ((0, 3), (2, 5))
+        assert QMatching(3, ()) != QMatching(2, ()) and QMatching(2, ()).size == 0
+        assert len({got, same, QMatching(2, ()), QMatching(3, ())}) == 3
+
+    def test_immutable(self):
+        got = QMatching(2, ((0, 1),))
+        for name, value in (("q", 3), ("members", np.zeros((0, 2), dtype=np.int64)),
+                            ("sets", ()), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(got, name, value)
+        with pytest.raises(AttributeError):
+            del got.q
+        with pytest.raises(ValueError):
+            got.members[0, 0] = 5
+        assert got.q == 2 and got.sets == ((0, 1),) and not hasattr(got, "__dict__")
+
+    def test_made_without_the_constructor_fails_on_first_use(self):
+        """A matching made with object.__new__ holds no members and takes no
+        sets, so every reader fails on it rather than verify it."""
+        bad = object.__new__(QMatching)
+        with pytest.raises(AttributeError):
+            object.__setattr__(bad, "sets", ((0, 1),))
+        with pytest.raises(AttributeError):
+            bad.size
+        inst = hadamard(2, F3)
+        object.__setattr__(inst, "matchings", (bad,) + inst.matchings[1:])
+        for read in (lambda: verify(inst), lambda: entropy_audit(inst), inst.matching_total):
+            with pytest.raises(AttributeError):
+                read()
 
     def test_members_array_kept(self):
         got = QMatching(2, ((3, 0), (2, 5)))
@@ -494,27 +549,19 @@ class TestStrictMembers:
 
 class TestRuleReadsMembers:
     def test_verify_and_audit_read_the_members_array(self, signed_shift_4_3, monkeypatch):
-        """verify and entropy_audit give the rule each matching's members
-        array; a matching made without one falls back to its sets, with the
-        same reports."""
+        """verify and entropy_audit read each matching's members array and
+        never run the rule again; their reports equal those of the code
+        made again from the matchings' sets."""
         code = build_special_2ldc(signed_shift_4_3, signed_shift_4_3.generators[0]).code
-        smuggled = code
-        for i, mi in enumerate(code.matchings):
-            smuggled = _smuggle(smuggled, i, mi.sets)
-        seen = []
-        original = ldc._set_faults
+        again = dataclasses.replace(
+            code, matchings=tuple(QMatching(2, mi.sets) for mi in code.matchings))
+        want = verify(again), entropy_audit(again)
 
-        def spy(sets, *args):
-            seen.append(type(sets))
-            return original(sets, *args)
+        def refuse(*args):
+            raise AssertionError("the set rule ran again")
 
-        monkeypatch.setattr(ldc, "_set_faults", spy)
-        report, audit = verify(code), entropy_audit(code)
-        assert seen == [np.ndarray] * (2 * code.t)
-        seen.clear()
-        assert verify(smuggled) == report
-        assert entropy_audit(smuggled) == audit
-        assert seen == [tuple] * (2 * code.t)
+        monkeypatch.setattr(ldc, "_set_faults", refuse)
+        assert (verify(code), entropy_audit(code)) == want
 
 
 # members around [0, m) for m up to 6, and sets of 0..4 of them: repeats,
@@ -569,15 +616,21 @@ class TestSetFamilyRule:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(sets=FAMILY, q=st.integers(2, 3), form=st.sampled_from(["special2", "general"]))
     def test_verify_structure(self, sets, q, form):
+        """Any family is refused where it is made, with the reference
+        walk's first fault, or verify gives the reference's span failures."""
         q = 2 if form == "special2" else q
         inst = hadamard(3, F3)
         if form == "general":
             inst = dataclasses.replace(inst, form=form, q=q, matchings=(QMatching(q, ()),) * 3)
-        inst = _smuggle(inst, 1, sets)
-        got = [(c.span_failures, c.structure_failures) for c in verify(inst).coordinates]
-        rows = inst.vectors.a.tolist()
-        want = reference_verify(rows, form, q, inst.m,
-                                [mi.sets for mi in inst.matchings], 3)
+        got = _outcome(lambda: [c.span_failures
+                                for c in verify(_replaced(inst, 1, sets)).coordinates])
+        want = _refusal(sets, q, inst.m)
+        if want is None:
+            families = [mi.sets for mi in inst.matchings]
+            families[1] = tuple(tuple(sorted(s)) for s in sets)
+            want = ("ok", reference_verify(inst.vectors.a.tolist(), form, families, 3))
+        else:
+            want = ("ValueError", want)
         assert got == want
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -596,33 +649,22 @@ class TestSetFamilyRule:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), m=st.integers(2, 6))
     def test_entropy_audit(self, data, m):
-        """The first coordinate with a faulty family raises the rule's
-        verdict, unless a pair of an earlier coordinate fails first."""
+        """On matchings made from disjoint pairs in any order, the audit
+        gives the reference's chain terms, or its first crossing or
+        unseparated pair."""
         rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2),
                                   min_size=m, max_size=m))
-        members = st.integers(-1, m)
-        pair = st.lists(members, min_size=1, max_size=3).map(tuple)
-        families = [data.draw(st.lists(pair, max_size=3)) for _ in range(2)]
+        matchings = []
+        for _ in range(2):
+            perm = data.draw(st.permutations(range(m)))
+            k = data.draw(st.integers(0, m // 2))
+            matchings.append(QMatching(2, [perm[2 * a:2 * a + 2] for a in range(k)]))
         inst = LdcInstance(field=F3, t=2, m=m, vectors=Matrix(F3, rows),
-                           matchings=(QMatching(2, ()),) * 2, form="special2", q=2,
+                           matchings=tuple(matchings), form="special2", q=2,
                            claimed_delta=Fraction(0))
-        for i, sets in enumerate(families):
-            inst = _smuggle(inst, i, sets)
-        want = None
-        for i, sets in enumerate(families):
-            broken = [(s, f) for s, f in zip(sets, reference_set_faults(sets, 2, m)) if any(f)]
-            if broken:
-                s = broken[0][0]
-                want = _outcome(lambda: reference_entropy_audit(rows, families[:i]))
-                if want[0] == "ok":
-                    want = ("ValueError", f"set {s} does not have 2 distinct members at "
-                            f"coordinate {i}" if len(s) != 2 else
-                            f"matching pairs at coordinate {i} must be disjoint rows of the code")
-                break
-        got = _outcome(lambda: entropy_audit(inst).chain_terms)
-        if want is None:
-            want = _outcome(lambda: reference_entropy_audit(rows, families)["chain_terms"])
-            got = got if got[0] != "ok" else ("ok", list(got[1]))
+        got = _outcome(lambda: list(entropy_audit(inst).chain_terms))
+        want = _outcome(lambda: reference_entropy_audit(rows, [mi.sets for mi in matchings])
+                        ["chain_terms"])
         assert got == want
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -664,21 +706,22 @@ class TestSetFamilyRule:
         assert _cycle_kept_s(group, group.identity_pos) == []
 
     def test_known_texts_of_a_triple_in_a_pair_family(self):
-        """One 3-set smuggled into a pair family: each site names the set."""
-        inst = _smuggle(hadamard(2, F3), 0, [(0, 1, 2)])
-        assert verify(inst).coordinates[0].structure_failures == (
-            "set (0, 1, 2) does not have 2 distinct members",)
-        with pytest.raises(ValueError, match=r"^set \(0, 1, 2\) does not have 2 distinct "
-                                             r"members at coordinate 0$"):
-            entropy_audit(inst)
+        """One 3-set in a pair family: each site that reads sets from
+        outside names the set."""
+        with pytest.raises(ValueError, match=r"^set \(0, 1, 2\) does not have exactly q=2 "
+                                             r"members$"):
+            QMatching(2, [(0, 1, 2)])
         with pytest.raises(ValueError, match=r"^set \(0, 1, 2\) does not have 2 distinct "
                                              r"members$"):
             match_entropy_check(4, [(0, 1, 2)], [0, 1, 2, 3])
 
     def test_every_site_calls_the_rule(self, signed_shift_4_3, monkeypatch):
-        """With the rule and the first fit patched, each site that decides
-        set structure calls them (seen by the calling function's name)."""
-        callers = {"_set_faults": set(), "_first_fit": set()}
+        """With the rule and the first fit patched, each site that reads
+        sets from outside calls them (seen by the calling function's name).
+        Reading and checking a certificate runs the rule once per matching
+        in QMatching, once per matching in LdcInstance and once on the
+        pre-filter in verify_cert: never in verify or entropy_audit."""
+        callers = {"_set_faults": [], "_first_fit": []}
 
         def spy(name):
             original = getattr(ldc, name)
@@ -687,20 +730,19 @@ class TestSetFamilyRule:
                 frame = sys._getframe(1)
                 owner = frame.f_locals.get("self")
                 prefix = "" if owner is None else f"{type(owner).__name__}."
-                callers[name].add(prefix + frame.f_code.co_name)
+                callers[name].append(prefix + frame.f_code.co_name)
                 return original(*args, **kwargs)
             return wrapper
 
         group = signed_shift_4_3
         cert = build_special_2ldc(group, group.generators[0])
         code = cert.code
+        text = canonical_json(cert_to_json(cert))
         for name in callers:
             monkeypatch.setattr(ldc, name, spy(name))
         sites = [
-            ("_set_faults", "QMatching.__post_init__", lambda: QMatching(2, ((0, 1),))),
+            ("_set_faults", "QMatching.__init__", lambda: QMatching(2, ((0, 1),))),
             ("_set_faults", "LdcInstance.__post_init__", lambda: dataclasses.replace(code)),
-            ("_set_faults", "verify", lambda: verify(code)),
-            ("_set_faults", "entropy_audit", lambda: entropy_audit(code)),
             ("_set_faults", "match_entropy_check",
              lambda: match_entropy_check(2, [(0, 1)], [0, 1])),
             ("_set_faults", "verify_cert", lambda: verify_cert(cert)),
@@ -713,3 +755,8 @@ class TestSetFamilyRule:
             callers[name].clear()
             call()
             assert caller in callers[name], (name, caller)
+        callers["_set_faults"].clear()
+        report = verify_cert(cert_from_json(json.loads(text)))
+        assert report.passed and report.audit is not None
+        assert Counter(callers["_set_faults"]) == {
+            "QMatching.__init__": code.t, "LdcInstance.__post_init__": code.t, "verify_cert": 1}

@@ -152,24 +152,23 @@ class TestLdcFormat:
             ldc_from_json({**ldc_to_json(hadamard(2, F3)), **change})
 
     def test_matching_rows_read_into_int64_arrays(self):
-        """Each coordinate's rows become one (k, q) int64 array, and the
-        reader builds no set tuple."""
+        """Each coordinate's rows become one (k, q) int64 array."""
         doc = ldc_to_json(hadamard(3, F3))
         for mi, rows in zip(ldc_from_json(doc).matchings, doc["matchings"]):
-            assert "sets" not in vars(mi)
             assert mi.members.dtype == np.int64 and mi.members.tolist() == rows
 
-    # the texts the reader gave when every coordinate's rows went through
-    # json_int_rows first; rows off the array path still do
+    # the texts of the set rule, which reads the rows as QMatching's `sets`:
+    # it names a member that is not an integer, and a row without a length
+    # raises len's TypeError
     @pytest.mark.parametrize("rows, message", [
         ([[0, 1], [2, 3, 4]], "bad ldc object: set (2, 3, 4) does not have exactly q=2 members"),
-        ([[0, 1], [2, 1.5]], "matchings must be an integer, got 1.5"),
-        ([[0, 1], [2, True]], "matchings must be an integer, got True"),
-        ([[0, 1], [2, "3"]], "matchings must be an integer, got '3'"),
-        ([[0, 1], "23"], "matchings must be an integer, got '2'"),
-        ({"a": 1}, "matchings must be an integer, got 'a'"),
-        ([[0, 1], 5], "bad ldc object: 'int' object is not iterable"),
-        ([[0, 1], None], "bad ldc object: 'NoneType' object is not iterable"),
+        ([[0, 1], [2, 1.5]], "bad ldc object: set member 1.5 is not an integer"),
+        ([[0, 1], [2, True]], "bad ldc object: set member True is not an integer"),
+        ([[0, 1], [2, "3"]], "bad ldc object: set member '3' is not an integer"),
+        ([[0, 1], "23"], "bad ldc object: set member '2' is not an integer"),
+        ({"a": 1}, "bad ldc object: set member 'a' is not an integer"),
+        ([[0, 1], 5], "bad ldc object: object of type 'int' has no len()"),
+        ([[0, 1], None], "bad ldc object: object of type 'NoneType' has no len()"),
         ([[0, 1], [2, 2**63]], "bad ldc object: set member does not fit in int64"),
         ([[0, 1], [-2**63 - 1, 3]], "bad ldc object: set member does not fit in int64"),
         ([[3, 0], [2, 2]], "bad ldc object: set (2, 2) does not have exactly q=2 members"),
@@ -369,14 +368,17 @@ INTEGER_FIELDS = [
 def test_integer_field_must_be_an_int(cert_doc, kind, path, name, change, tmp_path, capsys):
     doc = json.loads(json.dumps(cert_doc if kind == "cert" else cert_doc["code"]))
     parent = reduce(lambda obj, key: obj[key], path[:-1], doc)
-    parent[path[-1]] = change(parent[path[-1]])
+    value = parent[path[-1]] = change(parent[path[-1]])
+    # QMatching's set rule reads a matching member, and names the member
+    message = (f"bad ldc object: set member {value!r} is not an integer"
+               if name == "matchings" else f"{name} must be an integer")
     parse = cert_from_json if kind == "cert" else ldc_from_json
-    with pytest.raises(ParseError, match=rf"^{name} must be an integer"):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
         parse(doc)
     dump_json(doc, str(tmp_path / "tampered.json"))
     assert main(["verify", "--input", str(tmp_path / "tampered.json")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} must be an integer")
+    assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
 
 
