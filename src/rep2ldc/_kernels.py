@@ -5,10 +5,14 @@ result is exact: matmul_mod accumulates in int64 while that cannot
 overflow and in Python ints otherwise, and the eliminations keep every
 product of two residues below (p-1)^2 < 2^62.
 
-Only prime fields come through here.  Apart from the z-scan in
-construct.choose_z, the library reaches them through Field.matmul,
-linalg.ranks and linalg.rref, whose rational branches (integer-numerator
-products, Fraction eliminations) never touch these kernels.
+Only prime fields come through here.  construct.choose_z calls
+projective_classes and matmul_mod for its seeded draws and
+best_z_exhaustive for its exhaustive scan; otherwise the library reaches
+the kernels through Field.matmul, linalg.ranks and linalg.rref, whose
+rational branches (integer-numerator products, Fraction eliminations)
+never touch them.  count_nonzero_dots counts one z over the raw rows; the
+library no longer calls it, the benchmark's kernel cases and the tests'
+per-draw oracle do.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "rank_mod_batched",
     "matmul_mod",
     "count_nonzero_dots",
+    "projective_classes",
     "best_z_exhaustive",
 ]
 
@@ -128,6 +133,39 @@ def _digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
     return out
 
 
+def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
+    """Each row of residues as one base-p integer, most significant first:
+    int64 while p**n <= 2**63 - 1, Python ints (object dtype) beyond."""
+    n = rows.shape[1]
+    if p**n <= 2**63 - 1:
+        return rows @ (p ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    return rows.astype(object) @ np.array([p**e for e in range(n - 1, -1, -1)], dtype=object)
+
+
+def projective_classes(normals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, weights): the distinct lines through the rows of `normals`
+    over GF(p), and how many rows lie on each.
+
+    <v, z> and <c v, z> vanish together for every c != 0, so for any z the
+    number of rows with a nonzero dot is weights @ (classes @ z != 0).  Each
+    distinct row is scaled by the inverse of its first nonzero entry (a zero
+    row stays zero and counts nowhere) and keyed as one base-p integer
+    (`_row_keys`).  Classes come in key order with leading entry 1; weights
+    are int64 and sum to the number of rows.  Rows are merged by value
+    before they are scaled: a plain np.unique of the raw keys is about a
+    third of the cost of one that also returns first indices.
+    """
+    rows = np.mod(normals, p, dtype=np.int64)
+    keys, counts = np.unique(_row_keys(rows, p), return_counts=True)
+    rows = _digits(keys, p, rows.shape[1]).T
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    rows = rows * _inv_mod_batched(lead, p)[:, None] % p
+    _, first, inverse = np.unique(_row_keys(rows, p), return_index=True, return_inverse=True)
+    weights = np.zeros(first.size, dtype=np.int64)
+    np.add.at(weights, inverse, counts)
+    return rows[first], weights
+
+
 def best_z_exhaustive(normals: np.ndarray, p: int, n: int) -> tuple[np.ndarray, int]:
     """Scan all p**n vectors z, return the first one maximizing the number
     of rows of `normals` with nonzero dot product mod p.
@@ -135,22 +173,12 @@ def best_z_exhaustive(normals: np.ndarray, p: int, n: int) -> tuple[np.ndarray, 
     Enumeration order is lexicographic in the coordinates (last coordinate
     fastest), so the first maximizer is the lex-first one.
 
-    The scan runs over weighted projective classes, not raw rows: <v, z>
-    and <c v, z> vanish together for every c != 0, so each row is scaled
-    by the inverse of its first nonzero entry, equal lines are merged and
-    each class counts once per row on it.  A zero row stays zero and adds
-    nothing.  Every candidate's count is therefore its count over the raw
-    rows, and with the same order and strict '>' the same lex-first z and
-    count come out.
+    The scan counts the weighted projective classes of the rows
+    (`projective_classes`), not the raw rows, so every candidate's count is
+    its count over the raw rows, and with the same order and strict '>' the
+    same lex-first z and count come out.
     """
-    rows = np.mod(normals, p, dtype=np.int64)
-    lead = rows[np.arange(rows.shape[0]), np.argmax(rows != 0, axis=1)]
-    rows = rows * _inv_mod_batched(lead, p)[:, None] % p
-    # base-p key of each scaled row; below p**n, which the scan enumerates
-    keys = rows @ (p ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    keys, weights = np.unique(keys, return_counts=True)
-    classes = _digits(keys, p, n).T
-
+    classes, weights = projective_classes(normals, p)
     total = p**n
     best_count = -1
     best_z = np.zeros(n, dtype=np.int64)

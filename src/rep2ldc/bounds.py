@@ -338,22 +338,25 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
       when m = 2^k and 2 sigma = k m ("eq"); otherwise m is larger ("gt").
 
     `label[r]` is the prefix class of row r; coordinate i refines it by
-    (label, value at i), and the last level's classes give H(X).  Classes
-    are numbered by first appearance, so classes, and the values within
-    each, come in row order, the order the float terms have always been
-    summed in.  Verify reports pin those floats, so the per-class loop
-    keeps the same `math.log2` calls and sums: numpy's log2 and pairwise
-    sums could change the last bit.
+    (label, value at i), and the last level's classes give H(X).  Values
+    are labelled by their sorted order, read off `Field.integers`: over QQ
+    the code times one positive integer, which keeps that order, so no
+    Fraction is sorted.  Classes are numbered by first appearance, so
+    classes, and the values within each, come in row order, the order the
+    float terms have always been summed in.  Verify reports pin those
+    floats, so the per-class loop keeps the same `math.log2` calls and
+    sums: numpy's log2 and pairwise sums could change the last bit.
     """
     if instance.form != "special2":
         raise ValueError("entropy audit applies to special2-form instances")
     m, t = instance.m, instance.t
+    values = instance.field.integers(instance.vectors.a)
     label = np.zeros(m, dtype=np.int64)
     chain_terms, bound_terms, class_sizes = [], [], []
     for i in range(t):
         sizes = np.bincount(label)
         class_sizes.append(tuple(sizes.tolist()))
-        value = np.unique(instance.vectors.col(i), return_inverse=True)[1]
+        value = np.unique(values[:, i], return_inverse=True)[1]
         _, first, inverse = np.unique(label * m + value, return_index=True, return_inverse=True)
         order = np.argsort(first)
         child = np.argsort(order)[inverse]

@@ -246,17 +246,32 @@ def _hyperplane_normals(group: MatrixGroup, x: Matrix, hat_w, kept_s) -> np.ndar
     return normals
 
 
+def _counted_draws(seed: int, classes: np.ndarray, weights: np.ndarray, p: int):
+    """(draw, count) of the 100 * Z_TRIALS seeded draws of choose_z, in draw
+    order: count is the number of normals v with <v, draw> != 0, from their
+    projective classes and weights.  Each block of Z_TRIALS draws is
+    counted by one product, made only once the previous block is used up."""
+    rng = np.random.default_rng(seed)
+    n = classes.shape[1]
+    for _ in range(100):
+        draws = np.stack([rng.integers(0, p, size=n, dtype=np.int64) for _ in range(Z_TRIALS)])
+        counts = weights @ (_kernels.matmul_mod(classes, draws.T, p) != 0)
+        yield from zip(draws, counts.tolist())
+
+
 def choose_z(field: Field, normals: np.ndarray, seed: int = 0):
     """Pick z with as many nonzero <normal, z> as possible.
 
     Finite field: exhaustive scan of all |F|^n vectors when that count is
     at most 10**5, else best of Z_TRIALS seeded draws retried up to 100x
     until the surviving fraction reaches 1 - 1/|F| (existence is
-    guaranteed by the expectation argument).  The exhaustive scan counts
-    weighted projective classes of the normals: a normal and its nonzero
-    multiples vanish on the same z, so every candidate's count, and hence
-    the lex-first maximizer, equals that over the raw rows; the mask is
-    taken over the raw rows.  Rationals: first lattice point, in
+    guaranteed by the expectation argument).  Both count the weighted
+    projective classes of the normals (`_kernels.projective_classes`): a
+    normal and its nonzero multiples vanish on the same z, so every
+    candidate's count, and hence the lex-first maximizer or the first best
+    draw, equals that over the raw rows.  The draws are counted a block of
+    Z_TRIALS at a time and walked in draw order with the same strict '>'
+    and stop rule as one at a time.  Rationals: first lattice point, in
     itertools.product order, of the expanding boxes [0..B]^n (new shell
     only) avoiding every hyperplane, so the fraction is exactly 1.  Each
     normal is scaled by the positive lcm of its denominators, which keeps
@@ -298,13 +313,11 @@ def choose_z(field: Field, normals: np.ndarray, seed: int = 0):
             raise InternalInconsistency("exhaustive scan fell below the mean")
         z = np.asarray(z, dtype=np.int64)
     else:
-        rng = np.random.default_rng(seed)
+        classes, weights = _kernels.projective_classes(normals, p)
         z, best_count = None, -1
-        for trial in range(100 * Z_TRIALS):
-            draw = rng.integers(0, p, size=n, dtype=np.int64)
-            count = _kernels.count_nonzero_dots(normals, draw, p)
+        for trial, (draw, count) in enumerate(_counted_draws(seed, classes, weights, p)):
             if count > best_count:
-                z, best_count = draw, count
+                z, best_count = draw.copy(), count
             if trial + 1 >= Z_TRIALS and survivors_suffice(field, best_count, k):
                 break
         else:  # the best count only grows, so it never met the bound

@@ -166,6 +166,17 @@ class Field:
         fracs = np.array([Fraction(v, den) for v in values.tolist()], dtype=object)
         return fracs[inverse].reshape(prod.shape)
 
+    def integers(self, a: np.ndarray) -> np.ndarray:
+        """Canonical `a` times one positive integer, as an integer array of
+        its shape: `a` itself over GF(p); over QQ the numerators of
+        scaled_numerators, int64 when each fits and Python ints beyond.
+        Equal entries stay equal and unequal ones keep their order."""
+        if self.char:
+            return a
+        nums = scaled_numerators(a)[0]
+        dtype = np.int64 if max(map(abs, nums), default=0) < 2**63 else object
+        return np.array(nums, dtype=dtype).reshape(a.shape)
+
     def reduce(self, a: np.ndarray) -> np.ndarray:
         """Canonical form of an array of sums, differences or multiples of
         canonical entries: residues mod p over GF(p), unchanged over QQ."""

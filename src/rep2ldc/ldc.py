@@ -127,6 +127,7 @@ class QMatching:
     __slots__ = ("q", "members")
 
     def __init__(self, q: int, sets):
+        q = strict_int(q, "q")
         if q < 1:
             raise ValueError(f"matching arity q={q} is below 1")
         faults = _set_faults(sets, q)
@@ -345,8 +346,11 @@ def max_special_matching(vectors: Matrix, i: int) -> QMatching:
     Vectors that agree off coordinate i form a bucket; within a bucket the
     agreement graph is complete multipartite (parts = value at i), whose
     maximum matching has size min(floor(B/2), B - largest part).  Pairing
-    the two currently largest parts, the smaller value first among equal
-    sizes, achieves it; a part gives its rows in increasing order.
+    the two currently largest parts achieves it; among equal sizes the part
+    first in `_value_codes` order goes first.  Over GF(p) that is the
+    smaller residue.  Over QQ it is the smaller (numerator, denominator)
+    pair of `_scalar_sort_key`, not the smaller value: 1/2 comes before
+    1/3.  A part gives its rows in increasing order.
 
     One stable lexsort by (punctured row, value at i) lays out the
     buckets, each part's rows side by side.  The same two parts stay on

@@ -56,14 +56,19 @@ __all__ = [
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Compact sorted-key JSON text.  Every tree written here comes from the
+    library or from json.load, and neither holds a cycle, so the encoder
+    skips its cycle check (check_circular=False): the same bytes, without
+    an id-dict insert and delete per list and dict."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def dump_json(obj, path: str | None = None) -> None:
     """The one indented JSON writer (sorted keys, indent 2, trailing
-    newline) of every file and report: to `path`, or without one to stdout."""
+    newline) of every file and report: to `path`, or without one to stdout.
+    Like canonical_json it skips the cycle check."""
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, check_circular=False)
         fh.write("\n")
 
 

@@ -396,6 +396,34 @@ def lattice_z(normals):
     raise InternalInconsistency("no lattice point avoids the hyperplanes")
 
 
+def reference_choose_z_drawn(field, normals, seed):
+    """The randomized GF(p) branch of choose_z one draw at a time: each seeded
+    draw is counted over the raw rows by count_nonzero_dots, the first best
+    draw is kept, and the search stops once Z_TRIALS draws are made and the
+    survivor bound holds, or raises BudgetExhausted after 100 * Z_TRIALS;
+    (z, mask) with the mask over the raw rows."""
+    import numpy as np
+
+    from rep2ldc import _kernels
+    from rep2ldc.construct import Z_TRIALS, survivors_suffice
+    from rep2ldc.errors import BudgetExhausted
+
+    p = field.char
+    k, n = normals.shape
+    rng = np.random.default_rng(seed)
+    z, best_count = None, -1
+    for trial in range(100 * Z_TRIALS):
+        draw = rng.integers(0, p, size=n, dtype=np.int64)
+        count = _kernels.count_nonzero_dots(normals, draw, p)
+        if count > best_count:
+            z, best_count = draw, count
+        if trial + 1 >= Z_TRIALS and survivors_suffice(field, best_count, k):
+            break
+    else:
+        raise BudgetExhausted(f"no z met the surviving fraction in {100 * Z_TRIALS} draws")
+    return z, _kernels.matmul_mod(normals, z, p) != 0
+
+
 # Certificate I/O one scalar at a time: oracles of the whole-array reader
 # and writer (Field.array_from_json / array_to_json) that serialize and
 # certcheck use.  Each entry goes through Field.scalar_from_json or

@@ -3,6 +3,7 @@ so this imports perfbench/tracer.py and perfbench/workloads.py the way
 perfbench/test_perfbench.py does: a library change that breaks a hooked
 name or the benchmark's group copy fails here too."""
 
+import ast
 import sys
 from pathlib import Path
 
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 from helpers import LADDER
 
+from rep2ldc import _kernels
 from rep2ldc.fixtures import parse_fixture
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import tracer  # noqa: E402
 import workloads  # noqa: E402
@@ -23,6 +26,17 @@ def test_every_hooked_name_exists():
                for kind, name, owner, attr, _ in tracer.library_hooks()
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_every_kernel_case_name_exists():
+    """kernel_cases.py reads the kernels as `K.<name>`; a kernel that the
+    library stops calling fails here, not only under pytest perfbench."""
+    tree = ast.parse((PERFBENCH / "kernel_cases.py").read_text())
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "K"}
+    assert "count_nonzero_dots_np" in names
+    assert sorted(name for name in names if not hasattr(_kernels, name)) == []
 
 
 @pytest.mark.parametrize("spec", LADDER)

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_dual_vectors, reference_spanning_family
+from helpers import reference_choose_z_drawn, reference_dual_vectors, reference_spanning_family
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +36,7 @@ from rep2ldc.construct import (
     validate_family,
 )
 from rep2ldc.errors import (
+    BudgetExhausted,
     CapExceeded,
     IdentityElement,
     InternalInconsistency,
@@ -370,6 +371,83 @@ class TestChooseZ:
         z2, mask2 = choose_z(F31, normals, seed=9)
         assert np.array_equal(z1, z2) and np.array_equal(mask1, mask2)
         assert int(mask1.sum()) * 31 >= 30 * 40
+
+
+@functools.cache
+def _symmetric_7_11_normals():
+    """The hyperplane normals of the symmetric(7,11) special2 build of
+    generator 0: 15,120 rows over GF(11) on 21 lines."""
+    g = parse_fixture("symmetric(7,11)")
+    h = g.generators[0]
+    _, _, _, x, family = construct._prepare(g, [h, g.identity_pos], [1, -1])
+    return _hyperplane_normals(g, x, family.hat_w, construct._cycle_kept_s(g, h))
+
+
+def _repeated_lines(p, n, seed):
+    """Rows over GF(p) that repeat a few lines: equal rows, nonzero scalar
+    multiples of them and one zero row, shuffled."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, p, size=(5, n), dtype=np.int64)
+    base[:, 0] = 1
+    picks = rng.integers(0, 5, size=60)
+    scales = rng.integers(1, p, size=60, dtype=np.int64)
+    rows = base[picks] * scales[:, None] % p
+    rows = np.concatenate([rows, base, np.zeros((1, n), dtype=np.int64)])
+    return rows[rng.permutation(len(rows))]
+
+
+class TestRandomizedZMatchesTheDrawLoop:
+    """choose_z counts its seeded draws a block at a time over projective
+    classes; z and the mask are byte for byte those of one draw at a time
+    over the raw rows."""
+
+    @staticmethod
+    def _same(field, normals, seed):
+        z, mask = choose_z(field, normals, seed=seed)
+        ref_z, ref_mask = reference_choose_z_drawn(field, normals, seed)
+        assert z.dtype == ref_z.dtype and z.shape == ref_z.shape == (normals.shape[1],)
+        assert z.tobytes() == ref_z.tobytes()
+        assert mask.dtype == ref_mask.dtype and mask.tobytes() == ref_mask.tobytes()
+        assert z.base is None  # its own array, not a view of a block
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symmetric_7_11_special2(self, seed):
+        normals = _symmetric_7_11_normals()
+        assert normals.shape == (15120, 6)
+        assert len(_kernels.projective_classes(normals, 11)[0]) == 21
+        self._same(GF(11), normals, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_object_keys_beyond_int64(self, seed):
+        p = 2**31 - 1
+        assert p**3 > 2**63 - 1
+        rows = _repeated_lines(p, 3, seed)
+        # over so large a field the bound asks every row to survive
+        self._same(GF(p), rows[np.any(rows != 0, axis=1)], seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_repeated_lines_and_multiples(self, seed):
+        self._same(F31, _repeated_lines(31, 4, seed), seed)
+
+    def test_budget_exhausted_after_every_draw(self):
+        made = []
+        real = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def integers(self, *args, **kwargs):
+                made.append(1)
+                return self.rng.integers(*args, **kwargs)
+
+        normals = _repeated_lines(31, 4, 0)
+        message = r"^no z met the surviving fraction in 6400 draws$"
+        with mock.patch.object(construct, "survivors_suffice", lambda *a: False), \
+                mock.patch("numpy.random.default_rng", CountingRng), \
+                pytest.raises(BudgetExhausted, match=message):
+            choose_z(F31, normals, seed=0)
+        assert construct.Z_TRIALS == 64 and len(made) == 100 * construct.Z_TRIALS
 
 
 class TestSpecial2Pipeline:

@@ -77,6 +77,17 @@ class TestRationalMatmul:
         assert scaled_numerators(a) == ([3, -4, 0, 30], 6)
         assert scaled_numerators(np.empty((0, 2), dtype=object)) == ([], 1)
 
+    @pytest.mark.parametrize("big", [1, 2**70], ids=["int64", "python ints"])
+    def test_integers_keep_equality_and_order(self, big):
+        a = QQ.array([[Fraction(1, 2), Fraction(1, 3)], [Fraction(-big, 7), Fraction(1, 2)]])
+        ints = QQ.integers(a)
+        assert ints.shape == a.shape and ints.dtype == (np.int64 if big == 1 else object)
+        flat, ref = ints.ravel().tolist(), a.ravel().tolist()
+        assert [[x < y for y in flat] for x in flat] == [[x < y for y in ref] for x in ref]
+        assert [[x == y for y in flat] for x in flat] == [[x == y for y in ref] for x in ref]
+        residues = GF(5).array([[1, 4], [0, 4]])
+        assert GF(5).integers(residues) is residues
+
     def test_bfs_multiplies_no_fractions(self, monkeypatch):
         """The BFS pass of a QQ closure, all of whose products go through
         Field.matmul, makes no Fraction product or sum; the same counter

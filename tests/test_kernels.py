@@ -119,3 +119,34 @@ def test_zscan_finds_lex_first_maximizer():
         assert count == best
         assert tuple(int(x) for x in z) == first
         assert K.count_nonzero_dots(normals, z, p) == best
+
+
+@pytest.mark.parametrize("p, n", [(7, 3), (31, 4), (2**31 - 1, 3)])  # int64 keys, object keys
+def test_projective_classes_are_the_lines_of_the_rows(p, n):
+    rng = np.random.default_rng(p)
+    base = rng.integers(0, p, size=(6, n), dtype=np.int64)
+    base[:, 0] = 0
+    base[:, 1] = rng.integers(1, p, size=6)
+    rows = base[rng.integers(0, 6, size=50)] * rng.integers(1, p, size=(50, 1)) % p
+    rows = np.concatenate([rows, rng.integers(0, p, size=(20, n), dtype=np.int64)])
+    rows[np.all(rows == 0, axis=1), -1] = 1
+    classes, weights = K.projective_classes(rows, p)
+    assert weights.dtype == np.int64 and int(weights.sum()) == len(rows)
+    lead = classes[np.arange(len(classes)), np.argmax(classes != 0, axis=1)]
+    assert lead.tolist() == [1] * len(classes)
+    assert len({tuple(c) for c in classes.tolist()}) == len(classes)
+    # the class with leading 1 at i holds the rows r with r[i] != 0 and r = r[i] c
+    for c, w in zip(classes.tolist(), weights.tolist()):
+        i = c.index(1)
+        on = [r for r in rows.tolist()
+              if r[i] and all((r[i] * x - y) % p == 0 for x, y in zip(c, r))]
+        assert len(on) == w
+
+
+def test_projective_classes_zero_row_counts_nowhere():
+    rows = np.array([[0, 0], [2, 4], [1, 2], [0, 0]], dtype=np.int64)
+    classes, weights = K.projective_classes(rows, 5)
+    assert classes.tolist() == [[0, 0], [1, 2]] and weights.tolist() == [2, 2]
+    z = np.array([[1], [1]], dtype=np.int64)
+    counts = weights @ (K.matmul_mod(classes, z, 5) != 0)
+    assert counts.tolist() == [K.count_nonzero_dots(rows, z[:, 0], 5)]

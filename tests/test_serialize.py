@@ -1,11 +1,15 @@
+import io
 import json
 import re
 import time
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rep2ldc import groups
 from rep2ldc.certcheck import cert_from_json, verify_cert_json
@@ -442,3 +446,23 @@ def test_part_over_another_field(cert_doc, path, name, char, tmp_path, capsys):
     dump_json(doc, str(tmp_path / "tampered.json"))
     assert main(["verify", "--input", str(tmp_path / "tampered.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# JSON trees with floats (nan and inf too), unicode keys, nested empties and
+# ints far beyond 64 bits
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers(min_value=-2**200, max_value=2**200),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_TREES)
+def test_writers_skip_the_cycle_check_with_the_same_bytes(obj):
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    with mock.patch("sys.stdout", new_callable=io.StringIO) as out:
+        dump_json(obj)
+    assert out.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"

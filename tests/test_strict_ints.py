@@ -18,7 +18,7 @@ from rep2ldc.construct import build_q_ldc, build_special_2ldc, choose_z, lambda_
 from rep2ldc.fields import GF, QQ, Field
 from rep2ldc.fixtures import signed_shift_group
 from rep2ldc.groups import close_group
-from rep2ldc.ldc import hadamard
+from rep2ldc.ldc import QMatching, hadamard
 from rep2ldc.serialize import canonical_json, cert_to_json, ldc_from_json, ldc_to_json
 
 # site -> (the argument's name in the message, a call that passes x there)
@@ -36,6 +36,7 @@ SITES = {
     "LdcInstance t": ("t", lambda g, x: dataclasses.replace(hadamard(2, GF(3)), t=x)),
     "LdcInstance m": ("m", lambda g, x: dataclasses.replace(hadamard(2, GF(3)), m=x)),
     "LdcInstance q": ("q", lambda g, x: dataclasses.replace(hadamard(2, GF(3)), q=x)),
+    "QMatching q": ("q", lambda g, x: QMatching(x, [(0, 1)])),
 }
 # each of these once int() took: 1.7 -> 1, True -> 1, "5" -> 5, 5.0 -> 5
 NOT_INTEGERS = [1.7, True, "5", 5.0, np.float64(5.0), np.bool_(True)]
@@ -67,6 +68,18 @@ def test_refusal_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_rank_scan", fail)
     assert cli.main(["rank-scan", "--fixture", "signed_shift(4,3)"]) == 1
     assert capsys.readouterr().err == "error: char must be an integer, got 3.7\n"
+
+
+@pytest.mark.parametrize("q, sets", [(2.0, [(0, 1)]), ("2", [(0, 1)]), (True, [(0,)])], ids=repr)
+def test_matching_arity_refusal_exits_1(monkeypatch, capsys, q, sets):
+    """A float, string or bool q once raised a bare TypeError from the set
+    rule; it is refused by name before the rule runs."""
+    def fail(args):
+        QMatching(q, sets)
+
+    monkeypatch.setattr(cli, "cmd_rank_scan", fail)
+    assert cli.main(["rank-scan", "--fixture", "signed_shift(4,3)"]) == 1
+    assert capsys.readouterr().err == f"error: q must be an integer, got {q!r}\n"
 
 
 def test_numpy_integer_seed_writes_the_int_seed_bytes(signed_shift_4_3):
