@@ -42,7 +42,7 @@ from .serialize import (
     group_spec_hash,
     json_fraction,
     json_int,
-    json_int_rows,
+    json_ints,
     ldc_from_json,
     matrix_from_json,
 )
@@ -83,7 +83,7 @@ def cert_from_json(obj, cap: int | None = None) -> ConstructionCert:
             raise ParseError("group hash does not match embedded spec")
         field = group.field
         kind = str(obj["kind"])
-        hs = _ints(obj["hs"], "hs")
+        hs = json_ints(obj["hs"], "hs")
         alphas = tuple(_vector(field, obj["alphas"]).tolist())
         lam = None if obj.get("lambda") is None else field.scalar_from_json(obj["lambda"])
         d = matrix_from_json(obj["D"])
@@ -92,7 +92,7 @@ def cert_from_json(obj, cap: int | None = None) -> ConstructionCert:
         fam = obj["family"]
         u = matrix_from_json(fam["U"])
         family = SpanningFamily(
-            g_refs=_ints(fam["g_refs"], "family.g_refs"),
+            g_refs=json_ints(fam["g_refs"], "family.g_refs"),
             U=Subspace(u.field, group.dim, u),
             W=matrix_from_json(fam["W"]),
             hat_w=tuple(_vector(field, h) for h in fam["hat_w"]),
@@ -111,9 +111,9 @@ def cert_from_json(obj, cap: int | None = None) -> ConstructionCert:
             X=x,
             family=family,
             z=z,
-            kept_s=_ints(obj["kept_s"], "kept_s"),
+            kept_s=json_ints(obj["kept_s"], "kept_s"),
             prefilter_size=json_int(obj["prefilter_size"], "prefilter_size"),
-            beta_nonzero_count=_ints(obj["beta_nonzero_count"], "beta_nonzero_count"),
+            beta_nonzero_count=json_ints(obj["beta_nonzero_count"], "beta_nonzero_count"),
             code=code,
             achieved_delta=json_fraction(obj["achieved_delta"], "achieved_delta"),
             seed=json_int(obj["seed"], "seed"),
@@ -127,10 +127,6 @@ def cert_from_json(obj, cap: int | None = None) -> ConstructionCert:
         raise ParseError(f"unknown certificate kind {cert.kind!r}")
     _check_indices_and_shapes(cert)
     return cert
-
-
-def _ints(values, name: str) -> tuple[int, ...]:
-    return json_int_rows([values], name)[0]
 
 
 def _vector(field, values) -> np.ndarray:

@@ -25,9 +25,11 @@ The table answers group questions with integers: left_perm is
 one gather per BFS level, mul a word walk, inv and element_order walks of
 powers, mult_cycles powers of left_perm, and the conjugacy classes orbits
 of s -> u^-1 s u, whose representatives alone get the batched powers and
-linalg.ranks of orders_and_ranks.  Burnside is one linalg.row_closure
-under the generators: span(G) is the algebra they generate, as
-g^-1 = g^(ord g - 1).
+linalg.ranks of orders_and_ranks.  Burnside is one
+linalg.row_closure_is_full of vec(I) under the distinct generators:
+span(G) is the algebra they generate, as g^-1 = g^(ord g - 1).  Over QQ
+a full closure mod a fixed prime proves it; otherwise the exact closure
+decides.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import CapExceeded, InternalInconsistency, NotInvertible
 from .fields import Field, strict_int
-from .linalg import Matrix, array_keys, rank, ranks, row_closure
+from .linalg import Matrix, array_keys, rank, ranks, row_closure_is_full
 
 __all__ = [
     "MatrixGroup",
@@ -391,11 +393,16 @@ def burnside_irreducible(group: MatrixGroup) -> bool:
 
     True certifies (absolute) irreducibility of the action on F^n; False
     is inconclusive for irreducibility over F itself.  As g^-1 = g^(ord g - 1),
-    span(G) is vec(I) closed under right multiplication by the generators:
-    at most n^2 rows, however large G is.  The verdict is cached on the group.
+    span(G) is vec(I) closed under right multiplication by the distinct
+    generators: at most n^2 rows, however large G is.  Over QQ, when the
+    prime linalg.PROOF_PRIME divides no denominator of the generators, a
+    full closure of their reductions mod that prime proves the span full
+    (reduction mod p can only lower a span's dimension); a closure that is
+    not full mod p falls back to the exact closure over QQ, which decides.
+    The verdict is cached on the group.
     """
     if group._burnside is None:
         vec_i = Matrix(group.field, np.eye(group.dim, dtype=np.int64).reshape(1, -1))
-        gens = [group.matrix(u) for u in group.generators]
-        group._burnside = row_closure(vec_i, gens).dim == group.dim ** 2
+        gens = [group.matrix(u) for u in dict.fromkeys(group.generators)]
+        group._burnside = row_closure_is_full(vec_i, gens)
     return group._burnside

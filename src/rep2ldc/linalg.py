@@ -3,10 +3,12 @@
 Matrices are immutable wrappers around numpy arrays: int64 residues for
 prime fields (hot paths go through the kernels in _kernels.py), Fraction
 object arrays for the rationals.  Their arithmetic goes through the field's
-`matmul`, `reduce` and `canon`.  Rank, nullspace, rank factorization and
-the row-space closure row_closure each reduce to one deterministic RREF;
-`ranks` takes the ranks of a whole stack and `array_keys` keys each matrix
-of a stack for dict lookup, on either field.
+`matmul`, `reduce` and `canon`.  Rank, nullspace and rank factorization
+each reduce to one deterministic RREF.  The row-space closure row_closure
+keeps an RREF basis and reduces only what each round adds to it, and
+row_closure_is_full, the full-span test, first tries a proof mod one
+fixed prime over QQ.  `ranks` takes the ranks of a whole stack and
+`array_keys` keys each matrix of a stack for dict lookup, on either field.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatch, ZeroMatrix
-from .fields import Field
+from .fields import GF, Field, scaled_numerators
 
 __all__ = [
     "Matrix",
@@ -27,6 +29,7 @@ __all__ = [
     "nullspace",
     "rank_factorize",
     "row_closure",
+    "row_closure_is_full",
     "ranks",
     "array_keys",
 ]
@@ -199,13 +202,16 @@ class Matrix:
 # core reductions
 # -------------------------------------------------------------------------------
 
+def _rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """(R, rank, pivot columns) of a canonical array, as arrays."""
+    if field.char:
+        return _kernels.rref_mod(np.ascontiguousarray(a), field.char)
+    return _rref_fraction(a)
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row-echelon form, rank, and pivot columns."""
-    p = m.field.char
-    if p:
-        r, rk, piv = _kernels.rref_mod(np.ascontiguousarray(m.a), p)
-    else:
-        r, rk, piv = _rref_fraction(m.a)
+    r, rk, piv = _rref(m.field, m.a)
     return Matrix(m.field, r, _canonical=True), int(rk), tuple(int(c) for c in piv)
 
 
@@ -296,21 +302,86 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _block_size(rows: Matrix, mats: Sequence[Matrix]) -> int:
+    """The n of the n x n matrices of a row closure (0 with none): each must
+    be over the rows' field, of the first one's shape, with n dividing the
+    row width; DimensionMismatch names the first that is not."""
+    n = mats[0].rows if len(mats) else 0
+    for i, m in enumerate(mats):
+        if m.field != rows.field:
+            raise DimensionMismatch(
+                f"row_closure matrix {i} is over {m.field!r}, the rows over {rows.field!r}")
+        if m.a.shape != (n, n) or not n or rows.cols % n:
+            raise DimensionMismatch(
+                f"row_closure matrix {i} is {m.rows} x {m.cols}, not n x n with n = "
+                f"{n} dividing the row width {rows.cols}")
+    return n
+
+
 def row_closure(rows: Matrix, mats: Sequence[Matrix]) -> Subspace:
     """Smallest row space holding `rows` and closed under r -> r @ M for
-    every n x n M of `mats`, each row read as n-wide blocks.
+    every n x n M of `mats`, each row read as n-wide blocks; with no
+    matrices, the row space of `rows`.
 
-    Each round multiplies only the rows whose RREF pivot is new and takes
-    one RREF of [basis; images]: old pivots stay pivots of a larger space,
-    and the rows with new pivots span a complement of the old one.
+    The basis stays in RREF.  A round takes the images of the rows added
+    in the last round under every matrix (one product with their stack),
+    clears them against the basis (images - images[:, pivots] @ basis, so
+    an image in the span is a zero row), drops the zero rows and takes one
+    RREF of what is left.  Its pivots are new, and one more product clears
+    them from the old rows: the union, in pivot order, is the RREF of the
+    larger space, unique and so the same bytes however it is reached.
     """
-    field, n = rows.field, mats[0].rows
-    r, rk, piv = rref(rows)
-    basis = new = r.a[:rk]
-    while len(new) and rk < rows.cols:
-        images = [field.matmul(new.reshape(-1, n), m.a).reshape(len(new), -1) for m in mats]
-        old = set(piv)
-        r, rk, piv = rref(Matrix(field, np.concatenate([basis, *images]), _canonical=True))
-        basis = r.a[:rk]
-        new = basis[[c not in old for c in piv]]
-    return Subspace(field, rows.cols, Matrix(field, basis, _canonical=True), _trusted=True)
+    field, width = rows.field, rows.cols
+    n = _block_size(rows, mats)
+    r, rk, piv = _rref(field, rows.a)
+    basis = new = r[:rk]
+    stack = np.stack([m.a for m in mats]) if n else None
+    while n and 0 < rk < width:
+        images = field.matmul(new.reshape(-1, n), stack).reshape(-1, width)
+        images = field.reduce(images - field.matmul(images[:, piv], basis))
+        r, k, new_piv = _rref(field, images[np.any(images != 0, axis=1)])
+        if not k:
+            break
+        new = r[:k]
+        basis = field.reduce(basis - field.matmul(basis[:, new_piv], new))
+        piv = np.concatenate([piv, new_piv])
+        order = np.argsort(piv)
+        basis, piv, rk = np.concatenate([basis, new])[order], piv[order], rk + k
+    return Subspace(field, width, Matrix(field, basis, _canonical=True), _trusted=True)
+
+
+# Reduction mod PROOF_PRIME keeps every product of row_closure_is_full's proof
+# on matmul_mod's int64 path: k (P - 1)^2 < 2^63 - 1 for k below 9 * 10^6.
+PROOF_PRIME = 1_000_003
+
+
+def row_closure_is_full(rows: Matrix, mats: Sequence[Matrix]) -> bool:
+    """True iff row_closure(rows, mats) is all of F^cols.
+
+    Over QQ a closure mod PROOF_PRIME comes first, when that prime P
+    divides no denominator of rows or mats.  Reduction mod P is then a
+    ring map from the rationals with denominators prime to P onto GF(P),
+    and it carries each product of a row and matrices to the same product
+    of their reductions.  A full closure mod P therefore holds cols such
+    products whose reductions are independent: a minor of theirs is
+    nonzero mod P, so the rational minor is nonzero, and the closure over
+    QQ is full too.  A closure that is not full mod P proves nothing, as
+    reduction can only lower a rank; the exact closure decides.
+    """
+    _block_size(rows, mats)
+    if not rows.field.char:
+        reduced = [_mod_prime(m, PROOF_PRIME) for m in (rows, *mats)]
+        if all(m is not None for m in reduced):
+            if row_closure(reduced[0], reduced[1:]).dim == rows.cols:
+                return True
+    return row_closure(rows, mats).dim == rows.cols
+
+
+def _mod_prime(m: Matrix, p: int) -> Matrix | None:
+    """A rational matrix reduced mod the prime p, or None when p divides a
+    denominator."""
+    nums, lcm = scaled_numerators(m.a)
+    if lcm % p == 0:
+        return None
+    residues = np.array(nums, dtype=object) * pow(lcm, -1, p) % p
+    return Matrix(GF(p), residues.astype(np.int64).reshape(m.a.shape), _canonical=True)

@@ -13,7 +13,7 @@ Formats (all indices 0-based, rationals as "a/b" strings):
 Scalars cross the wire a whole array at a time: every matrix, code
 vector block, `alphas`, `hat_w` and `z` goes through the field's
 `array_from_json` and `array_to_json`, every integer list (indices,
-counts) through `json_int_rows`, and each coordinate's matching rows
+counts) through `json_ints`, and each coordinate's matching rows
 straight into QMatching, whose set rule reads them into one (k, q) int64
 array (one type pass and one np.fromiter) and refuses a member that is
 not an integer; `members.tolist()` writes them back, with no tuple per
@@ -28,7 +28,6 @@ import json
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import chain
 
 from .errors import NotInvertible, ParseError
 from .fields import Field, rational_from_json
@@ -51,7 +50,7 @@ __all__ = [
     "detect_kind",
     "json_fraction",
     "json_int",
-    "json_int_rows",
+    "json_ints",
 ]
 
 
@@ -91,19 +90,15 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def json_int_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
-    """Rows of JSON integers as int tuples, with one type pass over all
-    members: the first non-integer in row-major order raises json_int's
-    message, and a row that is not a sequence the TypeError of iterating it.
+def json_ints(values, name: str) -> tuple[int, ...]:
+    """A list of JSON integers as an int tuple, with one type pass over it:
+    the first non-integer raises json_int's message, and values that are
+    not iterable the TypeError of iterating them.
     """
-    try:
-        out = tuple(map(tuple, rows))
-        if not set(map(type, chain.from_iterable(out))) <= {int}:
-            raise TypeError(f"{name} must be integers")
-    except TypeError:
-        for value in chain.from_iterable(rows):  # the first offender, in row-major order
+    out = tuple(values)
+    if not set(map(type, out)) <= {int}:
+        for value in out:  # the first offender
             json_int(value, name)
-        raise
     return out
 
 

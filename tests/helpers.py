@@ -322,8 +322,43 @@ def reference_entropy_audit(rows, matchings) -> dict:
     return out
 
 
-# Burnside by an element scan and spin one vector at a time: oracles of the
-# row-space closure (linalg.row_closure) that groups uses for both.
+# Burnside by an element scan, spin one vector at a time and the closure
+# by one RREF of [basis; images] a round: oracles of the row-space closure
+# (linalg.row_closure) that groups uses for both.
+
+def reference_row_closure(rows, mats):
+    """The row closure as one full RREF of [basis; images] per round, the
+    images those of the rows whose pivot is new in the last round."""
+    import numpy as np
+
+    from rep2ldc.linalg import Matrix, Subspace, rref
+
+    field, n = rows.field, mats[0].rows
+    r, rk, piv = rref(rows)
+    basis = new = r.a[:rk]
+    while len(new) and rk < rows.cols:
+        images = [field.matmul(new.reshape(-1, n), m.a).reshape(len(new), -1) for m in mats]
+        old = set(piv)
+        r, rk, piv = rref(Matrix(field, np.concatenate([basis, *images]), _canonical=True))
+        basis = r.a[:rk]
+        new = basis[[c not in old for c in piv]]
+    return Subspace(field, rows.cols, Matrix(field, basis, _canonical=True), _trusted=True)
+
+
+def closure_fields(monkeypatch) -> list:
+    """The field of each linalg.row_closure call from here on, in call order:
+    which closures ran, the mod-p proof's or the exact one."""
+    from rep2ldc import linalg
+
+    seen, inner = [], linalg.row_closure
+
+    def spy(rows, mats):
+        seen.append(rows.field)
+        return inner(rows, mats)
+
+    monkeypatch.setattr(linalg, "row_closure", spy)
+    return seen
+
 
 def scan_spans_matrix_algebra(group) -> bool:
     """Burnside by the element scan: the elements' rows vec(g), 256 at a

@@ -1,5 +1,5 @@
 """Whole-array certificate I/O (Field.array_from_json / array_to_json and
-serialize.json_int_rows) against the one-scalar-at-a-time reader and
+serialize.json_ints) against the one-scalar-at-a-time reader and
 writer in helpers.py: the same bytes out, the same ParseError text or an
 equal instance in, and a number of scalar calls that does not grow with
 the group."""
@@ -35,7 +35,7 @@ from rep2ldc.serialize import (
     canonical_json,
     cert_to_json,
     group_export_json,
-    json_int_rows,
+    json_ints,
     ldc_from_json,
     ldc_to_json,
 )
@@ -233,12 +233,14 @@ def test_array_from_json_matches_the_scalar_walk(field, rows):
     assert outcome(lambda: field.array_from_json(rows)) == outcome(scalar_walk)
 
 
-def test_json_int_rows_names_the_first_offender():
-    assert json_int_rows([[1, 2], (3,)], "m") == ((1, 2), (3,))
+def test_json_ints_names_the_first_offender():
+    assert json_ints([1, 2, 3], "m") == (1, 2, 3) and json_ints((), "m") == ()
     with pytest.raises(ParseError, match=r"^m must be an integer, got 'x'$"):
-        json_int_rows([[1, "x"], 5], "m")
+        json_ints([1, "x", 2.0], "m")
+    with pytest.raises(ParseError, match=r"^m must be an integer, got True$"):
+        json_ints([1, True], "m")
     with pytest.raises(TypeError, match="not iterable"):
-        json_int_rows([[1, 2], 5], "m")
+        json_ints(5, "m")
 
 
 # -- scalar calls do not grow with the group ------------------------------------

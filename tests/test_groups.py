@@ -1,10 +1,12 @@
 import hashlib
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import (
     LADDER,
+    closure_fields,
     fresh_group,
     matrix_cycles,
     matrix_inv,
@@ -13,13 +15,14 @@ from helpers import (
     matrix_order,
     reference_closure,
     reference_group_export_json,
+    reference_row_closure,
     scan_spans_matrix_algebra,
     vector_spin,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rep2ldc import _kernels, groups
+from rep2ldc import _kernels, groups, linalg
 from rep2ldc.errors import CapExceeded, InternalInconsistency, NotInvertible
 from rep2ldc.fields import GF, QQ, Field
 from rep2ldc.fixtures import parse_fixture
@@ -559,7 +562,7 @@ class TestBurnside:
     def test_verdict_cached_on_group(self, monkeypatch, dihedral_5_11):
         g = fresh_group(dihedral_5_11)
         assert burnside_irreducible(g)
-        monkeypatch.setattr(groups, "row_closure", None)
+        monkeypatch.setattr(groups, "row_closure_is_full", None)
         assert burnside_irreducible(g)
 
 
@@ -624,16 +627,35 @@ def closure_cases(draw, field):
     return gens, v
 
 
+def assert_same_basis(new, old) -> None:
+    """Two subspaces with the same basis bytes: dtype, shape and the repr
+    of every entry."""
+    new, old = new.basis.a, old.basis.a
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert list(map(repr, new.flat)) == list(map(repr, old.flat))
+
+
+def assert_closures_match_reference(g, *vs) -> None:
+    """row_closure of vec(I) under the generators (Burnside's) and of each v
+    under their transposes (a spin) against reference_row_closure, byte for
+    byte."""
+    gens = [g.matrix(u) for u in g.generators]
+    vec_i = Matrix(g.field, np.eye(g.dim, dtype=np.int64).reshape(1, -1))
+    cases = [(vec_i, gens)] + [(Matrix(g.field, [v]), [m.T for m in gens]) for v in vs]
+    for rows, mats in cases:
+        assert_same_basis(row_closure(rows, mats), reference_row_closure(rows, mats))
+
+
 def assert_closure_matches_oracles(g, v) -> bool:
-    """The closure's Burnside verdict is the element scan's, and the row
+    """The closure's Burnside verdict is the element scan's, the row
     closure of v under the transposed generators the per-vector spin's
-    basis, byte for byte; returns the verdict."""
+    basis, and both closures the per-round reference's, byte for byte;
+    returns the verdict."""
     verdict = burnside_irreducible(g)
     assert verdict == scan_spans_matrix_algebra(g)
     spun = row_closure(Matrix(g.field, [v]), [g.matrix(u).T for u in g.generators])
-    new, old = spun.basis.a, vector_spin(v, g).basis.a
-    assert new.dtype == old.dtype and new.shape == old.shape
-    assert list(map(repr, new.flat)) == list(map(repr, old.flat))
+    assert_same_basis(spun, vector_spin(v, g))
+    assert_closures_match_reference(g, v)
     return verdict
 
 
@@ -677,6 +699,83 @@ class TestClosureAgainstScan:
     def test_fixtures(self, spec):
         g = fresh_group(parse_fixture(spec))
         assert assert_closure_matches_oracles(g, [1] + [0] * (g.dim - 1)) is True
+
+
+class TestRowClosureAgainstReference:
+    """The incremental closure is the per-round reference's, byte for byte,
+    on the fixture ladder over GF(3), GF(11), GF(2^31 - 1) and QQ."""
+
+    @pytest.mark.parametrize("spec", [
+        "signed_shift(4,3)", "signed_shift(10,3)", "symmetric(5,3)",
+        "signed_shift(6,11)", "symmetric(7,11)", "dihedral(5,11)",
+        "signed_shift(8,2147483647)", "symmetric(5,2147483647)",
+        "signed_shift(4,0)", "signed_shift(8,0)", "signed_shift(10,0)", "symmetric(6,0)",
+    ])
+    def test_fixture_ladder(self, spec):
+        g = parse_fixture(spec)
+        assert_closures_match_reference(g, [1] + [0] * (g.dim - 1), [1] * g.dim,
+                                        list(range(1, g.dim + 1)))
+
+    def test_reducible_closures(self):
+        """A proper closure: the shift group's spin of (1, 0, 1, 0) and its
+        vec(I) closure, the commutative algebra of circulants."""
+        g = close_group([shift_matrix(F3, 4)])
+        assert_closures_match_reference(g, [1, 0, 1, 0])
+        vec_i = Matrix(F3, np.eye(4, dtype=np.int64).reshape(1, -1))
+        assert row_closure(vec_i, [g.matrix(u) for u in g.generators]).dim == 4
+
+
+class TestBurnsideProofModP:
+    """Over QQ a full closure mod PROOF_PRIME decides True; otherwise the
+    exact closure decides.  Each test counts which closures ran."""
+
+    PROOF = GF(linalg.PROOF_PRIME)
+
+    @pytest.mark.parametrize("spec", ["signed_shift(4,0)", "symmetric(4,0)"])
+    def test_proof_decides(self, monkeypatch, spec):
+        g = fresh_group(parse_fixture(spec))
+        seen = closure_fields(monkeypatch)
+        assert burnside_irreducible(g) is True
+        assert seen == [self.PROOF]
+
+    def test_failed_proof_falls_back_to_the_exact_closure(self, monkeypatch):
+        """S_3's standard representation is reducible mod 3: (1, 1, 1) lies
+        in the sum-zero plane.  Over QQ it is irreducible."""
+        g = fresh_group(parse_fixture("symmetric(3,0)"))
+        monkeypatch.setattr(linalg, "PROOF_PRIME", 3)
+        seen = closure_fields(monkeypatch)
+        assert burnside_irreducible(g) is True
+        assert seen == [GF(3), QQ]
+
+    def test_denominator_divisible_by_p_skips_the_proof(self, monkeypatch):
+        """The signed permutations of two coordinates conjugated by
+        diag(1, P): the swap becomes [[0, 1/P], [P, 0]]."""
+        p = linalg.PROOF_PRIME
+        g = close_group([Matrix(QQ, [[0, Fraction(1, p)], [p, 0]]),
+                         Matrix(QQ, [[-1, 0], [0, 1]])])
+        seen = closure_fields(monkeypatch)
+        assert burnside_irreducible(g) is True
+        assert seen == [QQ]
+
+    def test_reducible_group_stays_false(self, monkeypatch):
+        """The permutation matrices of S_3 fix (1, 1, 1)."""
+        g = close_group([Matrix(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+                         Matrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])])
+        seen = closure_fields(monkeypatch)
+        assert burnside_irreducible(g) is False
+        assert seen == [self.PROOF, QQ]
+
+    def test_distinct_generators_only(self, monkeypatch):
+        """A repeated generator is spun under once."""
+        sig = [[[0, 1], [1, 0]], [[-1, 0], [0, 1]]]
+        gens = [Matrix(F3, sig[0]), Matrix(F3, sig[1]), Matrix(F3, sig[0])]
+        g = close_group(gens)
+        calls = []
+        inner = linalg.row_closure_is_full
+        monkeypatch.setattr(groups, "row_closure_is_full",
+                            lambda rows, mats: calls.append(len(mats)) or inner(rows, mats))
+        assert burnside_irreducible(g) is True
+        assert calls == [2]
 
 
 class TestOrdersAndRanksAgainstMatrices:

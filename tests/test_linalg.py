@@ -3,13 +3,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import brute_rank, reference_nullspace
+from helpers import brute_rank, closure_fields, reference_nullspace, reference_row_closure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rep2ldc import linalg
 from rep2ldc.errors import DimensionMismatch, ZeroMatrix
 from rep2ldc.fields import GF, QQ, Field
-from rep2ldc.linalg import Matrix, Subspace, nullspace, rank, rank_factorize, rref
+from rep2ldc.linalg import (
+    Matrix,
+    Subspace,
+    nullspace,
+    rank,
+    rank_factorize,
+    row_closure,
+    row_closure_is_full,
+    rref,
+)
 
 F2, F3, F5, F11 = GF(2), GF(3), GF(5), GF(11)
 
@@ -194,6 +204,70 @@ class TestSubspaces:
             Subspace(F3, 2, Matrix(other, rows))
         with pytest.raises(DimensionMismatch, match="over different fields"):
             Subspace.from_rows(F3, 2, Matrix(other, rows))
+
+
+class TestRowClosureInput:
+    """row_closure and row_closure_is_full take no matrices, and name the
+    first matrix over another field or of a shape the rows cannot take."""
+
+    def test_no_matrices_is_the_row_space(self):
+        rows = Matrix(F3, [[1, 2, 0], [2, 1, 0], [0, 0, 1]])
+        assert row_closure(rows, []) == Subspace.from_rows(F3, 3, rows)
+        assert row_closure(Matrix(QQ, [[0, 2]]), []).basis.a.tolist() == [[0, 1]]
+        assert row_closure_is_full(Matrix(QQ, [[1, 0], [1, 1]]), []) is True
+        assert row_closure_is_full(Matrix(QQ, [[1, 1]]), []) is False
+
+    @pytest.mark.parametrize("closure", [row_closure, row_closure_is_full])
+    def test_matrix_over_another_field(self, closure):
+        with pytest.raises(DimensionMismatch, match=r"^row_closure matrix 0 is over GF\(5\), "
+                                                    r"the rows over GF\(3\)$"):
+            closure(Matrix(F3, [[1, 0, 0, 0]]), [Matrix.identity(F5, 2)])
+        with pytest.raises(DimensionMismatch, match=r"matrix 1 is over GF\(3\), the rows over QQ"):
+            closure(Matrix(QQ, [[1, 0]]), [Matrix.identity(QQ, 2), Matrix.identity(F3, 2)])
+
+    @pytest.mark.parametrize("closure", [row_closure, row_closure_is_full])
+    @pytest.mark.parametrize("mats, named", [
+        ([Matrix.identity(F3, 3)], "matrix 0 is 3 x 3, not n x n with n = 3 dividing the row "
+                                   "width 4"),
+        ([Matrix(F3, [[1, 0], [0, 1], [1, 1]])], "matrix 0 is 3 x 2"),
+        ([Matrix.identity(F3, 2), Matrix.identity(F3, 4)], "matrix 1 is 4 x 4, not n x n with "
+                                                            "n = 2"),
+        ([Matrix.zeros(F3, 0, 0)], "matrix 0 is 0 x 0"),
+    ])
+    def test_matrix_of_the_wrong_shape(self, closure, mats, named):
+        with pytest.raises(DimensionMismatch, match=named):
+            closure(Matrix(F3, [[1, 0, 0, 0]]), mats)
+
+
+class TestProofModP:
+    @pytest.mark.parametrize("prime", [5, 7])
+    def test_verdict_is_the_exact_closures(self, monkeypatch, prime):
+        """Random rational matrices (denominators 1-4, so a proof mod 5 or 7
+        always runs): the verdict is whether the per-round reference closure
+        of vec(I) is full.  A proof decides alone only when it is full, and
+        all three outcomes (proved, refuted only mod p, not full) occur."""
+        monkeypatch.setattr(linalg, "PROOF_PRIME", prime)
+        seen = closure_fields(monkeypatch)
+        outcomes = set()
+        rational = st.builds(Fraction, st.integers(-prime, prime), st.integers(1, 4))
+
+        @settings(max_examples=120, deadline=None, derandomize=True)
+        @given(data=st.data())
+        def check(data):
+            n = data.draw(st.integers(2, 3))
+            flat = st.lists(rational, min_size=n * n, max_size=n * n)
+            mats = [Matrix(QQ, [m[i:i + n] for i in range(0, n * n, n)])
+                    for m in data.draw(st.lists(flat, min_size=1, max_size=2))]
+            vec_i = Matrix(QQ, np.eye(n, dtype=np.int64).reshape(1, -1))
+            seen.clear()
+            verdict = row_closure_is_full(vec_i, mats)
+            assert verdict == (reference_row_closure(vec_i, mats).dim == n * n)
+            assert seen in ([GF(prime)], [GF(prime), QQ])
+            assert verdict or len(seen) == 2
+            outcomes.add((len(seen), verdict))
+
+        check()
+        assert outcomes == {(1, True), (2, True), (2, False)}
 
 
 class TestFieldsAndMatrices:
