@@ -7,6 +7,13 @@ strings; nothing is repaired.  The rules of a certificate kind (density
 floor, pre-filter guarantee, survivor bound, code form and length) are the
 builders' own, read from construct, and whether the pre-filter tuples are
 disjoint is ldc's one set-family rule; each check here names what failed.
+
+The tuple identities are proved, not recomputed: they follow from the
+factorization, spanning-family and orbit checks (see `verify_cert`), and
+`check_spanning_identities` runs only when one of those fails, so the
+report names the first failing (j, s) exactly as a full recomputation
+would.  The code's matchings are compared with the filtered tuple family
+in one pass over an owner array (`_same_sets`).
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ def cert_from_json(obj, cap: int | None = None) -> ConstructionCert:
         kind = str(obj["kind"])
         hs = json_ints(obj["hs"], "hs")
         alphas = tuple(_vector(field, obj["alphas"]).tolist())
-        lam = None if obj.get("lambda") is None else field.scalar_from_json(obj["lambda"])
+        lam = None if obj["lambda"] is None else field.scalar_from_json(obj["lambda"])
         d = matrix_from_json(obj["D"])
         y = matrix_from_json(obj["Y"])
         x = matrix_from_json(obj["X"])
@@ -137,7 +144,9 @@ def _check_indices_and_shapes(cert: ConstructionCert) -> None:
     """Reject parts over a field other than the group's, element indices
     outside [0, |G|) and vectors or matrices whose shape contradicts n, R
     or t, which verify_cert would index with.  A family of more than n
-    translates is never minimal, and its checks would grow with t^2."""
+    translates is never minimal, and its checks would grow with t^2.  A
+    lambda is stated by the lambda kind alone, and a seed is never
+    negative, as the builders take it."""
     field = cert.group.field
     for name, part in (("D", cert.D), ("Y", cert.Y), ("X", cert.X), ("family.U", cert.family.U),
                        ("family.W", cert.family.W), ("code", cert.code)):
@@ -162,6 +171,10 @@ def _check_indices_and_shapes(cert: ConstructionCert) -> None:
         raise ParseError(f"the number of family.g_refs must be at most n = {n}, got {t}")
     if cert.kind == "lambda" and cert.lam is None:
         raise ParseError("lambda certificate without a lambda")
+    if cert.kind != "lambda" and cert.lam is not None:
+        raise ParseError(f"{cert.kind} certificate with a lambda")
+    if cert.seed < 0:
+        raise ParseError(f"seed must be non-negative, got {cert.seed}")
     if len(cert.family.hat_w) != t:
         raise ParseError(f"family has {len(cert.family.hat_w)} hat_w rows for {t} g_refs")
     lengths = [("z", cert.z, n)] + [
@@ -183,14 +196,58 @@ def _beta_mask(cert: ConstructionCert) -> np.ndarray:
     return (beta_table(cert, cert.kept_s) != 0).T
 
 
-def _sorted_rows(a: np.ndarray) -> np.ndarray:
-    """Each row sorted, then the rows in lexicographic order."""
-    a = np.sort(a, axis=1)
-    return a[np.lexsort(a.T[::-1])]
+def _same_sets(rows: np.ndarray, members: np.ndarray, m: int) -> bool:
+    """Whether the (k, q) integer rows, each read as a set, are the sets of
+    `members`, a QMatching's rows: disjoint sets of q' distinct positions
+    in [0, m).
+
+    Each position then lies in at most one set, its owner.  The families
+    are equal exactly when the shapes agree, every row's members have one
+    owner, and no position occurs twice among the rows: a row of q
+    distinct members inside a set of q is that set, and rows with no
+    member in common own different sets, so the k rows are the k sets.
+    A position outside [0, m) has no owner, so the families differ.
+    """
+    if rows.shape != members.shape:
+        return False
+    if not rows.size:
+        return True
+    if rows.min() < 0 or rows.max() >= m:
+        return False
+    owner = np.full(m, -1, dtype=np.int64)
+    owner[members] = np.arange(len(members))[:, None]
+    owners = owner[rows]
+    return bool(
+        (owners[:, 0] >= 0).all()
+        and (owners == owners[:, :1]).all()
+        and np.bincount(rows.ravel(), minlength=m).max() == 1
+    )
 
 
 def verify_cert(cert: ConstructionCert) -> CertCheckReport:
-    """Re-check every invariant of a (possibly deserialized) certificate."""
+    """Re-check every invariant of a (possibly deserialized) certificate.
+
+    The tuple identities sum_l alpha_l a_{g_j h_l s} = beta_{j,s}(z) e_j,
+    for every j and every s in G, hold by a lemma once four checks made
+    here have passed:
+
+    1. D = sum_l alpha_l rho(h_l)            (the combination check)
+    2. D = Y X^T                             (the factorization check)
+    3. W^T rho(g_j) Y = e_j hat_w_j^T        (validate_family, with W of t columns)
+    4. a_x = W^T rho(x) z for x in G         (orbit_projection_check)
+
+    Position(g_j h_l s) is read from the verifier's own closure of the
+    group, so rho(g_j h_l s) = rho(g_j) rho(h_l) rho(s), and
+
+        sum_l alpha_l a_{g_j h_l s} = W^T rho(g_j) D rho(s) z           (4, 1)
+                                    = W^T rho(g_j) Y X^T rho(s) z       (2)
+                                    = e_j <X hat_w_j, rho(s) z>         (3)
+                                    = beta_{j,s}(z) e_j,
+
+    every step exact in the field.  So the recomputation
+    (`check_spanning_identities`) could only pass, and it runs only when
+    one of the four fails; then it names the first failing (j, s).
+    """
     group = cert.group
     field = group.field
     n = group.dim
@@ -201,20 +258,23 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
         if not cond:
             failures.append(what)
 
-    check(cert.D == combine(group, cert.hs, cert.alphas),
-          "D is not the stated combination of group elements")
+    combination_holds = cert.D == combine(group, cert.hs, cert.alphas)
+    check(combination_holds, "D is not the stated combination of group elements")
     check(not cert.D.is_zero(), "D is zero")
     check(rank(cert.D) == cert.R, "stated R differs from rank(D)")
-    check(cert.Y @ cert.X.T == cert.D, "Y X^T != D")
+    factorization_holds = cert.Y @ cert.X.T == cert.D
+    check(factorization_holds, "Y X^T != D")
     check(rank(cert.Y) == cert.R and rank(cert.X) == cert.R,
           "factor ranks differ from R")
     check(
         Subspace.from_rows(field, n, cert.Y.T) == cert.family.U,
         "U is not the column span of Y",
     )
+    family_holds = cert.family.W.cols == cert.family.t
     try:
         validate_family(group, cert.family, cert.Y)
     except Rep2LdcError as exc:
+        family_holds = False
         failures.append(f"spanning family invalid: {exc}")
     check(cert.family.t >= math.ceil(n / cert.R), "t below ceil(n/R)")
 
@@ -241,20 +301,19 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     matchings = cert.code.matchings
     check(
         len(matchings) == cert.family.t and all(
-            np.array_equal(
-                _sorted_rows(idx[j][:, mask[j]].T),
-                _sorted_rows(mi.members),
-            )
+            _same_sets(idx[j][:, mask[j]].T, mi.members, cert.code.m)
             for j, mi in enumerate(matchings)
         ),
         "code matchings differ from the filtered tuple family",
     )
 
-    check(orbit_projection_check(cert), "code vectors are not W^T rho(s) z")
-    try:
-        check_spanning_identities(cert)
-    except Rep2LdcError as exc:
-        failures.append(f"tuple identity failed: {exc}")
+    orbit_holds = orbit_projection_check(cert)
+    check(orbit_holds, "code vectors are not W^T rho(s) z")
+    if not (combination_holds and factorization_holds and family_holds and orbit_holds):
+        try:
+            check_spanning_identities(cert)
+        except Rep2LdcError as exc:
+            failures.append(f"tuple identity failed: {exc}")
 
     form, m_code = code_shape(cert.kind, m)
     check(cert.code.form == form,

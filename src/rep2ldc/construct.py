@@ -281,9 +281,11 @@ def choose_z(field: Field, normals: np.ndarray, seed: int = 0):
 
     Returns (z, mask) with mask[r] true iff row r survives, from one
     product of the normals with z on either field.  seed is a Python or
-    numpy integer.
+    numpy integer, at least 0.
     """
     seed = strict_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     k, n = normals.shape
     p = field.char
     if p:
@@ -464,8 +466,11 @@ def _build(group: MatrixGroup, kind: str, hs, alphas, lam, seed: int) -> Constru
     """The pipeline of every kind: the combination of hs and alphas, its
     spanning family, the pre-filter tuples, z and the code, each checked
     against the kind's contract; lam scales the lambda kind's second block.
-    seed is a Python or numpy integer, kept as int in the certificate."""
+    seed is a Python or numpy integer, at least 0, kept as int in the
+    certificate; it is checked before any work."""
     seed = strict_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     field, q = group.field, len(hs)
     d, r, y, x, family = _prepare(group, hs, alphas)
     kept_s = _greedy_kept_s(group, hs) if kind == "general" else _cycle_kept_s(group, hs[0])

@@ -657,7 +657,7 @@ def reference_cert_from_json(obj):
         kind = str(obj["kind"])
         hs = tuple(json_int(h, "hs") for h in obj["hs"])
         alphas = tuple(field.scalar_from_json(a) for a in obj["alphas"])
-        lam = None if obj.get("lambda") is None else field.scalar_from_json(obj["lambda"])
+        lam = None if obj["lambda"] is None else field.scalar_from_json(obj["lambda"])
         d = reference_matrix_from_json(obj["D"])
         y = reference_matrix_from_json(obj["Y"])
         x = reference_matrix_from_json(obj["X"])
@@ -872,3 +872,19 @@ def reference_cycle_kept_s(group, h: int) -> list[int]:
     for cycle in matrix_cycles(group, h):
         kept.extend(cycle[a] for a in range(0, len(cycle) - 1, 2))
     return kept
+
+
+def _sorted_rows(a):
+    """Each row sorted, then the rows in lexicographic order."""
+    import numpy as np
+
+    a = np.sort(a, axis=1)
+    return a[np.lexsort(a.T[::-1])]
+
+
+def reference_same_sets(rows, members) -> bool:
+    """Oracle of certcheck._same_sets: the two families of rows, each row
+    read as a set, are equal as multisets, by two lexsorts."""
+    import numpy as np
+
+    return np.array_equal(_sorted_rows(rows), _sorted_rows(members))

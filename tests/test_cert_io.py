@@ -297,3 +297,25 @@ def test_code_form_of_a_general_certificate():
     report = verify_cert(dataclasses.replace(cert, code=code))
     assert "code form 'special2' differs from 'general', the form of a general certificate" \
         in report.failures
+
+
+# -- the lambda field ------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_missing_lambda_refused(kind):
+    doc = json.loads(canonical_json(cert_to_json(_cert("signed_shift(4,3)", kind))))
+    del doc["lambda"]
+    with pytest.raises(ParseError, match=r"^bad certificate document: 'lambda'$"):
+        cert_from_json(doc)
+
+
+@pytest.mark.parametrize("kind", ["special2", "general"])
+@pytest.mark.parametrize("value", [0, 1, 2])
+def test_lambda_outside_the_lambda_kind_refused(kind, value):
+    """The converse of "lambda certificate without a lambda": a special2
+    or general certificate that states a lambda, even 0, is refused."""
+    doc = json.loads(canonical_json(cert_to_json(_cert("signed_shift(4,3)", kind))))
+    assert doc["lambda"] is None and verify_cert_json(doc).passed
+    doc["lambda"] = value
+    with pytest.raises(ParseError, match=rf"^{kind} certificate with a lambda$"):
+        cert_from_json(doc)

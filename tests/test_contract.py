@@ -7,6 +7,12 @@ survivor bound, the density floor, the code's shape and the tuple identity
 must keep reporting as they do wherever their rules are decided.  A
 semantic edit of a certificate's JSON document (one residue, matching
 member or kept_s entry) never reads as a passing certificate.
+
+The tuple identities are proved from the factorization, family and orbit
+checks: a passing certificate never recomputes them, a failed premise
+does, and the report names an identity failure exactly when the
+recomputation finds one.  The one-pass matching comparison agrees with
+two lexsorts on families built to differ.
 """
 
 import dataclasses
@@ -16,14 +22,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import reference_same_sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rep2ldc.certcheck import cert_from_json, verify_cert
-from rep2ldc.construct import build_q_ldc, build_special_2ldc, lambda_variant
-from rep2ldc.errors import ParseError
+from rep2ldc import certcheck, construct
+from rep2ldc.certcheck import _same_sets, cert_from_json, verify_cert
+from rep2ldc.construct import (
+    build_q_ldc,
+    build_special_2ldc,
+    check_spanning_identities,
+    lambda_variant,
+)
+from rep2ldc.errors import ParseError, Rep2LdcError
 from rep2ldc.fields import rational_from_json
 from rep2ldc.fixtures import parse_fixture
+from rep2ldc.ldc import QMatching
 from rep2ldc.linalg import Matrix
 from rep2ldc.serialize import canonical_json, cert_to_json
 
@@ -111,6 +125,22 @@ def _edit(cert, edit: str):
         field, a = cert.group.field, cert.code.vectors.a.copy()
         a[m - 1, -1] = field.canon(a[m - 1, -1] + 1)
         return replace(code=dataclasses.replace(cert.code, vectors=Matrix.from_array(field, a)))
+    if edit == "alpha0+1":
+        field = cert.group.field
+        return replace(alphas=(field.canon(cert.alphas[0] + 1),) + cert.alphas[1:])
+    if edit == "X-entry+1":
+        field, x = cert.group.field, cert.X.a.copy()
+        x[0, 0] = field.canon(x[0, 0] + 1)
+        return replace(X=Matrix.from_array(field, x))
+    if edit == "W-entry+1":
+        field, w = cert.group.field, cert.family.W.a.copy()
+        w[0, 0] = field.canon(w[0, 0] + 1)
+        return replace(family=dataclasses.replace(cert.family, W=Matrix.from_array(field, w)))
+    if edit == "hat_w-entry+1":
+        field, hats = cert.group.field, list(cert.family.hat_w)
+        hats[0] = hats[0].copy()
+        hats[0][0] = field.canon(hats[0][0] + 1)
+        return replace(family=dataclasses.replace(cert.family, hat_w=tuple(hats)))
     assert edit == "kept-below-G/q2"
     q = len(cert.hs)
     keep = -(-m // (q * q)) - 1  # the largest count with keep * q^2 < |G|
@@ -177,9 +207,141 @@ def semantic_edit(draw):
 @given(doc=semantic_edit())
 def test_a_semantic_edit_never_passes(doc):
     """Each edit changes what the certificate states, so it is refused
-    either as a ParseError or by a failing report; no other exception."""
+    either as a ParseError or by a failing report; no other exception.
+    The report names a tuple identity failure exactly when the
+    recomputation of the identities finds one."""
     try:
         cert = cert_from_json(doc)
     except ParseError:
         return
-    assert not verify_cert(cert).passed
+    report = verify_cert(cert)
+    assert not report.passed
+    assert _identity_failures(report) == _recomputed_identities(cert)
+
+
+# -- the tuple identities by proof ----------------------------------------------
+
+# edits that break one premise of the proof: the combination check
+# (alphas), the factorization check (X), the orbit check (z, a code vector,
+# W) or the family check (W, hat_w)
+PREMISE_EDITS = ["alpha0+1", "X-entry+1", "z-zero", "vector-entry+1", "W-entry+1",
+                 "hat_w-entry+1"]
+QQ_PINS = ["signed_shift(4,0) special2", "signed_shift(4,0) lambda", "signed_shift(4,0) general"]
+
+
+def _identity_failures(report) -> list[str]:
+    return [f for f in report.failures if f.startswith("tuple identity failed: ")]
+
+
+def _recomputed_identities(cert) -> list[str]:
+    """The identity message verify_cert would report from a recomputation."""
+    try:
+        check_spanning_identities(cert)
+    except Rep2LdcError as exc:
+        return [f"tuple identity failed: {exc}"]
+    return []
+
+
+@pytest.fixture
+def recomputations(monkeypatch) -> list:
+    """The certificates verify_cert recomputes the identities of."""
+    calls = []
+
+    def spy(cert):
+        calls.append(cert)
+        return check_spanning_identities(cert)
+
+    monkeypatch.setattr(certcheck, "check_spanning_identities", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(dict.fromkeys(list(CASES) + QQ_PINS)))
+def test_a_passing_certificate_is_proved_not_recomputed(recomputations, case):
+    assert verify_cert(cert_from_json(json.loads(_doc_text(case)))).passed
+    assert verify_cert(_cert(case)).passed
+    assert recomputations == []
+
+
+PREMISE_PAIRS = [(case, edit) for case in CASES for edit in PREMISE_EDITS]
+
+
+@pytest.mark.parametrize("case, edit", PREMISE_PAIRS, ids=[f"{c}-{e}" for c, e in PREMISE_PAIRS])
+def test_a_failed_premise_recomputes_the_identities(recomputations, case, edit):
+    edited = _edit(_cert(case), edit)
+    assert not verify_cert(edited).passed
+    assert recomputations == [edited]
+
+
+@pytest.mark.parametrize("case, edit", PAIRS + PREMISE_PAIRS,
+                         ids=[f"{c}-{e}" for c, e in PAIRS + PREMISE_PAIRS])
+def test_the_identity_report_is_the_recomputation(case, edit):
+    edited = _edit(_cert(case), edit)
+    assert _identity_failures(verify_cert(edited)) == _recomputed_identities(edited)
+
+
+def test_a_family_check_passed_by_a_wider_w_is_no_proof(recomputations):
+    """With one translate, a W of two equal columns passes the rank-one
+    identity by broadcasting, and its code vectors pass the orbit check;
+    the lemma reads W as n x t, so the identities are recomputed, and the
+    recomputation finds the code too wide."""
+    g = parse_fixture("signed_shift(4,3)")
+    cert = build_q_ldc(g, [g.identity_pos], [1])  # D = I: one translate
+    assert cert.t == 1 and verify_cert(cert).passed
+    w = Matrix.from_array(g.field, np.concatenate([cert.family.W.a] * 2, axis=1))
+    vectors = Matrix.from_array(g.field, construct._code_vectors(g, w, cert.z))
+    code = dataclasses.replace(cert.code, t=2, vectors=vectors,
+                               matchings=cert.code.matchings * 2)
+    wide = dataclasses.replace(cert, family=dataclasses.replace(cert.family, W=w), code=code)
+    recomputations.clear()
+    assert verify_cert(wide).failures == (
+        MATCHINGS,
+        "tuple identity failed: code vectors have shape (64, 2), need at least 64 rows of "
+        "length 1",
+    )
+    assert recomputations == [wide]
+
+
+# -- the one-pass matching comparison ---------------------------------------------
+
+EDITS_OF_SETS = ["permuted", "repeated", "overlapping", "counts", "outside", "width"]
+
+
+@st.composite
+def set_families(draw):
+    """(edit, rows, members, m): `members` a QMatching's rows on a code of
+    length m, `rows` the same family with its rows and their members
+    permuted, then edited: one member repeated within its row, one taken
+    from another row, a row dropped or added, one member moved outside
+    [0, m), or a column dropped."""
+    q, k = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    m = q * k + draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(m)))
+    members = QMatching(q, np.array(perm[:q * k], dtype=np.int64).reshape(k, q)).members
+    rows = members[list(draw(st.permutations(range(k))))].copy()
+    for row in rows:
+        row[:] = row[list(draw(st.permutations(range(q))))]
+    edit = draw(st.sampled_from(EDITS_OF_SETS))
+    i = draw(st.integers(0, max(k - 1, 0)))
+    a = draw(st.integers(0, q - 1))
+    if edit == "repeated" and k and q > 1:
+        rows[i, a] = rows[i, (a + 1) % q]
+    elif edit == "overlapping" and k > 1:
+        rows[i, a] = rows[(i + 1) % k, draw(st.integers(0, q - 1))]
+    elif edit == "counts":
+        extra = np.array([perm[q * k:][:q] if m - q * k >= q else perm[:q]], dtype=np.int64)
+        rows = rows[:-1] if k and draw(st.booleans()) else np.concatenate([rows, extra])
+    elif edit == "outside" and k:
+        rows[i, a] = m + draw(st.integers(0, 3))
+    elif edit == "width" and q > 1:
+        rows = rows[:, :-1]
+    return edit, rows, members, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(family=set_families())
+def test_one_pass_comparison_matches_the_lexsorts(family):
+    edit, rows, members, m = family
+    same = _same_sets(rows, members, m)
+    assert same == reference_same_sets(rows, members)
+    if edit == "permuted":
+        assert same

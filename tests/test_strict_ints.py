@@ -3,7 +3,7 @@ string where an int is expected raises ValueError naming the argument, where
 int() would truncate or parse it and build something else; numpy integers
 pass.  The CLI maps that ValueError to exit 1.  Field scalars are ints,
 numpy integers or Fractions, and a writer writes only what its reader
-accepts."""
+accepts.  A seed is also at least 0, in a call and in a certificate."""
 
 import dataclasses
 import json
@@ -13,8 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rep2ldc import cli
+from rep2ldc import cli, construct
+from rep2ldc.certcheck import cert_from_json
 from rep2ldc.construct import build_q_ldc, build_special_2ldc, choose_z, lambda_variant
+from rep2ldc.errors import ParseError
 from rep2ldc.fields import GF, QQ, Field
 from rep2ldc.fixtures import signed_shift_group
 from rep2ldc.groups import close_group
@@ -80,6 +82,34 @@ def test_matching_arity_refusal_exits_1(monkeypatch, capsys, q, sets):
     monkeypatch.setattr(cli, "cmd_rank_scan", fail)
     assert cli.main(["rank-scan", "--fixture", "signed_shift(4,3)"]) == 1
     assert capsys.readouterr().err == f"error: q must be an integer, got {q!r}\n"
+
+
+@pytest.mark.parametrize("value", [-5, np.int64(-1)], ids=repr)
+@pytest.mark.parametrize("site", [site for site in SITES if site.endswith(" seed")])
+def test_negative_seed_refused_before_any_work(monkeypatch, signed_shift_4_3, site, value):
+    """A negative seed once built a certificate (exhaustive and lattice z)
+    or failed inside numpy's generator (randomized z); it is refused by
+    name before the pipeline starts."""
+    def never(*args):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(construct, "_prepare", never)
+    call = SITES[site][1]
+    with pytest.raises(ValueError, match=rf"^seed must be non-negative, got {int(value)}$"):
+        call(signed_shift_4_3, value)
+
+
+def test_negative_seed_exits_1(capsys):
+    argv = ["construct", "--fixture", "symmetric(6,11)", "--special2", "--h", "1", "--seed", "-3"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
+
+
+def test_negative_seed_in_a_document_refused(signed_shift_4_3):
+    doc = json.loads(canonical_json(cert_to_json(build_special_2ldc(signed_shift_4_3, 1))))
+    doc["seed"] = -5
+    with pytest.raises(ParseError, match=r"^seed must be non-negative, got -5$"):
+        cert_from_json(doc)
 
 
 def test_numpy_integer_seed_writes_the_int_seed_bytes(signed_shift_4_3):
