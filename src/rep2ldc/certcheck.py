@@ -12,8 +12,9 @@ The tuple identities are proved, not recomputed: they follow from the
 factorization, spanning-family and orbit checks (see `verify_cert`), and
 `check_spanning_identities` runs only when one of those fails, so the
 report names the first failing (j, s) exactly as a full recomputation
-would.  The code's matchings are compared with the filtered tuple family
-in one pass over an owner array (`_same_sets`).
+would.  The orbit check and the beta mask read one orbit product
+(`construct._orbit_reading`).  The code's matchings are compared with the
+filtered tuple family in one pass over an owner array (`_same_sets`).
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .bounds import EntropyAudit, entropy_audit
 from .construct import (
     ConstructionCert,
     SpanningFamily,
+    _orbit_reading,
     _tuple_positions,
-    beta_table,
     check_spanning_identities,
     code_shape,
     combine,
     density_floor,
     matching_index,
-    orbit_projection_check,
     prefilter_holds,
     survivors_suffice,
     validate_family,
@@ -190,12 +190,6 @@ def _check_indices_and_shapes(cert: ConstructionCert) -> None:
             raise ParseError(f"{name} has shape {mat.a.shape}, expected {want}")
 
 
-def _beta_mask(cert: ConstructionCert) -> np.ndarray:
-    """(t, |kept_s|) bool array: mask[j, si] says whether beta_{j,s}(z)
-    survives for s = kept_s[si]."""
-    return (beta_table(cert, cert.kept_s) != 0).T
-
-
 def _same_sets(rows: np.ndarray, members: np.ndarray, m: int) -> bool:
     """Whether the (k, q) integer rows, each read as a set, are the sets of
     `members`, a QMatching's rows: disjoint sets of q' distinct positions
@@ -233,8 +227,8 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
 
     1. D = sum_l alpha_l rho(h_l)            (the combination check)
     2. D = Y X^T                             (the factorization check)
-    3. W^T rho(g_j) Y = e_j hat_w_j^T        (validate_family, with W of t columns)
-    4. a_x = W^T rho(x) z for x in G         (orbit_projection_check)
+    3. W^T rho(g_j) Y = e_j hat_w_j^T        (validate_family, W n x t)
+    4. a_x = W^T rho(x) z for x in G         (the orbit reading, as is the beta mask)
 
     Position(g_j h_l s) is read from the verifier's own closure of the
     group, so rho(g_j h_l s) = rho(g_j) rho(h_l) rho(s), and
@@ -264,13 +258,10 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     check(rank(cert.D) == cert.R, "stated R differs from rank(D)")
     factorization_holds = cert.Y @ cert.X.T == cert.D
     check(factorization_holds, "Y X^T != D")
-    check(rank(cert.Y) == cert.R and rank(cert.X) == cert.R,
-          "factor ranks differ from R")
-    check(
-        Subspace.from_rows(field, n, cert.Y.T) == cert.family.U,
-        "U is not the column span of Y",
-    )
-    family_holds = cert.family.W.cols == cert.family.t
+    u = Subspace.from_rows(field, n, cert.Y.T)  # its dim is rank(Y)
+    check(u.dim == cert.R and rank(cert.X) == cert.R, "factor ranks differ from R")
+    check(u == cert.family.U, "U is not the column span of Y")
+    family_holds = True
     try:
         validate_family(group, cert.family, cert.Y)
     except Rep2LdcError as exc:
@@ -288,8 +279,9 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
           "pre-filter size below |G|/q^2" if cert.kind == "general"
           else "pre-filter density differs from gamma/2")
 
-    # survivors and matchings
-    mask = _beta_mask(cert)
+    # survivors and matchings: mask[j, si] says beta_{j,s}(z) != 0 for s = kept_s[si]
+    expected, betas = _orbit_reading(cert)
+    mask = (betas[list(cert.kept_s)] != 0).T
     counts = tuple(int(c) for c in mask.sum(axis=1))
     check(counts == cert.beta_nonzero_count,
           "beta_nonzero_count differs from recomputed survivors")
@@ -307,7 +299,7 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
         "code matchings differ from the filtered tuple family",
     )
 
-    orbit_holds = orbit_projection_check(cert)
+    orbit_holds = np.array_equal(expected, cert.code.vectors.a)
     check(orbit_holds, "code vectors are not W^T rho(s) z")
     if not (combination_holds and factorization_holds and family_holds and orbit_holds):
         try:

@@ -3,7 +3,8 @@
 Subcommands: rank-scan, construct, verify, demo, fixtures; each takes only
 the flags it reads (_build_parser).  Exit codes are a stable contract:
 0 ok, 1 parse error (also a usage error: a missing subcommand, an unknown
-flag, a bad flag value; a fixture whose field does not suit it: even p, no
+flag, a bad flag value, an integer not in ASCII -?[0-9]+; a fixture whose
+field does not suit it: even p, no
 root of unity, p dividing k; a singular generator; a cap below 1; an
 element position outside [0, |G|); a scalar flag that is not a field
 element), 2 cap exceeded, 3 verification or bound failure, 4 degenerate
@@ -45,7 +46,7 @@ from .errors import (
     ScalarMultipleOfIdentity,
     ZeroMatrix,
 )
-from .fields import Field, rational_from_json
+from .fields import Field, _int_from_text, rational_from_json
 from .fixtures import FIXTURES, parse_fixture, signed_shift_group
 from .groups import DEFAULT_CAP, burnside_irreducible
 from .ldc import verify as ldc_verify
@@ -97,21 +98,6 @@ def _load_group(args):
     if args.input:
         return group_from_spec_json(load_json(args.input), cap=args.cap)
     raise ParseError("need --fixture or --input to name a group")
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    """Comma-separated integers of a command-line flag; anything else,
-    a fraction included, is a ParseError naming the flag."""
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            out.append(int(chunk))
-        except ValueError:
-            raise ParseError(f"{flag} takes integers, got {chunk!r}") from None
-    return out
 
 
 def _scalar_flag(field: Field, text: str, flag: str):
@@ -195,7 +181,7 @@ def cmd_construct(args) -> int:
     else:
         if not args.hs or not args.alphas:
             raise ParseError("--q needs --hs and --alphas lists")
-        hs = _parse_int_list(args.hs, "--hs")
+        hs = [_int_from_text(chunk, "--hs") for chunk in args.hs.split(",") if chunk.strip()]
         alphas = [_scalar_flag(group.field, chunk, "--alphas")
                   for chunk in args.alphas.split(",") if chunk.strip()]
         if args.q != len(hs):
@@ -338,8 +324,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parser too
 
+    def integer(flag):  # the type of an integer flag: fields._int_from_text naming it
+        return lambda text: _int_from_text(text, flag)
+
     def cap(p):
-        p.add_argument("--cap", type=int, default=None,
+        p.add_argument("--cap", type=integer("--cap"), default=None,
                        help=f"group element cap (default {DEFAULT_CAP})")
 
     def group(p):
@@ -358,12 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="run the LDC construction pipeline")
     group(p_con)
-    p_con.add_argument("--seed", type=int, default=0, help="deterministic seed")
+    p_con.add_argument("--seed", type=integer("--seed"), default=0, help="deterministic seed")
     p_con.add_argument("--output", help="certificate file (default cert.json)")
-    p_con.add_argument("--h", type=int, default=None, help="element position index")
+    p_con.add_argument("--h", type=integer("--h"), default=None, help="element position index")
     p_con.add_argument("--hs", help="comma-separated element positions (general q)")
     p_con.add_argument("--alphas", help="comma-separated scalars (general q)")
-    p_con.add_argument("--q", type=int, default=None, help="query arity for general form")
+    p_con.add_argument("--q", type=integer("--q"), default=None,
+                       help="query arity for general form")
     p_con.add_argument("--special2", action="store_true", help="special 2-LDC pipeline")
     p_con.add_argument("--lambda", dest="lam", default=None,
                        help="build the lambda variant rho(h) - lambda*I")
@@ -377,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="full narrative on the signed-shift group")
     cap(p_demo)
-    p_demo.add_argument("--seed", type=int, default=0, help="deterministic seed")
-    p_demo.add_argument("--field", type=int, default=3,
+    p_demo.add_argument("--seed", type=integer("--seed"), default=0, help="deterministic seed")
+    p_demo.add_argument("--field", type=integer("--field"), default=3,
                         help="field characteristic (0 for the rationals)")
     p_demo.set_defaults(func=cmd_demo)
 

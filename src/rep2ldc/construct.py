@@ -213,13 +213,17 @@ def validate_family(group: MatrixGroup, family: SpanningFamily, y: Matrix) -> No
     """Assert every structural identity of the spanning family, over the
     translates computed once: one rank for the span, one batched rank for
     redundancy (which any t > n fails) and one (t, t, R) product W^T (g_j Y)
-    for the rank-one identities.  A failure names the first failing translate."""
+    for the rank-one identities once W is n x t with t hat_w.  A failure
+    names the first failing translate or both shapes."""
     field, n, t = group.field, group.dim, family.t
     images = _translates(group, family.U.basis.a, family.g_refs)
     if rref(Matrix(field, images.reshape(-1, n), _canonical=True))[1] < n:
         raise InternalInconsistency("translates do not span the space")
     if (k := _first_redundant(field, images, n)) is not None:
         raise InternalInconsistency(f"translate {k} is redundant")
+    if family.W.a.shape != (n, t) or len(family.hat_w) != t:
+        raise InternalInconsistency(f"W has shape {family.W.a.shape} and {len(family.hat_w)} "
+                                    f"hat_w rows, need {(n, t)} and {t}")
     prods = field.matmul(family.W.T.a, field.matmul(group.stacked()[list(family.g_refs)], y.a))
     hats = np.stack(family.hat_w)
     expected = np.eye(t, dtype=np.int64)[:, :, None] * hats[:, None, :]
@@ -231,15 +235,17 @@ def validate_family(group: MatrixGroup, family: SpanningFamily, y: Matrix) -> No
             raise InternalInconsistency(f"rank-one identity fails for translate {j}")
 
 
-def _hyperplane_normals(group: MatrixGroup, x: Matrix, hat_w, kept_s) -> np.ndarray:
-    """Rows v with beta_{j,s}(z) = <v, z>, ordered by (j, s in kept order).
+def _beta_columns(x: Matrix, hat_w) -> np.ndarray:
+    """n x t array of columns c_j = X hat_w_j: beta_{j,s}(z) = <c_j, rho(s) z>."""
+    return x.field.matmul(x.a, np.stack(hat_w, axis=1))
 
-    v_{j,s} = rho(s)^T (X hat_w_j).
-    """
+
+def _hyperplane_normals(group: MatrixGroup, x: Matrix, hat_w, kept_s) -> np.ndarray:
+    """Rows v_{j,s} = rho(s)^T c_j, c_j the columns of `_beta_columns`, so that
+    beta_{j,s}(z) = <v_{j,s}, z>, ordered by (j, s in kept order)."""
     n = group.dim
-    cs = np.stack([x.matvec(h) for h in hat_w])
     # (kept, j, n) stack of c_j^T rho(s), reordered j-major
-    block = group.field.matmul(cs, group.stacked()[list(kept_s)])
+    block = group.field.matmul(_beta_columns(x, hat_w).T, group.stacked()[list(kept_s)])
     normals = np.ascontiguousarray(block.transpose(1, 0, 2).reshape(-1, n))
     if not np.any(normals != 0, axis=1).all():
         raise InternalInconsistency("zero hyperplane normal")
@@ -336,23 +342,10 @@ def beta(cert: ConstructionCert, j: int, s: int, z=None):
     return np.asarray(field.matmul(c, u)).item()  # a canonical Python int or Fraction
 
 
-def beta_table(cert: ConstructionCert, positions=None) -> np.ndarray:
-    """beta_{j,s}(z) for s in `positions` (rows; default every element)
-    and every j (columns), over either field.
-
-    Two batched field.matmul products: rho(s) z for every s, then against
-    the columns X hat_w_j.  Both are exact, over GF(p) for any machine-word
-    prime.
-    """
-    group = cert.group
-    field = group.field
-    n = group.dim
-    stack = group.stacked()
-    if positions is not None:
-        stack = stack[np.asarray(positions, dtype=np.int64)]
-    rho_z = field.matmul(stack.reshape(-1, n), cert.z).reshape(-1, n)
-    cs = np.stack([cert.X.matvec(h) for h in cert.family.hat_w], axis=1)
-    return field.matmul(rho_z, cs)
+def beta_table(cert: ConstructionCert) -> np.ndarray:
+    """beta_{j,s}(z) for every element s (rows) and every j (columns), over
+    either field: the beta half of the one orbit product (`_orbit_reading`)."""
+    return _orbit_reading(cert)[1]
 
 
 def _cycle_kept_s(group: MatrixGroup, h: int) -> list[int]:
@@ -415,7 +408,9 @@ def _prepare(group: MatrixGroup, hs, alphas):
 
 def _code_vectors(group: MatrixGroup, w: Matrix, z: np.ndarray, lam=None) -> np.ndarray:
     """Rows a_s = W^T rho(s) z for every element s in canonical order,
-    followed for the lambda kind by the block lam * a_s."""
+    followed for the lambda kind by the block lam * a_s.  The one product of
+    the group stack with z: `_orbit_reading` passes [W | C] for the code
+    vectors and the beta table at once."""
     field = group.field
     rows = field.matmul(field.matmul(group.stacked(), z), w.a)
     if lam is None:
@@ -591,11 +586,17 @@ def check_spanning_identities(cert: ConstructionCert) -> int:
     return t * m
 
 
+def _orbit_reading(cert: ConstructionCert) -> tuple[np.ndarray, np.ndarray]:
+    """(expected code vectors, beta table) from one `_code_vectors` on
+    [W | C], C from `_beta_columns`, split at W's width: W^T rho(s) z with
+    the lambda block, and over the first |G| rows <X hat_w_j, rho(s) z>."""
+    group, w = cert.group, cert.family.W
+    wc = np.concatenate([w.a, _beta_columns(cert.X, cert.family.hat_w)], axis=1)
+    lam = cert.lam if cert.kind == "lambda" else None
+    rows = _code_vectors(group, Matrix.from_array(group.field, wc), cert.z, lam)
+    return rows[:, :w.cols], rows[:len(group), w.cols:]
+
+
 def orbit_projection_check(cert: ConstructionCert) -> bool:
     """True iff every code vector is W^T rho(s) z (lambda block scaled)."""
-    lam = cert.lam if cert.kind == "lambda" else None
-    expected = _code_vectors(cert.group, cert.family.W, cert.z, lam)
-    actual = cert.code.vectors.a
-    if expected.shape != actual.shape:
-        return False
-    return bool(np.all(expected == actual))
+    return np.array_equal(_orbit_reading(cert)[0], cert.code.vectors.a)

@@ -16,7 +16,8 @@ table of construct.validate_family.  The JSON
 wire form is split here too: `array_from_json` and `array_to_json` read and
 write a whole array at a time (JSON integers taken mod p over GF(p), "a/b"
 strings over QQ).  A rational string on the wire has one grammar,
--?[0-9]+(/[0-9]+)? (`rational_from_json`), what str(Fraction) writes.
+-?[0-9]+(/[0-9]+)? (`rational_from_json`), what str(Fraction) writes, and an
+integer flag or fixture argument its numerator's (`_int_from_text`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .errors import ParseError
 __all__ = ["Field", "GF", "QQ", "is_prime", "rational_from_json", "strict_int"]
 
 _to_str = np.frompyfunc(str, 1, 1)  # "a/b" of each Fraction of an object array
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INT = r"-?[0-9]+"
+_RATIONAL = re.compile(rf"({_INT})(?:/([0-9]+))?")
 
 
 def rational_from_json(x) -> Fraction:
@@ -54,6 +56,15 @@ def rational_from_json(x) -> Fraction:
         raise ValueError(f"not a rational -?[0-9]+(/[0-9]+)?: {x!r}")
     num, den = match.groups()
     return Fraction(int(num), int(den) if den else 1)
+
+
+def _int_from_text(text: str, name: str) -> int:
+    """The integer `text` names in ASCII digits, -?[0-9]+, surrounding spaces
+    stripped; other text (an underscore, a plus sign, a non-ASCII digit, none)
+    is a ParseError naming `name`, where int() would take all but none."""
+    if not re.fullmatch(_INT, text := text.strip()):
+        raise ParseError(f"{name}: not an integer {_INT}: {text!r}")
+    return int(text)
 
 
 def strict_int(value, name: str) -> int:

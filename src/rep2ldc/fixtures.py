@@ -22,7 +22,7 @@ from .errors import (
     InternalInconsistency,
     NoRootOfUnity,
 )
-from .fields import GF, Field
+from .fields import GF, Field, _int_from_text
 from .groups import MatrixGroup, burnside_irreducible, close_group
 from .linalg import Matrix, rank
 
@@ -204,7 +204,8 @@ FIXTURES = {
 
 
 def parse_fixture(text: str, cap: int | None = None) -> MatrixGroup:
-    """Build a fixture from 'name(arg1,arg2)' syntax, e.g. signed_shift(4,3)."""
+    """Build a fixture from 'name(arg1,arg2)' syntax, e.g. signed_shift(4,3);
+    fields._int_from_text reads each argument and names its parameter."""
     text = text.strip()
     if "(" not in text or not text.endswith(")"):
         raise ValueError(f"expected name(args), got {text!r}")
@@ -213,7 +214,8 @@ def parse_fixture(text: str, cap: int | None = None) -> MatrixGroup:
     if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
     factory, params, _ = FIXTURES[name]
-    values = [int(x) for x in args.split(",") if x.strip() != ""]
-    if len(values) != len(params):
+    args = args.split(",") if args.strip() else []
+    if len(args) != len(params):
         raise ValueError(f"{name} takes {len(params)} parameters {params}")
+    values = [_int_from_text(arg, f"{name} parameter {param}") for param, arg in zip(params, args)]
     return factory(*values, cap=cap)

@@ -270,7 +270,7 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
     closed; generator u's position is right[0, column of u].  The group's
     index and words are built when first read.  Raises CapExceeded past
     `cap` elements or n * cap points, ValueError for a cap that is not a
-    positive integer, NotInvertible for singular input.
+    positive integer or 0 x 0 generators, NotInvertible for singular input.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -278,8 +278,8 @@ def close_group(generators: list[Matrix], cap: int | None = None) -> MatrixGroup
     field = generators[0].field
     n = generators[0].rows
     for g in generators:
-        if g.field != field or g.rows != n or g.cols != n:
-            raise ValueError("generators must be square matrices over one field")
+        if n < 1 or g.field != field or g.rows != n or g.cols != n:
+            raise ValueError("generators must be square matrices over one field, at least 1 x 1")
         if rank(g) != n:
             raise NotInvertible("generator is singular")
 

@@ -153,6 +153,8 @@ def group_from_spec_json(obj, cap: int | None = None) -> MatrixGroup:
         spec_cap = json_int(obj["cap"], "cap") if "cap" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad group spec: {exc}") from exc
+    if dim < 1:
+        raise ParseError(f"dim must be at least 1, got {dim}")
     if spec_cap is not None and spec_cap < 1:
         raise ParseError(f"cap must be positive, got {spec_cap}")
     for g in gens:

@@ -888,3 +888,30 @@ def reference_same_sets(rows, members) -> bool:
     import numpy as np
 
     return np.array_equal(_sorted_rows(rows), _sorted_rows(members))
+
+
+def reference_beta_mask(cert):
+    """Oracle of verify_cert's survivor mask: (t, |kept_s|) bools, entry
+    [j, si] whether beta_{j,s}(z) != 0 for s = kept_s[si], from a product
+    of z with the kept elements alone, then against the columns X hat_w_j."""
+    import numpy as np
+
+    group, field = cert.group, cert.group.field
+    stack = group.stacked()[np.asarray(cert.kept_s, dtype=np.int64)]
+    rho_z = field.matmul(stack.reshape(-1, group.dim), cert.z).reshape(-1, group.dim)
+    cs = np.stack([cert.X.matvec(h) for h in cert.family.hat_w], axis=1)
+    return (field.matmul(rho_z, cs) != 0).T
+
+
+def reference_orbit_check(cert) -> bool:
+    """Oracle of verify_cert's orbit check: every code vector is
+    W^T rho(s) z, the lambda block scaled, from a product of z with the
+    group stack against W alone."""
+    import numpy as np
+
+    field = cert.group.field
+    rows = field.matmul(field.matmul(cert.group.stacked(), cert.z), cert.family.W.a)
+    if cert.kind == "lambda":
+        rows = np.concatenate([rows, field.reduce(rows * cert.lam)], axis=0)
+    actual = cert.code.vectors.a
+    return rows.shape == actual.shape and bool(np.all(rows == actual))

@@ -11,8 +11,9 @@ import pytest
 import rep2ldc
 from rep2ldc import cli
 from rep2ldc.cli import main
-from rep2ldc.errors import CapExceeded, Rep2LdcError
+from rep2ldc.errors import CapExceeded, ParseError, Rep2LdcError
 from rep2ldc.fields import GF, QQ
+from rep2ldc.fixtures import parse_fixture
 from rep2ldc.groups import close_group
 from rep2ldc.ldc import hadamard
 from rep2ldc.linalg import Matrix
@@ -76,7 +77,8 @@ class TestExitCodes:
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
     """A group spec and a certificate, each with a singular generator;
-    group specs with a cap of -3 and of 0; LDC files with an empty code, a
+    group specs with a cap of -3 and of 0, and of dimension 0 with one
+    0 x 0 generator; LDC files with an empty code, a
     numeric density, an index beyond int64 or q = m + 1 (no q distinct
     positions exist); certificates with a numeric
     achieved density and with R = 0 (Y, X and every hat_w of width 0)."""
@@ -89,6 +91,8 @@ def bad_inputs(tmp_path_factory):
     for name, cap in [("spec_cap_negative", -3), ("spec_cap_zero", 0)]:
         dump_json({"field": field, "dim": 2, "generators": [ident], "cap": cap},
                   str(tmp / f"{name}.json"))
+    empty = {"field": field, "rows": 0, "cols": 0, "entries": []}
+    dump_json({"field": field, "dim": 0, "generators": [empty]}, str(tmp / "spec_dim_zero.json"))
     cert = tmp / "singular_cert.json"
     assert main(["construct", "--fixture", "signed_shift(4,3)", "--special2",
                  "--h", "1", "--output", str(cert)]) == 0
@@ -97,7 +101,8 @@ def bad_inputs(tmp_path_factory):
     paths = {"group": str(spec), "cert": str(cert),
              "cert_delta": str(tmp / "cert_delta.json"),
              "spec_cap_negative": str(tmp / "spec_cap_negative.json"),
-             "spec_cap_zero": str(tmp / "spec_cap_zero.json")}
+             "spec_cap_zero": str(tmp / "spec_cap_zero.json"),
+             "spec_dim_zero": str(tmp / "spec_dim_zero.json")}
     dump_json(doc, paths["cert_delta"])
     doc["achieved_delta"] = str(doc["achieved_delta"])
     family = {**doc["family"], "hat_w": [[]] * len(doc["family"]["hat_w"])}
@@ -148,12 +153,14 @@ SS43 = ["--fixture", "signed_shift(4,3)"]
     ["rank-scan", *SS43, "--cap", "-1"],
     ["rank-scan", "--input", "{spec_cap_negative}"],
     ["rank-scan", "--input", "{spec_cap_zero}"],
+    ["rank-scan", "--input", "{spec_dim_zero}"],
 ], ids=["rank-scan-singular", "construct-singular", "verify-singular", "h-999", "h-negative",
         "hs-1000", "alphas-non-unit", "lambda-non-unit", "alphas-zero-denominator",
         "lambda-zero-denominator", "hs-fraction", "ldc-t-zero",
         "ldc-m-zero", "ldc-delta-number", "ldc-index-past-int64", "ldc-q-past-m",
         "cert-delta-number",
-        "cert-rank-zero", "cap-zero", "cap-negative", "spec-cap-negative", "spec-cap-zero"])
+        "cert-rank-zero", "cap-zero", "cap-negative", "spec-cap-negative", "spec-cap-zero",
+        "spec-dim-zero"])
 def test_bad_input_exits_1_without_traceback(argv, bad_inputs, tmp_path):
     argv = [a.format(**bad_inputs) for a in argv]
     out = subprocess.run(
@@ -481,6 +488,50 @@ class TestScalarFlags:
         out = str(tmp_path / "cert.json")
         assert main(["construct", *SS43, "--lambda", " 2 ", "--h", "1", "--output", out]) == 0
         assert load_json(out)["kind"] == "lambda"
+
+    # integer flags and fixture arguments read the numerator's grammar,
+    # -?[0-9]+ in ASCII digits, and refuse what --lambda and --alphas refuse
+    INTEGER_ARGVS = {
+        "--h": ["construct", *SS43, "--special2", "--h", "{}"],
+        "--hs": ["construct", *SS43, "--q", "2", "--hs", "1,{}", "--alphas", "1,-1"],
+        "--seed": ["construct", *SS43, "--special2", "--h", "1", "--seed", "{}"],
+        "--cap": ["construct", *SS43, "--special2", "--h", "1", "--cap", "{}"],
+        "--q": ["construct", *SS43, "--q", "{}", "--hs", "1,0", "--alphas", "1,-1"],
+        "--field": ["demo", "--field", "{}"],
+        "signed_shift parameter n": ["rank-scan", "--fixture", "signed_shift({},3)"],
+        "signed_shift parameter p": ["construct", "--fixture", "signed_shift(4,{})",
+                                     "--special2", "--h", "1"],
+    }
+
+    @pytest.mark.parametrize("text", ["1_0", "+3", "٤"],
+                             ids=["underscore", "plus", "arabic-indic"])
+    @pytest.mark.parametrize("name", list(INTEGER_ARGVS))
+    def test_other_integer_text_refused(self, name, text, tmp_path, capsys):
+        out = str(tmp_path / "cert.json")
+        argv = [a.format(text) for a in self.INTEGER_ARGVS[name]]
+        if argv[0] == "construct":
+            argv += ["--output", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and repr(text) in err
+        assert not os.path.exists(out)
+
+    def test_integers_accepted(self, tmp_path):
+        out = str(tmp_path / "cert.json")
+        argv = ["construct", "--fixture", "signed_shift( 4 , 3 )", "--q", " 2 ",
+                "--hs", " 1,, -0 ,", "--alphas", "1,-1", "--seed", "-0", "--cap", " 64",
+                "--output", out]
+        assert main(argv) == 0
+        assert load_json(out)["hs"] == [1, 0]
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("signed_shift(4,,3)", ValueError, "takes 2 parameters"),
+        ("signed_shift(4,3,)", ValueError, "takes 2 parameters"),
+        ("signed_shift(4,)", ParseError, "^signed_shift parameter p: not an integer"),
+    ])
+    def test_an_empty_fixture_argument_is_refused(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_fixture(text)
 
 
 class TestUsage:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rep2ldc.bounds import avg_fixed_space, check_rank_separation, entropy_audit, gamma
 from rep2ldc import _kernels, construct, ldc
-from rep2ldc.certcheck import _beta_mask, cert_from_json, verify_cert
+from rep2ldc.certcheck import cert_from_json, verify_cert
 from rep2ldc.construct import (
     SpanningFamily,
     _code_vectors,
@@ -306,6 +306,22 @@ class TestValidateFamilyFailures:
         with pytest.raises(InternalInconsistency, match="do not span|too small"):
             validate_family(g, dropped, cert.Y)
 
+    def test_a_family_of_another_shape(self):
+        """Broadcasting would let a W of t' != t columns through the rank-one
+        identities when t or t' is 1, and t hat_w of a family of one
+        translate; the shapes are refused by name."""
+        g = parse_fixture("signed_shift(4,3)")
+        cert = build_q_ldc(g, [g.identity_pos], [1])  # D = I: one translate
+        fam = cert.family
+        wide = dataclasses.replace(fam, W=Matrix.from_array(
+            g.field, np.concatenate([fam.W.a] * 2, axis=1)))
+        with pytest.raises(InternalInconsistency, match=re.escape(
+                "W has shape (4, 2) and 1 hat_w rows, need (4, 1) and 1")):
+            validate_family(g, wide, cert.Y)
+        with pytest.raises(InternalInconsistency, match=re.escape(
+                "W has shape (4, 1) and 2 hat_w rows, need (4, 1) and 1")):
+            validate_family(g, dataclasses.replace(fam, hat_w=fam.hat_w * 2), cert.Y)
+
 
 class TestBeta:
     def test_zero_z(self, signed_shift_4_3):
@@ -576,7 +592,7 @@ class TestArrayChecksAgainstScalarReference:
     def test_beta_mask_matches_beta(self, certs):
         for cert in certs:
             expected = [[beta(cert, j, s) != 0 for s in cert.kept_s] for j in range(cert.t)]
-            assert _beta_mask(cert).tolist() == expected
+            assert (beta_table(cert)[list(cert.kept_s)] != 0).T.tolist() == expected
 
     def test_identities_hold_elementwise(self, certs):
         for cert in certs:

@@ -11,8 +11,10 @@ member or kept_s entry) never reads as a passing certificate.
 The tuple identities are proved from the factorization, family and orbit
 checks: a passing certificate never recomputes them, a failed premise
 does, and the report names an identity failure exactly when the
-recomputation finds one.  The one-pass matching comparison agrees with
-two lexsorts on families built to differ.
+recomputation finds one.  A passing certificate forms rho(s) z once, and
+on every edit the survivor mask and orbit verdict of that one product are
+those of the two products it replaced.  The one-pass matching comparison
+agrees with two lexsorts on families built to differ.
 """
 
 import dataclasses
@@ -22,17 +24,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import reference_same_sets
+from helpers import reference_beta_mask, reference_orbit_check, reference_same_sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rep2ldc import certcheck, construct
 from rep2ldc.certcheck import _same_sets, cert_from_json, verify_cert
 from rep2ldc.construct import (
+    beta_table,
     build_q_ldc,
     build_special_2ldc,
     check_spanning_identities,
     lambda_variant,
+    orbit_projection_check,
 )
 from rep2ldc.errors import ParseError, Rep2LdcError
 from rep2ldc.fields import rational_from_json
@@ -217,6 +221,7 @@ def test_a_semantic_edit_never_passes(doc):
     report = verify_cert(cert)
     assert not report.passed
     assert _identity_failures(report) == _recomputed_identities(cert)
+    _assert_one_product_reads_as_two(cert, report)
 
 
 # -- the tuple identities by proof ----------------------------------------------
@@ -279,11 +284,57 @@ def test_the_identity_report_is_the_recomputation(case, edit):
     assert _identity_failures(verify_cert(edited)) == _recomputed_identities(edited)
 
 
+# -- one orbit product ----------------------------------------------------------
+
+@pytest.fixture
+def orbit_products(monkeypatch) -> list:
+    """The matrices each product of the group stack with z is taken against."""
+    calls = []
+    code_vectors = construct._code_vectors
+
+    def spy(group, w, z, lam=None):
+        calls.append(w)
+        return code_vectors(group, w, z, lam)
+
+    monkeypatch.setattr(construct, "_code_vectors", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(dict.fromkeys(list(CASES) + QQ_PINS)))
+def test_a_passing_certificate_forms_the_orbit_once(orbit_products, recomputations, case):
+    """One product against [W | C], C of t columns X hat_w_j, serves the
+    orbit check and the survivor mask."""
+    cert = cert_from_json(json.loads(_doc_text(case)))
+    orbit_products.clear()  # building the certificate forms its code vectors
+    assert verify_cert(cert).passed
+    assert [w.a.shape for w in orbit_products] == [(cert.group.dim, 2 * cert.t)]
+    assert recomputations == []
+
+
+def _assert_one_product_reads_as_two(cert, report) -> None:
+    """The survivor mask and orbit verdict of the one orbit product equal
+    those of two separate products, and so do verify_cert's survivor-count
+    and orbit messages."""
+    mask, orbit = reference_beta_mask(cert), reference_orbit_check(cert)
+    assert np.array_equal((beta_table(cert)[list(cert.kept_s)] != 0).T, mask)
+    assert orbit_projection_check(cert) == orbit
+    assert (ORBIT in report.failures) == (not orbit)
+    counts = tuple(mask.sum(axis=1).tolist())
+    assert (COUNT in report.failures) == (counts != cert.beta_nonzero_count)
+
+
+@pytest.mark.parametrize("case, edit", PAIRS + PREMISE_PAIRS,
+                         ids=[f"{c}-{e}" for c, e in PAIRS + PREMISE_PAIRS])
+def test_the_orbit_reading_is_the_two_products(case, edit):
+    edited = _edit(_cert(case), edit)
+    _assert_one_product_reads_as_two(edited, verify_cert(edited))
+
+
 def test_a_family_check_passed_by_a_wider_w_is_no_proof(recomputations):
-    """With one translate, a W of two equal columns passes the rank-one
+    """With one translate, a W of two equal columns would pass the rank-one
     identity by broadcasting, and its code vectors pass the orbit check;
-    the lemma reads W as n x t, so the identities are recomputed, and the
-    recomputation finds the code too wide."""
+    the family check refuses W's shape, so the identities are recomputed,
+    and the recomputation finds the code too wide."""
     g = parse_fixture("signed_shift(4,3)")
     cert = build_q_ldc(g, [g.identity_pos], [1])  # D = I: one translate
     assert cert.t == 1 and verify_cert(cert).passed
@@ -294,6 +345,7 @@ def test_a_family_check_passed_by_a_wider_w_is_no_proof(recomputations):
     wide = dataclasses.replace(cert, family=dataclasses.replace(cert.family, W=w), code=code)
     recomputations.clear()
     assert verify_cert(wide).failures == (
+        "spanning family invalid: W has shape (4, 2) and 1 hat_w rows, need (4, 1) and 1",
         MATCHINGS,
         "tuple identity failed: code vectors have shape (64, 2), need at least 64 rows of "
         "length 1",

@@ -18,6 +18,7 @@ from rep2ldc.construct import build_special_2ldc, lambda_variant
 from rep2ldc.errors import ParseError
 from rep2ldc.fields import GF, QQ
 from rep2ldc.fixtures import dihedral_rep, parse_fixture
+from rep2ldc.groups import close_group
 from rep2ldc.ldc import hadamard
 from rep2ldc.linalg import Matrix
 from rep2ldc.serialize import (
@@ -96,6 +97,15 @@ class TestGroupFormat:
     def test_bad_spec(self):
         with pytest.raises(ParseError):
             group_from_spec_json({"field": {"char": 3}, "dim": 2})
+
+    def test_dimension_zero_is_refused_by_name(self):
+        """A 0 x 0 generator would reach the closure's BFS and die in a
+        numpy reshape; the spec's dim and close_group refuse it first."""
+        empty = matrix_to_json(Matrix.zeros(F3, 0, 0))
+        with pytest.raises(ParseError, match="^dim must be at least 1, got 0$"):
+            group_from_spec_json({"field": {"char": 3}, "dim": 0, "generators": [empty]})
+        with pytest.raises(ValueError, match="at least 1 x 1$"):
+            close_group([Matrix.zeros(F3, 0, 0)])
 
     def test_singular_generator_is_a_parse_error(self, dihedral_5_11):
         spec = dihedral_5_11.spec_json()
