@@ -345,7 +345,10 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
     classes, and the values within each, come in row order, the order the
     float terms have always been summed in.  Verify reports pin those
     floats, so the per-class loop keeps the same `math.log2` calls and
-    sums: numpy's log2 and pairwise sums could change the last bit.
+    sums: numpy's log2 and pairwise sums could change the last bit.  A
+    class's entropy depends on its counts alone, so it is computed once
+    per distinct counts tuple of the call (`entropies`) and summed in
+    class order as before.
     """
     if instance.form != "special2":
         raise ValueError("entropy audit applies to special2-form instances")
@@ -353,6 +356,7 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
     values = instance.field.integers(instance.vectors.a)
     label = np.zeros(m, dtype=np.int64)
     chain_terms, bound_terms, class_sizes = [], [], []
+    entropies: dict[tuple[int, ...], float] = {}
     for i in range(t):
         sizes = np.bincount(label)
         class_sizes.append(tuple(sizes.tolist()))
@@ -377,8 +381,10 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
         for parent, c in zip(label[first[order]].tolist(), np.bincount(child).tolist()):
             children[parent].append(c)
         term = 0.0
-        for jb, counts in zip(sizes.tolist(), children):
-            term += (jb / m) * _entropy_of_counts(counts)
+        for jb, counts in zip(sizes.tolist(), map(tuple, children)):
+            if counts not in entropies:
+                entropies[counts] = _entropy_of_counts(counts)
+            term += (jb / m) * entropies[counts]
         chain_terms.append(term)
         bound_terms.append(Fraction(2 * matching.size, m))
         label = child

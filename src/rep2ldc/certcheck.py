@@ -15,6 +15,21 @@ report names the first failing (j, s) exactly as a full recomputation
 would.  The orbit check and the beta mask read one orbit product
 (`construct._orbit_reading`).  The code's matchings are compared with the
 filtered tuple family in one pass over an owner array (`_same_sets`).
+
+The code report is proved too.  Once the identities hold and the
+matchings are the filtered tuples of the kind's form and length, every
+matched set is {g_j h_l s} with beta = beta_{j,s}(z) != 0, and it passes
+its span test:
+
+- general: e_j = beta^-1 sum_l alpha_l a_{g_j h_l s} lies in its span;
+- special2 kind, alpha_2 = -alpha_1 != 0: a_x - a_y = (beta/alpha_1) e_j;
+- lambda kind, alpha_2 = -lambda alpha_1, alpha_1 != 0 and hs = (h, id):
+  the orbit check proved a_{|G|+y} = lambda a_y, so
+  a_x - a_{|G|+y} = (beta/alpha_1) e_j.
+
+So the report is assembled from the matching sizes with no span failure
+(`ldc._report`), and `ldc.verify` runs only when a premise fails, when its
+report names every failing set.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ from .construct import (
     validate_family,
 )
 from .errors import DimensionMismatch, ParseError, Rep2LdcError
-from .ldc import VerificationReport, verify
+from .ldc import VerificationReport
 from .linalg import Subspace, rank
 from .serialize import (
     group_from_spec_json,
@@ -218,6 +233,24 @@ def _same_sets(rows: np.ndarray, members: np.ndarray, m: int) -> bool:
     )
 
 
+def _pairs_are_differences(cert: ConstructionCert) -> bool:
+    """Whether the tuple identity makes each special2-form pair of a
+    matched tuple differ by (beta / alpha_1) e_j: alpha_2 = -alpha_1 != 0
+    (special2 kind), or alpha_2 = -lambda alpha_1, alpha_1 != 0 and
+    hs = (h, identity) (lambda kind, whose second leg `matching_index`
+    reads as |G| + position(g_j s) whatever hs[1] is).  The general form
+    needs no condition."""
+    if cert.kind == "general":
+        return True
+    field = cert.group.field
+    if len(cert.alphas) != 2 or cert.alphas[0] == 0:
+        return False
+    a1, a2 = cert.alphas
+    if cert.kind == "special2":
+        return a2 == field.canon(-a1)
+    return cert.hs[1] == cert.group.identity_pos and a2 == field.canon(-cert.lam * a1)
+
+
 def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     """Re-check every invariant of a (possibly deserialized) certificate.
 
@@ -241,6 +274,25 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     every step exact in the field.  So the recomputation
     (`check_spanning_identities`) could only pass, and it runs only when
     one of the four fails; then it names the first failing (j, s).
+
+    The code report follows when, besides, the code's matchings are the
+    filtered tuple family (`_same_sets`), its form and length are the
+    kind's (`code_shape`), and `_pairs_are_differences` holds.  Matched
+    set j is then {g_j h_l s : l} for a kept s with beta = beta_{j,s}(z)
+    != 0, and by the identity it passes its form's span test:
+
+    - general form: e_j = beta^-1 sum_l alpha_l a_{g_j h_l s} lies in the
+      span of the set's q vectors;
+    - special2 kind (alpha_2 = -alpha_1 != 0): the pair {x, y} =
+      {g_j h_1 s, g_j h_2 s} has a_x - a_y = (beta / alpha_1) e_j;
+    - lambda kind (alpha_2 = -lambda alpha_1, alpha_1 != 0, hs = (h, id)):
+      the pair is {x, |G| + y} with y = g_j s, the orbit check proved
+      a_{|G|+y} = lambda a_y, so a_x - a_{|G|+y} = (beta / alpha_1) e_j.
+
+    A nonzero multiple of e_j is what the special2 test asks of a pair in
+    either order, so no set fails, and `ldc._report` assembles the report
+    from the matching sizes alone.  When a premise fails, `ldc.verify`
+    runs the span test on every set and names the failing ones.
     """
     group = cert.group
     field = group.field
@@ -291,17 +343,16 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
           else "rational certificate lost tuples")
     idx = matching_index(group, cert.kind, cert.hs, cert.family.g_refs, cert.kept_s)
     matchings = cert.code.matchings
-    check(
-        len(matchings) == cert.family.t and all(
-            _same_sets(idx[j][:, mask[j]].T, mi.members, cert.code.m)
-            for j, mi in enumerate(matchings)
-        ),
-        "code matchings differ from the filtered tuple family",
+    matchings_hold = len(matchings) == cert.family.t and all(
+        _same_sets(idx[j][:, mask[j]].T, mi.members, cert.code.m)
+        for j, mi in enumerate(matchings)
     )
+    check(matchings_hold, "code matchings differ from the filtered tuple family")
 
     orbit_holds = np.array_equal(expected, cert.code.vectors.a)
     check(orbit_holds, "code vectors are not W^T rho(s) z")
-    if not (combination_holds and factorization_holds and family_holds and orbit_holds):
+    identities_hold = combination_holds and factorization_holds and family_holds and orbit_holds
+    if not identities_hold:
         try:
             check_spanning_identities(cert)
         except Rep2LdcError as exc:
@@ -320,7 +371,11 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     check(cert.achieved_delta >= floor, "achieved_delta below the guaranteed floor")
     check(cert.code.claimed_delta == floor, "claimed_delta differs from the guaranteed floor")
 
-    code_report = verify(cert.code)
+    if (identities_hold and matchings_hold and cert.code.form == form
+            and cert.code.m == m_code and _pairs_are_differences(cert)):
+        code_report = ldc._report(cert.code, [()] * cert.code.t)
+    else:
+        code_report = ldc.verify(cert.code)
     audit = None
     if cert.code.form == "special2":
         try:

@@ -181,9 +181,8 @@ def cmd_construct(args) -> int:
     else:
         if not args.hs or not args.alphas:
             raise ParseError("--q needs --hs and --alphas lists")
-        hs = [_int_from_text(chunk, "--hs") for chunk in args.hs.split(",") if chunk.strip()]
-        alphas = [_scalar_flag(group.field, chunk, "--alphas")
-                  for chunk in args.alphas.split(",") if chunk.strip()]
+        hs = [_int_from_text(chunk, "--hs") for chunk in args.hs.split(",")]
+        alphas = [_scalar_flag(group.field, chunk, "--alphas") for chunk in args.alphas.split(",")]
         if args.q != len(hs):
             raise ParseError("--q must equal the number of --hs entries")
         cert = build_q_ldc(group, hs, alphas, seed=args.seed)

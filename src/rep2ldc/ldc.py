@@ -8,9 +8,11 @@ the vector list are 0-based throughout.
 
 One rule, `_set_faults`, decides whether index sets are q distinct,
 pairwise disjoint positions inside the code.  It runs where sets are made:
-in QMatching's constructor (sizes and disjointness), in LdcInstance's (the
-range [0, m), which only it knows), in bounds.match_entropy_check and in
-the pre-filters of construct and certcheck.  `verify` and
+in QMatching's constructor (sizes and disjointness), in
+bounds.match_entropy_check and in the pre-filters of construct and
+certcheck.  LdcInstance's constructor adds the range [0, m), which only
+it knows, by comparing the first and last member of each of a matching's
+rows, checked and sorted when it was made.  `verify` and
 bounds.entropy_audit read a QMatching's members without asking again.
 One first fit, `_first_fit`, keeps the disjoint subfamily of construct's
 general pre-filter.
@@ -18,7 +20,9 @@ general pre-filter.
 `verify` decides the span condition for all sets of a coordinate at
 once, over GF(p) and QQ alike: special2 pairs by one difference array,
 general q-sets by comparing batched ranks (linalg.ranks) with and without
-e_i.
+e_i.  `_report` assembles a report from each coordinate's failing sets;
+`verify` passes the sets its span test refused, and certcheck.verify_cert
+passes none when its lemma proves every set.
 """
 
 from __future__ import annotations
@@ -207,7 +211,7 @@ class LdcInstance:
         for mi in self.matchings:
             if mi.q != self.q:
                 raise ValueError("matching arity differs from declared q")
-            outside = _set_faults(mi.members, self.q, self.m).outside
+            outside = (mi.members[:, 0] < 0) | (mi.members[:, -1] >= self.m)  # rows sorted
             if outside.any():
                 raise ValueError(f"index out of range in {mi.sets[np.argmax(outside)]}")
 
@@ -284,6 +288,27 @@ def _spans(field: Field, vectors: np.ndarray, form: str, i: int,
     return ranks(field, sub) == ranks(field, np.concatenate([sub, e], axis=1))
 
 
+def _report(instance: LdcInstance, span_failures) -> VerificationReport:
+    """The report of `instance` whose coordinate i fails its span test at
+    the sets span_failures[i], a tuple of int tuples in set order; sizes,
+    sigma and the density come from the matchings alone."""
+    sigma = instance.matching_total()
+    delta = Fraction(sigma, instance.m * instance.t)
+    return VerificationReport(
+        form=instance.form,
+        m=instance.m,
+        t=instance.t,
+        coordinates=tuple(
+            CoordinateReport(coordinate=i, matching_size=mi.size, span_failures=failed)
+            for i, (mi, failed) in enumerate(zip(instance.matchings, span_failures))
+        ),
+        sigma=sigma,
+        achieved_delta=delta,
+        claimed_delta=instance.claimed_delta,
+        delta_ok=delta >= instance.claimed_delta,
+    )
+
+
 def verify(instance: LdcInstance) -> VerificationReport:
     """Check every matching set against the instance's form and the
     claimed density.  Failures are report entries, never exceptions.
@@ -292,23 +317,11 @@ def verify(instance: LdcInstance) -> VerificationReport:
     instance were made, so each coordinate's `members` array goes to the
     span test as it is; the sets that fail it are named in set order.
     """
-    coords = []
+    failures = []
     for i, mi in enumerate(instance.matchings):
         ok = _spans(instance.field, instance.vectors.a, instance.form, i, mi.members)
-        coords.append(CoordinateReport(coordinate=i, matching_size=mi.size,
-                                       span_failures=tuple(map(tuple, mi.members[~ok].tolist()))))
-    sigma = instance.matching_total()
-    delta = Fraction(sigma, instance.m * instance.t)
-    return VerificationReport(
-        form=instance.form,
-        m=instance.m,
-        t=instance.t,
-        coordinates=tuple(coords),
-        sigma=sigma,
-        achieved_delta=delta,
-        claimed_delta=instance.claimed_delta,
-        delta_ok=delta >= instance.claimed_delta,
-    )
+        failures.append(tuple(map(tuple, mi.members[~ok].tolist())))
+    return _report(instance, failures)
 
 
 def _value_codes(a: np.ndarray) -> np.ndarray:

@@ -519,10 +519,25 @@ class TestScalarFlags:
     def test_integers_accepted(self, tmp_path):
         out = str(tmp_path / "cert.json")
         argv = ["construct", "--fixture", "signed_shift( 4 , 3 )", "--q", " 2 ",
-                "--hs", " 1,, -0 ,", "--alphas", "1,-1", "--seed", "-0", "--cap", " 64",
+                "--hs", " 1, -0 ", "--alphas", "1,-1", "--seed", "-0", "--cap", " 64",
                 "--output", out]
         assert main(argv) == 0
         assert load_json(out)["hs"] == [1, 0]
+
+    @pytest.mark.parametrize("flag, hs, alphas", [
+        ("--hs", "1,,0", "1,-1"), ("--hs", "1,0,", "1,-1"), ("--hs", " ,1", "1,-1"),
+        ("--alphas", "1,0", "1,,-1"), ("--alphas", "1,0", "1,-1,"),
+    ], ids=["hs-doubled", "hs-trailing", "hs-leading", "alphas-doubled", "alphas-trailing"])
+    def test_an_empty_list_entry_is_refused(self, flag, hs, alphas, tmp_path, capsys):
+        """A doubled or trailing comma is an empty entry, refused by the
+        flag's name as an empty fixture argument is, not read as fewer
+        entries."""
+        out = str(tmp_path / "cert.json")
+        argv = ["construct", *SS43, "--q", "2", "--hs", hs, "--alphas", alphas, "--output", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and "''" in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("text, error, message", [
         ("signed_shift(4,,3)", ValueError, "takes 2 parameters"),

@@ -15,12 +15,20 @@ recomputation finds one.  A passing certificate forms rho(s) z once, and
 on every edit the survivor mask and orbit verdict of that one product are
 those of the two products it replaced.  The one-pass matching comparison
 agrees with two lexsorts on families built to differ.
+
+The code report is proved from the same premises, the matching
+comparison, the code's shape and the alpha condition of the special2
+form: a passing certificate never runs ldc.verify, a failed premise does,
+and on every edit the report is the one ldc.verify gives.  Certificates
+built past the builder's self-check, whose alphas are not (c, -c) or whose
+lambda kind's second element is not the identity, fall back to it.
 """
 
 import dataclasses
 import functools
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +36,7 @@ from helpers import reference_beta_mask, reference_orbit_check, reference_same_s
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rep2ldc import certcheck, construct
+from rep2ldc import certcheck, construct, ldc
 from rep2ldc.certcheck import _same_sets, cert_from_json, verify_cert
 from rep2ldc.construct import (
     beta_table,
@@ -222,6 +230,7 @@ def test_a_semantic_edit_never_passes(doc):
     assert not report.passed
     assert _identity_failures(report) == _recomputed_identities(cert)
     _assert_one_product_reads_as_two(cert, report)
+    assert report.code_report.to_json() == ldc.verify(cert.code).to_json()
 
 
 # -- the tuple identities by proof ----------------------------------------------
@@ -282,6 +291,78 @@ def test_a_failed_premise_recomputes_the_identities(recomputations, case, edit):
 def test_the_identity_report_is_the_recomputation(case, edit):
     edited = _edit(_cert(case), edit)
     assert _identity_failures(verify_cert(edited)) == _recomputed_identities(edited)
+
+
+# -- the code report by proof ----------------------------------------------------
+
+@pytest.fixture
+def code_checks(monkeypatch) -> list:
+    """The codes verify_cert runs ldc.verify on."""
+    calls = []
+    verify = ldc.verify
+
+    def spy(code):
+        calls.append(code)
+        return verify(code)
+
+    monkeypatch.setattr(ldc, "verify", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(dict.fromkeys(list(CASES) + QQ_PINS)))
+def test_a_passing_certificate_proves_its_code_report(code_checks, case):
+    cert = cert_from_json(json.loads(_doc_text(case)))
+    report = verify_cert(cert)
+    assert report.passed and verify_cert(_cert(case)).passed
+    assert code_checks == []
+    assert report.code_report == ldc.verify(cert.code)
+
+
+@pytest.mark.parametrize("case, edit", PREMISE_PAIRS, ids=[f"{c}-{e}" for c, e in PREMISE_PAIRS])
+def test_a_failed_premise_runs_the_span_test(code_checks, case, edit):
+    edited = _edit(_cert(case), edit)
+    assert not verify_cert(edited).passed
+    assert code_checks == [edited.code]
+
+
+@pytest.mark.parametrize("case, edit", PAIRS + PREMISE_PAIRS,
+                         ids=[f"{c}-{e}" for c, e in PAIRS + PREMISE_PAIRS])
+def test_the_code_report_is_the_span_test(case, edit):
+    edited = _edit(_cert(case), edit)
+    assert verify_cert(edited).code_report.to_json() == ldc.verify(edited.code).to_json()
+
+
+def _unchecked_doc(monkeypatch, kind: str, hs, alphas, lam=None):
+    """The document of a signed_shift(4,3) certificate of `kind` built from
+    hs and alphas by the builders' pipeline (D, Y, X, the family, z, the
+    matchings and the code vectors all derived from them), with the
+    builder's self-check of the code skipped."""
+    g = parse_fixture("signed_shift(4,3)")
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "verify", lambda code: SimpleNamespace(passed=True))
+        cert = construct._build(g, kind, hs(g), alphas, lam, 0)
+    return json.loads(canonical_json(cert_to_json(cert)))
+
+
+@pytest.mark.parametrize("kind, hs, alphas, lam", [
+    ("special2", lambda g: [g.generators[0], g.identity_pos], [1, 1], None),
+    ("lambda", lambda g: [g.generators[0], g.generators[1]], [1, -1], 1),
+], ids=["special2-alphas-1-1", "lambda-hs1-not-identity"])
+def test_a_special2_form_outside_the_lemma_runs_the_span_test(monkeypatch, code_checks, kind,
+                                                              hs, alphas, lam):
+    """Every premise of the lemma holds but the alpha condition, so the
+    pairs are not differences that the tuple identity makes a multiple of
+    e_j: alpha_2 != -alpha_1, or a lambda certificate whose second leg,
+    read as g_j s in the scaled block, is not g_j h_2 s.  verify_cert runs
+    ldc.verify, which finds failing pairs."""
+    cert = cert_from_json(_unchecked_doc(monkeypatch, kind, hs, alphas, lam))
+    report = verify_cert(cert)
+    assert code_checks == [cert.code]
+    # no premise of the lemma fails: only the entropy audit's pair checks
+    # and, for the lambda document, the pre-filter's tuples {h s, h_2 s}
+    assert all(f == DISJOINT or f.startswith("entropy audit failed: ") for f in report.failures)
+    assert not report.code_report.passed
+    assert report.code_report.to_json() == ldc.verify(cert.code).to_json()
 
 
 # -- one orbit product ----------------------------------------------------------

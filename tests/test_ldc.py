@@ -719,8 +719,9 @@ class TestSetFamilyRule:
         """With the rule and the first fit patched, each site that reads
         sets from outside calls them (seen by the calling function's name).
         Reading and checking a certificate runs the rule once per matching
-        in QMatching, once per matching in LdcInstance and once on the
-        pre-filter in verify_cert: never in verify or entropy_audit."""
+        in QMatching and once on the pre-filter in verify_cert: never in
+        LdcInstance, whose range check compares the members itself, nor in
+        verify or entropy_audit."""
         callers = {"_set_faults": [], "_first_fit": []}
 
         def spy(name):
@@ -742,7 +743,6 @@ class TestSetFamilyRule:
             monkeypatch.setattr(ldc, name, spy(name))
         sites = [
             ("_set_faults", "QMatching.__init__", lambda: QMatching(2, ((0, 1),))),
-            ("_set_faults", "LdcInstance.__post_init__", lambda: dataclasses.replace(code)),
             ("_set_faults", "match_entropy_check",
              lambda: match_entropy_check(2, [(0, 1)], [0, 1])),
             ("_set_faults", "verify_cert", lambda: verify_cert(cert)),
@@ -756,7 +756,8 @@ class TestSetFamilyRule:
             call()
             assert caller in callers[name], (name, caller)
         callers["_set_faults"].clear()
-        report = verify_cert(cert_from_json(json.loads(text)))
+        read = cert_from_json(json.loads(text))
+        report = verify_cert(read)
         assert report.passed and report.audit is not None
-        assert Counter(callers["_set_faults"]) == {
-            "QMatching.__init__": code.t, "LdcInstance.__post_init__": code.t, "verify_cert": 1}
+        assert ldc.verify(read.code).passed
+        assert Counter(callers["_set_faults"]) == {"QMatching.__init__": code.t, "verify_cert": 1}
