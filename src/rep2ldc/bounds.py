@@ -4,8 +4,11 @@ No float decides a verdict.  The rank bounds compare a logarithm with a
 rational through integer powers (`_pow_ge_pow2`).  The verdicts of
 `match_entropy_check` and of the entropy audit follow by proof from their
 exact pair checks (the lemma in `entropy_audit`), so neither forms a big
-integer.  Floats are attached for reporting only.  Whether matched pairs
-are distinct, disjoint and in range is ldc's one set-family rule, which
+integer.  Floats are attached for reporting only, and keep their bits:
+the audit refines its prefix classes in whole-array passes, yet every
+float is the one of the plain loop over classes and values in order of
+first row, summed left to right.  Whether matched pairs are distinct,
+disjoint and in range is ldc's one set-family rule, which
 `match_entropy_check` runs on its pairs and which every QMatching of an
 LdcInstance has passed when made.
 """
@@ -223,13 +226,32 @@ def lambda_bound(n: int, group_size: int, th: Fraction, gm: Fraction) -> LogBoun
 
 
 def _entropy_of_counts(counts) -> float:
-    """Entropy of counts/total, summed in the order of `counts`."""
-    total = sum(counts)
-    h = 0.0
-    for c in counts:
-        if c:
-            h -= (c / total) * math.log2(c / total)
-    return h
+    """Entropy of counts/total: 0.0 minus (c/total) log2(c/total) for each
+    nonzero count c, in the order of `counts`.
+
+    Short sequences, where numpy's per-call cost exceeds the loop's, run
+    that loop.  Longer ones take one `math.log2` per distinct count and
+    subtract the terms by one cumulative sum, which numpy adds left to
+    right, so both give the loop's float.
+    """
+    if len(counts) < 64:
+        if isinstance(counts, np.ndarray):
+            counts = counts.tolist()
+        total = sum(counts)
+        h = 0.0
+        for c in counts:
+            if c:
+                h -= (c / total) * math.log2(c / total)
+        return h
+    c = np.asarray(counts, dtype=np.int64)
+    c = c[c > 0]
+    if not c.size:
+        return 0.0
+    total = int(c.sum())
+    present = np.flatnonzero(np.bincount(c))
+    logs = np.zeros(present[-1] + 1)
+    logs[present] = [math.log2(v / total) for v in present.tolist()]
+    return float(np.cumsum(0.0 - c / total * logs[c])[-1])
 
 
 @dataclass(frozen=True)
@@ -337,34 +359,34 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
     - log2 m is rational only for m = 2^k, so m = 2^(2 delta t) exactly
       when m = 2^k and 2 sigma = k m ("eq"); otherwise m is larger ("gt").
 
-    `label[r]` is the prefix class of row r; coordinate i refines it by
-    (label, value at i), and the last level's classes give H(X).  Values
-    are labelled by their sorted order, read off `Field.integers`: over QQ
-    the code times one positive integer, which keeps that order, so no
-    Fraction is sorted.  Classes are numbered by first appearance, so
-    classes, and the values within each, come in row order, the order the
-    float terms have always been summed in.  Verify reports pin those
-    floats, so the per-class loop keeps the same `math.log2` calls and
-    sums: numpy's log2 and pairwise sums could change the last bit.  A
-    class's entropy depends on its counts alone, so it is computed once
-    per distinct counts tuple of the call (`entropies`) and summed in
-    class order as before.
+    `label[r]` is the prefix class of row r, and classes are numbered by
+    first row.  Coordinate i refines them in a fixed number of
+    whole-array passes: `_refine` numbers the (class, value) pairs, the
+    children, by first row, one bincount counts their rows, and
+    `_chain_term` forms H(X_i | X_<i) from the counts; the last level's
+    counts give H(X).  Values need only compare equal, so
+    `_value_numbers` maps `Field.integers` (over QQ the code times one
+    positive integer) to small integers, and no Fraction is compared.
+
+    Verify reports pin the floats, so each keeps the bits of the plain
+    loop over classes in order of first row, and over the values of a
+    class in that order too.  A class's entropy is `_entropy_of_counts`
+    of its child counts in child order, computed once per distinct
+    counts tuple; the class terms, the chain terms and H(X) are summed
+    left to right, never by numpy's pairwise sums or by the builtin
+    `sum`, which is compensated from Python 3.12 on.
     """
     if instance.form != "special2":
         raise ValueError("entropy audit applies to special2-form instances")
     m, t = instance.m, instance.t
-    values = instance.field.integers(instance.vectors.a)
+    values, n_values = _value_numbers(instance.field.integers(instance.vectors.a))
     label = np.zeros(m, dtype=np.int64)
+    sizes = np.bincount(label)
     chain_terms, bound_terms, class_sizes = [], [], []
-    entropies: dict[tuple[int, ...], float] = {}
+    chain_total = 0.0
     for i in range(t):
-        sizes = np.bincount(label)
         class_sizes.append(tuple(sizes.tolist()))
-        value = np.unique(values[:, i], return_inverse=True)[1]
-        _, first, inverse = np.unique(label * m + value, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        child = np.argsort(order)[inverse]
-
+        value = values[:, i]
         matching = instance.matchings[i]
         a, b = matching.members.T
         crosses = label[a] != label[b]
@@ -376,20 +398,15 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
                     f"pair ({j1}, {j2}) crosses prefix classes at coordinate {i}")
             raise PairNotSeparated(f"pair ({j1}, {j2}) agrees at coordinate {i}")
 
-        # H(X_i | X_<i) = sum_b (|J_b| / m) H(X_i | b), b over prefix classes
-        children = [[] for _ in range(sizes.size)]
-        for parent, c in zip(label[first[order]].tolist(), np.bincount(child).tolist()):
-            children[parent].append(c)
-        term = 0.0
-        for jb, counts in zip(sizes.tolist(), map(tuple, children)):
-            if counts not in entropies:
-                entropies[counts] = _entropy_of_counts(counts)
-            term += (jb / m) * entropies[counts]
+        child, parent = _refine(label, sizes.size, value, n_values)
+        counts = np.bincount(child)
+        term = _chain_term(m, sizes, parent, counts)
         chain_terms.append(term)
+        chain_total += term
         bound_terms.append(Fraction(2 * matching.size, m))
-        label = child
+        label, sizes = child, counts
 
-    h_x = _entropy_of_counts(np.bincount(label).tolist())
+    h_x = _entropy_of_counts(sizes)
     sigma = instance.matching_total()
     k = m.bit_length() - 1
     return EntropyAudit(
@@ -400,13 +417,88 @@ def entropy_audit(instance: LdcInstance) -> EntropyAudit:
         chain_terms=tuple(chain_terms),
         matching_bound_terms=tuple(bound_terms),
         chain_term_ok=(True,) * t,
-        chain_sum_residual=abs(sum(chain_terms) - h_x),
+        chain_sum_residual=abs(chain_total - h_x),
         prefix_class_sizes=tuple(class_sizes),
         upper_ok=True,
         hx_ge_2dt=True,
         log2m_ge_2dt=True,
         code_size_relation="eq" if m == 1 << k and 2 * sigma == k * m else "gt",
     )
+
+
+def _refine(label, n_classes: int, value, n_values: int):
+    """(child, parent): each row's class once its value joins the prefix,
+    and each child's parent class, children numbered by first row.
+
+    A pair's key is class * n_values + value, compacted to its rank by
+    one sort when that range exceeds max(16 m, 2^16).  A table over the
+    keys takes each key's first row, and the rows that are their key's
+    first row, counted in row order, number the children.
+    """
+    m = label.size
+    key = label * n_values + value
+    n_keys = n_classes * n_values
+    if n_keys > max(16 * m, 1 << 16):
+        distinct, key = np.unique(key, return_inverse=True)
+        n_keys = distinct.size
+    rows = np.arange(m)
+    first = np.full(n_keys, m)
+    np.minimum.at(first, key, rows)
+    head = first[key]
+    opens = head == rows
+    return (np.cumsum(opens) - 1)[head], label[opens]
+
+
+def _chain_term(m: int, sizes, parent, counts) -> float:
+    """sum_b (J_b / m) H(X_i | b) over the classes b in class order.
+
+    `sizes` holds the row counts J_b of the classes, `parent` and `counts`
+    the class and the row count of each child.  A class with one child
+    adds exactly 0.0 and is skipped.  One sort gathers every class's
+    children in child order; the classes with k children form a k-column
+    array of counts, whose rows `_row_entropies` reads.
+    """
+    n_classes, n = sizes.size, counts.size
+    if n == n_classes:  # no class splits
+        return 0.0
+    n_children = np.bincount(parent, minlength=n_classes)
+    grouped = counts[np.sort(parent * n + np.arange(n)) % n]
+    k = n // n_classes
+    if n == k * n_classes and (n_children == k).all():  # each class has k children
+        weights = sizes / m
+        entropy = _row_entropies(grouped.reshape(n_classes, k))
+    else:
+        split = np.flatnonzero(n_children > 1)
+        start = (np.cumsum(n_children) - n_children)[split]
+        ks = n_children[split]
+        weights = sizes[split] / m
+        entropy = np.empty(split.size)
+        for k in np.flatnonzero(np.bincount(ks)).tolist():
+            of_k = np.flatnonzero(ks == k)
+            entropy[of_k] = _row_entropies(grouped[start[of_k, None] + np.arange(k)])
+    return float(np.cumsum(weights * entropy)[-1])
+
+
+def _row_entropies(tuples):
+    """`_entropy_of_counts` of each row of the (n, k) array `tuples`, one
+    call per distinct row; a float when the rows are all equal."""
+    if (tuples == tuples[0]).all():  # every class splits alike
+        return _entropy_of_counts(tuples[0].tolist())
+    found: dict[tuple[int, ...], int] = {}
+    index = [found.setdefault(r, len(found)) for r in map(tuple, tuples.tolist())]
+    return np.array([_entropy_of_counts(r) for r in found])[index]
+
+
+def _value_numbers(values) -> tuple[np.ndarray, int]:
+    """(numbers, n): `values` as integers in [0, n), equal where the values
+    are.  Values spanning at most their count are shifted, others ranked
+    by one sort; an object array (integers beyond int64) is ranked."""
+    if values.dtype != object and values.size:
+        low, high = int(values.min()), int(values.max())
+        if high - low < values.size:
+            return values - low, high - low + 1
+    distinct, ranks = np.unique(values.ravel(), return_inverse=True)
+    return ranks.reshape(values.shape), distinct.size
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,8 @@ def _check_indices_and_shapes(cert: ConstructionCert) -> None:
     outside [0, |G|) and vectors or matrices whose shape contradicts n, R
     or t, which verify_cert would index with.  A family of more than n
     translates is never minimal, and its checks would grow with t^2.  A
-    lambda is stated by the lambda kind alone, and a seed is never
-    negative, as the builders take it."""
+    lambda is stated by the lambda kind alone, whose hs are (h, identity),
+    and a seed is never negative, as the builders write them."""
     field = cert.group.field
     for name, part in (("D", cert.D), ("Y", cert.Y), ("X", cert.X), ("family.U", cert.family.U),
                        ("family.W", cert.family.W), ("code", cert.code)):
@@ -188,6 +188,10 @@ def _check_indices_and_shapes(cert: ConstructionCert) -> None:
         raise ParseError("lambda certificate without a lambda")
     if cert.kind != "lambda" and cert.lam is not None:
         raise ParseError(f"{cert.kind} certificate with a lambda")
+    identity = cert.group.identity_pos
+    if cert.kind == "lambda" and (len(cert.hs) != 2 or cert.hs[1] != identity):
+        raise ParseError(f"lambda certificate hs must be (h, {identity}), the identity "
+                         f"second; got {list(cert.hs)}")
     if cert.seed < 0:
         raise ParseError(f"seed must be non-negative, got {cert.seed}")
     if len(cert.family.hat_w) != t:
@@ -238,8 +242,9 @@ def _pairs_are_differences(cert: ConstructionCert) -> bool:
     matched tuple differ by (beta / alpha_1) e_j: alpha_2 = -alpha_1 != 0
     (special2 kind), or alpha_2 = -lambda alpha_1, alpha_1 != 0 and
     hs = (h, identity) (lambda kind, whose second leg `matching_index`
-    reads as |G| + position(g_j s) whatever hs[1] is).  The general form
-    needs no condition."""
+    reads as |G| + position(g_j s) whatever hs[1] is).  The reader refuses
+    a lambda document of other hs; a certificate built in memory is
+    checked here.  The general form needs no condition."""
     if cert.kind == "general":
         return True
     field = cert.group.field

@@ -205,8 +205,7 @@ class Field:
         iterating it, and rows of different lengths ValueError.
         """
         try:
-            data = list(map(list, rows))
-            flat = list(chain.from_iterable(data))
+            flat = list(chain.from_iterable(rows))
             if not set(map(type, flat)) <= ({int} if self.char else {int, str}):
                 raise TypeError("not a JSON scalar of this field")
             if self.char:
@@ -220,10 +219,10 @@ class Field:
             for x in chain.from_iterable(rows):  # the first bad entry, in row-major order
                 self.scalar_from_json(x)
             raise
-        ncols = set(map(len, data))
+        ncols = set(map(len, rows))
         if len(ncols) > 1:
             raise ValueError("ragged rows")
-        return values.reshape(len(data), ncols.pop() if ncols else 0)
+        return values.reshape(len(rows), ncols.pop() if ncols else 0)
 
     def array_to_json(self, a) -> list:
         """A canonical array as nested JSON lists: ints over GF(p), "a/b"

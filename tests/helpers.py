@@ -273,7 +273,9 @@ def reference_entropy_audit(rows, matchings) -> dict:
     first appearance; each matching is checked pair by pair in set order,
     and a pair that crosses classes is reported as crossing even when it
     also agrees.  Raises what bounds.entropy_audit raises, with its text.
-    Floats are summed in class order, so they equal the audit's exactly.
+    Floats are summed in class order, so they equal the audit's exactly,
+    and the chain terms left to right for the residual.  Returns every
+    field of bounds.EntropyAudit.
     """
     from collections import Counter
 
@@ -312,8 +314,15 @@ def reference_entropy_audit(rows, matchings) -> dict:
     hx_den = math.prod(c**c for c in full)
     two_dt = Fraction(2 * sum(map(len, matchings)), m)
     log_cmp = log2_ratio_cmp(m, 1, two_dt)
+    h_x, chain_total = brute_entropy(full), 0.0
+    for term in out["chain_terms"]:
+        chain_total += term
     out.update(
-        entropy_value=brute_entropy(full),
+        m=m,
+        t=len(matchings),
+        delta=Fraction(sum(map(len, matchings)), m * len(matchings)),
+        chain_sum_residual=abs(chain_total - h_x),
+        entropy_value=h_x,
         upper_ok=True,  # m^m / prod c^c <= m^m
         hx_ge_2dt=log2_ratio_cmp(m**m, hx_den, two_dt * m) >= 0,
         log2m_ge_2dt=log_cmp >= 0,

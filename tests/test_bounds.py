@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import random
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 from helpers import brute_entropy, fresh_group, matrix_order, reference_entropy_audit
 
-from rep2ldc import groups
+from rep2ldc import bounds, groups
 from rep2ldc.bounds import (
     BoundReport,
+    EntropyAudit,
     LogBound,
+    _entropy_of_counts,
     avg_fixed_space,
     check_rank_separation,
     entropy_audit,
@@ -331,6 +334,14 @@ class TestMatchEntropy:
         assert res.passed
         assert res.entropy_value >= float(res.bound) - 1e-12
 
+    @pytest.mark.parametrize("n", [63, 64, 1000])
+    def test_entropy_of_counts_is_the_plain_loop(self, n):
+        """Past 63 counts the entropy takes one log2 per distinct count and
+        one cumulative sum: the float stays the loop's, zeros skipped."""
+        counts = np.random.default_rng(n).integers(0, 50, size=n)
+        for c in (counts, counts.tolist(), [0] * n, [7] * n):
+            assert _entropy_of_counts(c) == brute_entropy([int(x) for x in c])
+
 
 class TestConditioningFacts:
     """Entropy facts used implicitly by the audit, checked empirically."""
@@ -559,6 +570,104 @@ class TestEntropyAudit:
             inst = build(g, g.generators[0]).code
         text = canonical_json(entropy_audit(inst).to_json())
         assert hashlib.sha256(text.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("code", [
+        "symmetric(7,11) special2", "symmetric(7,11) lambda",
+        "signed_shift(8,3) special2", "signed_shift(8,3) lambda",
+        "signed_shift(10,3) special2", "signed_shift(10,3) lambda",
+        "signed_shift(6,0) special2", "signed_shift(6,0) lambda",
+        "signed_shift(4,2147483647) special2", "signed_shift(4,2147483647) lambda",
+        "hadamard(10)", "max_special_matching GF(7)",
+    ])
+    def test_matches_dict_oracle_at_scale(self, code):
+        """Built codes of up to 20,480 rows over GF(p), p up to 2^31 - 1,
+        and QQ: every field and the canonical JSON equal the oracle's."""
+        inst = _code_at_scale(code)
+        want = _oracle_audit(inst)
+        audit = entropy_audit(inst)
+        assert dataclasses.asdict(audit) == dataclasses.asdict(want)
+        assert canonical_json(audit.to_json()) == canonical_json(want.to_json())
+
+    @pytest.mark.parametrize("case, error, text", [
+        ("crossing", MatchingCrossesPrefixClass,
+         "pair (0, 1) crosses prefix classes at coordinate 9"),
+        ("agreeing", PairNotSeparated, "pair (3, 7) agrees at coordinate 9"),
+        ("agreeing before crossing", PairNotSeparated, "pair (3, 7) agrees at coordinate 9"),
+    ])
+    def test_failing_pair_at_a_late_coordinate(self, case, error, text):
+        """signed_shift(10,3) special2 (10,240 rows) with one of its last
+        coordinate's pairs swapped for a pair of rows of other prefixes, or
+        of one row repeated, in the middle of the matching: the audit
+        raises the oracle's exception with its text."""
+        inst = _code_at_scale("signed_shift(10,3) special2")
+        i, rows = inst.t - 1, inst.vectors.a
+        sets = list(inst.matchings[i].sets)
+        crossing = (0, next(j for j in range(1, inst.m) if (rows[j, :i] != rows[0, :i]).any()))
+        agreeing = (3, next(j for j in range(4, inst.m) if (rows[j] == rows[3]).all()))
+        swaps = {"crossing": [crossing], "agreeing": [agreeing],
+                 "agreeing before crossing": [agreeing, crossing]}[case]
+        sets = [p for p in sets if all(set(p).isdisjoint(pair) for pair in swaps)]
+        sets[len(sets) // 2:len(sets) // 2] = swaps
+        matchings = inst.matchings[:i] + (QMatching(2, tuple(sets)),)
+        bad = dataclasses.replace(inst, matchings=matchings)
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            entropy_audit(bad)
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            _oracle_audit(bad)
+
+    def test_residual_does_not_depend_on_the_builtin_sum(self, monkeypatch):
+        """From Python 3.12 the builtin sum of floats is compensated, which
+        moves the residual of symmetric(7,11) special2 in its last bits.
+        Shadowed by such a sum, the audits keep their bytes."""
+        insts = [_code_at_scale(code) for code in (
+            "symmetric(7,11) special2", "signed_shift(8,3) special2", "signed_shift(6,0) lambda")]
+        want = [canonical_json(entropy_audit(inst).to_json()) for inst in insts]
+        monkeypatch.setattr(bounds, "sum", _compensated_sum, raising=False)
+        assert [canonical_json(entropy_audit(inst).to_json()) for inst in insts] == want
+
+    def test_the_compensated_sum_moves_the_chain_total(self):
+        terms = entropy_audit(_code_at_scale("symmetric(7,11) special2")).chain_terms
+        total = 0.0
+        for term in terms:
+            total += term
+        assert _compensated_sum(terms) != total
+        assert _compensated_sum([1, 2, 3]) == 6
+
+
+def _compensated_sum(items, start=0):
+    """The builtin sum as Python 3.12 computes it: integers exactly, floats
+    with Neumaier's compensation."""
+    items = list(items)
+    if all(type(x) is int for x in items):
+        return sum(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c else total
+
+
+@functools.lru_cache(maxsize=None)
+def _code_at_scale(code: str) -> LdcInstance:
+    if code == "hadamard(10)":
+        return hadamard(10, F2)
+    if code == "max_special_matching GF(7)":
+        f7 = GF(7)
+        vectors = Matrix(f7, np.random.default_rng(0).integers(0, 7, size=(5000, 5)).tolist())
+        matchings = tuple(max_special_matching(vectors, i) for i in range(5))
+        return LdcInstance(field=f7, t=5, m=5000, vectors=vectors, matchings=matchings,
+                           form="special2", q=2, claimed_delta=Fraction(0))
+    fixture, kind = code.split()
+    g = parse_fixture(fixture)
+    cert = build_special_2ldc(g, g.generators[0]) if kind == "special2" else lambda_variant(
+        g, g.generators[0], 1)
+    return cert.code
+
+
+def _oracle_audit(inst: LdcInstance) -> EntropyAudit:
+    want = reference_entropy_audit(inst.vectors.a.tolist(), [mi.sets for mi in inst.matchings])
+    return EntropyAudit(**{k: tuple(v) if isinstance(v, list) else v for k, v in want.items()})
 
 
 def _special2(field, rows, matchings) -> LdcInstance:

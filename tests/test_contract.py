@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 
 from rep2ldc import certcheck, construct, ldc
 from rep2ldc.certcheck import _same_sets, cert_from_json, verify_cert
+from rep2ldc.cli import main
 from rep2ldc.construct import (
     beta_table,
     build_q_ldc,
@@ -332,34 +333,45 @@ def test_the_code_report_is_the_span_test(case, edit):
     assert verify_cert(edited).code_report.to_json() == ldc.verify(edited.code).to_json()
 
 
-def _unchecked_doc(monkeypatch, kind: str, hs, alphas, lam=None):
-    """The document of a signed_shift(4,3) certificate of `kind` built from
-    hs and alphas by the builders' pipeline (D, Y, X, the family, z, the
-    matchings and the code vectors all derived from them), with the
-    builder's self-check of the code skipped."""
+def _unchecked_cert(monkeypatch, kind: str, hs, alphas, lam=None):
+    """A signed_shift(4,3) certificate of `kind` built from hs and alphas by
+    the builders' pipeline (D, Y, X, the family, z, the matchings and the
+    code vectors all derived from them), with the builder's self-check of
+    the code skipped."""
     g = parse_fixture("signed_shift(4,3)")
     with monkeypatch.context() as patch:
         patch.setattr(construct, "verify", lambda code: SimpleNamespace(passed=True))
-        cert = construct._build(g, kind, hs(g), alphas, lam, 0)
-    return json.loads(canonical_json(cert_to_json(cert)))
+        return construct._build(g, kind, hs(g), alphas, lam, 0)
 
 
 @pytest.mark.parametrize("kind, hs, alphas, lam", [
     ("special2", lambda g: [g.generators[0], g.identity_pos], [1, 1], None),
     ("lambda", lambda g: [g.generators[0], g.generators[1]], [1, -1], 1),
 ], ids=["special2-alphas-1-1", "lambda-hs1-not-identity"])
-def test_a_special2_form_outside_the_lemma_runs_the_span_test(monkeypatch, code_checks, kind,
-                                                              hs, alphas, lam):
+def test_a_special2_form_outside_the_lemma_runs_the_span_test(monkeypatch, tmp_path, code_checks,
+                                                              kind, hs, alphas, lam):
     """Every premise of the lemma holds but the alpha condition, so the
     pairs are not differences that the tuple identity makes a multiple of
     e_j: alpha_2 != -alpha_1, or a lambda certificate whose second leg,
     read as g_j s in the scaled block, is not g_j h_2 s.  verify_cert runs
-    ldc.verify, which finds failing pairs."""
-    cert = cert_from_json(_unchecked_doc(monkeypatch, kind, hs, alphas, lam))
+    ldc.verify, which finds failing pairs.  The reader refuses the lambda
+    document, whose hs are not (h, identity), and `verify` exits 1 on it,
+    so that certificate is checked as built in memory."""
+    cert = _unchecked_cert(monkeypatch, kind, hs, alphas, lam)
+    doc = json.loads(canonical_json(cert_to_json(cert)))
+    if kind == "lambda":
+        message = r"^lambda certificate hs must be \(h, 0\), the identity second; got \[1, 2\]$"
+        with pytest.raises(ParseError, match=message):
+            cert_from_json(doc)
+        path = tmp_path / "cert.json"
+        path.write_text(canonical_json(doc))
+        assert main(["verify", "--input", str(path)]) == 1
+    else:
+        cert = cert_from_json(doc)
     report = verify_cert(cert)
     assert code_checks == [cert.code]
     # no premise of the lemma fails: only the entropy audit's pair checks
-    # and, for the lambda document, the pre-filter's tuples {h s, h_2 s}
+    # and, for the lambda certificate, the pre-filter's tuples {h s, h_2 s}
     assert all(f == DISJOINT or f.startswith("entropy audit failed: ") for f in report.failures)
     assert not report.code_report.passed
     assert report.code_report.to_json() == ldc.verify(cert.code).to_json()

@@ -291,6 +291,19 @@ class TestHostileCertIndices:
     def test_hat_w_count_differs_from_g_refs(self, doc):
         self._rejects(doc, lambda d: d["family"]["hat_w"].pop(), r"3 hat_w rows for 4 g_refs")
 
+    @pytest.mark.parametrize("hs", [[1, 2], [1, 0, 0], [0, 1]])
+    def test_lambda_hs_other_than_h_and_identity(self, signed_shift_4_3, hs):
+        # the builders write hs = (h, identity); the identity is element 0
+        g = signed_shift_4_3
+        doc = json.loads(canonical_json(cert_to_json(lambda_variant(g, g.generators[0], 1))))
+
+        def edit(d):
+            d["hs"] = hs
+            d["alphas"] = (d["alphas"] * 2)[:len(hs)]
+
+        self._rejects(doc, edit, "^" + re.escape(
+            f"lambda certificate hs must be (h, 0), the identity second; got {hs}") + "$")
+
     def test_empty_family(self, doc):
         # verify_cert stacks the family's vectors, which an empty family lacks
         def edit(d):
