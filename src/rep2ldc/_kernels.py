@@ -177,9 +177,13 @@ def best_z_exhaustive(normals: np.ndarray, p: int, n: int) -> tuple[np.ndarray, 
     (`projective_classes`), not the raw rows, so every candidate's count is
     its count over the raw rows, and with the same order and strict '>' the
     same lex-first z and count come out.
+
+    No count exceeds the total weight, the number of rows, so once a
+    chunk's best reaches it no later z can pass the strict '>' and the
+    scan stops after that chunk with the same z and count.
     """
     classes, weights = projective_classes(normals, p)
-    total = p**n
+    total, ceiling = p**n, int(weights.sum())
     best_count = -1
     best_z = np.zeros(n, dtype=np.int64)
     chunk = 4096
@@ -190,6 +194,8 @@ def best_z_exhaustive(normals: np.ndarray, p: int, n: int) -> tuple[np.ndarray, 
         if int(counts[j]) > best_count:
             best_count = int(counts[j])
             best_z = cols[:, j].copy()
+        if best_count == ceiling:
+            break
     return best_z, best_count
 
 

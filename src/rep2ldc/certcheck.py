@@ -298,6 +298,9 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     either order, so no set fails, and `ldc._report` assembles the report
     from the matching sizes alone.  When a premise fails, `ldc.verify`
     runs the span test on every set and names the failing ones.
+
+    rank(X) is not computed when Y X^T = D and rank(D) = R hold for an X
+    of R columns: R = rank(Y X^T) <= rank(X) <= R.
     """
     group = cert.group
     field = group.field
@@ -312,11 +315,15 @@ def verify_cert(cert: ConstructionCert) -> CertCheckReport:
     combination_holds = cert.D == combine(group, cert.hs, cert.alphas)
     check(combination_holds, "D is not the stated combination of group elements")
     check(not cert.D.is_zero(), "D is zero")
-    check(rank(cert.D) == cert.R, "stated R differs from rank(D)")
+    d_rank_holds = rank(cert.D) == cert.R
+    check(d_rank_holds, "stated R differs from rank(D)")
     factorization_holds = cert.Y @ cert.X.T == cert.D
     check(factorization_holds, "Y X^T != D")
     u = Subspace.from_rows(field, n, cert.Y.T)  # its dim is rank(Y)
-    check(u.dim == cert.R and rank(cert.X) == cert.R, "factor ranks differ from R")
+    # R = rank(Y X^T) <= rank(X) <= R for an X of R columns
+    x_rank_proved = d_rank_holds and factorization_holds and cert.X.cols == cert.R
+    check(u.dim == cert.R and (x_rank_proved or rank(cert.X) == cert.R),
+          "factor ranks differ from R")
     check(u == cert.family.U, "U is not the column span of Y")
     family_holds = True
     try:

@@ -7,7 +7,9 @@ builds a minimal spanning family of translates of the column span of Y
 equips it with dual vectors (nullspaces of the other translates stacked),
 picks z avoiding the bad hyperplanes, and emits the projected-orbit code
 a_s = W^T rho(s) z together with its matchings.  Every step is
-deterministic given the seed, and the finished code re-verifies itself.
+deterministic given the seed, and the finished code is checked: a
+general-form code by its tuple identities, a special2-form one by
+ldc.verify (see `_build`).
 
 The three kinds share one pipeline (`_build`) and one contract: the
 density floor, the pre-filter guarantee, the survivor bound and the code's
@@ -36,7 +38,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .fields import Field, scaled_numerators, strict_int
-from .groups import CLOSURE_CHUNK, MatrixGroup, mult_cycles
+from .groups import CLOSURE_CHUNK, MatrixGroup, _cycle_table
 from .ldc import LdcInstance, QMatching, verify
 from .linalg import Matrix, Subspace, nullspace, rank_factorize, ranks, rref
 
@@ -184,6 +186,16 @@ def minimal_spanning_family(group: MatrixGroup, u: Subspace) -> list[int]:
     return family
 
 
+def _family_products(group: MatrixGroup, basis: np.ndarray, g_refs,
+                     y: Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(images, ygs) of a family: the (t, R, n) translates U^{g_j} of the
+    R x n basis of U (`_translates`) and the (t, n, R) products rho(g_j) Y,
+    which `_dual_vectors` and `_check_family` both read."""
+    g_refs = list(g_refs)
+    return (_translates(group, basis, g_refs),
+            group.field.matmul(group.stacked()[g_refs], y.a))
+
+
 def dual_vectors(group: MatrixGroup, u: Subspace, g_refs, y: Matrix):
     """Vectors w_i orthogonal to every U^{g_j} except the i'th, with
     hat_w_i = (Y^{g_i})^T w_i != 0.  Returns (W, hat_w).
@@ -193,9 +205,12 @@ def dual_vectors(group: MatrixGroup, u: Subspace, g_refs, y: Matrix):
     a nonzero hat_w_i: rows giving 0 combine to 0, so one product of the
     rows tests every candidate worth trying.
     """
-    field, n = group.field, group.dim
-    ygs = field.matmul(group.stacked()[list(g_refs)], y.a)
-    images = _translates(group, u.basis.a, g_refs)
+    return _dual_vectors(group.field, *_family_products(group, u.basis.a, g_refs, y))
+
+
+def _dual_vectors(field: Field, images: np.ndarray, ygs: np.ndarray):
+    """`dual_vectors` from the family's `_family_products`."""
+    n = images.shape[2]
     cols, hats = [], []
     for i in range(len(images)):
         others = np.delete(images, i, axis=0).reshape(-1, n)
@@ -210,26 +225,47 @@ def dual_vectors(group: MatrixGroup, u: Subspace, g_refs, y: Matrix):
 
 
 def validate_family(group: MatrixGroup, family: SpanningFamily, y: Matrix) -> None:
-    """Assert every structural identity of the spanning family, over the
-    translates computed once: one rank for the span, one batched rank for
-    redundancy (which any t > n fails) and one (t, t, R) product W^T (g_j Y)
-    for the rank-one identities once W is n x t with t hat_w.  A failure
-    names the first failing translate or both shapes."""
+    """Assert every structural identity of the spanning family: the
+    translates span F^n, none is redundant, W is n x t with t hat_w, each
+    hat_w_j is nonzero and W^T rho(g_j) Y = e_j hat_w_j^T (the rank-one
+    identities).  A failure names the first failing translate or both
+    shapes, the checks running in that order.
+
+    Redundancy is proved, not ranked, when the other checks pass and U is
+    the column span of Y (one RREF of Y^T).  Then U^{g_j} is the column
+    span of rho(g_j) Y, so the identities give w_k orthogonal to U^{g_j}
+    for every j != k, and w_k^T rho(g_k) Y = hat_w_k^T != 0 makes w_k
+    nonzero.  If the translates other than k spanned F^n, w_k would be
+    orthogonal to F^n, hence zero; so no translate is redundant.  When a
+    premise fails, the batched ranks of `_first_redundant` decide, ahead of
+    the shape, hat_w and identity checks, so no failure hides another.
+    """
+    images, ygs = _family_products(group, family.U.basis.a, family.g_refs, y)
+    _check_family(group, family, y, images, ygs)
+
+
+def _check_family(group: MatrixGroup, family: SpanningFamily, y: Matrix, images: np.ndarray,
+                  ygs: np.ndarray) -> None:
+    """`validate_family` from the family's `_family_products`."""
     field, n, t = group.field, group.dim, family.t
-    images = _translates(group, family.U.basis.a, family.g_refs)
     if rref(Matrix(field, images.reshape(-1, n), _canonical=True))[1] < n:
         raise InternalInconsistency("translates do not span the space")
-    if (k := _first_redundant(field, images, n)) is not None:
+    shaped = family.W.a.shape == (n, t) and len(family.hat_w) == t
+    if shaped:
+        prods = field.matmul(family.W.T.a, ygs)
+        hats = np.stack(family.hat_w)
+        expected = np.eye(t, dtype=np.int64)[:, :, None] * hats[:, None, :]
+        wrong = np.any((prods != expected).reshape(t, -1), axis=1)
+        zero = ~np.any(hats != 0, axis=1)
+    proved = (shaped and not wrong.any() and not zero.any()
+              and family.U == Subspace.from_rows(field, n, y.T))
+    if not proved and (k := _first_redundant(field, images, n)) is not None:
         raise InternalInconsistency(f"translate {k} is redundant")
-    if family.W.a.shape != (n, t) or len(family.hat_w) != t:
+    if not shaped:
         raise InternalInconsistency(f"W has shape {family.W.a.shape} and {len(family.hat_w)} "
                                     f"hat_w rows, need {(n, t)} and {t}")
-    prods = field.matmul(family.W.T.a, field.matmul(group.stacked()[list(family.g_refs)], y.a))
-    hats = np.stack(family.hat_w)
-    expected = np.eye(t, dtype=np.int64)[:, :, None] * hats[:, None, :]
-    wrong = np.any((prods != expected).reshape(t, -1), axis=1)
     for j in range(t):
-        if not np.any(hats[j] != 0):
+        if zero[j]:
             raise InternalInconsistency(f"hat_w[{j}] is zero")
         if wrong[j]:
             raise InternalInconsistency(f"rank-one identity fails for translate {j}")
@@ -355,7 +391,7 @@ def _cycle_kept_s(group: MatrixGroup, h: int) -> list[int]:
     at even offsets a, i.e. a perfect matching for even k and (k-1)/2
     edges for odd k.
     """
-    return np.asarray(mult_cycles(group, h).cycles)[:, :-1:2].ravel().tolist()
+    return _cycle_table(group, h)[1][:, :-1:2].ravel().tolist()
 
 
 def _tuple_positions(group: MatrixGroup, hs, gs, ss) -> np.ndarray:
@@ -392,7 +428,9 @@ def matching_index(group: MatrixGroup, kind: str, hs, g_refs, kept_s) -> np.ndar
 
 
 def _prepare(group: MatrixGroup, hs, alphas):
-    """Shared head of every pipeline: D, factorization and family."""
+    """Shared head of every pipeline: D, factorization and family.  The
+    family's translates and rho(g_j) Y are formed once, for its dual
+    vectors and its check."""
     d = combine(group, hs, alphas)
     if d.is_zero():
         raise ZeroMatrix("combination of representation images is zero")
@@ -400,9 +438,10 @@ def _prepare(group: MatrixGroup, hs, alphas):
     r = y.cols
     u = Subspace.from_rows(group.field, group.dim, y.T)
     g_refs = minimal_spanning_family(group, u)
-    w, hat_w = dual_vectors(group, u, g_refs, y)
+    images, ygs = _family_products(group, u.basis.a, g_refs, y)
+    w, hat_w = _dual_vectors(group.field, images, ygs)
     family = SpanningFamily(g_refs=tuple(g_refs), U=u, W=w, hat_w=tuple(hat_w))
-    validate_family(group, family, y)
+    _check_family(group, family, y, images, ygs)
     return d, r, y, x, family
 
 
@@ -416,6 +455,20 @@ def _code_vectors(group: MatrixGroup, w: Matrix, z: np.ndarray, lam=None) -> np.
     if lam is None:
         return rows
     return np.concatenate([rows, field.reduce(rows * lam)], axis=0)
+
+
+def _matched_identities_hold(field: Field, vectors: np.ndarray, alphas, idx: np.ndarray,
+                             mask: np.ndarray, betas: np.ndarray) -> bool:
+    """Whether every matched (j, s), i.e. np.nonzero(mask), has a nonzero
+    beta = betas[j, s] and sum_l alpha_l a_{idx[j, l, s]} = beta e_j, for
+    the (m, t) code vectors, `matching_index`'s (t, q, |kept_s|) positions
+    and the (t, |kept_s|) dots <normal_{j,s}, z>; one gather and one
+    product over all matched tuples."""
+    jj, ss = np.nonzero(mask)
+    sides = field.matmul(field.vector(alphas), vectors[idx[jj, :, ss]])  # (matched, t)
+    expected = np.zeros_like(sides)
+    expected[np.arange(len(jj)), jj] = betas[jj, ss]
+    return bool(np.all(betas[jj, ss] != 0) and np.array_equal(sides, expected))
 
 
 def _position(group: MatrixGroup, h, name: str) -> int:
@@ -462,7 +515,17 @@ def _build(group: MatrixGroup, kind: str, hs, alphas, lam, seed: int) -> Constru
     spanning family, the pre-filter tuples, z and the code, each checked
     against the kind's contract; lam scales the lambda kind's second block.
     seed is a Python or numpy integer, at least 0, kept as int in the
-    certificate; it is checked before any work."""
+    certificate; it is checked before any work.
+
+    The code must pass its own verification.  A general-form code is
+    checked by its tuple identities (`_matched_identities_hold`): where
+    sum_l alpha_l a_{g_j h_l s} = beta_{j,s}(z) e_j with beta_{j,s}(z) != 0
+    for every matched (j, s), e_j = beta^-1 sum_l alpha_l a_{g_j h_l s} lies
+    in the span of matched set {g_j h_l s : l}, so every set passes the span
+    test and the report is assembled from the matching sizes
+    (`ldc._report`), as certcheck.verify_cert does.  Otherwise, and for
+    special2-form codes, whose one-difference test costs about what an
+    identity would, `ldc.verify` decides."""
     seed = strict_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -484,7 +547,12 @@ def _build(group: MatrixGroup, kind: str, hs, alphas, lam, seed: int) -> Constru
     code = LdcInstance(field=field, t=family.t, m=length,
                        vectors=Matrix.from_array(field, vectors), matchings=matchings,
                        form=form, q=q, claimed_delta=density_floor(group, kind, hs))
-    if not verify(code).passed:
+    if form == "general" and _matched_identities_hold(
+            field, vectors, alphas, idx, mask, field.matmul(normals, z).reshape(mask.shape)):
+        report = ldc._report(code, [()] * family.t)
+    else:
+        report = verify(code)
+    if not report.passed:
         raise InternalInconsistency("constructed code failed verification")
     return ConstructionCert(
         group=group, kind=kind, hs=tuple(hs), alphas=tuple(field.canon(a) for a in alphas),

@@ -371,10 +371,12 @@ def _number(index: dict, keys: list) -> tuple[list, list]:
     return found, first
 
 
-def mult_cycles(group: MatrixGroup, h: int) -> CycleDecomposition:
-    """Cycle decomposition of s -> h*s, each cycle from its smallest position,
-    in increasing order: the power table of left_perm(h) over those starts,
-    found as minima over doubling windows of powers."""
+def _cycle_table(group: MatrixGroup, h: int) -> tuple[int, np.ndarray]:
+    """(order, table) of s -> h*s: table is the (|G| / order, order) int64
+    array whose row c is cycle c, s, hs, h^2 s, ..., from its smallest
+    position, rows in increasing order of that start.  It is the power
+    table of left_perm(h) over the starts, found as minima over doubling
+    windows of powers."""
     perm, order = group.left_perm(h), group.element_order(h)
     ident = np.arange(len(perm))
     low, step, span = ident, perm, 1  # low[s] = min of h^a s over a < span
@@ -385,7 +387,14 @@ def mult_cycles(group: MatrixGroup, h: int) -> CycleDecomposition:
         table.append(perm[table[-1]])
     if len(table[0]) * order != len(perm) or not np.array_equal(perm[table[-1]], table[0]):
         raise InternalInconsistency("cycle length differs from element order")
-    return CycleDecomposition(h, order, tuple(map(tuple, np.stack(table, axis=1).tolist())))
+    return order, np.stack(table, axis=1)
+
+
+def mult_cycles(group: MatrixGroup, h: int) -> CycleDecomposition:
+    """Cycle decomposition of s -> h*s, each cycle from its smallest position,
+    in increasing order (`_cycle_table`, as tuples)."""
+    order, table = _cycle_table(group, h)
+    return CycleDecomposition(h, order, tuple(map(tuple, table.tolist())))
 
 
 def burnside_irreducible(group: MatrixGroup) -> bool:

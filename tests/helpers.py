@@ -440,6 +440,18 @@ def lattice_z(normals):
     raise InternalInconsistency("no lattice point avoids the hyperplanes")
 
 
+def reference_best_z(normals, p: int, n: int):
+    """(z, count) of _kernels.best_z_exhaustive by a full scan of all p**n
+    vectors over the raw rows, last coordinate fastest, no early stop:
+    the lex-first z with the most nonzero dots mod p."""
+    import numpy as np
+
+    zs = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).T
+    counts = (np.asarray(normals, dtype=np.int64) @ zs % p != 0).sum(axis=0)
+    best = int(np.argmax(counts))
+    return zs[:, best], int(counts[best])
+
+
 def reference_choose_z_drawn(field, normals, seed):
     """The randomized GF(p) branch of choose_z one draw at a time: each seeded
     draw is counted over the raw rows by count_nonzero_dots, the first best
@@ -785,6 +797,35 @@ def reference_dual_vectors(group, u, g_refs, y):
         else:
             raise InternalInconsistency(f"no dual vector for translate {i}; family not minimal?")
     return Matrix.from_array(field, np.ascontiguousarray(np.stack(cols, axis=1))), hats
+
+
+def reference_validate_family(group, family, y) -> None:
+    """construct.validate_family in the order it had before its lemma, with
+    no check skipped: the span of the translates, then the first k <
+    min(t, n) whose removal keeps the span (one rank per k), then the
+    shapes of W and hat_w, then per translate a zero hat_w_j or a failing
+    W^T rho(g_j) Y = e_j hat_w_j^T, one Matrix product at a time."""
+    import numpy as np
+
+    from rep2ldc.errors import InternalInconsistency
+
+    field, n, t = group.field, group.dim, len(family.g_refs)
+    images = [(family.U.basis @ group.matrix(g).T).a for g in family.g_refs]
+    if _span_rank(field, images) < n:
+        raise InternalInconsistency("translates do not span the space")
+    for k in range(min(t, n)):
+        if _span_rank(field, images[:k] + images[k + 1:]) == n:
+            raise InternalInconsistency(f"translate {k} is redundant")
+    if family.W.a.shape != (n, t) or len(family.hat_w) != t:
+        raise InternalInconsistency(f"W has shape {family.W.a.shape} and {len(family.hat_w)} "
+                                    f"hat_w rows, need {(n, t)} and {t}")
+    for j, g in enumerate(family.g_refs):
+        hat = family.hat_w[j]
+        if not np.any(hat != 0):
+            raise InternalInconsistency(f"hat_w[{j}] is zero")
+        prod = (family.W.T @ group.matrix(g) @ y).a
+        if not (np.all(np.delete(prod, j, axis=0) == 0) and np.all(prod[j] == hat)):
+            raise InternalInconsistency(f"rank-one identity fails for translate {j}")
 
 
 def reference_nullspace(m):

@@ -5,8 +5,14 @@ survivor counts, z, deltas or one code vector) and the full failure tuple,
 messages and order, is pinned: the checks of the pre-filter guarantee, the
 survivor bound, the density floor, the code's shape and the tuple identity
 must keep reporting as they do wherever their rules are decided.  A
-semantic edit of a certificate's JSON document (one residue, matching
-member or kept_s entry) never reads as a passing certificate.
+semantic edit of a certificate's JSON document (one residue, alpha,
+matching member, kept_s, g_refs or hs entry, or U's basis) never reads as
+a passing certificate unless it states another valid one, and its failures
+are those of the family checks run in their pre-lemma order
+(`helpers.reference_validate_family`), so the lemma that proves a family
+irredundant hides no message; a duplicated g_ref and a U other than Y's
+column span with a redundant family are pinned.  rank(X) is taken only
+when the factorization or rank(D) = R fails, with the same message.
 
 The tuple identities are proved from the factorization, family and orbit
 checks: a passing certificate never recomputes them, a failed premise
@@ -32,7 +38,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import reference_beta_mask, reference_orbit_check, reference_same_sets
+from helpers import (
+    reference_beta_mask,
+    reference_orbit_check,
+    reference_same_sets,
+    reference_validate_family,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +62,7 @@ from rep2ldc.errors import ParseError, Rep2LdcError
 from rep2ldc.fields import rational_from_json
 from rep2ldc.fixtures import parse_fixture
 from rep2ldc.ldc import QMatching
-from rep2ldc.linalg import Matrix
+from rep2ldc.linalg import Matrix, Subspace, rank
 from rep2ldc.serialize import canonical_json, cert_to_json
 
 SIZE = "prefilter size differs from kept_s length"
@@ -154,6 +165,18 @@ def _edit(cert, edit: str):
         hats[0] = hats[0].copy()
         hats[0][0] = field.canon(hats[0][0] + 1)
         return replace(family=dataclasses.replace(cert.family, hat_w=tuple(hats)))
+    if edit == "g_ref-duplicated":  # the second translate is the first again
+        g_refs = cert.family.g_refs
+        return replace(family=dataclasses.replace(cert.family,
+                                                  g_refs=g_refs[:1] * 2 + g_refs[2:]))
+    if edit == "U-whole-space":
+        field, n = cert.group.field, cert.group.dim
+        whole = Subspace(field, n, Matrix(field, np.eye(n, dtype=np.int64)))
+        return replace(family=dataclasses.replace(cert.family, U=whole))
+    if edit == "X-rank-dropped":  # the last column of X zeroed
+        field, x = cert.group.field, cert.X.a.copy()
+        x[:, -1] = field.canon(0)
+        return replace(X=Matrix.from_array(field, x))
     assert edit == "kept-below-G/q2"
     q = len(cert.hs)
     keep = -(-m // (q * q)) - 1  # the largest count with keep * q^2 < |G|
@@ -178,6 +201,40 @@ def test_single_edit_report_is_pinned(case, edit):
     assert not report.passed
 
 
+# -- family edits: no lemma hides a message --------------------------------------
+
+FAMILY_INVALID = "spanning family invalid: "
+# t >= 2: dihedral(5,11)'s family is one translate
+FAMILY_CASES = [case for case in CASES if not case.startswith("dihedral")]
+FAMILY_EDITS = {
+    # the two first translates coincide, so the family loses a dimension;
+    # matching 1 reads g_0's positions and its identity fails at once
+    "g_ref-duplicated": (FAMILY_INVALID + "translates do not span the space", MATCHINGS,
+                         "tuple identity failed: tuple identity fails at (j=1, s=0)"),
+    # every translate is F^n, so the family is redundant; W, hat_w and the
+    # identities, which read Y and not U, still hold
+    "U-whole-space": ("U is not the column span of Y", FAMILY_INVALID + "translate 0 is redundant"),
+}
+FAMILY_PAIRS = [(case, edit) for case in FAMILY_CASES for edit in FAMILY_EDITS]
+
+
+@pytest.mark.parametrize("case, edit", FAMILY_PAIRS, ids=[f"{c}-{e}" for c, e in FAMILY_PAIRS])
+def test_a_family_edit_report_is_pinned(case, edit):
+    edited = _edit(_cert(case), edit)
+    report = verify_cert(edited)
+    assert report.failures == FAMILY_EDITS[edit]
+    assert report.failures == _reference_failures(edited)
+    assert report.code_report.passed and not report.passed
+
+
+def _reference_failures(cert) -> tuple[str, ...]:
+    """verify_cert's failures with the family checked in the order it had
+    before its lemma, every check run (`helpers.reference_validate_family`)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certcheck, "validate_family", reference_validate_family)
+        return verify_cert(cert).failures
+
+
 # -- semantic edits of the JSON document ---------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -188,47 +245,78 @@ def _doc_text(case: str) -> str:
 @st.composite
 def semantic_edit(draw):
     """A certificate document after one edit that keeps it well-formed
-    JSON of the right shape: one residue of z, of one hat_w, of W or of one
-    code vector bumped by 1, one matching member moved to another position
-    of the code, or one kept_s entry dropped."""
-    doc = json.loads(_doc_text(draw(st.sampled_from(list(CASES)))))
+    JSON of the right shape: one residue of z, of one hat_w, of W, of one
+    code vector or of one alpha bumped by 1, one entry of a non-pivot
+    column of U's reduced basis bumped by 1 (so U is another subspace), one
+    matching member moved to another position of the code, one entry of
+    family.g_refs or hs moved to another element, or one kept_s entry
+    dropped.  Returns (what, doc), `what` naming the part edited."""
+    case = draw(st.sampled_from(list(CASES)))
+    doc = json.loads(_doc_text(case))
     char = doc["group"]["field"]["char"]
     family, code = doc["family"], doc["code"]
 
     def index(seq):
         return draw(st.integers(0, len(seq) - 1))
 
-    what = draw(st.sampled_from(["z", "hat_w", "W", "vector", "member", "kept_s"]))
+    def bump(row, k):
+        row[k] = (row[k] + 1) % char if char else str(rational_from_json(row[k]) + 1)
+
+    what = draw(st.sampled_from(["z", "hat_w", "W", "vector", "member", "kept_s", "g_refs",
+                                 "alphas", "hs", "U"]))
     if what == "kept_s":
         del doc["kept_s"][index(doc["kept_s"])]
-        return doc
+        return what, doc
     if what == "member":
         sets = code["matchings"][index(code["matchings"])]
         members = sets[index(sets)]
         k = index(members)
         members[k] = (members[k] + draw(st.integers(1, code["m"] - 1))) % code["m"]
-        return doc
+        return what, doc
+    if what in ("g_refs", "hs"):
+        m = len(_cert(case).group)
+        values = family["g_refs"] if what == "g_refs" else doc["hs"]
+        k = index(values)
+        values[k] = (values[k] + draw(st.integers(1, m - 1))) % m
+        return what, doc
+    if what == "U":
+        rows = family["U"]["entries"]
+        pivots = {next(c for c, x in enumerate(row) if str(x) != "0") for row in rows}
+        free = [c for c in range(len(rows[0])) if c not in pivots]
+        if free:  # a full-rank U has no other reduced basis
+            bump(rows[index(rows)], draw(st.sampled_from(free)))
+            return what, doc
+        what = "z"
+    if what == "alphas":
+        bump(doc["alphas"], index(doc["alphas"]))
+        return what, doc
     rows = {"z": [doc["z"]], "hat_w": family["hat_w"], "W": family["W"]["entries"],
             "vector": code["vectors"]}[what]
     row = rows[index(rows)]
-    k = index(row)
-    row[k] = (row[k] + 1) % char if char else str(rational_from_json(row[k]) + 1)
-    return doc
+    bump(row, index(row))
+    return what, doc
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(doc=semantic_edit())
-def test_a_semantic_edit_never_passes(doc):
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(edit=semantic_edit())
+def test_a_semantic_edit_never_passes(edit):
     """Each edit changes what the certificate states, so it is refused
     either as a ParseError or by a failing report; no other exception.
-    The report names a tuple identity failure exactly when the
-    recomputation of the identities finds one."""
+    The one exception is a g_ref moved to g_j x where rho(x) fixes Y and x
+    maps the kept tuples of g_j onto themselves: the edited document is
+    another valid certificate, whose family and matchings hold as stated.
+    The failures are those of the family checks run in their full order,
+    the report names a tuple identity failure exactly when the
+    recomputation of the identities finds one, and the code report is
+    ldc.verify's."""
+    what, doc = edit
     try:
         cert = cert_from_json(doc)
     except ParseError:
         return
     report = verify_cert(cert)
-    assert not report.passed
+    assert not report.passed or what == "g_refs"
+    assert report.failures == _reference_failures(cert)
     assert _identity_failures(report) == _recomputed_identities(cert)
     _assert_one_product_reads_as_two(cert, report)
     assert report.code_report.to_json() == ldc.verify(cert.code).to_json()
@@ -490,3 +578,39 @@ def test_one_pass_comparison_matches_the_lexsorts(family):
     assert same == reference_same_sets(rows, members)
     if edit == "permuted":
         assert same
+
+
+# -- the rank of X by proof --------------------------------------------------------
+
+FACTOR = "factor ranks differ from R"
+
+
+@pytest.fixture
+def ranked(monkeypatch) -> list:
+    """The matrices verify_cert takes the rank of."""
+    calls = []
+    real = certcheck.rank
+    monkeypatch.setattr(certcheck, "rank", lambda mat: calls.append(mat) or real(mat))
+    return calls
+
+
+@pytest.mark.parametrize("case", list(dict.fromkeys(list(CASES) + QQ_PINS)))
+def test_a_passing_certificate_ranks_d_alone(ranked, case):
+    """Y X^T = D and rank(D) = R make rank(X) = R for an X of R columns."""
+    cert = _cert(case)
+    assert verify_cert(cert).passed
+    assert ranked == [cert.D]
+
+
+RANK_PAIRS = PAIRS + [(case, edit) for case in CASES
+                      for edit in ["alpha0+1", "X-entry+1", "X-rank-dropped"]]
+
+
+@pytest.mark.parametrize("case, edit", RANK_PAIRS, ids=[f"{c}-{e}" for c, e in RANK_PAIRS])
+def test_the_factor_rank_message_is_the_full_check(case, edit):
+    edited = _edit(_cert(case), edit)
+    field, n = edited.group.field, edited.group.dim
+    full = Subspace.from_rows(field, n, edited.Y.T).dim == edited.R == rank(edited.X)
+    assert (FACTOR in verify_cert(edited).failures) == (not full)
+    if edit == "X-rank-dropped":
+        assert not full

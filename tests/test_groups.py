@@ -545,6 +545,15 @@ class TestMultCycles:
                 for a, b in zip(c, c[1:]):
                     assert g.mul(h, a) == b
 
+    def test_cycle_table_is_the_decomposition_as_an_array(self, dihedral_5_11):
+        """The int64 (|G| / ord h, ord h) table that mult_cycles wraps."""
+        g = dihedral_5_11
+        for h in range(len(g)):
+            order, table = groups._cycle_table(g, h)
+            assert table.dtype == np.int64 and table.shape == (len(g) // order, order)
+            assert (order, tuple(map(tuple, table.tolist()))) == (
+                g.element_order(h), matrix_cycles(g, h))
+
 
 class TestBurnside:
     def test_signed_shift_irreducible(self, signed_shift_4_3):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import reference_best_z
 
 from rep2ldc import _kernels as K
 
@@ -150,3 +151,73 @@ def test_projective_classes_zero_row_counts_nowhere():
     z = np.array([[1], [1]], dtype=np.int64)
     counts = weights @ (K.matmul_mod(classes, z, 5) != 0)
     assert counts.tolist() == [K.count_nonzero_dots(rows, z[:, 0], 5)]
+
+
+def _unclearable(p, n):
+    """Every line of the plane of e_0 and e_1: each z is orthogonal to one."""
+    rows = np.zeros((p + 1, n), dtype=np.int64)
+    rows[0, 1] = 1
+    rows[1:, 0], rows[1:, 1] = 1, np.arange(p)
+    return rows
+
+
+def _cleared_only_by_minus_last(p, n):
+    """e_j for every j and e_{n-1} - c e_j for j < n - 1 and c = 1..p-2: a
+    clearing z has z_j = -z_{n-1} != 0, so the lex-first is (1, ..., 1, p-1)."""
+    rows = [np.eye(n, dtype=np.int64)]
+    for c in range(1, p - 1):
+        block = np.zeros((n - 1, n), dtype=np.int64)
+        block[:, -1] = 1
+        block[np.arange(n - 1), np.arange(n - 1)] = -c % p
+        rows.append(block)
+    return np.concatenate(rows)
+
+
+def _zscan_oracle_cases():
+    rng = np.random.default_rng(34)
+    for p, n in [(3, 5), (3, 8), (5, 4), (5, 6), (7, 3), (7, 5)]:
+        for k in (1, 4, 12, 40):
+            yield p, n, rng.integers(0, p, size=(k, n), dtype=np.int64)
+        yield p, n, _unclearable(p, n)
+        yield p, n, _cleared_only_by_minus_last(p, n)
+    # GF(3)^8 scans two chunks of 4096; the only clearing z are +-(1, 2, ..., 2),
+    # the lex-first at index 3^7 + 3^7 - 1 = 4373, in the last chunk
+    rows = np.concatenate([np.eye(8, dtype=np.int64), np.eye(8, dtype=np.int64)[1:]])
+    rows[8:, 0] = 1
+    rows[8:, 1:] *= 2  # e_0 - e_j: z_j != z_0
+    yield 3, 8, rows
+
+
+ZSCAN_CASES = list(_zscan_oracle_cases())
+
+
+@pytest.mark.parametrize("p, n, normals", ZSCAN_CASES,
+                         ids=[f"GF({p})^{n}-{len(r)}-rows-{i}" for i, (p, n, r) in
+                              enumerate(ZSCAN_CASES)])
+def test_zscan_matches_the_full_scan(p, n, normals):
+    """The scan stops after the chunk whose best count clears every row,
+    with the z and count of a scan of all p**n vectors."""
+    z, count = K.best_z_exhaustive(normals, p, n)
+    want_z, want_count = reference_best_z(normals, p, n)
+    assert count == want_count
+    assert z.tolist() == want_z.tolist()
+
+
+def _chunks_scanned(monkeypatch, normals, p, n) -> int:
+    calls = []
+    matmul = K.matmul_mod
+    monkeypatch.setattr(K, "matmul_mod", lambda *args: calls.append(1) or matmul(*args))
+    K.best_z_exhaustive(normals, p, n)
+    return len(calls)
+
+
+def test_zscan_stops_once_every_row_is_cleared(monkeypatch):
+    """GF(3)^8 is two chunks.  A z clearing every row in the first stops the
+    scan there, a clearing z in the last chunk or none at all scans both."""
+    first = _cleared_only_by_minus_last(3, 8)  # (1, ..., 1, 2), at index 3281
+    assert reference_best_z(first, 3, 8)[1] == len(first)
+    assert _chunks_scanned(monkeypatch, first, 3, 8) == 1
+    last = ZSCAN_CASES[-1][2]
+    assert reference_best_z(last, 3, 8)[0].tolist() == [1] + [2] * 7
+    assert _chunks_scanned(monkeypatch, last, 3, 8) == 2
+    assert _chunks_scanned(monkeypatch, _unclearable(3, 8), 3, 8) == 2
